@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         if result.report is not None and not result.report.converged:
             print(
                 f"solver did not converge within {config.max_iterations} iterations "
-                f"(last update {result.report.last_update:.3e})",
+                f"(fixed-point residual {result.report.last_update:.3e})",
                 file=sys.stderr,
             )
             return EXIT_SOLVER

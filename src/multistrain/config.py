@@ -34,8 +34,8 @@ strict: unknown sections or keys are errors, as are missing required fields.
                           or as scale * ln(reference population)
     c2_population         reference population for c2_log_scale
                           (default: initial population)
-    relaxation            sweep update factor in (0, 1] (default 0.5)
-    tolerance             sup-norm stopping tolerance (default 1e-6)
+    relaxation            Anderson mixing weight in (0, 1] (default 0.5)
+    tolerance             fixed-point residual stopping tolerance (default 1e-6)
     max_iterations        sweep iteration cap (default 500)
     u_init                initial schedule value in [0, 1] (default 0)
 

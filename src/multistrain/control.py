@@ -5,8 +5,8 @@ population against an exponentially growing cost of mitigation.  Pontryagin's
 principle turns the maximisation into a two-point boundary-value problem:
 state forward from the initial condition, adjoint backward from zero terminal
 values, and a pointwise closed form for the control in between.  The sweep
-iterates those three parts with a relaxed control update until the schedule
-stops moving.
+solves the fixed point ``u = F(u)`` of those three parts with Anderson mixing
+until the fixed-point residual ``max|F(u) - u|`` falls below tolerance.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .dynamics import EpidemicState, StrainParams, check_control, param_lists
 from .errors import ConfigError, DomainError, SolverError
 from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
 
-# Relaxation is halved whenever the sweep starts oscillating, but never below
-# this floor.
-MIN_RELAXATION = 0.02
+# Number of past residual differences the Anderson step mixes.
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,11 @@ class CostateTrajectory:
 class FbsmReport:
     """Outcome of a sweep solve.
 
-    ``trajectory`` and ``costates`` are the final forward and backward passes
-    run under the returned schedule, so the three parts are mutually
-    consistent.  ``update_history`` holds the sup-norm of the control update
-    of every iteration in order.
+    ``trajectory`` and ``costates`` are the forward and backward passes run
+    under the returned schedule, so the three parts are mutually consistent.
+    ``update_history`` holds the fixed-point residual ``max|F(u) - u|`` of
+    every iteration in order; ``last_update`` is its final entry, the
+    residual of the returned schedule.
     """
 
     converged: bool
@@ -408,6 +408,30 @@ def _pointwise_formula(
     return np.clip(np.where(positive, values, 0.0), 0.0, 1.0)
 
 
+def _anderson_step(
+    u: np.ndarray, g: np.ndarray, dU: np.ndarray, dG: np.ndarray, a: float
+) -> np.ndarray:
+    """Type-II Anderson update of ``u`` with residual ``g = F(u) - u``.
+
+    The rows of ``dU`` and ``dG`` are differences of past iterates and
+    residuals, in any order.  The mixing weights ``gamma`` minimise
+    ``|g - dG^T gamma|`` through the small Gram system of ``dG`` with a
+    relative ridge; an empty, zero or singular history falls back to the
+    plain relaxed step ``u + a g``.
+    """
+    step = u + a * g
+    if len(dG):
+        gram = np.dot(dG, dG.T)
+        gram[np.diag_indices_from(gram)] += 1e-12 * np.trace(gram)
+        try:
+            gamma = np.linalg.solve(gram, np.dot(dG, g))
+        except np.linalg.LinAlgError:
+            return np.clip(step, 0.0, 1.0)
+        if np.all(np.isfinite(gamma)):
+            step -= np.dot(gamma, dU) + a * np.dot(gamma, dG)
+    return np.clip(step, 0.0, 1.0)
+
+
 def fbsm_solve(
     initial: EpidemicState,
     params: Sequence[StrainParams],
@@ -418,21 +442,20 @@ def fbsm_solve(
     relaxation: float = 0.5,
     tol: float = 1e-6,
     max_iter: int = 500,
-    adaptive_relaxation: bool = True,
 ) -> FbsmReport:
     """Forward-backward sweep for the mitigation schedule.
 
-    Each iteration simulates forward under the current schedule, integrates
-    the adjoints backward from zero, evaluates the closed-form control and
-    applies the relaxed update ``u <- a * u_formula + (1-a) * u``.  The sweep
-    stops when the sup-norm of the update falls below ``tol``.
+    Each iteration simulates forward under the current schedule ``u``,
+    integrates the adjoints backward from zero and evaluates the closed-form
+    control ``F(u)``.  The sweep stops when the fixed-point residual
+    ``max|F(u) - u|`` falls below ``tol`` and returns ``u`` with the
+    trajectory and costates already computed for it.  Otherwise the next
+    schedule is the type-II Anderson step over the last ``ANDERSON_DEPTH``
+    iterates, with ``relaxation`` as the mixing weight ``a`` of the plain
+    step ``u + a (F(u) - u)``, clipped to [0, 1].
 
-    With ``adaptive_relaxation`` the factor ``a`` starts at ``relaxation`` and
-    is halved whenever the update norm grows, which tames the oscillation the
-    plain iteration exhibits for cheap-mitigation cost settings.  Hitting
-    ``max_iter`` returns a report with ``converged=False`` rather than
-    raising.  The returned trajectory and costates are recomputed under the
-    final schedule.
+    Hitting ``max_iter`` returns a report with ``converged=False`` rather
+    than raising.
     """
     if not 0.0 < relaxation <= 1.0:
         raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
@@ -452,39 +475,39 @@ def fbsm_solve(
     act_row = np.array([p.activation_time for p in params])
     active_mask = grid.times()[:, None] >= act_row[None, :]
 
-    a = relaxation
-    prev_sup = math.inf
+    # The last ANDERSON_DEPTH differences, kept in ring buffers allocated once
+    # so that no step stacks fresh copies of the history.
+    dU = np.empty((ANDERSON_DEPTH, grid.n_points))
+    dG = np.empty_like(dU)
     history: list[float] = []
     converged = False
-    iterations = 0
-    sup = math.inf
     for iterations in range(1, max_iter + 1):
-        traj = simulate(initial, params, ControlSchedule(grid, u), events, grid)
+        schedule = ControlSchedule(grid, u)
+        traj = simulate(initial, params, schedule, events, grid)
         costates = backward_sweep(traj, params, costs)
-        formula = _pointwise_formula(traj, costates, beta_row, active_mask, costs)
-        u_new = np.clip(a * formula + (1.0 - a) * u, 0.0, 1.0)
-        if not np.all(np.isfinite(u_new)):
+        g = _pointwise_formula(traj, costates, beta_row, active_mask, costs) - u
+        if not np.all(np.isfinite(g)):
             raise SolverError("control update produced non-finite values")
-        sup = float(np.max(np.abs(u_new - u)))
-        history.append(sup)
-        u = u_new
-        if sup < tol:
+        residual = float(np.max(np.abs(g)))
+        history.append(residual)
+        if residual < tol:
             converged = True
             break
-        if adaptive_relaxation and sup > prev_sup and a > MIN_RELAXATION:
-            a *= 0.5
-        prev_sup = sup
+        if iterations > 1:
+            slot = (iterations - 2) % ANDERSON_DEPTH
+            np.subtract(u, u_prev, out=dU[slot])
+            np.subtract(g, g_prev, out=dG[slot])
+        u_prev, g_prev = u, g
+        filled = min(iterations - 1, ANDERSON_DEPTH)
+        u = _anderson_step(u, g, dU[:filled], dG[:filled], relaxation)
 
-    final_schedule = ControlSchedule(grid, u)
-    final_traj = simulate(initial, params, final_schedule, events, grid)
-    final_costates = backward_sweep(final_traj, params, costs)
     return FbsmReport(
         converged=converged,
         iterations=iterations,
-        objective=objective(final_traj, costs),
-        last_update=sup,
-        schedule=final_schedule,
-        trajectory=final_traj,
-        costates=final_costates,
+        objective=objective(traj, costs),
+        last_update=residual,
+        schedule=schedule,
+        trajectory=traj,
+        costates=costates,
         update_history=tuple(history),
     )

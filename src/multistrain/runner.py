@@ -186,7 +186,7 @@ def format_report(report: FbsmReport) -> str:
     u = report.schedule.u
     return (
         f"sweep {status} after {report.iterations} iteration(s); "
-        f"last update {report.last_update:.3e}\n"
+        f"fixed-point residual {report.last_update:.3e}\n"
         f"objective J = {report.objective:.9e}\n"
         f"schedule: mean u = {u.mean():.4f}, max u = {u.max():.4f}"
     )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multistrain import control
 from multistrain import (
     ConfigError,
     ControlSchedule,
@@ -48,6 +49,15 @@ def hamiltonian(x, costate, params, u, costs, t=None):
         costate.phi_S @ dS + costate.phi_E @ dE + costate.phi_I @ dI + costate.phi_R @ dR
     )
     return value
+
+
+def true_residual(report, params, costs):
+    """``max_k |optimal_u(state_k, costate_k) - u_k|`` over a solver report."""
+    traj, cos, u = report.trajectory, report.costates, report.schedule.u
+    return max(
+        abs(optimal_u(traj.state_at(k), cos.state_at(k), params, costs) - u[k])
+        for k in range(traj.grid.n_points)
+    )
 
 
 class TestRunningCost:
@@ -309,6 +319,50 @@ class TestFbsmSolve:
         assert report.costates.phi_P[-1] == 0.0
         assert report.objective == objective(report.trajectory, costs)
         assert len(report.update_history) == report.iterations
+
+    def test_last_update_is_the_true_fixed_point_residual(self):
+        initial, params, events, grid = self.setup_problem()
+        costs = CostParams(c1=1.0, c2=math.log(P0))
+        report = fbsm_solve(initial, params, events, grid, costs, tol=1e-6)
+        assert report.converged
+        assert report.last_update == report.update_history[-1]
+        assert abs(true_residual(report, params, costs) - report.last_update) < 1e-12
+        assert report.last_update < 1e-6
+
+    def test_late_seeded_strain_converges_with_frozen_adjoint(self):
+        # Strain 2 is 50 % more transmissible and seeded at day 60.  Before
+        # then its dynamics are frozen, so its adjoint must be frozen too.
+        params = [
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+            StrainParams(beta=1.5 * BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
+                         activation_time=60.0),
+        ]
+        grid = TimeGrid.from_horizon(0.0, 240.0, 0.2)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
+        events = [
+            SeedEvent(0.0, 0, exposed=E0, infected=I0, removed=R0_),
+            SeedEvent(60.0, 1, exposed=E0, infected=I0, removed=R0_),
+        ]
+        costs = CostParams(c1=1.0, c2=0.9 * math.log(P0))
+        report = fbsm_solve(initial, params, events, grid, costs, tol=1e-6)
+        assert report.converged
+        assert true_residual(report, params, costs) < 1e-6
+        before = report.costates.phi_S[grid.times() < 60.0, 1]
+        assert np.all(before == before[0])
+        assert before[0] != 0.0
+
+    def test_degenerate_anderson_history_falls_back_or_stays_finite(self):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(0.2, 0.8, size=50)
+        g = rng.uniform(-0.1, 0.1, size=50)
+        zero = np.zeros(50)
+        plain = np.clip(u + 0.5 * g, 0.0, 1.0)
+        assert np.array_equal(control._anderson_step(u, g, zero[None], zero[None], 0.5), plain)
+        # Two equal differences make the Gram matrix rank one.
+        d = np.tile(rng.uniform(-0.1, 0.1, size=50), (2, 1))
+        step = control._anderson_step(u, g, d, d, 0.5)
+        assert np.all(np.isfinite(step))
+        assert step.min() >= 0.0 and step.max() <= 1.0
 
     def test_relaxation_domain(self):
         initial, params, events, grid = self.setup_problem()

@@ -384,3 +384,49 @@ class TestReferenceIntegrator:
         ])
         assert np.abs(ref.y[:, -1] - rk4).max() / p0 < 1e-10
         assert ref.y[4, -1] / p0 > 0.65
+
+    def test_experiment3_terminal_state_matches_dop853(self):
+        """RK4 agrees with an adaptive solver across the day-180 seeding.
+
+        The reference is piecewise: inside a piece the set of active strains
+        is fixed.  On an activation day the strain's susceptible pool, which
+        the right-hand side freezes while the strain is inactive, is reset to
+        its algebraic value ``P - E - I - R`` and the seed is moved out of it.
+        """
+        integrate = pytest.importorskip("scipy.integrate")
+        cfg = preset_config("experiment3")
+        params = cfg.strain_params()
+        n = len(params)
+        p0 = cfg.population
+        grid = cfg.grid()
+        # Layout [P, S_1..n, E_1..n, I_1..n, R_1..n]; x[1 + n + j :: n] is
+        # strain j's E, I and R.
+        x = np.concatenate(([p0], np.full(n, p0), np.zeros(3 * n)))
+        t = grid.t0
+        for stop in sorted({s.activation_day for s in cfg.strains} | {grid.T}):
+            if stop > t:
+                def rhs(_t, y, t_piece=t):
+                    dP, dS, dE, dI, dR = full_system_rhs(
+                        y[0], *np.split(y[1:], 4), params, 0.0, t=t_piece
+                    )
+                    return np.concatenate(([dP], dS, dE, dI, dR))
+
+                ref = integrate.solve_ivp(
+                    rhs, (t, stop), x, method="DOP853", rtol=1e-12, atol=1e-12 * p0
+                )
+                assert ref.success, ref.message
+                x, t = ref.y[:, -1].copy(), stop
+            for j, s in enumerate(cfg.strains):
+                if s.activation_day == t:
+                    seed = np.array([s.seed_exposed, s.seed_infected, s.seed_removed])
+                    x[1 + j] = x[0] - x[1 + n + j :: n].sum() - seed.sum()
+                    x[1 + n + j :: n] += seed
+
+        traj = simulate(
+            cfg.initial_state(), params, ControlSchedule.constant(grid, 0.0),
+            cfg.seed_events(), grid,
+        )
+        rk4 = np.concatenate((
+            [traj.P[-1]], traj.susceptible_matrix()[-1], traj.E[-1], traj.I[-1], traj.R[-1],
+        ))
+        assert np.abs(x - rk4).max() / p0 < 1e-10
