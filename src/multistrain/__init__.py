@@ -52,9 +52,11 @@ from .dynamics import (
     derivatives,
     equilibrium_residuals,
     full_system_rhs,
+    jacobian,
     min_stabilizing_control,
     nontrivial_equilibrium,
     reproduction_number,
+    strain_arrays,
     susceptible,
     susceptible_derivative,
 )

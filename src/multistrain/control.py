@@ -17,12 +17,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import EpidemicState, StrainParams, check_control, param_lists
+from .dynamics import (
+    EpidemicState, StrainParams, check_control, jacobian, strain_arrays,
+)
 from .errors import ConfigError, DomainError, SolverError
 from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
 
 # Number of past residual differences the Anderson step mixes.
 ANDERSON_DEPTH = 5
+
+# Steps whose adjoint maps the backward sweep forms at once.  All of them at
+# once would hold 8 strains x 14 600 steps x 33^2 doubles = 127 MB per array.
+# On that sweep blocks of 64 peaked at 47 MB RSS and blocks of 256 at 63 MB,
+# at about the same speed; blocks of 16 ran a 1-strain sweep 3x slower.
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -177,35 +185,12 @@ def objective(
     return _uniform_trapezoid(rates, traj.grid.dt)
 
 
-def _costate_rhs(
-    n, c1, w, beta, sigma, gamma, delta, mu, active,
-    S_row, I_row, phiP, phiS, phiE, phiI, phiR,
-):
-    """Adjoint right-hand side on plain lists; inactive strains are frozen."""
-    sum_phi_s = 0.0
-    for i in range(n):
-        if active[i]:
-            sum_phi_s += phiS[i]
-    dS = [0.0] * n
-    dE = [0.0] * n
-    dI = [0.0] * n
-    dR = [0.0] * n
-    for j in range(n):
-        if not active[j]:
-            continue
-        diff = phiS[j] - phiE[j]
-        wb = w * beta[j]
-        dS[j] = diff * wb * I_row[j]
-        dE[j] = sigma[j] * (phiE[j] - phiI[j])
-        dI[j] = (
-            diff * wb * S_row[j]
-            + phiI[j] * (mu[j] + gamma[j])
-            - phiR[j] * gamma[j]
-            + phiP * mu[j]
-            + mu[j] * (sum_phi_s - phiS[j])
-        )
-        dR[j] = delta[j] * (phiR[j] - phiS[j])
-    return -c1, dS, dE, dI, dR
+def _split(x: np.ndarray, n: int):
+    """The P, S, E, I and R parts along the last axis of the 4n+1 coordinates."""
+    return (
+        x[..., 0], x[..., 1 : n + 1], x[..., n + 1 : 2 * n + 1],
+        x[..., 2 * n + 1 : 3 * n + 1], x[..., 3 * n + 1 : 4 * n + 1],
+    )
 
 
 def costate_derivatives(
@@ -215,7 +200,9 @@ def costate_derivatives(
     params: Sequence[StrainParams],
     costs: CostParams,
 ) -> CostateDerivative:
-    """Adjoint system evaluated at a state/costate pair.
+    """Adjoint system ``d phi / dt = -J^T phi - c1 e_P`` at a state/costate pair.
+
+    With ``J`` from :func:`~multistrain.dynamics.jacobian` this reads
 
     d phi_P / dt   = -c1
     d phi_S_j / dt = (phi_S_j - phi_E_j) (1-u) beta_j I_j
@@ -225,8 +212,11 @@ def costate_derivatives(
                      + phi_P mu_j + mu_j sum_{i != j} phi_S_i
     d phi_R_j / dt = delta_j (phi_R_j - phi_S_j)
 
-    with S_j taken algebraically from the state.  Strains not yet activated
-    at ``state.t`` have frozen dynamics, so their adjoints are frozen too.
+    with S_j taken algebraically from the state and the sum over active
+    strains only.  Strains not yet activated at ``state.t`` have frozen
+    dynamics, so their adjoints are frozen too.  The product with ``J`` is an
+    ``einsum``: a BLAS product may fuse multiply and add, and then equal
+    ``phi_S_j`` and ``phi_E_j`` no longer cancel exactly.
     """
     if state.n_strains != costate.n_strains or state.n_strains != len(params):
         raise DomainError("state, costate and parameters disagree on strain count")
@@ -235,19 +225,19 @@ def costate_derivatives(
             f"state (t={state.t!r}) and costate (t={costate.t!r}) are not simultaneous"
         )
     check_control(u)
-    beta, sigma, gamma, delta, mu, act = param_lists(params)
-    n = len(params)
-    active = [state.t >= act[j] for j in range(n)]
-    S_row = (state.P - state.E - state.I - state.R).tolist()
-    dP, dS, dE, dI, dR = _costate_rhs(
-        n, costs.c1, 1.0 - u, beta, sigma, gamma, delta, mu, active,
-        S_row, state.I.tolist(),
-        costate.phi_P, costate.phi_S.tolist(), costate.phi_E.tolist(),
-        costate.phi_I.tolist(), costate.phi_R.tolist(),
-    )
+    arrays = strain_arrays(params)
+    J = jacobian(
+        state.susceptible_all()[None], state.I[None], u,
+        (state.t >= arrays.activation)[None], arrays,
+    )[0]
+    phi = np.concatenate((
+        [costate.phi_P], costate.phi_S, costate.phi_E, costate.phi_I, costate.phi_R
+    ))
+    d = -np.einsum("ij,i->j", J, phi)
+    d[0] -= costs.c1
+    dP, dS, dE, dI, dR = _split(d, state.n_strains)
     return CostateDerivative(
-        dphi_P=dP, dphi_S=np.array(dS), dphi_E=np.array(dE),
-        dphi_I=np.array(dI), dphi_R=np.array(dR),
+        dphi_P=float(dP), dphi_S=dS, dphi_E=dE, dphi_I=dI, dphi_R=dR
     )
 
 
@@ -281,114 +271,76 @@ def optimal_u(
     return min(value, 1.0)
 
 
+def _adjoint_generators(J: np.ndarray, c1: float) -> np.ndarray:
+    """Augmented generators ``[[-J^T, -c1 e_P], [0, 0]]`` of the adjoint.
+
+    Acting on ``(phi, 1)`` they give ``d phi / dt``, so the affine adjoint
+    becomes linear in one more coordinate.
+    """
+    K, D, _ = J.shape
+    A = np.zeros((K, D + 1, D + 1))
+    np.negative(J.transpose(0, 2, 1), out=A[:, :D, :D])
+    A[:, 0, D] = -c1
+    return A
+
+
 def backward_sweep(
     traj: Trajectory, params: Sequence[StrainParams], costs: CostParams
 ) -> CostateTrajectory:
     """Integrate the adjoint system from zero terminal values back to t0.
 
-    Runs RK4 with time reversed on the trajectory's grid; state and control
-    values at the half-step stages are linear interpolants of the stored
-    nodes.
+    Runs RK4 with time reversed on the trajectory's grid.  The adjoint is
+    affine, ``d phi / dt = -J^T phi - c1 e_P``, so the step from node k to
+    k-1 is the affine map ``phi_{k-1} = M_k phi_k + c_k``, held as the
+    matrix ``[[M_k, c_k], [0, 1]]`` acting on ``(phi, 1)``: the RK4 stages
+    applied to the identity.  Stage 1 takes ``J`` at node k, stages 2 and 3
+    at the midpoint (linear interpolants of the stored state and control,
+    with node k-1's strain activity) and stage 4 at node k-1.  The maps are
+    formed in batches of ``SWEEP_BLOCK`` steps, then applied in one loop.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
     grid = traj.grid
     n = traj.n_strains
     N = grid.n_steps
-    dt = grid.dt
-    c1 = costs.c1
-    beta, sigma, gamma, delta, mu, act = param_lists(params)
+    D = 4 * n + 1
+    arrays = strain_arrays(params)
 
-    S_mat = traj.susceptible_matrix()
-    S_nodes = S_mat.tolist()
-    I_nodes = traj.I.tolist()
-    S_mids = (0.5 * (S_mat[:-1] + S_mat[1:])).tolist()
-    I_mids = (0.5 * (traj.I[:-1] + traj.I[1:])).tolist()
-    u_nodes = traj.u.tolist()
-    times = grid.times()
-    active_nodes = (times[:, None] >= np.array(act)[None, :]).tolist()
+    S = traj.susceptible_matrix()
+    I = traj.I
+    u = traj.u
+    active = grid.times()[:, None] >= arrays.activation
+    S_mid = 0.5 * (S[:-1] + S[1:])
+    I_mid = 0.5 * (I[:-1] + I[1:])
+    u_mid = 0.5 * (u[:-1] + u[1:])
 
-    phiP_hist = np.empty(N + 1)
-    phiS_hist = np.empty((N + 1, n))
-    phiE_hist = np.empty((N + 1, n))
-    phiI_hist = np.empty((N + 1, n))
-    phiR_hist = np.empty((N + 1, n))
-
-    phiP = 0.0
-    phiS = [0.0] * n
-    phiE = [0.0] * n
-    phiI = [0.0] * n
-    phiR = [0.0] * n
-    phiP_hist[N] = 0.0
-    phiS_hist[N] = phiS
-    phiE_hist[N] = phiE
-    phiI_hist[N] = phiI
-    phiR_hist[N] = phiR
-
-    h = -dt
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(N, 0, -1):
-        S1, I1 = S_nodes[k], I_nodes[k]
-        S0, I0 = S_nodes[k - 1], I_nodes[k - 1]
-        Sm, Im = S_mids[k - 1], I_mids[k - 1]
-        u1 = u_nodes[k]
-        u0 = u_nodes[k - 1]
-        um = 0.5 * (u0 + u1)
-        act1 = active_nodes[k]
-        act0 = active_nodes[k - 1]
-
-        aP, aS, aE, aI, aR = _costate_rhs(
-            n, c1, 1.0 - u1, beta, sigma, gamma, delta, mu, act1,
-            S1, I1, phiP, phiS, phiE, phiI, phiR,
+    h = -grid.dt
+    eye = np.eye(D + 1)
+    hist = np.empty((N + 1, D + 1))
+    x = np.zeros(D + 1)
+    x[D] = 1.0
+    hist[N] = x
+    for m1 in range(N, 0, -SWEEP_BLOCK):
+        m0 = max(m1 - SWEEP_BLOCK, 0)
+        nodes = slice(m0, m1 + 1)
+        A_node = _adjoint_generators(
+            jacobian(S[nodes], I[nodes], u[nodes], active[nodes], arrays), costs.c1
         )
-        bP, bS, bE, bI, bR = _costate_rhs(
-            n, c1, 1.0 - um, beta, sigma, gamma, delta, mu, act0,
-            Sm, Im, phiP + half * aP,
-            [phiS[j] + half * aS[j] for j in range(n)],
-            [phiE[j] + half * aE[j] for j in range(n)],
-            [phiI[j] + half * aI[j] for j in range(n)],
-            [phiR[j] + half * aR[j] for j in range(n)],
+        steps = slice(m0, m1)
+        A_mid = _adjoint_generators(
+            jacobian(S_mid[steps], I_mid[steps], u_mid[steps], active[steps], arrays),
+            costs.c1,
         )
-        cP, cS, cE, cI, cR = _costate_rhs(
-            n, c1, 1.0 - um, beta, sigma, gamma, delta, mu, act0,
-            Sm, Im, phiP + half * bP,
-            [phiS[j] + half * bS[j] for j in range(n)],
-            [phiE[j] + half * bE[j] for j in range(n)],
-            [phiI[j] + half * bI[j] for j in range(n)],
-            [phiR[j] + half * bR[j] for j in range(n)],
-        )
-        dP_, dS_, dE_, dI_, dR_ = _costate_rhs(
-            n, c1, 1.0 - u0, beta, sigma, gamma, delta, mu, act0,
-            S0, I0, phiP + h * cP,
-            [phiS[j] + h * cS[j] for j in range(n)],
-            [phiE[j] + h * cE[j] for j in range(n)],
-            [phiI[j] + h * cI[j] for j in range(n)],
-            [phiR[j] + h * cR[j] for j in range(n)],
-        )
-        phiP = phiP + sixth * (aP + 2.0 * (bP + cP) + dP_)
-        phiS = [
-            phiS[j] + sixth * (aS[j] + 2.0 * (bS[j] + cS[j]) + dS_[j]) for j in range(n)
-        ]
-        phiE = [
-            phiE[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE_[j]) for j in range(n)
-        ]
-        phiI = [
-            phiI[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI_[j]) for j in range(n)
-        ]
-        phiR = [
-            phiR[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR_[j]) for j in range(n)
-        ]
-        phiP_hist[k - 1] = phiP
-        phiS_hist[k - 1] = phiS
-        phiE_hist[k - 1] = phiE
-        phiI_hist[k - 1] = phiI
-        phiR_hist[k - 1] = phiR
+        a = A_node[1:]
+        b = A_mid @ (eye + 0.5 * h * a)
+        c = A_mid @ (eye + 0.5 * h * b)
+        d = A_node[:-1] @ (eye + h * c)
+        step_maps = eye + (h / 6.0) * (a + 2.0 * (b + c) + d)
+        for m in range(m1 - 1, m0 - 1, -1):
+            x = step_maps[m - m0] @ x
+            hist[m] = x
 
-    return CostateTrajectory(
-        grid=grid, phi_P=phiP_hist, phi_S=phiS_hist,
-        phi_E=phiE_hist, phi_I=phiI_hist, phi_R=phiR_hist,
-    )
+    return CostateTrajectory(grid, *(part.copy() for part in _split(hist, n)))
 
 
 def _pointwise_formula(
@@ -471,9 +423,8 @@ def fbsm_solve(
             raise ConfigError("u_init schedule is defined on a different grid")
         u = np.array(u_init.u, dtype=float)
 
-    beta_row = np.array([p.beta for p in params])
-    act_row = np.array([p.activation_time for p in params])
-    active_mask = grid.times()[:, None] >= act_row[None, :]
+    arrays = strain_arrays(params)
+    active_mask = grid.times()[:, None] >= arrays.activation
 
     # The last ANDERSON_DEPTH differences, kept in ring buffers allocated once
     # so that no step stacks fresh copies of the history.
@@ -485,7 +436,7 @@ def fbsm_solve(
         schedule = ControlSchedule(grid, u)
         traj = simulate(initial, params, schedule, events, grid)
         costates = backward_sweep(traj, params, costs)
-        g = _pointwise_formula(traj, costates, beta_row, active_mask, costs) - u
+        g = _pointwise_formula(traj, costates, arrays.beta, active_mask, costs) - u
         if not np.all(np.isfinite(g)):
             raise SolverError("control update produced non-finite values")
         residual = float(np.max(np.abs(g)))

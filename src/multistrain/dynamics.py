@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,16 +211,29 @@ def rhs_lists(t, P, E, I, R, beta, sigma, gamma, delta, mu, activation, u):
     return -deaths, dE, dI, dR
 
 
-def param_lists(params: Sequence[StrainParams]):
-    """Unpack strain parameters into parallel lists for the hot loops."""
-    return (
-        [p.beta for p in params],
-        [p.sigma for p in params],
-        [p.gamma for p in params],
-        [p.delta for p in params],
-        [p.mu for p in params],
-        [p.activation_time for p in params],
-    )
+class StrainArrays(NamedTuple):
+    """Per-strain parameters as read-only float arrays, one entry per strain."""
+
+    beta: np.ndarray
+    sigma: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    mu: np.ndarray
+    activation: np.ndarray
+
+
+def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
+    """Columns of the strain parameter table; ``activation`` is the start day.
+
+    The one place parameter arrays are built: vectorised code uses the arrays
+    and the per-step loops take ``.tolist()`` of them.
+    """
+    columns = []
+    for name in ("beta", "sigma", "gamma", "delta", "mu", "activation_time"):
+        column = np.array([getattr(p, name) for p in params], dtype=float)
+        column.setflags(write=False)
+        columns.append(column)
+    return StrainArrays(*columns)
 
 
 def derivatives(
@@ -241,10 +254,9 @@ def derivatives(
     check_control(u)
     state.validate()
     _check_inactive_blank(state, params)
-    beta, sigma, gamma, delta, mu, act = param_lists(params)
     dP, dE, dI, dR = rhs_lists(
         state.t, state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
-        beta, sigma, gamma, delta, mu, act, u,
+        *(column.tolist() for column in strain_arrays(params)), u,
     )
     return StateDerivative(dP=dP, dE=np.array(dE), dI=np.array(dI), dR=np.array(dR))
 
@@ -313,14 +325,8 @@ def full_system_rhs(
     R = np.asarray(R, dtype=float)
     if not (len(S) == len(E) == len(I) == len(R) == n):
         raise DomainError("coordinate vectors must have one entry per strain")
-    active = np.array(
-        [t is None or t >= p.activation_time for p in params], dtype=bool
-    )
-    beta = np.array([p.beta for p in params])
-    sigma = np.array([p.sigma for p in params])
-    gamma = np.array([p.gamma for p in params])
-    delta = np.array([p.delta for p in params])
-    mu = np.array([p.mu for p in params])
+    beta, sigma, gamma, delta, mu, activation = strain_arrays(params)
+    active = np.full(n, True) if t is None else t >= activation
     w = 1.0 - u
 
     transmission = np.where(active, w * beta * S * I, 0.0)
@@ -332,6 +338,43 @@ def full_system_rhs(
     dI = np.where(active, sigma * E - (mu + gamma) * I, 0.0)
     dR = np.where(active, gamma * I - delta * R, 0.0)
     return dP, dS, dE, dI, dR
+
+
+def jacobian(S, I, u, active, arrays: StrainArrays) -> np.ndarray:
+    """Analytic Jacobian of :func:`full_system_rhs` at K nodes at once.
+
+    ``S`` and ``I`` have shape (K, n), ``u`` is a scalar or one value per
+    node and ``active`` is the (K, n) activity mask of the strains.  The
+    result has shape (K, 4n+1, 4n+1) in the coordinates
+    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``; the rows and columns of
+    inactive strains are exactly zero.  The flows are bilinear in S and I, so
+    only those two enter.  The adjoint equations are
+    ``d phi / dt = -J^T phi - c1 e_P``.
+    """
+    S = np.asarray(S, dtype=float)
+    I = np.asarray(I, dtype=float)
+    K, n = S.shape
+    on = np.asarray(active, dtype=float)
+    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
+    wb = w[:, None] * arrays.beta * on
+    mu = arrays.mu * on
+    s, e, i, r = (1 + np.arange(n) + k * n for k in range(4))
+
+    J = np.zeros((K, 4 * n + 1, 4 * n + 1))
+    J[:, 0, i] = -mu
+    # S_j loses the deaths of every other active strain.
+    J[:, s[:, None], i] = -on[:, :, None] * mu[:, None, :]
+    J[:, s, i] = -wb * S
+    J[:, s, s] = -wb * I
+    J[:, s, r] = arrays.delta * on
+    J[:, e, s] = wb * I
+    J[:, e, e] = -arrays.sigma * on
+    J[:, e, i] = wb * S
+    J[:, i, e] = arrays.sigma * on
+    J[:, i, i] = -(arrays.mu + arrays.gamma) * on
+    J[:, r, i] = arrays.gamma * on
+    J[:, r, r] = -arrays.delta * on
+    return J
 
 
 @dataclass(frozen=True)
@@ -365,9 +408,7 @@ def reproduction_number(
         raise DomainError("S_bar must provide one value per strain")
     if np.any(s_bar < 0):
         raise DomainError("S_bar values must be >= 0")
-    beta = np.array([p.beta for p in params])
-    mu = np.array([p.mu for p in params])
-    gamma = np.array([p.gamma for p in params])
+    beta, _, gamma, _, mu, _ = strain_arrays(params)
     terms = (1.0 - u) * beta * s_bar / (mu + gamma)
     k = int(np.argmax(terms))
     return ReproductionNumber(value=float(terms[k]), per_strain=terms, argmax_strain=k)
@@ -385,9 +426,7 @@ def min_stabilizing_control(params: Sequence[StrainParams], S_bar) -> float:
     s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
     if np.any(s_bar <= 0):
         raise DomainError("S_bar values must be > 0")
-    beta = np.array([p.beta for p in params])
-    mu = np.array([p.mu for p in params])
-    gamma = np.array([p.gamma for p in params])
+    beta, _, gamma, _, mu, _ = strain_arrays(params)
     u_min = 1.0 - float(np.min((mu + gamma) / (beta * s_bar)))
     return max(0.0, u_min)
 
@@ -472,11 +511,7 @@ def equilibrium_residuals(
     if not (len(point.S) == n):
         raise DomainError("equilibrium point and parameter list disagree on strains")
     check_control(u)
-    beta = np.array([p.beta for p in params])
-    sigma = np.array([p.sigma for p in params])
-    gamma = np.array([p.gamma for p in params])
-    delta = np.array([p.delta for p in params])
-    mu = np.array([p.mu for p in params])
+    beta, sigma, gamma, delta, mu, _ = strain_arrays(params)
     w = 1.0 - u
     S, E, I, R = point.S, point.E, point.I, point.R
 
@@ -530,16 +565,13 @@ def analytic_eigenvalues(
     s_bar = _strain_vector(S_bar, "S_bar", n=n)
     if np.any(s_bar < 0):
         raise DomainError("S_bar values must be >= 0")
+    beta, sigma, gamma, delta, mu, _ = strain_arrays(params)
     out = np.zeros(4 * n + 1, dtype=complex)
-    for j, p in enumerate(params):
-        out[n + 1 + j] = -p.delta
-    for j, p in enumerate(params):
-        half_trace = -0.5 * (p.mu + p.gamma + p.sigma)
-        disc = 4.0 * (1.0 - u) * p.beta * p.sigma * s_bar[j] + (
-            p.mu + p.gamma - p.sigma
-        ) ** 2
-        half_root = 0.5 * np.sqrt(complex(disc))
-        out[2 * n + 1 + 2 * j] = half_trace + half_root
-        out[2 * n + 1 + 2 * j + 1] = half_trace - half_root
+    out[n + 1 : 2 * n + 1] = -delta
+    half_trace = -0.5 * (mu + gamma + sigma)
+    disc = 4.0 * (1.0 - u) * beta * sigma * s_bar + (mu + gamma - sigma) ** 2
+    half_root = 0.5 * np.sqrt(disc.astype(complex))
+    out[2 * n + 1 :: 2] = half_trace + half_root
+    out[2 * n + 2 :: 2] = half_trace - half_root
     out.setflags(write=False)
     return out

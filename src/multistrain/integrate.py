@@ -20,8 +20,8 @@ from .dynamics import (
     EpidemicState,
     StrainParams,
     check_control,
-    param_lists,
     rhs_lists,
+    strain_arrays,
 )
 from .errors import ConfigError, DomainError, IntegrationError, StateConsistencyError
 
@@ -206,7 +206,7 @@ def rk4_step(
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     state.validate()
-    beta, sigma, gamma, delta, mu, act = param_lists(params)
+    beta, sigma, gamma, delta, mu, act = (c.tolist() for c in strain_arrays(params))
     P, E, I, R = _rk4_core(
         state.t, state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
         beta, sigma, gamma, delta, mu, act, u_now, u_mid, u_next, dt,
@@ -260,7 +260,7 @@ def simulate(
             raise ConfigError(f"seed event targets unknown strain {ev.strain}")
         events_at.setdefault(grid.index_of(ev.time), []).append(ev)
 
-    beta, sigma, gamma, delta, mu, act = param_lists(params)
+    beta, sigma, gamma, delta, mu, act = (c.tolist() for c in strain_arrays(params))
     N = grid.n_steps
     P_hist = np.empty(N + 1)
     E_hist = np.empty((N + 1, n))

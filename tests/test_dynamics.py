@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from multistrain import (
     derivatives,
     equilibrium_residuals,
     full_system_rhs,
+    jacobian,
     min_stabilizing_control,
     nontrivial_equilibrium,
+    numeric_jacobian,
     reproduction_number,
+    strain_arrays,
     susceptible,
     susceptible_derivative,
 )
@@ -276,3 +281,47 @@ class TestFullSystemRhs:
             assert dE == pytest.approx(d.dE, rel=1e-14)
             assert dI == pytest.approx(d.dI, rel=1e-14)
             assert dR == pytest.approx(d.dR, rel=1e-14)
+
+
+def jacobian_at(state, params, u):
+    """The analytic Jacobian at one state, as a single (4n+1)^2 matrix."""
+    arrays = strain_arrays(params)
+    active = state.t >= arrays.activation
+    return jacobian(
+        state.susceptible_all()[None], state.I[None], u, active[None], arrays
+    )[0]
+
+
+class TestJacobian:
+    def test_matches_numeric_jacobian(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            params = [
+                dataclasses.replace(p, activation_time=float(rng.choice([0.0, 10.0])))
+                for p in random_params(rng, n)
+            ]
+            state = random_state(rng, n, t=5.0)
+            blank = [p.activation_time > state.t for p in params]
+            state = EpidemicState(
+                t=state.t, P=state.P, E=np.where(blank, 0.0, state.E),
+                I=np.where(blank, 0.0, state.I), R=np.where(blank, 0.0, state.R),
+            )
+            u = float(rng.uniform(0.0, 1.0))
+            J_num = numeric_jacobian(state, params, u)
+            gap = np.abs(jacobian_at(state, params, u) - J_num).max()
+            assert gap < 1e-9 * max(np.abs(J_num).max(), 1.0)
+
+    def test_inactive_strains_give_a_zero_matrix(self):
+        rng = np.random.default_rng(29)
+        params = random_params(rng, 3, activation=10.0)
+        state = random_state(rng, 3, t=5.0)
+        assert np.all(jacobian_at(state, params, 0.4) == 0.0)
+
+    def test_strain_arrays_are_read_only_columns(self):
+        params = random_params(np.random.default_rng(31), 2, activation=3.0)
+        arrays = strain_arrays(params)
+        assert arrays.beta.tolist() == [p.beta for p in params]
+        assert arrays.activation.tolist() == [3.0, 3.0]
+        with pytest.raises(ValueError):
+            arrays.mu[0] = 0.0
