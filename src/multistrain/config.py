@@ -10,7 +10,9 @@ strict: unknown sections or keys are errors, as are missing required fields.
     start                 first day (default 0)
     horizon               last day, must exceed start
     dt                    step in days; must divide horizon-start and every
-                          strain activation day offset
+                          strain activation day offset, and keep RK4 stable:
+                          dt * |lambda_min| <= 2.78 at the infection-free
+                          state with S = population and u = 0
 
     [initial]             required
     population            total population P at the start
@@ -52,11 +54,15 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .control import CostParams
-from .dynamics import EpidemicState, StrainParams
+from .dynamics import EpidemicState, StrainParams, analytic_eigenvalues
 from .errors import ConfigError
 from .integrate import SeedEvent, TimeGrid
 
 CONTROL_MODES = ("none", "constant", "schedule", "optimize")
+
+# Classical RK4 is stable on the negative real axis for dt * |lambda| up to
+# about 2.785; a grid step beyond it blows up on the fastest decaying mode.
+RK4_REAL_STABILITY = 2.78
 
 _KNOWN_KEYS = {
     "scenario": {"name"},
@@ -162,6 +168,7 @@ class ScenarioConfig:
                     f"grid.dt={self.dt!r} does not divide "
                     f"strain.{idx}.activation_day offset"
                 )
+        self._check_step_stability()
         if self.control_mode not in CONTROL_MODES:
             raise ConfigError(
                 f"control.mode must be one of {', '.join(CONTROL_MODES)}; "
@@ -206,6 +213,26 @@ class ScenarioConfig:
             v is not None for v in (self.c1, self.c2, self.c2_log_scale, self.c2_population)
         ):
             raise ConfigError("the [cost] section only applies to optimize mode")
+
+    def _check_step_stability(self) -> None:
+        """Reject a ``dt`` that RK4 cannot integrate stably.
+
+        The fastest mode is read from the linearisation at the
+        infection-free state with every person susceptible and no
+        mitigation, the largest decay rate the model can reach.
+        """
+        # Rates only: activation days play no part in the eigenvalues.
+        rates = [
+            StrainParams(beta=s.beta, sigma=s.sigma, gamma=s.gamma, delta=s.delta, mu=s.mu)
+            for s in self.strains
+        ]
+        fastest = -min(analytic_eigenvalues(rates, self.population, 0.0).real)
+        if self.dt * fastest > RK4_REAL_STABILITY:
+            raise ConfigError(
+                f"grid.dt={self.dt!r} makes RK4 unstable: the fastest decay rate is "
+                f"{fastest:.4g}/day, so grid.dt must be at most "
+                f"{RK4_REAL_STABILITY / fastest:.4g}"
+            )
 
     # Derived build helpers
 

@@ -182,33 +182,32 @@ def _check_inactive_blank(state: EpidemicState, params: Sequence[StrainParams]) 
                 )
 
 
-def rhs_lists(t, P, E, I, R, beta, sigma, gamma, delta, mu, activation, u):
-    """Core right-hand side on plain Python lists.
+def rhs_lists(t, P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
+    """Compartment flows on plain Python lists; the one list form of the model.
 
-    This is the single implementation of the compartment flows; the public
-    wrappers and the integrator both call it.  Strains not yet activated
-    contribute nothing and receive a zero derivative.  Returns
-    ``(dP, dE, dI, dR)`` with lists for the per-strain parts.
+    Evaluates the right-hand side at the stage state ``E + h*kE``,
+    ``I + h*kI``, ``R + h*kR`` with total population ``P``, so an RK4 stage
+    needs no list of its own; ``h = 0`` with zero slopes gives the flows at
+    ``(P, E, I, R)`` itself.  ``rows`` comes from :func:`strain_rows`.  The
+    per-strain derivatives are written into ``dE``, ``dI`` and ``dR``; strains
+    not yet activated at ``t`` get zeros.  Returns ``dP``.
     """
-    n = len(beta)
-    dE = [0.0] * n
-    dI = [0.0] * n
-    dR = [0.0] * n
     deaths = 0.0
     w = 1.0 - u
-    for j in range(n):
-        if t < activation[j]:
+    for j, beta, sigma, mu_gamma, gamma, delta, mu, activation in rows:
+        if t < activation:
+            dE[j] = dI[j] = dR[j] = 0.0
             continue
-        e = E[j]
-        i = I[j]
-        r = R[j]
+        e = E[j] + h * kE[j]
+        i = I[j] + h * kI[j]
+        r = R[j] + h * kR[j]
         s = P - e - i - r
-        newly_exposed = w * beta[j] * s * i
-        dE[j] = newly_exposed - sigma[j] * e
-        dI[j] = sigma[j] * e - (mu[j] + gamma[j]) * i
-        dR[j] = gamma[j] * i - delta[j] * r
-        deaths += mu[j] * i
-    return -deaths, dE, dI, dR
+        latent_exit = sigma * e
+        dE[j] = w * beta * s * i - latent_exit
+        dI[j] = latent_exit - mu_gamma * i
+        dR[j] = gamma * i - delta * r
+        deaths += mu * i
+    return -deaths
 
 
 class StrainArrays(NamedTuple):
@@ -226,7 +225,7 @@ def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
     """Columns of the strain parameter table; ``activation`` is the start day.
 
     The one place parameter arrays are built: vectorised code uses the arrays
-    and the per-step loops take ``.tolist()`` of them.
+    and the per-step loops walk the rows of :func:`strain_rows`.
     """
     columns = []
     for name in ("beta", "sigma", "gamma", "delta", "mu", "activation_time"):
@@ -234,6 +233,20 @@ def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
         column.setflags(write=False)
         columns.append(column)
     return StrainArrays(*columns)
+
+
+def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
+    """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu, activation)``.
+
+    Plain floats from :func:`strain_arrays`, in the order :func:`rhs_lists`
+    unpacks them.
+    """
+    a = strain_arrays(params)
+    return list(zip(
+        range(len(a.beta)), a.beta.tolist(), a.sigma.tolist(),
+        (a.mu + a.gamma).tolist(), a.gamma.tolist(), a.delta.tolist(),
+        a.mu.tolist(), a.activation.tolist(),
+    ))
 
 
 def derivatives(
@@ -254,9 +267,11 @@ def derivatives(
     check_control(u)
     state.validate()
     _check_inactive_blank(state, params)
-    dP, dE, dI, dR = rhs_lists(
+    zero = [0.0] * state.n_strains
+    dE, dI, dR = list(zero), list(zero), list(zero)
+    dP = rhs_lists(
         state.t, state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
-        *(column.tolist() for column in strain_arrays(params)), u,
+        0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
     )
     return StateDerivative(dP=dP, dE=np.array(dE), dI=np.array(dI), dR=np.array(dR))
 

@@ -5,6 +5,13 @@ sweep, the backward adjoint sweep and every recorded trajectory live on the
 same nodes.  Controls between nodes are interpolated linearly, so an RK4 step
 from ``t_k`` takes the control at ``t_k``, the midpoint average and the value
 at ``t_{k+1}``.
+
+``simulate`` and ``rk4_step`` share one step on plain lists that allocates
+nothing: the four stage slopes live in buffers made once per call, each stage
+walks the strains once through ``dynamics.rhs_lists`` and forms its input as
+``x + h*k`` on the fly, and the result is updated in place.  The
+admissibility check is one comparison per strain; the clamp runs only when it
+fails.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .dynamics import (
     StrainParams,
     check_control,
     rhs_lists,
-    strain_arrays,
+    strain_rows,
 )
 from .errors import ConfigError, DomainError, IntegrationError, StateConsistencyError
 
@@ -140,35 +147,50 @@ class Trajectory:
         return self.state_at(self.grid.n_steps)
 
 
-def _rk4_core(t, P, E, I, R, beta, sigma, gamma, delta, mu, act, u0, um, u1, dt):
-    """One classical RK4 step on plain lists; returns new (P, E, I, R)."""
-    n = len(beta)
+def _slope_buffers(n: int) -> tuple:
+    """Stage slopes of one RK4 step: E, I, R lists for each of the four
+    stages, then one zero list that stands for the slope before stage 1."""
+    return tuple([0.0] * n for _ in range(13))
+
+
+def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
+    """One classical RK4 step on plain lists.
+
+    Updates ``E``, ``I`` and ``R`` in place and returns the new ``P``.  Each
+    stage evaluates :func:`rhs_lists` at ``x + h*k`` of the previous stage's
+    slope ``k``, so the step builds no list.  Round-off negatives within
+    ``tol`` become zero; anything worse, a NaN compartment or a non-finite
+    ``P`` raises :class:`IntegrationError` tagged with ``step``.
+    """
+    aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = slopes
     half = 0.5 * dt
-    aP, aE, aI, aR = rhs_lists(t, P, E, I, R, beta, sigma, gamma, delta, mu, act, u0)
-    E2 = [E[j] + half * aE[j] for j in range(n)]
-    I2 = [I[j] + half * aI[j] for j in range(n)]
-    R2 = [R[j] + half * aR[j] for j in range(n)]
-    bP, bE, bI, bR = rhs_lists(
-        t + half, P + half * aP, E2, I2, R2, beta, sigma, gamma, delta, mu, act, um
+    aP = rhs_lists(t, P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
+    bP = rhs_lists(
+        t + half, P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR
     )
-    E3 = [E[j] + half * bE[j] for j in range(n)]
-    I3 = [I[j] + half * bI[j] for j in range(n)]
-    R3 = [R[j] + half * bR[j] for j in range(n)]
-    cP, cE, cI, cR = rhs_lists(
-        t + half, P + half * bP, E3, I3, R3, beta, sigma, gamma, delta, mu, act, um
+    cP = rhs_lists(
+        t + half, P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR
     )
-    E4 = [E[j] + dt * cE[j] for j in range(n)]
-    I4 = [I[j] + dt * cI[j] for j in range(n)]
-    R4 = [R[j] + dt * cR[j] for j in range(n)]
-    dP_, dE_, dI_, dR_ = rhs_lists(
-        t + dt, P + dt * cP, E4, I4, R4, beta, sigma, gamma, delta, mu, act, u1
-    )
+    dP = rhs_lists(t + dt, P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
     sixth = dt / 6.0
-    P_new = P + sixth * (aP + 2.0 * (bP + cP) + dP_)
-    E_new = [E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE_[j]) for j in range(n)]
-    I_new = [I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI_[j]) for j in range(n)]
-    R_new = [R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR_[j]) for j in range(n)]
-    return P_new, E_new, I_new, R_new
+    P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
+    admissible = True
+    for j in range(len(E)):
+        e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
+        i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
+        r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
+        if not (e >= 0.0 and i >= 0.0 and r >= 0.0):  # also false for NaN
+            admissible = False
+    if not math.isfinite(P):
+        raise IntegrationError(f"total population became {P!r}", step=step)
+    if not P >= 0.0:
+        boxed = [P]
+        _clamp_inplace(boxed, tol, step)
+        P = boxed[0]
+    if not admissible:
+        for values in (E, I, R):
+            _clamp_inplace(values, tol, step)
+    return P
 
 
 def _clamp_inplace(values, tol, step):
@@ -206,24 +228,17 @@ def rk4_step(
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     state.validate()
-    beta, sigma, gamma, delta, mu, act = (c.tolist() for c in strain_arrays(params))
-    P, E, I, R = _rk4_core(
-        state.t, state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
-        beta, sigma, gamma, delta, mu, act, u_now, u_mid, u_next, dt,
-    )
     tol = (
         negative_tol
         if negative_tol is not None
         else NEGATIVE_TOLERANCE * max(state.P, 1.0)
     )
-    if not math.isfinite(P):
-        raise IntegrationError(f"total population became {P!r}")
-    boxed = [P]
-    _clamp_inplace(boxed, tol, None)
-    _clamp_inplace(E, tol, None)
-    _clamp_inplace(I, tol, None)
-    _clamp_inplace(R, tol, None)
-    return EpidemicState(t=state.t + dt, P=boxed[0], E=E, I=I, R=R)
+    E, I, R = state.E.tolist(), state.I.tolist(), state.R.tolist()
+    P = _step(
+        state.t, state.P, E, I, R, strain_rows(params), u_now, u_mid, u_next, dt,
+        _slope_buffers(state.n_strains), tol, None,
+    )
+    return EpidemicState(t=state.t + dt, P=P, E=E, I=I, R=R)
 
 
 def simulate(
@@ -260,7 +275,8 @@ def simulate(
             raise ConfigError(f"seed event targets unknown strain {ev.strain}")
         events_at.setdefault(grid.index_of(ev.time), []).append(ev)
 
-    beta, sigma, gamma, delta, mu, act = (c.tolist() for c in strain_arrays(params))
+    rows = strain_rows(params)
+    slopes = _slope_buffers(n)
     N = grid.n_steps
     P_hist = np.empty(N + 1)
     E_hist = np.empty((N + 1, n))
@@ -296,18 +312,7 @@ def simulate(
             break
         u0 = u_list[k]
         u1 = u_list[k + 1]
-        P, E, I, R = _rk4_core(
-            t, P, E, I, R, beta, sigma, gamma, delta, mu, act,
-            u0, 0.5 * (u0 + u1), u1, dt,
-        )
-        if not math.isfinite(P):
-            raise IntegrationError(f"total population became {P!r}", step=k)
-        boxed = [P]
-        _clamp_inplace(boxed, tol, k)
-        P = boxed[0]
-        _clamp_inplace(E, tol, k)
-        _clamp_inplace(I, tol, k)
-        _clamp_inplace(R, tol, k)
+        P = _step(t, P, E, I, R, rows, u0, 0.5 * (u0 + u1), u1, dt, slopes, tol, k)
 
     return Trajectory(
         grid=grid, P=P_hist, E=E_hist, I=I_hist, R=R_hist,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,15 +82,31 @@ def read_trajectory_csv(path: str) -> Trajectory:
 
 
 def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
-    """Read a t,u schedule file and check it matches the grid."""
+    """Read a t,u schedule file and check it matches the grid.
+
+    Every flaw raises :class:`ConfigError` naming the file and, for a bad
+    data row, its number (data rows count from 1 after the header).
+    """
     if not os.path.exists(path):
         raise ConfigError(f"schedule file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["t", "u"]:
-            raise ConfigError(f"{path}: schedule files need a t,u header")
-        rows = [(float(r[0]), float(r[1])) for r in reader]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV file ({exc})") from exc
+    if not lines or [h.strip() for h in lines[0][:2]] != ["t", "u"]:
+        raise ConfigError(f"{path}: schedule files need a t,u header")
+    rows = []
+    for k, line in enumerate(lines[1:], start=1):
+        if len(line) < 2:
+            raise ConfigError(f"{path}: row {k} needs a t and a u value, got {line!r}")
+        try:
+            t, u = float(line[0]), float(line[1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {k} is not numeric: {line[:2]!r}") from exc
+        if not 0.0 <= u <= 1.0:
+            raise ConfigError(f"{path}: row {k} control {u!r} lies outside [0, 1]")
+        rows.append((t, u))
     if len(rows) != grid.n_points:
         raise ConfigError(
             f"{path}: schedule has {len(rows)} rows but the grid has "
@@ -97,7 +114,7 @@ def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
         )
     times = grid.times()
     for k, (t, _) in enumerate(rows):
-        if abs(t - times[k]) > 1e-9 * max(1.0, abs(t)):
+        if not math.isfinite(t) or abs(t - times[k]) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
     return ControlSchedule(grid=grid, u=np.array([u for _, u in rows]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multistrain import (
+    NEGATIVE_TOLERANCE,
     ConfigError,
     ControlSchedule,
     EpidemicState,
@@ -12,6 +13,7 @@ from multistrain import (
     StateConsistencyError,
     StrainParams,
     TimeGrid,
+    full_system_rhs,
     rk4_step,
     simulate,
 )
@@ -179,3 +181,162 @@ class TestSimulate:
         assert np.all(traj.I[:before, 1] == 0.0)
         assert traj.E[before, 1] == E0
         assert traj.I[-1, 1] > I0
+
+
+def oracle_simulate(initial, params, u, events, grid):
+    """Plain numpy RK4 over x = [P, E, I, R], one row per grid node.
+
+    The flows come from ``full_system_rhs`` with ``S = P - E - I - R`` at
+    every stage, each stage decides strain activity at its own time, the
+    middle stages take the control ``(u_k + u_{k+1}) / 2`` and seeds are added
+    at their nodes before the node is recorded.
+    """
+    n = len(params)
+
+    def f(t, x, uu):
+        P, E, I, R = x[0], x[1:1 + n], x[1 + n:1 + 2 * n], x[1 + 2 * n:]
+        dP, _, dE, dI, dR = full_system_rhs(P, P - E - I - R, E, I, R, params, uu, t=t)
+        return np.concatenate(([dP], dE, dI, dR))
+
+    x = np.concatenate(([initial.P], initial.E, initial.I, initial.R))
+    out = np.empty((grid.n_points, 3 * n + 1))
+    h = grid.dt
+    for k in range(grid.n_points):
+        t = grid.time_at(k)
+        for ev in events:
+            if grid.index_of(ev.time) == k:
+                x[1 + ev.strain] += ev.exposed
+                x[1 + n + ev.strain] += ev.infected
+                x[1 + 2 * n + ev.strain] += ev.removed
+        out[k] = x
+        if k == grid.n_steps:
+            break
+        um = 0.5 * (u[k] + u[k + 1])
+        k1 = f(t, x, u[k])
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1, um)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2, um)
+        k4 = f(t + h, x + h * k3, u[k + 1])
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def late_strains(n):
+    """Strain j activates on day 10 j with its own beta and is seeded then."""
+    params = [
+        StrainParams(beta=BETA * (1.0 + 0.1 * j), sigma=SIGMA, gamma=GAMMA,
+                     delta=DELTA, mu=MU * (1.0 + 0.2 * j), activation_time=10.0 * j)
+        for j in range(n)
+    ]
+    events = [
+        SeedEvent(time=10.0 * j, strain=j, exposed=E0, infected=I0, removed=R0_)
+        for j in range(n)
+    ]
+    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
+    return initial, params, events
+
+
+class TestForwardOracle:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_nodes_match_a_numpy_rk4_on_the_full_system(self, n):
+        initial, params, events = late_strains(n)
+        grid = TimeGrid.from_horizon(0.0, 150.0, 0.1)
+        u = 0.3 + 0.2 * np.sin(2.0 * math.pi * grid.times() / 60.0)
+        traj = simulate(initial, params, ControlSchedule(grid, u), events, grid)
+        expected = oracle_simulate(initial, params, u, events, grid)
+        got = np.column_stack([traj.P, traj.E, traj.I, traj.R])
+        assert traj.I[-1, n - 1] > I0  # the last strain really spread
+        assert np.max(np.abs(got - expected)) <= 1e-12 * P0
+
+    def test_one_simulate_step_is_rk4_step_with_the_midpoint_control(self):
+        _, params, _ = late_strains(2)
+        grid = TimeGrid(t0=10.0, dt=0.1, n_steps=1)
+        state = EpidemicState(t=10.0, P=P0, E=[E0, E0], I=[I0, I0], R=[R0_, R0_])
+        u0, u1 = 0.15, 0.35
+        traj = simulate(state, params, ControlSchedule(grid, [u0, u1]), [], grid)
+        out = rk4_step(state, params, u0, (u0 + u1) / 2, u1, 0.1)
+        assert traj.P[1] == out.P
+        assert np.array_equal(traj.E[1], out.E)
+        assert np.array_equal(traj.I[1], out.I)
+        assert np.array_equal(traj.R[1], out.R)
+
+
+def overshoot_state(t):
+    """P = 1 with almost everyone infected: the RK4 step on S' = -beta I S
+    overshoots once beta I dt passes about 2.785 and drives E below zero."""
+    return EpidemicState(t=t, P=1.0, E=[0.0], I=[0.999], R=[0.0])
+
+
+def overshoot_params(e_target, activation=0.0):
+    """Parameters under which one unit RK4 step from ``overshoot_state``
+    leaves E at ``e_target``, found by bisection on beta with the oracle."""
+
+    def make(beta):
+        return [StrainParams(beta=beta, sigma=1e-6, gamma=1e-6, delta=1e-6, mu=0.0,
+                             activation_time=activation)]
+
+    def e_after(beta):
+        grid = TimeGrid(t0=activation, dt=1.0, n_steps=1)
+        state = overshoot_state(activation)
+        return oracle_simulate(state, make(beta), [0.0, 0.0], [], grid)[1, 1]
+
+    lo, hi = 2.0 / 0.999, 3.5 / 0.999  # E > 0 at lo, E < target at hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if e_after(mid) > e_target else (lo, mid)
+    assert e_after(lo) == pytest.approx(e_target, rel=1e-3)
+    return make(lo)
+
+
+class TestClamp:
+    """Admissibility of the step result: P = 1, so the tolerance is
+    NEGATIVE_TOLERANCE itself."""
+
+    def test_round_off_negative_becomes_exact_zero(self):
+        params = overshoot_params(-0.5 * NEGATIVE_TOLERANCE)
+        out = rk4_step(overshoot_state(0.0), params, 0.0, 0.0, 0.0, 1.0)
+        assert out.E[0] == 0.0 and math.copysign(1.0, out.E[0]) == 1.0
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
+        traj = simulate(overshoot_state(0.0), params, ControlSchedule.constant(grid, 0.0),
+                        [], grid)
+        assert traj.E[1, 0] == 0.0 and traj.I[1, 0] == out.I[0]
+
+    def test_negative_just_beyond_tolerance_raises_with_the_step(self):
+        params = overshoot_params(-1.5 * NEGATIVE_TOLERANCE, activation=3.0)
+        with pytest.raises(IntegrationError) as err:
+            rk4_step(overshoot_state(3.0), params, 0.0, 0.0, 0.0, 1.0)
+        assert err.value.step is None
+        # The strain is seeded on day 3, so the overshoot comes at step 3.
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=5)
+        initial = EpidemicState(t=0.0, P=1.0, E=[0.0], I=[0.0], R=[0.0])
+        seed = [SeedEvent(time=3.0, strain=0, infected=0.999)]
+        with pytest.raises(IntegrationError) as err:
+            simulate(initial, params, ControlSchedule.constant(grid, 0.0), seed, grid)
+        assert err.value.step == 3
+
+    def test_nan_compartment_raises(self):
+        # A strain that activates at t + dt is live in stage 4 only; there
+        # (beta * S) overflows and meets I = 0, so its E turns NaN while P
+        # stays finite.
+        params = [
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+            StrainParams(beta=1e308, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
+                         activation_time=2.0),
+        ]
+        state = EpidemicState(t=1.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
+        with pytest.raises(IntegrationError, match="nan"):
+            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=3)
+        initial = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
+        with pytest.raises(IntegrationError, match="nan") as err:
+            simulate(initial, params, ControlSchedule.constant(grid, 0.0), [], grid)
+        assert err.value.step == 1
+
+    def test_non_finite_population_raises(self):
+        params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=1e10)]
+        state = EpidemicState(t=0.0, P=1e300, E=[0.0], I=[1e299], R=[0.0])
+        with pytest.raises(IntegrationError, match="total population"):
+            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
+        with pytest.raises(IntegrationError, match="total population") as err:
+            simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
+        assert err.value.step == 0

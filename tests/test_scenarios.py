@@ -1,8 +1,11 @@
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistrain import (
     ConfigError,
@@ -12,9 +15,12 @@ from multistrain import (
     parse_config_text,
     preset_config,
     preset_names,
+    preset_text,
+    read_schedule_csv,
     read_trajectory_csv,
     run_scenario,
     set_config_value,
+    TimeGrid,
     simulate,
     sweep,
     write_preset,
@@ -144,6 +150,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="parse error"):
             load_config(str(path))
 
+    def test_unstable_step_is_rejected_with_a_safe_step(self):
+        # case_a's fastest decay rate is about 0.373/day, so dt = 10 puts
+        # dt * |lambda| near 3.7, past the RK4 real-axis bound of 2.78.
+        text = preset_text("case_a").replace("dt = 0.1", "dt = 10")
+        with pytest.raises(ConfigError, match=r"grid\.dt must be at most 7\.4"):
+            parse_config_text(text)
+        with pytest.raises(ConfigError, match="unstable"):
+            set_config_value(preset_config("case_a"), "grid.dt", 10.0)
+        assert set_config_value(preset_config("case_a"), "grid.dt", 5.0).dt == 5.0
+
     def test_sweep_value_setter(self):
         cfg = parse_config_text(SHORT_OPT)
         out = set_config_value(cfg, "cost.c2_log_scale", 0.5)
@@ -218,6 +234,109 @@ class TestRunScenario:
         assert result.report is not None
         assert result.report.converged
         assert np.array_equal(result.trajectory.u, result.report.schedule.u)
+
+
+SCHEDULE_GRID = TimeGrid(t0=0.0, dt=0.5, n_steps=2)
+SCHEDULE_ROWS = [["0.0", "0.1"], ["0.5", "0.2"], ["1.0", "0.3"]]
+
+
+def read_schedule_text(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sched.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return read_schedule_csv(path, SCHEDULE_GRID)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def malformed_schedules(draw):
+    """A valid t,u file on SCHEDULE_GRID with one flaw put in."""
+    rows = [list(r) for r in SCHEDULE_ROWS]
+    k = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from(
+        ["empty", "header", "short", "text", "range", "time", "extra", "missing"]
+    ))
+    header = "t,u"
+    if flaw == "empty":
+        return b""
+    if flaw == "header":
+        header = draw(st.text(max_size=8).filter(
+            lambda h: [c.strip() for c in h.split(",")[:2]] != ["t", "u"] and "\n" not in h
+            and "\r" not in h and '"' not in h
+        ))
+    elif flaw == "short":
+        rows[k] = rows[k][: draw(st.integers(0, 1))]
+    elif flaw == "text":
+        rows[k][draw(st.integers(0, 1))] = draw(
+            st.text(alphabet=st.characters(blacklist_characters=',\n\r"'), max_size=12)
+            .filter(lambda c: not _is_float(c))
+        )
+    elif flaw == "range":
+        rows[k][1] = repr(draw(st.one_of(
+            st.floats(max_value=-1e-12), st.floats(min_value=1.0 + 1e-12),
+            st.just(float("nan")),
+        )))
+    elif flaw == "time":
+        rows[k][0] = repr(draw(st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).filter(
+                lambda t: not abs(t - 0.5 * k) <= 1e-9 * max(1.0, abs(t))
+            ),
+        )))
+    elif flaw == "extra":
+        rows.append(["1.5", "0.4"])
+    else:
+        del rows[k]
+    lines = [header] + [",".join(r) for r in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestScheduleCsv:
+    def test_valid_file_reads(self):
+        data = ("t,u\n" + "\n".join(",".join(r) for r in SCHEDULE_ROWS) + "\n").encode()
+        assert list(read_schedule_text(data).u) == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("data, fragment", [
+        (b"", "t,u header"),
+        (b"t,u\n0.0,0.1\n0.5\n1.0,0.3\n", "row 2"),
+        (b"t,u\n0.0,0.1\n0.5,half\n1.0,0.3\n", "row 2"),
+        (b"t,u\n0.0,0.1\n0.5,0.2\n1.0,1.3\n", "row 3"),
+        (b"t,u\n\xff\xfe,0.1\n", "sched.csv"),
+    ])
+    def test_flaws_name_the_file_and_the_row(self, data, fragment):
+        with pytest.raises(ConfigError, match=fragment) as err:
+            read_schedule_text(data)
+        assert "sched.csv" in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed_schedules())
+    def test_malformed_files_raise_config_error(self, data):
+        with pytest.raises(ConfigError):
+            read_schedule_text(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(max_size=60), st.binary(max_size=60)))
+    def test_arbitrary_text_reads_or_raises_config_error(self, text):
+        data = text.encode("utf-8") if isinstance(text, str) else text
+        try:
+            schedule = read_schedule_text(data)
+        except ConfigError:
+            return
+        assert schedule.grid == SCHEDULE_GRID
+
+    def test_cli_exits_two_on_a_malformed_schedule(self, tmp_path):
+        (tmp_path / "sched.csv").write_text("t,u\n0.0,0.25\n0.1\n")
+        path = tmp_path / "cfg.ini"
+        path.write_text(SHORT_SIM.replace("mode = none", "mode = schedule\nfile = sched.csv"))
+        assert main(["simulate", str(path), "--quiet", "--no-svg",
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 class TestSweep:
