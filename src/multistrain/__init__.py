@@ -58,7 +58,6 @@ from .dynamics import (
     reproduction_number,
     strain_arrays,
     susceptible,
-    susceptible_derivative,
 )
 from .errors import (
     ConfigError,

@@ -13,6 +13,7 @@ from .dynamics import (
     StrainParams,
     full_system_rhs,
     reproduction_number,
+    split,
 )
 from .errors import DomainError
 from .integrate import Trajectory
@@ -20,14 +21,6 @@ from .integrate import Trajectory
 # A terminal window is reported as a plateau when the compartment's share of
 # the initial population moves by less than this over the window.
 PLATEAU_BAND = 0.02
-
-
-def _pack(P, S, E, I, R) -> np.ndarray:
-    return np.concatenate(([P], S, E, I, R))
-
-
-def _unpack(x: np.ndarray, n: int):
-    return x[0], x[1 : n + 1], x[n + 1 : 2 * n + 1], x[2 * n + 1 : 3 * n + 1], x[3 * n + 1 :]
 
 
 def numeric_jacobian(
@@ -49,7 +42,7 @@ def numeric_jacobian(
     if len(params) != state.n_strains:
         raise DomainError("state and parameter list disagree on strain count")
     n = state.n_strains
-    x0 = _pack(state.P, state.susceptible_all(), state.E, state.I, state.R)
+    x0 = np.hstack((state.P, state.susceptible_all(), state.E, state.I, state.R))
     step = h * max(state.P, 1.0)
     dim = 4 * n + 1
     jac = np.empty((dim, dim))
@@ -58,8 +51,8 @@ def numeric_jacobian(
         plus[i] += step
         minus = x0.copy()
         minus[i] -= step
-        f_plus = _pack(*full_system_rhs(*_unpack(plus, n), params, u, t=state.t))
-        f_minus = _pack(*full_system_rhs(*_unpack(minus, n), params, u, t=state.t))
+        f_plus = np.hstack(full_system_rhs(*split(plus, n), params, u, t=state.t))
+        f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u, t=state.t))
         jac[:, i] = (f_plus - f_minus) / (2.0 * step)
     return jac
 

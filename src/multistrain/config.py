@@ -7,7 +7,7 @@ strict: unknown sections or keys are errors, as are missing required fields.
     name                  run label, used for default output paths
 
     [grid]                required
-    start                 first day (default 0)
+    start                 first day, >= 0 (default 0)
     horizon               last day, must exceed start
     dt                    step in days; must divide horizon-start and every
                           strain activation day offset, and keep RK4 stable:
@@ -141,6 +141,8 @@ class ScenarioConfig:
             raise ConfigError("at least one [strain.N] section is required")
         if not self.dt > 0:
             raise ConfigError(f"grid.dt must be > 0, got {self.dt!r}")
+        if not self.start >= 0:
+            raise ConfigError(f"grid.start must be >= 0, got {self.start!r}")
         if not self.horizon > self.start:
             raise ConfigError("grid.horizon must lie after grid.start")
         if not self.population > 0:
@@ -221,12 +223,8 @@ class ScenarioConfig:
         infection-free state with every person susceptible and no
         mitigation, the largest decay rate the model can reach.
         """
-        # Rates only: activation days play no part in the eigenvalues.
-        rates = [
-            StrainParams(beta=s.beta, sigma=s.sigma, gamma=s.gamma, delta=s.delta, mu=s.mu)
-            for s in self.strains
-        ]
-        fastest = -min(analytic_eigenvalues(rates, self.population, 0.0).real)
+        eigenvalues = analytic_eigenvalues(self.strain_params(), self.population, 0.0)
+        fastest = -min(eigenvalues.real)
         if self.dt * fastest > RK4_REAL_STABILITY:
             raise ConfigError(
                 f"grid.dt={self.dt!r} makes RK4 unstable: the fastest decay rate is "

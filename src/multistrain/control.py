@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    EpidemicState, StrainParams, check_control, jacobian, strain_arrays,
+    EpidemicState, StrainParams, check_control, jacobian, split, strain_arrays,
 )
 from .errors import ConfigError, DomainError, SolverError
 from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
@@ -185,14 +185,6 @@ def objective(
     return _uniform_trapezoid(rates, traj.grid.dt)
 
 
-def _split(x: np.ndarray, n: int):
-    """The P, S, E, I and R parts along the last axis of the 4n+1 coordinates."""
-    return (
-        x[..., 0], x[..., 1 : n + 1], x[..., n + 1 : 2 * n + 1],
-        x[..., 2 * n + 1 : 3 * n + 1], x[..., 3 * n + 1 : 4 * n + 1],
-    )
-
-
 def costate_derivatives(
     state: EpidemicState,
     costate: CostateState,
@@ -230,12 +222,12 @@ def costate_derivatives(
         state.susceptible_all()[None], state.I[None], u,
         (state.t >= arrays.activation)[None], arrays,
     )[0]
-    phi = np.concatenate((
-        [costate.phi_P], costate.phi_S, costate.phi_E, costate.phi_I, costate.phi_R
+    phi = np.hstack((
+        costate.phi_P, costate.phi_S, costate.phi_E, costate.phi_I, costate.phi_R
     ))
     d = -np.einsum("ij,i->j", J, phi)
     d[0] -= costs.c1
-    dP, dS, dE, dI, dR = _split(d, state.n_strains)
+    dP, dS, dE, dI, dR = split(d, state.n_strains)
     return CostateDerivative(
         dphi_P=float(dP), dphi_S=dS, dphi_E=dE, dphi_I=dI, dphi_R=dR
     )
@@ -340,7 +332,7 @@ def backward_sweep(
             x = step_maps[m - m0] @ x
             hist[m] = x
 
-    return CostateTrajectory(grid, *(part.copy() for part in _split(hist, n)))
+    return CostateTrajectory(grid, *(part.copy() for part in split(hist, n)))
 
 
 def _pointwise_formula(

@@ -9,6 +9,11 @@ so every strain sees its own susceptible pool.  Strains interact only through
 deaths (which drain ``P``) and through the mitigation factor ``u`` in
 ``[0, 1]`` that scales every transmission term by ``1 - u``.
 
+:func:`flows` is the one vectorised definition of the five per-strain flows,
+from which :func:`full_system_rhs` and :func:`equilibrium_residuals` are
+built; :func:`rhs_lists` is their list form for the integrator's hot loop.
+:func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
+
 Units are persons and days throughout.  The mitigation value is a plain float;
 operations validate it on entry.  All types are immutable and every function
 is pure, so the module can be used freely from concurrent callers.
@@ -107,14 +112,13 @@ class EpidemicState:
         """Algebraic susceptible pool of every strain."""
         return self.P - self.E - self.I - self.R
 
-    def validate(self, reference_population: float | None = None) -> None:
+    def validate(self) -> None:
         """Check non-negativity of P, compartments and susceptible pools.
 
-        Values within ``NEGATIVE_TOLERANCE`` times the reference population of
-        zero are accepted as round-off.
+        Values within ``NEGATIVE_TOLERANCE`` times ``max(P, 1)`` of zero are
+        accepted as round-off.
         """
-        ref = self.P if reference_population is None else reference_population
-        tol = NEGATIVE_TOLERANCE * max(ref, 1.0)
+        tol = NEGATIVE_TOLERANCE * max(self.P, 1.0)
         if not self.P >= -tol or not math.isfinite(self.P):
             raise StateConsistencyError(f"total population invalid: P={self.P!r}")
         for name in ("E", "I", "R"):
@@ -130,22 +134,6 @@ class EpidemicState:
             raise StateConsistencyError(
                 f"susceptible pool negative: min={s.min()!r}"
             )
-
-    def clamped(self, reference_population: float | None = None) -> "EpidemicState":
-        """Copy with round-off negatives (within tolerance) set to zero."""
-        ref = self.P if reference_population is None else reference_population
-        tol = NEGATIVE_TOLERANCE * max(ref, 1.0)
-
-        def clamp_arr(arr):
-            out = np.array(arr, dtype=float)
-            mask = (out < 0.0) & (out >= -tol)
-            out[mask] = 0.0
-            return out
-
-        p = 0.0 if -tol <= self.P < 0.0 else self.P
-        return EpidemicState(
-            t=self.t, P=p, E=clamp_arr(self.E), I=clamp_arr(self.I), R=clamp_arr(self.R)
-        )
 
 
 @dataclass(frozen=True)
@@ -254,14 +242,9 @@ def derivatives(
 ) -> StateDerivative:
     """Time derivative of the epidemic state under mitigation ``u``.
 
-    dP/dt   = -sum_j mu_j I_j
-    dE_j/dt = (1-u) beta_j S_j I_j - sigma_j E_j
-    dI_j/dt = sigma_j E_j - (mu_j + gamma_j) I_j
-    dR_j/dt = gamma_j I_j - delta_j R_j
-
-    with the susceptible pool taken algebraically.  Strains whose activation
-    day lies in the future must hold zero compartments and get a zero
-    derivative.
+    The P, E, I and R balance equations of :func:`flows`, with the
+    susceptible pool taken algebraically.  Strains whose activation day lies
+    in the future must hold zero compartments and get a zero derivative.
     """
     _check_strains(state, params)
     check_control(u)
@@ -289,30 +272,40 @@ def susceptible(state: EpidemicState, j: int) -> float:
     return float(s)
 
 
-def susceptible_derivative(
-    state: EpidemicState, params: Sequence[StrainParams], u: float, j: int
-) -> float:
-    """Differential form of the susceptible pool of strain ``j``.
+class Flows(NamedTuple):
+    """The five flows of every strain, one entry per strain."""
 
-    dS_j/dt = -(1-u) beta_j S_j I_j + delta_j R_j - sum_{i != j} mu_i I_i
+    transmission: np.ndarray  # (1-u) beta S I, from S to E
+    latent_exit: np.ndarray  # sigma E, from E to I
+    recovery: np.ndarray  # gamma I, from I to R
+    deaths: np.ndarray  # mu I, from I out of P
+    waning: np.ndarray  # delta R, from R back to S
 
-    Kept as a consistency oracle against the algebraic form used everywhere
-    else: it must equal d/dt (P - E_j - I_j - R_j) assembled from
-    :func:`derivatives`.
+
+def flows(S, E, I, R, u, active, arrays: StrainArrays) -> Flows:
+    """The flows at per-strain coordinates ``S, E, I, R``, with ``S`` independent.
+
+    Inactive strains (``active`` False) get zero flows.  Every balance
+    equation is a signed sum of these terms:
+
+        dP/dt   = -sum_j deaths_j
+        dS_j/dt = -transmission_j + waning_j - sum_{i != j} deaths_i
+        dE_j/dt = transmission_j - latent_exit_j
+        dI_j/dt = latent_exit_j - recovery_j - deaths_j
+        dR_j/dt = recovery_j - waning_j
     """
-    _check_strains(state, params)
-    check_control(u)
-    if not 0 <= j < state.n_strains:
-        raise DomainError(f"strain index {j} out of range")
-    state.validate()
-    p = params[j]
-    s_j = state.P - state.E[j] - state.I[j] - state.R[j]
-    transmission = (1.0 - u) * p.beta * s_j * state.I[j]
-    other_deaths = 0.0
-    for i, q in enumerate(params):
-        if i != j and state.t >= q.activation_time:
-            other_deaths += q.mu * state.I[i]
-    return -transmission + p.delta * state.R[j] - other_deaths
+    beta, sigma, gamma, delta, mu, _ = arrays
+    terms = ((1.0 - u) * beta * S * I, sigma * E, gamma * I, mu * I, delta * R)
+    return Flows(*(np.where(active, term, 0.0) for term in terms))
+
+
+def split(x: np.ndarray, n: int):
+    """Views of the P, S, E, I and R parts along the last axis of the
+    coordinates ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``."""
+    return (
+        x[..., 0], x[..., 1 : n + 1], x[..., n + 1 : 2 * n + 1],
+        x[..., 2 * n + 1 : 3 * n + 1], x[..., 3 * n + 1 : 4 * n + 1],
+    )
 
 
 def full_system_rhs(
@@ -340,19 +333,16 @@ def full_system_rhs(
     R = np.asarray(R, dtype=float)
     if not (len(S) == len(E) == len(I) == len(R) == n):
         raise DomainError("coordinate vectors must have one entry per strain")
-    beta, sigma, gamma, delta, mu, activation = strain_arrays(params)
-    active = np.full(n, True) if t is None else t >= activation
-    w = 1.0 - u
-
-    transmission = np.where(active, w * beta * S * I, 0.0)
-    death_terms = np.where(active, mu * I, 0.0)
-    total_deaths = death_terms.sum()
-    dP = -total_deaths
-    dS = np.where(active, -transmission + delta * R - (total_deaths - death_terms), 0.0)
-    dE = np.where(active, transmission - sigma * E, 0.0)
-    dI = np.where(active, sigma * E - (mu + gamma) * I, 0.0)
-    dR = np.where(active, gamma * I - delta * R, 0.0)
-    return dP, dS, dE, dI, dR
+    arrays = strain_arrays(params)
+    active = np.full(n, True) if t is None else t >= arrays.activation
+    f = flows(S, E, I, R, u, active, arrays)
+    total_deaths = f.deaths.sum()
+    # Inactive strains are frozen, so their S too ignores the other deaths.
+    dS = np.where(active, -f.transmission + f.waning - (total_deaths - f.deaths), 0.0)
+    return (
+        -total_deaths, dS, f.transmission - f.latent_exit,
+        f.latent_exit - (f.recovery + f.deaths), f.recovery - f.waning,
+    )
 
 
 def jacobian(S, I, u, active, arrays: StrainArrays) -> np.ndarray:
@@ -373,7 +363,7 @@ def jacobian(S, I, u, active, arrays: StrainArrays) -> np.ndarray:
     w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
     wb = w[:, None] * arrays.beta * on
     mu = arrays.mu * on
-    s, e, i, r = (1 + np.arange(n) + k * n for k in range(4))
+    _, s, e, i, r = split(np.arange(4 * n + 1), n)
 
     J = np.zeros((K, 4 * n + 1, 4 * n + 1))
     J[:, 0, i] = -mu
@@ -526,37 +516,21 @@ def equilibrium_residuals(
     if not (len(point.S) == n):
         raise DomainError("equilibrium point and parameter list disagree on strains")
     check_control(u)
-    beta, sigma, gamma, delta, mu, _ = strain_arrays(params)
-    w = 1.0 - u
-    S, E, I, R = point.S, point.E, point.I, point.R
+    f = flows(point.S, point.E, point.I, point.R, u, True, strain_arrays(params))
 
-    def rel(residual, *terms):
-        scale = max(abs(t) for t in terms) if terms else 0.0
-        if scale == 0.0:
-            return abs(residual)
-        return abs(residual) / scale
+    def rel(*terms):
+        terms = np.array(terms)
+        scale = np.abs(terms).max(axis=0)
+        return np.abs(terms.sum(axis=0)) / np.where(scale == 0.0, 1.0, scale)
 
-    death_terms = mu * I
-    out = np.empty(4 * n + 1)
-    out[0] = rel(death_terms.sum(), *death_terms)
-    transmission = w * beta * S * I
-    for j in range(n):
-        other = death_terms.sum() - death_terms[j]
-        out[1 + j] = rel(
-            -transmission[j] + delta[j] * R[j] - other,
-            transmission[j], delta[j] * R[j], other,
-        )
-        out[1 + n + j] = rel(
-            transmission[j] - sigma[j] * E[j], transmission[j], sigma[j] * E[j]
-        )
-        out[1 + 2 * n + j] = rel(
-            sigma[j] * E[j] - (mu[j] + gamma[j]) * I[j],
-            sigma[j] * E[j], (mu[j] + gamma[j]) * I[j],
-        )
-        out[1 + 3 * n + j] = rel(
-            gamma[j] * I[j] - delta[j] * R[j], gamma[j] * I[j], delta[j] * R[j]
-        )
-    return out
+    other_deaths = f.deaths.sum() - f.deaths
+    return np.concatenate((
+        [rel(*-f.deaths)],
+        rel(-f.transmission, f.waning, -other_deaths),
+        rel(f.transmission, -f.latent_exit),
+        rel(f.latent_exit, -(f.recovery + f.deaths)),
+        rel(f.recovery, -f.waning),
+    ))
 
 
 def analytic_eigenvalues(

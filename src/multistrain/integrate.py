@@ -10,8 +10,8 @@ at ``t_{k+1}``.
 nothing: the four stage slopes live in buffers made once per call, each stage
 walks the strains once through ``dynamics.rhs_lists`` and forms its input as
 ``x + h*k`` on the fly, and the result is updated in place.  The
-admissibility check is one comparison per strain; the clamp runs only when it
-fails.
+admissibility check is one test per strain, of the signs and of the finite
+sum; the clamp runs only when it fails.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .dynamics import (
     NEGATIVE_TOLERANCE,
     EpidemicState,
     StrainParams,
+    _check_inactive_blank,
     check_control,
     rhs_lists,
     strain_rows,
@@ -147,6 +148,10 @@ class Trajectory:
         return self.state_at(self.grid.n_steps)
 
 
+# A plain global for the per-strain admissibility test of every step.
+_INF = math.inf
+
+
 def _slope_buffers(n: int) -> tuple:
     """Stage slopes of one RK4 step: E, I, R lists for each of the four
     stages, then one zero list that stands for the slope before stage 1."""
@@ -159,8 +164,8 @@ def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
     Updates ``E``, ``I`` and ``R`` in place and returns the new ``P``.  Each
     stage evaluates :func:`rhs_lists` at ``x + h*k`` of the previous stage's
     slope ``k``, so the step builds no list.  Round-off negatives within
-    ``tol`` become zero; anything worse, a NaN compartment or a non-finite
-    ``P`` raises :class:`IntegrationError` tagged with ``step``.
+    ``tol`` become zero; anything worse, a NaN or infinite compartment or a
+    non-finite ``P`` raises :class:`IntegrationError` tagged with ``step``.
     """
     aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = slopes
     half = 0.5 * dt
@@ -179,7 +184,8 @@ def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
         e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
         i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
         r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
-        if not (e >= 0.0 and i >= 0.0 and r >= 0.0):  # also false for NaN
+        # False for a negative, NaN or +inf value, which the clamp handles.
+        if not (e >= 0.0 and i >= 0.0 and r >= 0.0 and e + i + r < _INF):
             admissible = False
     if not math.isfinite(P):
         raise IntegrationError(f"total population became {P!r}", step=step)
@@ -194,10 +200,10 @@ def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
 
 
 def _clamp_inplace(values, tol, step):
-    """Zero small negative overshoots; reject anything worse."""
+    """Zero small negative overshoots; reject anything worse, NaN or +inf."""
     for idx, v in enumerate(values):
-        if not v >= 0.0:  # catches negatives and NaN
-            if v >= -tol:
+        if not 0.0 <= v < _INF:
+            if -tol <= v < 0.0:
                 values[idx] = 0.0
             else:
                 raise IntegrationError(
@@ -212,12 +218,12 @@ def rk4_step(
     u_mid: float,
     u_next: float,
     dt: float,
-    negative_tol: float | None = None,
 ) -> EpidemicState:
     """Advance the state by one RK4 step of length ``dt``.
 
     The three control values feed the four stages: ``u_now`` at the first,
-    ``u_mid`` at both middle stages, ``u_next`` at the last.  Round-off
+    ``u_mid`` at both middle stages, ``u_next`` at the last.  A strain not
+    yet active at ``state.t`` must hold zero compartments.  Round-off
     negatives within tolerance are clamped to zero; non-finite results raise
     :class:`IntegrationError`.
     """
@@ -228,11 +234,8 @@ def rk4_step(
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     state.validate()
-    tol = (
-        negative_tol
-        if negative_tol is not None
-        else NEGATIVE_TOLERANCE * max(state.P, 1.0)
-    )
+    _check_inactive_blank(state, params)
+    tol = NEGATIVE_TOLERANCE * max(state.P, 1.0)
     E, I, R = state.E.tolist(), state.I.tolist(), state.R.tolist()
     P = _step(
         state.t, state.P, E, I, R, strain_rows(params), u_now, u_mid, u_next, dt,
@@ -252,7 +255,8 @@ def simulate(
 
     Seeds are added to the named strain's compartments with the total
     population unchanged, then the step proceeds.  The recorded state at a
-    seeding node includes the seed.
+    seeding node includes the seed.  A strain not yet active at the start
+    must hold zero compartments.
     """
     from .control import ControlSchedule  # local import to avoid a cycle
 
@@ -267,6 +271,7 @@ def simulate(
             f"initial state is at t={initial.t!r} but the grid starts at {grid.t0!r}"
         )
     initial.validate()
+    _check_inactive_blank(initial, params)
 
     n = initial.n_strains
     events_at: dict[int, list[SeedEvent]] = {}

@@ -56,28 +56,46 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
             writer.writerow(row)
 
 
+def _read_csv(path: str, kind: str) -> list[list[str]]:
+    """All rows of a CSV file; a missing or unreadable file raises ConfigError."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV file ({exc})") from exc
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory_csv`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader]
+    """Read a trajectory written by :func:`write_trajectory_csv`.
+
+    Every flaw raises :class:`ConfigError` naming the file and, for a bad
+    data row, its number (data rows count from 1 after the header).
+    """
+    lines = _read_csv(path, "trajectory")
+    header = lines[0] if lines else []
     if len(header) < 3 or header[0] != "t" or header[-1] != "u":
         raise ConfigError(f"{path}: not a trajectory file")
-    n = (len(header) - 3) // 4
-    data = np.array(rows)
-    times = data[:, 0]
-    if len(times) < 2:
+    rows = []
+    for k, line in enumerate(lines[1:], start=1):
+        if len(line) != len(header):
+            raise ConfigError(
+                f"{path}: row {k} has {len(line)} values, the header {len(header)}"
+            )
+        try:
+            rows.append([float(cell) for cell in line])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {k} is not numeric: {line!r}") from exc
+    if len(rows) < 2:
         raise ConfigError(f"{path}: trajectory needs at least two rows")
-    dt = times[1] - times[0]
-    grid = TimeGrid(t0=float(times[0]), dt=float(dt), n_steps=len(times) - 1)
-    E = np.empty((len(times), n))
-    I = np.empty((len(times), n))
-    R = np.empty((len(times), n))
-    for j in range(n):
-        E[:, j] = data[:, 3 + 4 * j]
-        I[:, j] = data[:, 4 + 4 * j]
-        R[:, j] = data[:, 5 + 4 * j]
+    data = np.array(rows)
+    t0, dt = data[0, 0], data[1, 0] - data[0, 0]
+    if not dt > 0:
+        raise ConfigError(f"{path}: the times of rows 1 and 2 do not increase")
+    grid = TimeGrid(t0=float(t0), dt=float(dt), n_steps=len(rows) - 1)
+    # Columns t, P, then S_j, E_j, I_j, R_j per strain, then u.
+    E, I, R = data[:, 3:-1:4], data[:, 4:-1:4], data[:, 5:-1:4]
     return Trajectory(grid=grid, P=data[:, 1], E=E, I=I, R=R, u=data[:, -1])
 
 
@@ -87,13 +105,7 @@ def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
     Every flaw raises :class:`ConfigError` naming the file and, for a bad
     data row, its number (data rows count from 1 after the header).
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"schedule file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{path}: not a readable CSV file ({exc})") from exc
+    lines = _read_csv(path, "schedule")
     if not lines or [h.strip() for h in lines[0][:2]] != ["t", "u"]:
         raise ConfigError(f"{path}: schedule files need a t,u header")
     rows = []
@@ -214,7 +226,6 @@ def run_scenario(
     out_dir: str | None = None,
     quiet: bool = False,
     write_svg: bool | None = None,
-    window: float | None = None,
 ) -> RunResult:
     """Execute one scenario and write its artifacts.
 
@@ -249,10 +260,7 @@ def run_scenario(
             schedule = read_schedule_csv(config.resolve_path(config.schedule_file), grid)
         traj = simulate(initial, params, schedule, events, grid)
 
-    horizon = grid.T - grid.t0
-    if window is None:
-        window = min(DEFAULT_WINDOW, horizon)
-    summary = summarize(traj, window=window)
+    summary = summarize(traj, window=min(DEFAULT_WINDOW, grid.T - grid.t0))
 
     out = out_dir or config.output_dir or os.path.join("out", config.name)
     os.makedirs(out, exist_ok=True)

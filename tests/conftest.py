@@ -48,3 +48,24 @@ def random_state(rng: np.random.Generator, n: int, t=0.0) -> EpidemicState:
     I = rng.uniform(0.0, 0.05 * P, size=n)
     R = rng.uniform(0.0, 0.05 * P, size=n)
     return EpidemicState(t=t, P=P, E=E, I=I, R=R)
+
+
+def susceptible_derivative(
+    state: EpidemicState, params: list[StrainParams], u: float, j: int
+) -> float:
+    """Differential form of the susceptible pool of strain ``j``.
+
+    dS_j/dt = -(1-u) beta_j S_j I_j + delta_j R_j - sum_{i != j} mu_i I_i
+
+    A scalar oracle for the algebraic form the package uses: it must equal
+    d/dt (P - E_j - I_j - R_j) assembled from ``derivatives``.
+    """
+    state.validate()
+    p = params[j]
+    s_j = state.P - state.E[j] - state.I[j] - state.R[j]
+    transmission = (1.0 - u) * p.beta * s_j * state.I[j]
+    other_deaths = 0.0
+    for i, q in enumerate(params):
+        if i != j and state.t >= q.activation_time:
+            other_deaths += q.mu * state.I[i]
+    return -transmission + p.delta * state.R[j] - other_deaths

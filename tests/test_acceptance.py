@@ -31,10 +31,9 @@ from multistrain import (
     reproduction_number,
     run_scenario,
     simulate,
-    susceptible_derivative,
 )
 
-from conftest import random_params, random_state
+from conftest import random_params, random_state, susceptible_derivative
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -20,10 +20,11 @@ from multistrain import (
     reproduction_number,
     strain_arrays,
     susceptible,
-    susceptible_derivative,
 )
 
-from conftest import BETA, DELTA, GAMMA, MU, SIGMA, random_params, random_state
+from conftest import (
+    BETA, DELTA, GAMMA, MU, SIGMA, random_params, random_state, susceptible_derivative,
+)
 
 
 def rel_gap(a: float, b: float, *scales: float) -> float:

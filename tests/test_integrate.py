@@ -76,6 +76,18 @@ class TestRk4Step:
         with pytest.raises(Exception):
             rk4_step(state, self.params(), 0.0, 1.5, 0.0, 0.1)
 
+    def test_inactive_strain_must_be_blank(self):
+        params = self.params() + [
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
+                         activation_time=2.0)
+        ]
+        state = EpidemicState(t=1.0, P=1e6, E=[10.0, 0.0], I=[10.0, 5.0], R=[0.0, 0.0])
+        with pytest.raises(StateConsistencyError, match="strain 1 activates"):
+            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
+        grid = TimeGrid(t0=1.0, dt=1.0, n_steps=2)
+        with pytest.raises(StateConsistencyError, match="strain 1 activates"):
+            simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
+
     def test_convergence_is_fourth_order(self):
         # Coarse steps keep the truncation error well above round-off.
         def final(dt):
@@ -330,6 +342,19 @@ class TestClamp:
         with pytest.raises(IntegrationError, match="nan") as err:
             simulate(initial, params, ControlSchedule.constant(grid, 0.0), [], grid)
         assert err.value.step == 1
+
+    def test_infinite_compartment_raises(self):
+        # Every stage slope of E is finite and positive, about P, but their
+        # weighted sum overflows, so E turns +inf while P stays finite.
+        params = [StrainParams(beta=1e-100, sigma=1e-220, gamma=1e-220, delta=1e-220,
+                               mu=0.0)]
+        state = EpidemicState(t=0.0, P=1e308, E=[0.0], I=[1e100], R=[0.0])
+        with pytest.raises(IntegrationError, match="value inf"):
+            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
+        with pytest.raises(IntegrationError, match="value inf") as err:
+            simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
+        assert err.value.step == 0
 
     def test_non_finite_population_raises(self):
         params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=1e10)]

@@ -15,8 +15,9 @@ from multistrain import (
     min_stabilizing_control,
     reproduction_number,
     simulate,
-    susceptible_derivative,
 )
+
+from conftest import susceptible_derivative
 
 rates = st.floats(min_value=0.01, max_value=1.0)
 betas = st.floats(min_value=1e-9, max_value=1e-6)

@@ -161,6 +161,13 @@ class TestLoadConfig:
             set_config_value(preset_config("case_a"), "grid.dt", 10.0)
         assert set_config_value(preset_config("case_a"), "grid.dt", 5.0).dt == 5.0
 
+    def test_negative_start_is_rejected_at_load(self):
+        text = SHORT_SIM.replace("start = 0", "start = -10").replace(
+            "seed_removed = 1", "seed_removed = 1\nactivation_day = -10"
+        )
+        with pytest.raises(ConfigError, match=r"grid\.start must be >= 0"):
+            parse_config_text(text)
+
     def test_sweep_value_setter(self):
         cfg = parse_config_text(SHORT_OPT)
         out = set_config_value(cfg, "cost.c2_log_scale", 0.5)
@@ -197,6 +204,21 @@ class TestRunScenario:
         assert np.array_equal(back.I, result.trajectory.I)
         assert np.array_equal(back.R, result.trajectory.R)
         assert np.array_equal(back.u, result.trajectory.u)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("", "not a trajectory file"),
+        ("t,P,S_1,E_1,I_1,R_1,u\n", "at least two rows"),
+        ("t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,zero,0,0,0\n", "row 2"),
+        ("t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0\n", "row 2"),
+    ])
+    def test_malformed_trajectory_names_the_file_and_the_row(
+        self, tmp_path, text, fragment
+    ):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=fragment) as err:
+            read_trajectory_csv(str(path))
+        assert str(path) in str(err.value)
 
     def test_svg_outputs_are_wellformed_with_one_polyline_per_series(self, tmp_path):
         cfg = parse_config_text(SHORT_OPT)
@@ -294,7 +316,8 @@ def malformed_schedules(draw):
     else:
         del rows[k]
     lines = [header] + [",".join(r) for r in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # A drawn lone surrogate becomes undecodable bytes, which the reader rejects.
+    return ("\n".join(lines) + "\n").encode("utf-8", errors="surrogatepass")
 
 
 class TestScheduleCsv:
@@ -323,9 +346,10 @@ class TestScheduleCsv:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.text(max_size=60), st.binary(max_size=60)))
     def test_arbitrary_text_reads_or_raises_config_error(self, text):
-        data = text.encode("utf-8") if isinstance(text, str) else text
+        if isinstance(text, str):
+            text = text.encode("utf-8", errors="surrogatepass")
         try:
-            schedule = read_schedule_text(data)
+            schedule = read_schedule_text(text)
         except ConfigError:
             return
         assert schedule.grid == SCHEDULE_GRID
