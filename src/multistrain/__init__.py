@@ -53,6 +53,7 @@ from .dynamics import (
     equilibrium_residuals,
     full_system_rhs,
     jacobian,
+    max_stable_dt,
     min_stabilizing_control,
     nontrivial_equilibrium,
     reproduction_number,

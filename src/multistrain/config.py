@@ -54,15 +54,11 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .control import CostParams
-from .dynamics import EpidemicState, StrainParams, analytic_eigenvalues
+from .dynamics import EpidemicState, StrainParams, max_stable_dt
 from .errors import ConfigError
 from .integrate import SeedEvent, TimeGrid
 
 CONTROL_MODES = ("none", "constant", "schedule", "optimize")
-
-# Classical RK4 is stable on the negative real axis for dt * |lambda| up to
-# about 2.785; a grid step beyond it blows up on the fastest decaying mode.
-RK4_REAL_STABILITY = 2.78
 
 _KNOWN_KEYS = {
     "scenario": {"name"},
@@ -217,19 +213,13 @@ class ScenarioConfig:
             raise ConfigError("the [cost] section only applies to optimize mode")
 
     def _check_step_stability(self) -> None:
-        """Reject a ``dt`` that RK4 cannot integrate stably.
-
-        The fastest mode is read from the linearisation at the
-        infection-free state with every person susceptible and no
-        mitigation, the largest decay rate the model can reach.
-        """
-        eigenvalues = analytic_eigenvalues(self.strain_params(), self.population, 0.0)
-        fastest = -min(eigenvalues.real)
-        if self.dt * fastest > RK4_REAL_STABILITY:
+        """Reject a ``dt`` that RK4 cannot integrate stably (see
+        :func:`~multistrain.dynamics.max_stable_dt`)."""
+        safe = max_stable_dt(self.strain_params(), self.population)
+        if self.dt > safe:
             raise ConfigError(
-                f"grid.dt={self.dt!r} makes RK4 unstable: the fastest decay rate is "
-                f"{fastest:.4g}/day, so grid.dt must be at most "
-                f"{RK4_REAL_STABILITY / fastest:.4g}"
+                f"grid.dt={self.dt!r} makes RK4 unstable on the fastest decaying "
+                f"mode: grid.dt must be at most {safe:.4g}"
             )
 
     # Derived build helpers

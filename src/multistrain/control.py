@@ -6,21 +6,24 @@ principle turns the maximisation into a two-point boundary-value problem:
 state forward from the initial condition, adjoint backward from zero terminal
 values, and a pointwise closed form for the control in between.  The sweep
 solves the fixed point ``u = F(u)`` of those three parts with Anderson mixing
-until the fixed-point residual ``max|F(u) - u|`` falls below tolerance.
+until the fixed-point residual ``max|F(u) - u|`` falls below tolerance.  It
+starts from nested iteration: the same fixed point solved loosely on a grid a
+few times coarser, whose schedule is interpolated onto the real grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import (
-    EpidemicState, StrainParams, check_control, jacobian, split, strain_arrays,
+    EpidemicState, StrainParams, check_control, jacobian, max_stable_dt, split,
+    strain_arrays,
 )
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError, IntegrationError, SolverError
 from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
 
 # Number of past residual differences the Anderson step mixes.
@@ -31,6 +34,12 @@ ANDERSON_DEPTH = 5
 # On that sweep blocks of 64 peaked at 47 MB RSS and blocks of 256 at 63 MB,
 # at about the same speed; blocks of 16 ran a 1-strain sweep 3x slower.
 SWEEP_BLOCK = 64
+
+# Step multiples tried for the coarse grid of the nested start, largest first,
+# and the tolerance of the coarse solve as a multiple of the fine one.  The
+# coarse schedule only seeds the fine sweep, so it need not be sharp.
+COARSE_FACTORS = (10, 5, 2)
+COARSE_TOL_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,10 @@ class FbsmReport:
     under the returned schedule, so the three parts are mutually consistent.
     ``update_history`` holds the fixed-point residual ``max|F(u) - u|`` of
     every iteration in order; ``last_update`` is its final entry, the
-    residual of the returned schedule.
+    residual of the returned schedule.  These fields and ``iterations``
+    describe the sweep on the caller's grid only.  ``coarse_iterations`` and
+    ``coarse_dt`` describe the coarse solve that seeded it; they are 0 and
+    ``None`` when the solve started cold.
     """
 
     converged: bool
@@ -151,6 +163,8 @@ class FbsmReport:
     trajectory: Trajectory
     costates: CostateTrajectory
     update_history: tuple[float, ...]
+    coarse_iterations: int = 0
+    coarse_dt: float | None = None
 
 
 def running_cost(P: float, u: float, costs: CostParams) -> float:
@@ -376,45 +390,50 @@ def _anderson_step(
     return np.clip(step, 0.0, 1.0)
 
 
-def fbsm_solve(
+def _on_grid(grid: TimeGrid, time: float) -> bool:
+    try:
+        grid.index_of(time)
+    except ConfigError:
+        return False
+    return True
+
+
+def _coarse_grid(
+    grid: TimeGrid,
+    params: Sequence[StrainParams],
+    events: Sequence[SeedEvent],
+    population: float,
+) -> TimeGrid | None:
+    """The grid of step ``m * grid.dt`` for the largest ``m`` in
+    ``COARSE_FACTORS`` that divides the step count, holds every seed time and
+    every in-horizon activation time as a node, and keeps RK4 stable; ``None``
+    when no ``m`` qualifies."""
+    times = [ev.time for ev in events] + [
+        p.activation_time for p in params if grid.t0 <= p.activation_time <= grid.T
+    ]
+    safe = max_stable_dt(params, population)
+    for m in COARSE_FACTORS:
+        if grid.n_steps % m or m * grid.dt > safe:
+            continue
+        coarse = TimeGrid(t0=grid.t0, dt=m * grid.dt, n_steps=grid.n_steps // m)
+        if all(_on_grid(coarse, t) for t in times):
+            return coarse
+    return None
+
+
+def _sweep(
     initial: EpidemicState,
     params: Sequence[StrainParams],
     events: Sequence[SeedEvent],
     grid: TimeGrid,
     costs: CostParams,
-    u_init: ControlSchedule | None = None,
-    relaxation: float = 0.5,
-    tol: float = 1e-6,
-    max_iter: int = 500,
+    u: np.ndarray,
+    relaxation: float,
+    tol: float,
+    max_iter: int,
 ) -> FbsmReport:
-    """Forward-backward sweep for the mitigation schedule.
-
-    Each iteration simulates forward under the current schedule ``u``,
-    integrates the adjoints backward from zero and evaluates the closed-form
-    control ``F(u)``.  The sweep stops when the fixed-point residual
-    ``max|F(u) - u|`` falls below ``tol`` and returns ``u`` with the
-    trajectory and costates already computed for it.  Otherwise the next
-    schedule is the type-II Anderson step over the last ``ANDERSON_DEPTH``
-    iterates, with ``relaxation`` as the mixing weight ``a`` of the plain
-    step ``u + a (F(u) - u)``, clipped to [0, 1].
-
-    Hitting ``max_iter`` returns a report with ``converged=False`` rather
-    than raising.
-    """
-    if not 0.0 < relaxation <= 1.0:
-        raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
-
-    if u_init is None:
-        u = np.zeros(grid.n_points)
-    else:
-        if u_init.grid != grid:
-            raise ConfigError("u_init schedule is defined on a different grid")
-        u = np.array(u_init.u, dtype=float)
-
+    """Anderson-mixed fixed-point iteration of ``u = F(u)`` on one grid,
+    starting from the schedule values ``u``."""
     arrays = strain_arrays(params)
     active_mask = grid.times()[:, None] >= arrays.activation
 
@@ -454,3 +473,74 @@ def fbsm_solve(
         costates=costates,
         update_history=tuple(history),
     )
+
+
+def fbsm_solve(
+    initial: EpidemicState,
+    params: Sequence[StrainParams],
+    events: Sequence[SeedEvent],
+    grid: TimeGrid,
+    costs: CostParams,
+    u_init: ControlSchedule | None = None,
+    relaxation: float = 0.5,
+    tol: float = 1e-6,
+    max_iter: int = 500,
+) -> FbsmReport:
+    """Forward-backward sweep for the mitigation schedule.
+
+    Each iteration simulates forward under the current schedule ``u``,
+    integrates the adjoints backward from zero and evaluates the closed-form
+    control ``F(u)``.  The sweep stops when the fixed-point residual
+    ``max|F(u) - u|`` falls below ``tol`` and returns ``u`` with the
+    trajectory and costates already computed for it.  Otherwise the next
+    schedule is the type-II Anderson step over the last ``ANDERSON_DEPTH``
+    iterates, with ``relaxation`` as the mixing weight ``a`` of the plain
+    step ``u + a (F(u) - u)``, clipped to [0, 1].
+
+    The sweep starts from a nested solve (Brandt 1977): the same problem on
+    a grid of step ``m * grid.dt``, started from ``u_init`` at every m-th
+    node and run to ``COARSE_TOL_FACTOR * tol``, gives a schedule that is
+    interpolated linearly onto ``grid``.  ``m`` is the largest of
+    ``COARSE_FACTORS`` that divides the step count, puts every seed time and
+    every in-horizon activation time on a coarse node and keeps RK4 stable
+    (:func:`~multistrain.dynamics.max_stable_dt`).  When none does, or the
+    coarse run leaves the admissible region, the sweep starts cold from
+    ``u_init``.  A coarse solve that does not converge still seeds the fine
+    sweep.
+
+    Hitting ``max_iter`` on the caller's grid returns a report with
+    ``converged=False`` rather than raising.
+    """
+    if not 0.0 < relaxation <= 1.0:
+        raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
+
+    if u_init is None:
+        u = np.zeros(grid.n_points)
+    else:
+        if u_init.grid != grid:
+            raise ConfigError("u_init schedule is defined on a different grid")
+        u = np.array(u_init.u, dtype=float)
+
+    coarse = _coarse_grid(grid, params, events, initial.P)
+    start = None
+    if coarse is not None:
+        m = round(coarse.dt / grid.dt)
+        try:
+            start = _sweep(
+                initial, params, events, coarse, costs, u[::m], relaxation,
+                COARSE_TOL_FACTOR * tol, max_iter,
+            )
+        except IntegrationError:
+            # A stable step may still overshoot a compartment below zero
+            # where the caller's finer step does not; then start cold.
+            pass
+        else:
+            u = np.interp(grid.times(), coarse.times(), start.schedule.u)
+    report = _sweep(initial, params, events, grid, costs, u, relaxation, tol, max_iter)
+    if start is None:
+        return report
+    return replace(report, coarse_iterations=start.iterations, coarse_dt=coarse.dt)

@@ -33,6 +33,10 @@ from .errors import DegenerateControlError, DomainError, StateConsistencyError
 # as integrator round-off; anything below is a hard error.
 NEGATIVE_TOLERANCE = 1e-9
 
+# Classical RK4 is stable on the negative real axis for dt * |lambda| up to
+# about 2.785; a grid step beyond it blows up on the fastest decaying mode.
+RK4_REAL_STABILITY = 2.78
+
 
 def check_control(u: float) -> float:
     if not 0.0 <= u <= 1.0:
@@ -564,3 +568,18 @@ def analytic_eigenvalues(
     out[2 * n + 2 :: 2] = half_trace - half_root
     out.setflags(write=False)
     return out
+
+
+def max_stable_dt(params: Sequence[StrainParams], population: float) -> float:
+    """Largest grid step that RK4 integrates stably for these strains.
+
+    The fastest mode is read from the linearisation at the infection-free
+    state with all of ``population`` susceptible and no mitigation, the
+    largest decay rate the model can reach; the step is
+    ``RK4_REAL_STABILITY`` over that rate.  With no strains nothing decays,
+    and every step is stable.
+    """
+    if len(params) == 0:
+        return math.inf
+    fastest = -min(analytic_eigenvalues(params, population, 0.0).real)
+    return RK4_REAL_STABILITY / fastest

@@ -256,7 +256,8 @@ def simulate(
     Seeds are added to the named strain's compartments with the total
     population unchanged, then the step proceeds.  The recorded state at a
     seeding node includes the seed.  A strain not yet active at the start
-    must hold zero compartments.
+    must hold zero compartments, and no strain may be seeded before it
+    activates.
     """
     from .control import ControlSchedule  # local import to avoid a cycle
 
@@ -278,7 +279,14 @@ def simulate(
     for ev in sorted(events, key=lambda e: (e.time, e.strain)):
         if ev.strain >= n:
             raise ConfigError(f"seed event targets unknown strain {ev.strain}")
-        events_at.setdefault(grid.index_of(ev.time), []).append(ev)
+        k = grid.index_of(ev.time)
+        # The step holds a strain frozen before activation, seed and all.
+        if grid.time_at(k) < params[ev.strain].activation_time:
+            raise ConfigError(
+                f"seed event for strain {ev.strain} at day {ev.time} lies before "
+                f"its activation day {params[ev.strain].activation_time}"
+            )
+        events_at.setdefault(k, []).append(ev)
 
     rows = strain_rows(params)
     slopes = _slope_buffers(n)

@@ -67,11 +67,22 @@ def _read_csv(path: str, kind: str) -> list[list[str]]:
         raise ConfigError(f"{path}: not a readable CSV file ({exc})") from exc
 
 
+def _check_times(path: str, times, grid: TimeGrid) -> None:
+    """Raise ConfigError naming the first data row whose time is off ``grid``."""
+    nodes = grid.times()
+    for k, t in enumerate(times):
+        t = float(t)
+        if not math.isfinite(t) or abs(t - nodes[k]) > 1e-9 * max(1.0, abs(t)):
+            raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    Every flaw raises :class:`ConfigError` naming the file and, for a bad
-    data row, its number (data rows count from 1 after the header).
+    The grid is taken from the times of rows 1 and 2, and every row's time
+    must lie on it.  Every flaw raises :class:`ConfigError` naming the file
+    and, for a bad data row, its number (data rows count from 1 after the
+    header).
     """
     lines = _read_csv(path, "trajectory")
     header = lines[0] if lines else []
@@ -94,6 +105,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     if not dt > 0:
         raise ConfigError(f"{path}: the times of rows 1 and 2 do not increase")
     grid = TimeGrid(t0=float(t0), dt=float(dt), n_steps=len(rows) - 1)
+    _check_times(path, data[:, 0], grid)
     # Columns t, P, then S_j, E_j, I_j, R_j per strain, then u.
     E, I, R = data[:, 3:-1:4], data[:, 4:-1:4], data[:, 5:-1:4]
     return Trajectory(grid=grid, P=data[:, 1], E=E, I=I, R=R, u=data[:, -1])
@@ -124,10 +136,7 @@ def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
             f"{path}: schedule has {len(rows)} rows but the grid has "
             f"{grid.n_points} nodes"
         )
-    times = grid.times()
-    for k, (t, _) in enumerate(rows):
-        if not math.isfinite(t) or abs(t - times[k]) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
+    _check_times(path, [t for t, _ in rows], grid)
     return ControlSchedule(grid=grid, u=np.array([u for _, u in rows]))
 
 
@@ -212,9 +221,16 @@ def _write_charts(out_dir: str, config: ScenarioConfig, traj: Trajectory) -> lis
 
 def format_report(report: FbsmReport) -> str:
     status = "converged" if report.converged else "did NOT converge"
+    if report.coarse_dt is None:
+        start = "cold start"
+    else:
+        start = (
+            f"started by {report.coarse_iterations} coarse iteration(s) "
+            f"at dt {report.coarse_dt:g}"
+        )
     u = report.schedule.u
     return (
-        f"sweep {status} after {report.iterations} iteration(s); "
+        f"sweep {status} after {report.iterations} iteration(s) ({start}); "
         f"fixed-point residual {report.last_update:.3e}\n"
         f"objective J = {report.objective:.9e}\n"
         f"schedule: mean u = {u.mean():.4f}, max u = {u.max():.4f}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from multistrain import (
     CostParams,
     DomainError,
     EpidemicState,
+    IntegrationError,
     SeedEvent,
     StrainParams,
     TimeGrid,
@@ -18,6 +20,7 @@ from multistrain import (
     costate_derivatives,
     fbsm_solve,
     full_system_rhs,
+    max_stable_dt,
     objective,
     optimal_u,
     preset_config,
@@ -348,6 +351,9 @@ class TestFbsmSolve:
         costs = CostParams(c1=1.0, c2=0.9 * math.log(P0))
         report = fbsm_solve(initial, params, events, grid, costs, tol=1e-6)
         assert report.converged
+        # Day 60 is a node of the dt 2.0 grid, so the coarse start runs.
+        assert report.coarse_dt == 2.0 and report.coarse_iterations > 0
+        assert report.last_update < 1e-6
         assert true_residual(report, params, costs) < 1e-6
         before = report.costates.phi_S[grid.times() < 60.0, 1]
         assert np.all(before == before[0])
@@ -373,6 +379,73 @@ class TestFbsmSolve:
                        relaxation=0.0)
         with pytest.raises(DomainError):
             fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), tol=0.0)
+
+
+class TestCoarseStart:
+    def problem(self, dt=0.1, horizon=240.0, activation=None):
+        """Case A's strain, plus an identical second strain seeded at
+        ``activation`` when one is given."""
+        strain = dict(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
+        params = [StrainParams(**strain)]
+        events = [SeedEvent(0.0, 0, exposed=E0, infected=I0, removed=R0_)]
+        if activation is not None:
+            params.append(StrainParams(**strain, activation_time=activation))
+            events.append(SeedEvent(activation, 1, exposed=E0, infected=I0))
+        n = len(params)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
+        return initial, params, events, TimeGrid.from_horizon(0.0, horizon, dt)
+
+    def test_agrees_with_a_cold_sweep(self):
+        cfg = preset_config("case_a")
+        grid, params, costs = cfg.grid(), cfg.strain_params(), cfg.cost_params()
+        args = (cfg.initial_state(), params, cfg.seed_events(), grid, costs)
+        tol = cfg.tolerance
+        warm = fbsm_solve(*args, tol=tol)
+        cold = control._sweep(*args, np.zeros(grid.n_points), 0.5, tol, 500)
+        assert warm.converged and cold.converged
+        assert warm.coarse_dt == 1.0 and cold.coarse_iterations == 0
+        assert warm.iterations < cold.iterations
+        assert abs(warm.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+        assert np.max(np.abs(warm.schedule.u - cold.schedule.u)) <= 10 * tol
+
+    @pytest.mark.parametrize("dt, activation, coarse_dt", [
+        (0.1, None, 1.0),
+        (0.1, 100.5, 0.5),
+        # case A's largest stable step lies between 5 and 10 days.
+        (1.0, None, 5.0),
+        (0.1, 180.3, None),
+    ])
+    def test_choice_of_the_coarse_step(self, dt, activation, coarse_dt):
+        initial, params, events, grid = self.problem(dt=dt, activation=activation)
+        assert 5.0 <= max_stable_dt(params, P0) < 10.0
+        costs = CostParams(c1=1.0, c2=math.log(P0))
+        report = fbsm_solve(initial, params, events, grid, costs, max_iter=1)
+        assert report.iterations == 1
+        assert report.coarse_dt == coarse_dt
+        if coarse_dt is None:
+            assert report.coarse_iterations == 0
+        else:
+            assert report.coarse_iterations >= 1
+
+    def test_no_strains_solve_without_control(self):
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
+        initial = EpidemicState(t=0.0, P=P0, E=[], I=[], R=[])
+        report = fbsm_solve(initial, [], [], grid, CostParams(c1=1.0, c2=5.0))
+        assert report.converged and report.coarse_dt == 1.0
+        assert np.all(report.schedule.u == 0.0)
+
+    def test_coarse_overshoot_starts_cold(self):
+        # At beta P = 2/day a 3-day step is stable (the bound is 4.4 days)
+        # but drives a compartment negative near day 42; 0.3 days does not.
+        initial, params, events, grid = self.problem(dt=0.3, horizon=60.0)
+        params = [replace(params[0], beta=2.0 / P0)]
+        assert 3.0 < max_stable_dt(params, P0)
+        coarse = TimeGrid(0.0, 3.0, 20)
+        with pytest.raises(IntegrationError):
+            simulate(initial, params, ControlSchedule.constant(coarse, 0.0), events, coarse)
+        costs = CostParams(c1=1.0, c2=math.log(P0))
+        report = fbsm_solve(initial, params, events, grid, costs, max_iter=1)
+        assert report.coarse_dt is None and report.coarse_iterations == 0
 
 
 def adjoint_gradient_gaps(preset, dt, seed, eps=1e-3):

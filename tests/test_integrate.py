@@ -194,6 +194,24 @@ class TestSimulate:
         assert traj.E[before, 1] == E0
         assert traj.I[-1, 1] > I0
 
+    def test_seed_before_activation_rejected(self):
+        # Seeded on day 2 but active from day 10, the seed would sit frozen
+        # in the inactive strain for eight days.
+        params = [
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
+                         activation_time=10.0),
+        ]
+        grid = TimeGrid.from_horizon(0.0, 20.0, 0.1)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
+        events = [
+            SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+            SeedEvent(time=2.0, strain=1, infected=50.0),
+        ]
+        schedule = ControlSchedule.constant(grid, 0.0)
+        with pytest.raises(ConfigError, match=r"strain 1 at day 2\.0 .* activation day 10\.0"):
+            simulate(initial, params, schedule, events, grid)
+
 
 def oracle_simulate(initial, params, u, events, grid):
     """Plain numpy RK4 over x = [P, E, I, R], one row per grid node.

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -27,6 +28,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
+from multistrain.runner import format_report
 
 SHORT_SIM = """\
 [scenario]
@@ -210,6 +212,11 @@ class TestRunScenario:
         ("t,P,S_1,E_1,I_1,R_1,u\n", "at least two rows"),
         ("t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,zero,0,0,0\n", "row 2"),
         ("t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0\n", "row 2"),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n"
+            "0.5,1,1,0,0,0,0\n",
+            "row 3 time 0.5 is off the grid",
+        ),
     ])
     def test_malformed_trajectory_names_the_file_and_the_row(
         self, tmp_path, text, fragment
@@ -257,6 +264,8 @@ class TestRunScenario:
         assert result.report is not None
         assert result.report.converged
         assert np.array_equal(result.trajectory.u, result.report.schedule.u)
+        line = format_report(result.report).splitlines()[0]
+        assert re.search(r"\(started by \d+ coarse iteration\(s\) at dt 2\)", line)
 
 
 SCHEDULE_GRID = TimeGrid(t0=0.0, dt=0.5, n_steps=2)
