@@ -33,27 +33,38 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Rows per formatting chunk of ``write_trajectory_csv``: large enough that the
+# per-chunk numpy work is negligible, small enough that the file text never
+# sits whole in memory.
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Write the full run, one row per grid node, 17 significant digits."""
+    """Write the full run, one row per grid node, 17 significant digits.
+
+    Columns are ``t``, ``P``, then ``S_j, E_j, I_j, R_j`` per strain, then
+    ``u``.  Each row is formatted by one ``%`` call on a whole row of the
+    value matrix; ``"%.17g" % x`` gives the same text as ``_g17(x)``.
+    """
     n = traj.n_strains
     header = ["t", "P"]
     for j in range(1, n + 1):
         header += [f"S_{j}", f"E_{j}", f"I_{j}", f"R_{j}"]
     header.append("u")
-    S = traj.susceptible_matrix()
-    times = traj.grid.times()
+    values = np.empty((traj.grid.n_points, len(header)))
+    values[:, 0] = traj.grid.times()
+    values[:, 1] = traj.P
+    values[:, 2:-1:4] = traj.susceptible_matrix()
+    values[:, 3:-1:4] = traj.E
+    values[:, 4:-1:4] = traj.I
+    values[:, 5:-1:4] = traj.R
+    values[:, -1] = traj.u
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(traj.grid.n_points):
-            row = [_g17(times[k]), _g17(traj.P[k])]
-            for j in range(n):
-                row += [
-                    _g17(S[k, j]), _g17(traj.E[k, j]),
-                    _g17(traj.I[k, j]), _g17(traj.R[k, j]),
-                ]
-            row.append(_g17(traj.u[k]))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(values), _CSV_CHUNK_ROWS):
+            chunk = values[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([row_format % tuple(row) for row in chunk]))
 
 
 def _read_csv(path: str, kind: str) -> list[list[str]]:

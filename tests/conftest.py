@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from multistrain import EpidemicState, StrainParams
+from multistrain import EpidemicState, StrainParams, svgchart
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -69,3 +71,75 @@ def susceptible_derivative(
         if i != j and state.t >= q.activation_time:
             other_deaths += q.mu * state.I[i]
     return -transmission + p.delta * state.R[j] - other_deaths
+
+
+def reference_write_trajectory_csv(path: str, traj) -> None:
+    """Per-cell trajectory writer: one ``format(x, ".17g")`` per value.
+
+    The oracle that ``runner.write_trajectory_csv`` must match byte for byte.
+    """
+    def g17(x):
+        return format(float(x), ".17g")
+
+    n = traj.n_strains
+    header = ["t", "P"]
+    for j in range(1, n + 1):
+        header += [f"S_{j}", f"E_{j}", f"I_{j}", f"R_{j}"]
+    header.append("u")
+    S = traj.susceptible_matrix()
+    times = traj.grid.times()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k in range(traj.grid.n_points):
+            row = [g17(times[k]), g17(traj.P[k])]
+            for j in range(n):
+                row += [
+                    g17(S[k, j]), g17(traj.E[k, j]),
+                    g17(traj.I[k, j]), g17(traj.R[k, j]),
+                ]
+            row.append(g17(traj.u[k]))
+            writer.writerow(row)
+
+
+def reference_polyline_points(
+    x, series, width=960, height=520, y_min=None, y_max=None
+) -> list[str]:
+    """Per-point ``points`` attribute of each series of ``svgchart.line_chart``.
+
+    Scalar ranges, decimation per series and one f-string per coordinate:
+    the oracle that the array form in ``line_chart`` must match byte for byte.
+    """
+    x = list(map(float, x))
+    all_y = [float(v) for _, ys in series for v in ys]
+    lo_x, hi_x = min(x), max(x)
+    lo_y = min(all_y) if y_min is None else y_min
+    hi_y = max(all_y) if y_max is None else y_max
+    if hi_y <= lo_y:
+        hi_y = lo_y + 1.0
+    if hi_x <= lo_x:
+        hi_x = lo_x + 1.0
+    plot_w = width - svgchart.MARGIN_LEFT - svgchart.MARGIN_RIGHT
+    plot_h = height - svgchart.MARGIN_TOP - svgchart.MARGIN_BOTTOM
+
+    def px(v):
+        return svgchart.MARGIN_LEFT + (v - lo_x) / (hi_x - lo_x) * plot_w
+
+    def py(v):
+        return svgchart.MARGIN_TOP + (hi_y - v) / (hi_y - lo_y) * plot_h
+
+    def decimate(xs, ys):
+        n = len(xs)
+        if n <= svgchart.MAX_POINTS:
+            return xs, ys
+        stride = -(-n // svgchart.MAX_POINTS)
+        keep = list(range(0, n, stride))
+        if keep[-1] != n - 1:
+            keep.append(n - 1)
+        return [xs[i] for i in keep], [ys[i] for i in keep]
+
+    out = []
+    for _, ys in series:
+        xs_d, ys_d = decimate(x, [float(v) for v in ys])
+        out.append(" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs_d, ys_d)))
+    return out

@@ -239,6 +239,18 @@ class TestRunScenario:
         polylines = [el for el in ctrl.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 1
 
+    def test_markup_in_the_scenario_name_is_escaped(self, tmp_path):
+        text = SHORT_SIM.replace("name = shortrun", "name = A&B <1>").replace(
+            "mode = none", "mode = constant\nvalue = 0.3"
+        )
+        run_scenario(parse_config_text(text), out_dir=str(tmp_path), quiet=True)
+        for name, title in [
+            ("compartments.svg", "A&B <1>: compartment shares of the initial population"),
+            ("control.svg", "A&B <1>: mitigation schedule"),
+        ]:
+            root = ET.parse(tmp_path / name).getroot()
+            assert title in [el.text for el in root.iter() if el.tag.endswith("text")]
+
     def test_constant_mode_records_control(self, tmp_path):
         text = SHORT_SIM.replace("mode = none", "mode = constant\nvalue = 0.4")
         cfg = parse_config_text(text)
