@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .config import (
+    _with_values,
     preset_names,
     PRESET_SUMMARIES,
     resolve_config,
@@ -78,17 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    if args.dt is not None:
-        config.dt = args.dt
-    if args.horizon is not None:
-        config.horizon = args.horizon
-    if getattr(args, "seed_day", None) is not None:
+    values = {"grid.dt": args.dt, "grid.horizon": args.horizon}
+    if args.seed_day is not None:
         if len(config.strains) < 2:
             raise ConfigError("--seed-day needs a scenario with at least two strains")
-        for spec in config.strains[1:]:
-            spec.activation_day = args.seed_day
-    config.validate()
-    return config
+        for j in range(2, len(config.strains) + 1):
+            values[f"strain.{j}.activation_day"] = args.seed_day
+    return _with_values(config, {k: v for k, v in values.items() if v is not None})
 
 
 def _parse_values(raw: str) -> list[float]:

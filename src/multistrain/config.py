@@ -2,6 +2,12 @@
 
 Configs are INI-style key/value files with nested sections.  The schema is
 strict: unknown sections or keys are errors, as are missing required fields.
+The table ``_SCHEMA`` is the schema: it maps each ``(section, key)`` to its
+:class:`ScenarioConfig` field and type, and the ``[strain.N]`` keys are the
+:class:`StrainSpec` fields.  The file parser, :func:`set_config_value` (sweep
+values) and the CLI's ``--dt``, ``--horizon`` and ``--seed-day`` all read it
+and convert through one function, so a value from a sweep or a flag gets the
+same checks as one from a file.  Defaults are those of the dataclasses.
 
     [scenario]            optional
     name                  run label, used for default output paths
@@ -51,7 +57,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .control import CostParams
 from .dynamics import EpidemicState, StrainParams, max_stable_dt
@@ -59,22 +65,6 @@ from .errors import ConfigError
 from .integrate import SeedEvent, TimeGrid
 
 CONTROL_MODES = ("none", "constant", "schedule", "optimize")
-
-_KNOWN_KEYS = {
-    "scenario": {"name"},
-    "grid": {"start", "horizon", "dt"},
-    "initial": {"population"},
-    "strain": {
-        "beta", "sigma", "gamma", "delta", "mu", "activation_day",
-        "seed_exposed", "seed_infected", "seed_removed",
-    },
-    "control": {"mode", "value", "file"},
-    "cost": {
-        "c1", "c2", "c2_log_scale", "c2_population",
-        "relaxation", "tolerance", "max_iterations", "u_init",
-    },
-    "output": {"directory", "svg"},
-}
 
 
 @dataclass
@@ -107,17 +97,21 @@ class StrainSpec:
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    """Fully parsed scenario; see the module docstring for field meanings."""
+    """Fully parsed scenario; see the module docstring for field meanings.
 
-    name: str
-    start: float
+    The defaults here are the defaults of the config file, and a field
+    without one is a required key.
+    """
+
+    name: str = "scenario"
+    start: float = 0.0
     horizon: float
     dt: float
     population: float
     strains: list[StrainSpec] = field(default_factory=list)
-    control_mode: str = "none"
+    control_mode: str
     control_value: float | None = None
     schedule_file: str | None = None
     c1: float | None = None
@@ -133,6 +127,17 @@ class ScenarioConfig:
     base_dir: str = "."
 
     def validate(self) -> None:
+        numbers = [
+            (f"{section}.{key}", getattr(self, name))
+            for (section, key), (name, kind) in _SCHEMA.items() if kind in (float, int)
+        ]
+        numbers += [
+            (f"strain.{idx}.{key}", getattr(s, key))
+            for idx, s in enumerate(self.strains, start=1) for key in _STRAIN_KEYS
+        ]
+        for path, value in numbers:
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{path} must be finite, got {value!r}")
         if not self.strains:
             raise ConfigError("at least one [strain.N] section is required")
         if not self.dt > 0:
@@ -264,30 +269,63 @@ def _off_grid(offset: float, dt: float) -> bool:
     return abs(steps * dt - offset) > 1e-9 * max(1.0, abs(offset))
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+# The file schema: (section, key) -> (ScenarioConfig field, kind).  The kind
+# converts file text, or a number from a sweep or a CLI flag (see _coerce);
+# control.mode is case-insensitive.  The keys of a [strain.N] section are the
+# StrainSpec fields, all floats.
+_SCHEMA = {
+    ("scenario", "name"): ("name", str),
+    ("grid", "start"): ("start", float),
+    ("grid", "horizon"): ("horizon", float),
+    ("grid", "dt"): ("dt", float),
+    ("initial", "population"): ("population", float),
+    ("control", "mode"): ("control_mode", str.lower),
+    ("control", "value"): ("control_value", float),
+    ("control", "file"): ("schedule_file", str),
+    ("cost", "c1"): ("c1", float),
+    ("cost", "c2"): ("c2", float),
+    ("cost", "c2_log_scale"): ("c2_log_scale", float),
+    ("cost", "c2_population"): ("c2_population", float),
+    ("cost", "relaxation"): ("relaxation", float),
+    ("cost", "tolerance"): ("tolerance", float),
+    ("cost", "max_iterations"): ("max_iterations", int),
+    ("cost", "u_init"): ("u_init", float),
+    ("output", "directory"): ("output_dir", str),
+    ("output", "svg"): ("svg", bool),
+}
+_SECTIONS = {section for section, _ in _SCHEMA}
+_STRAIN_KEYS = tuple(f.name for f in fields(StrainSpec))
+
+_BOOLEANS = {
+    "true": True, "yes": True, "on": True, "1": True,
+    "false": False, "no": False, "off": False, "0": False,
+}
+
+
+def _coerce(path: str, kind, raw):
+    """``raw`` converted by ``kind``.  ``raw`` is file text, or a number from a
+    sweep or a CLI flag; an integer field takes only an integral number.
+    Finiteness is left to :meth:`ScenarioConfig.validate`."""
+    if kind is bool:
+        word = raw.strip().lower()
+        if word not in _BOOLEANS:
+            raise ConfigError(f"{path}: not a boolean: {raw!r}")
+        return _BOOLEANS[word]
+    if kind not in (float, int):
+        return kind(raw)
+    noun = "an integer" if kind is int else "a number"
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: value must be finite, got {raw!r}")
+        value = kind(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: not {noun}: {raw!r}") from exc
+    if kind is int and not isinstance(raw, str) and value != raw:
+        raise ConfigError(f"{path}: not {noun}: {raw!r}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from exc
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{section}.{key}: not a boolean: {raw!r}")
+def _required(cls) -> list[str]:
+    """The fields of ``cls`` without a default: required keys of the file."""
+    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
 
 
 def _strain_index(section: str) -> int | None:
@@ -311,102 +349,44 @@ def parse_config_text(text: str, source: str = "<string>", base_dir: str = ".") 
     if not parser.sections():
         raise ConfigError(f"{source}: configuration is empty")
 
-    strains: dict[int, StrainSpec] = {}
-    known_plain = {k for k in _KNOWN_KEYS if k != "strain"}
+    values = {}
+    strain_sections = []
     for section in parser.sections():
         idx = _strain_index(section)
-        if idx is None and section not in known_plain:
+        if idx is not None:
+            strain_sections.append((idx, section))
+            continue
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _KNOWN_KEYS["strain"] if idx is not None else _KNOWN_KEYS[section]
-        for key in parser.options(section):
-            if key not in allowed:
+        for key, raw in parser.items(section):
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, kind = _SCHEMA[section, key]
+            values[name] = _coerce(f"{section}.{key}", kind, raw)
 
-    for required in ("grid", "initial", "control"):
-        if required not in parser:
-            raise ConfigError(f"missing required section [{required}]")
+    required = _required(ScenarioConfig)
+    for (section, key), (name, _) in _SCHEMA.items():
+        if name in required and name not in values:
+            if section not in parser:
+                raise ConfigError(f"missing required section [{section}]")
+            raise ConfigError(f"{section}.{key} is required")
 
-    def get(section, key, default=None):
-        if section in parser and key in parser[section]:
-            return parser[section][key]
-        return default
-
-    for key in ("horizon", "dt"):
-        if get("grid", key) is None:
-            raise ConfigError(f"grid.{key} is required")
-    if get("initial", "population") is None:
-        raise ConfigError("initial.population is required")
-    if get("control", "mode") is None:
-        raise ConfigError("control.mode is required")
-
-    indices = sorted(
-        _strain_index(s) for s in parser.sections() if s.startswith("strain.")
-    )
-    if indices != list(range(1, len(indices) + 1)):
+    strain_sections.sort()
+    if [idx for idx, _ in strain_sections] != list(range(1, len(strain_sections) + 1)):
         raise ConfigError("strain sections must be numbered 1..n without gaps")
 
-    start = _parse_float("grid", "start", get("grid", "start", "0"))
-    for idx in indices:
-        section = f"strain.{idx}"
-        sec = parser[section]
-        for key in ("beta", "sigma", "gamma", "delta", "mu"):
-            if key not in sec:
+    config = ScenarioConfig(**values, base_dir=base_dir)
+    required = _required(StrainSpec)
+    for _, section in strain_sections:
+        given = {"activation_day": config.start}
+        for key, raw in parser.items(section):
+            if key not in _STRAIN_KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            given[key] = _coerce(f"{section}.{key}", float, raw)
+        for key in required:
+            if key not in given:
                 raise ConfigError(f"{section}.{key} is required")
-        strains[idx] = StrainSpec(
-            beta=_parse_float(section, "beta", sec["beta"]),
-            sigma=_parse_float(section, "sigma", sec["sigma"]),
-            gamma=_parse_float(section, "gamma", sec["gamma"]),
-            delta=_parse_float(section, "delta", sec["delta"]),
-            mu=_parse_float(section, "mu", sec["mu"]),
-            activation_day=_parse_float(
-                section, "activation_day", sec.get("activation_day", repr(start))
-            ),
-            seed_exposed=_parse_float(
-                section, "seed_exposed", sec.get("seed_exposed", "0")
-            ),
-            seed_infected=_parse_float(
-                section, "seed_infected", sec.get("seed_infected", "0")
-            ),
-            seed_removed=_parse_float(
-                section, "seed_removed", sec.get("seed_removed", "0")
-            ),
-        )
-
-    raw_value = get("control", "value")
-    raw_c1 = get("cost", "c1")
-    raw_c2 = get("cost", "c2")
-    raw_scale = get("cost", "c2_log_scale")
-    raw_ref = get("cost", "c2_population")
-    config = ScenarioConfig(
-        name=get("scenario", "name", "scenario"),
-        start=start,
-        horizon=_parse_float("grid", "horizon", get("grid", "horizon")),
-        dt=_parse_float("grid", "dt", get("grid", "dt")),
-        population=_parse_float("initial", "population", get("initial", "population")),
-        strains=[strains[i] for i in indices],
-        control_mode=get("control", "mode").strip().lower(),
-        control_value=(
-            None if raw_value is None else _parse_float("control", "value", raw_value)
-        ),
-        schedule_file=get("control", "file"),
-        c1=None if raw_c1 is None else _parse_float("cost", "c1", raw_c1),
-        c2=None if raw_c2 is None else _parse_float("cost", "c2", raw_c2),
-        c2_log_scale=(
-            None if raw_scale is None else _parse_float("cost", "c2_log_scale", raw_scale)
-        ),
-        c2_population=(
-            None if raw_ref is None else _parse_float("cost", "c2_population", raw_ref)
-        ),
-        relaxation=_parse_float("cost", "relaxation", get("cost", "relaxation", "0.5")),
-        tolerance=_parse_float("cost", "tolerance", get("cost", "tolerance", "1e-6")),
-        max_iterations=_parse_int(
-            "cost", "max_iterations", get("cost", "max_iterations", "500")
-        ),
-        u_init=_parse_float("cost", "u_init", get("cost", "u_init", "0")),
-        output_dir=get("output", "directory"),
-        svg=_parse_bool("output", "svg", get("output", "svg", "true")),
-        base_dir=base_dir,
-    )
+        config.strains.append(StrainSpec(**given))
     config.validate()
     return config
 
@@ -415,20 +395,30 @@ def load_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not a readable config file ({exc})") from exc
     return parse_config_text(text, source=path, base_dir=os.path.dirname(path) or ".")
 
 
 # Built-in presets.  The texts below are the single source: the library parses
 # the same bytes that `presets write` puts on disk.
 
-_TABLE_STRAIN = """beta = 2.41e-09
+def _strain_section(index: int, activation_day: int, beta: str = "2.41e-09") -> str:
+    return f"""[strain.{index}]
+beta = {beta}
 sigma = 0.14285714285714285
 gamma = 0.047619047619047616
 delta = 0.011111111111111112
 mu = 1.152e-05
+activation_day = {activation_day}
+seed_exposed = 252
+seed_infected = 2
+seed_removed = 1
 """
+
 
 _EXPERIMENT1 = f"""# Single-strain two-year run without mitigation.
 # Some summaries of this scenario list a control value of 1.0; the scenario
@@ -446,21 +436,16 @@ dt = 0.05
 # Total population: susceptible pool of 217e6 plus the day-0 seed of 255.
 population = 217000255
 
-[strain.1]
-{_TABLE_STRAIN}activation_day = 0
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
+{_strain_section(1, 0)}
 [control]
 mode = none
 """
 
-_EXPERIMENT2 = f"""# Two identical strains; the second is seeded 180 days after the first
-# and starts from a mirrored seed drawn out of the susceptible pool.
 
+def _two_strain_text(name: str, comment: str, beta2: str) -> str:
+    return f"""{comment}
 [scenario]
-name = experiment2
+name = {name}
 
 [grid]
 start = 0
@@ -470,52 +455,8 @@ dt = 0.05
 [initial]
 population = 217000255
 
-[strain.1]
-{_TABLE_STRAIN}activation_day = 0
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
-[strain.2]
-{_TABLE_STRAIN}activation_day = 180
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
-[control]
-mode = none
-"""
-
-_EXPERIMENT3 = f"""# Like experiment2, but the late strain transmits 1.7x faster.
-
-[scenario]
-name = experiment3
-
-[grid]
-start = 0
-horizon = 730
-dt = 0.05
-
-[initial]
-population = 217000255
-
-[strain.1]
-{_TABLE_STRAIN}activation_day = 0
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
-[strain.2]
-beta = 4.097e-09
-sigma = 0.14285714285714285
-gamma = 0.047619047619047616
-delta = 0.011111111111111112
-mu = 1.152e-05
-activation_day = 180
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
+{_strain_section(1, 0)}
+{_strain_section(2, 180, beta2)}
 [control]
 mode = none
 """
@@ -538,12 +479,7 @@ dt = 0.1
 [initial]
 population = 217000255
 
-[strain.1]
-{_TABLE_STRAIN}activation_day = 0
-seed_exposed = 252
-seed_infected = 2
-seed_removed = 1
-
+{_strain_section(1, 0)}
 [control]
 mode = optimize
 
@@ -559,8 +495,17 @@ u_init = 0
 
 PRESET_TEXTS: dict[str, str] = {
     "experiment1": _EXPERIMENT1,
-    "experiment2": _EXPERIMENT2,
-    "experiment3": _EXPERIMENT3,
+    "experiment2": _two_strain_text(
+        "experiment2",
+        "# Two identical strains; the second is seeded 180 days after the first\n"
+        "# and starts from a mirrored seed drawn out of the susceptible pool.\n",
+        "2.41e-09",
+    ),
+    "experiment3": _two_strain_text(
+        "experiment3",
+        "# Like experiment2, but the late strain transmits 1.7x faster.\n",
+        "4.097e-09",
+    ),
     "case_a": _case_text("a", 1.0),
     "case_b": _case_text("b", 0.9),
     "case_c": _case_text("c", 0.8),
@@ -602,8 +547,11 @@ def preset_config(name: str) -> ScenarioConfig:
 
 def write_preset(name: str, path: str) -> None:
     text = preset_text(name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write preset {name!r} ({exc})") from exc
 
 
 def resolve_config(name_or_path: str) -> ScenarioConfig:
@@ -618,36 +566,29 @@ def set_config_value(config: ScenarioConfig, param_path: str, value: float) -> S
     """Return a copy of the config with one numeric field replaced.
 
     Paths use the section.key notation of the config file, e.g. ``grid.dt``,
-    ``cost.c2_log_scale`` or ``strain.2.beta``.
+    ``cost.c2_log_scale`` or ``strain.2.beta``.  The value gets the checks a
+    file value gets.
     """
-    parts = param_path.strip().lower().split(".")
+    return _with_values(config, {param_path: value})
+
+
+def _with_values(config: ScenarioConfig, values: dict) -> ScenarioConfig:
+    """A copy of the config with each numeric ``path: value`` set, validated
+    once after all of them: a value may fit only together with another, as a
+    new ``grid.dt`` with a new ``grid.horizon``."""
     out = replace(config, strains=[replace(s) for s in config.strains])
-    simple = {
-        ("grid", "start"): "start",
-        ("grid", "horizon"): "horizon",
-        ("grid", "dt"): "dt",
-        ("initial", "population"): "population",
-        ("control", "value"): "control_value",
-        ("cost", "c1"): "c1",
-        ("cost", "c2"): "c2",
-        ("cost", "c2_log_scale"): "c2_log_scale",
-        ("cost", "c2_population"): "c2_population",
-        ("cost", "relaxation"): "relaxation",
-        ("cost", "tolerance"): "tolerance",
-        ("cost", "u_init"): "u_init",
-    }
-    if len(parts) == 2 and tuple(parts) in simple:
-        setattr(out, simple[tuple(parts)], float(value))
-    elif len(parts) == 2 and tuple(parts) == ("cost", "max_iterations"):
-        out.max_iterations = int(value)
-    elif len(parts) == 3 and parts[0] == "strain":
-        if not parts[1].isdigit() or not 1 <= int(parts[1]) <= len(out.strains):
-            raise ConfigError(f"no such strain in parameter path {param_path!r}")
-        spec = out.strains[int(parts[1]) - 1]
-        if parts[2] not in _KNOWN_KEYS["strain"]:
-            raise ConfigError(f"unknown strain field in parameter path {param_path!r}")
-        setattr(spec, parts[2], float(value))
-    else:
-        raise ConfigError(f"unknown or non-numeric parameter path {param_path!r}")
+    for param_path, value in values.items():
+        parts = param_path.strip().lower().split(".")
+        if len(parts) == 3 and parts[0] == "strain":
+            if not parts[1].isdigit() or not 1 <= int(parts[1]) <= len(out.strains):
+                raise ConfigError(f"no such strain in parameter path {param_path!r}")
+            if parts[2] not in _STRAIN_KEYS:
+                raise ConfigError(f"unknown strain field in parameter path {param_path!r}")
+            target, name, kind = out.strains[int(parts[1]) - 1], parts[2], float
+        elif tuple(parts) in _SCHEMA and _SCHEMA[tuple(parts)][1] in (float, int):
+            target, (name, kind) = out, _SCHEMA[tuple(parts)]
+        else:
+            raise ConfigError(f"unknown or non-numeric parameter path {param_path!r}")
+        setattr(target, name, _coerce(".".join(parts), kind, value))
     out.validate()
     return out

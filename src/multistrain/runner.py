@@ -328,18 +328,28 @@ def sweep(
     """Run the scenario once per parameter value and combine the summaries.
 
     Each run writes into ``<root>/<name>__<param>_<value>/``; a combined
-    ``sweep_summary.csv`` lands in the root.  Scenario runs are independent,
-    so callers may parallelise them externally if needed.
+    ``sweep_summary.csv`` lands in the root.  Every value is checked, and
+    must give its own directory, before the first run.  Scenario runs are
+    independent, so callers may parallelise them externally if needed.
     """
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    configs = [set_config_value(config, param_path, value) for value in values]
+    tags: dict[str, float] = {}
+    for value in values:
+        tag = _value_tag(value)
+        if tag in tags:
+            raise ConfigError(
+                f"sweep values {tags[tag]!r} and {value!r} would share the run "
+                f"directory tag {tag!r}"
+            )
+        tags[tag] = value
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
     os.makedirs(root, exist_ok=True)
     results = []
     combined = []
-    for value in values:
-        cfg = set_config_value(config, param_path, value)
+    for value, cfg in zip(values, configs):
         tag = f"{cfg.name}__{param_path.replace('.', '_')}_{_value_tag(value)}"
         sub = os.path.join(root, tag)
         result = run_scenario(cfg, out_dir=sub, quiet=quiet, write_svg=write_svg)

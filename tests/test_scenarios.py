@@ -28,6 +28,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
+from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.runner import format_report
 
 SHORT_SIM = """\
@@ -85,6 +86,45 @@ mode = optimize
 c1 = 1
 c2_log_scale = 1.0
 """
+
+
+def _set_key(text: str, section: str, key: str, raw: str) -> str:
+    """``text`` with ``key = raw`` in ``[section]``, in place of any earlier value."""
+    lines = text.splitlines()
+    head = lines.index(f"[{section}]")
+    end = next((i for i in range(head + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    body = [line for line in lines[head + 1:end] if not line.startswith(f"{key} =")]
+    return "\n".join(lines[:head + 1] + [f"{key} = {raw}"] + body + lines[end:]) + "\n"
+
+
+# Every numeric key of the schema with a value that differs from SCHEMA_BASE's
+# and that the scenario accepts with only that key changed.
+NUMERIC_PATHS = [
+    f"{section}.{key}" for (section, key), (_, kind) in _SCHEMA.items() if kind in (float, int)
+] + [f"strain.1.{key}" for key in _STRAIN_KEYS]
+NUMERIC_VALUES = {
+    "grid.start": 5.0, "grid.horizon": 40.0, "grid.dt": 0.05,
+    "initial.population": 2000255.0, "control.value": 0.25,
+    "cost.c1": 2.5, "cost.c2": 12.0, "cost.c2_log_scale": 0.7,
+    "cost.c2_population": 1e6, "cost.relaxation": 0.3, "cost.tolerance": 1e-5,
+    "cost.max_iterations": 7, "cost.u_init": 0.2,
+    "strain.1.beta": 6e-7, "strain.1.sigma": 0.2, "strain.1.gamma": 0.05,
+    "strain.1.delta": 0.02, "strain.1.mu": 2e-5, "strain.1.activation_day": 20.0,
+    "strain.1.seed_exposed": 100.0, "strain.1.seed_infected": 3.0,
+    "strain.1.seed_removed": 0.5,
+}
+SCHEMA_BASE = _set_key(SHORT_OPT, "strain.1", "activation_day", "10")
+
+
+def _base_for(path: str) -> str:
+    """SCHEMA_BASE, in the control mode or c2 form that ``path`` applies to."""
+    if path == "control.value":
+        return SCHEMA_BASE.split("[cost]")[0].replace(
+            "mode = optimize", "mode = constant\nvalue = 0"
+        )
+    if path == "cost.c2":
+        return SCHEMA_BASE.replace("c2_log_scale = 1.0", "c2 = 3")
+    return SCHEMA_BASE
 
 
 class TestLoadConfig:
@@ -163,6 +203,10 @@ class TestLoadConfig:
             set_config_value(preset_config("case_a"), "grid.dt", 10.0)
         assert set_config_value(preset_config("case_a"), "grid.dt", 5.0).dt == 5.0
 
+    def test_activation_day_defaults_to_grid_start(self):
+        cfg = parse_config_text(SHORT_SIM.replace("start = 0", "start = 5"))
+        assert cfg.strains[0].activation_day == 5.0
+
     def test_negative_start_is_rejected_at_load(self):
         text = SHORT_SIM.replace("start = 0", "start = -10").replace(
             "seed_removed = 1", "seed_removed = 1\nactivation_day = -10"
@@ -181,6 +225,38 @@ class TestLoadConfig:
             set_config_value(cfg, "strain.2.beta", 1e-8)
         with pytest.raises(ConfigError):
             set_config_value(cfg, "nope.nope", 1.0)
+
+
+class TestSchema:
+    """The file parser and the sweep setter read one table, so a value means
+    the same, and fails the same checks, whichever way it comes in."""
+
+    @pytest.mark.parametrize("path", NUMERIC_PATHS)
+    def test_setter_matches_the_parser(self, path):
+        section, key = path.rsplit(".", 1)
+        value = NUMERIC_VALUES[path]
+        base = parse_config_text(_base_for(path))
+        from_text = parse_config_text(_set_key(_base_for(path), section, key, repr(value)))
+        assert from_text != base
+        assert set_config_value(base, path, value) == from_text
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("path", NUMERIC_PATHS)
+    def test_non_finite_values_are_rejected_naming_the_key(self, path, raw):
+        section, key = path.rsplit(".", 1)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config_text(_set_key(_base_for(path), section, key, raw))
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            set_config_value(parse_config_text(_base_for(path)), path, float(raw))
+
+    def test_fractional_max_iterations_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"cost\.max_iterations"):
+            parse_config_text(_set_key(SCHEMA_BASE, "cost", "max_iterations", "2.7"))
+        with pytest.raises(ConfigError, match=r"cost\.max_iterations"):
+            set_config_value(parse_config_text(SCHEMA_BASE), "cost.max_iterations", 2.7)
+        assert set_config_value(
+            parse_config_text(SCHEMA_BASE), "cost.max_iterations", 7.0
+        ).max_iterations == 7
 
 
 class TestRunScenario:
@@ -404,6 +480,16 @@ class TestSweep:
         assert "strain.1.beta" in text
         deaths = [r.summary.cumulative_deaths for r in results]
         assert deaths[1] > deaths[0]
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "shortrun__strain_1_beta_5.2em07", "shortrun__strain_1_beta_8.84em07",
+        ]
+
+    def test_values_sharing_a_run_directory_are_rejected_before_any_run(self, tmp_path):
+        cfg = parse_config_text(SHORT_SIM)
+        with pytest.raises(ConfigError, match=r"5\.2e-07 and 5\.200000001e-07"):
+            sweep(cfg, "strain.1.beta", [5.2e-7, 5.200000001e-7],
+                  out_dir=str(tmp_path / "sw"), quiet=True, write_svg=False)
+        assert not (tmp_path / "sw").exists()
 
 
 class TestCli:
@@ -497,6 +583,46 @@ class TestCli:
         path = tmp_path / "cfg.ini"
         path.write_text(SHORT_SIM)
         assert main(["simulate", str(path), "--quiet", "--seed-day", "10"]) == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "experiment1", "--horizon", "inf"], "grid.horizon"),
+        (["simulate", "experiment2", "--seed-day", "nan"], "strain.2.activation_day"),
+        (["sweep", "experiment1", "--param", "strain.1.activation_day", "--values", "nan"],
+         "strain.1.activation_day"),
+        (["sweep", "experiment1", "--param", "strain.1.seed_exposed", "--values", "nan"],
+         "strain.1.seed_exposed"),
+        (["sweep", "case_a", "--param", "cost.max_iterations", "--values", "2.7"],
+         "cost.max_iterations"),
+        (["sweep", "case_a", "--param", "cost.max_iterations", "--values", "inf"],
+         "cost.max_iterations"),
+    ])
+    def test_bad_override_exits_two_naming_the_key(self, argv, key, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path), "--quiet", "--no-svg"]) == 2
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "experiment1", "--dt", "0.3", "--horizon", "9"],
+        ["simulate", "experiment2", "--dt", "0.7", "--horizon", "14", "--seed-day", "7"],
+    ])
+    def test_overrides_are_validated_together(self, argv, tmp_path):
+        # The new dt divides only the new horizon and seed day, so checking
+        # the config after each flag would reject these.
+        assert main(argv + ["--out", str(tmp_path), "--quiet", "--no-svg"]) == 0
+
+    def test_directory_as_config_exits_two(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path), "--quiet"]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xff\xfe" + SHORT_SIM.encode("utf-8"))
+        assert main(["simulate", str(path), "--quiet"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_presets_write_to_a_directory_exits_two(self, tmp_path, capsys):
+        assert main(["presets", "write", "experiment1", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestCostSweep:
