@@ -16,7 +16,7 @@ from .dynamics import (
     split,
 )
 from .errors import DomainError
-from .integrate import Trajectory
+from .integrate import Trajectory, same_time
 
 # A terminal window is reported as a plateau when the compartment's share of
 # the initial population moves by less than this over the window.
@@ -146,7 +146,7 @@ def summarize(traj: Trajectory, window: float = 90.0) -> TrajectorySummary:
     horizon = grid.T - grid.t0
     if not window > 0:
         raise DomainError(f"window must be > 0, got {window!r}")
-    if window > horizon + 1e-9 * max(1.0, horizon):
+    if window > horizon and not same_time(window, horizon):
         raise DomainError(
             f"window {window!r} exceeds the horizon {horizon!r}"
         )

@@ -9,6 +9,9 @@ values) and the CLI's ``--dt``, ``--horizon`` and ``--seed-day`` all read it
 and convert through one function, so a value from a sweep or a flag gets the
 same checks as one from a file.  Defaults are those of the dataclasses.
 
+Every value rule lives in the model object that uses the value: validation
+builds that object and only adds the config key to its error.
+
     [scenario]            optional
     name                  run label, used for default output paths
 
@@ -57,11 +60,12 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .control import CostParams
-from .dynamics import EpidemicState, StrainParams, max_stable_dt
-from .errors import ConfigError
+from .control import CostParams, check_solver_settings
+from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
+from .errors import ConfigError, DomainError
 from .integrate import SeedEvent, TimeGrid
 
 CONTROL_MODES = ("none", "constant", "schedule", "optimize")
@@ -127,6 +131,7 @@ class ScenarioConfig:
     base_dir: str = "."
 
     def validate(self) -> None:
+        """Raise ConfigError for the first flaw; see the module docstring."""
         numbers = [
             (f"{section}.{key}", getattr(self, name))
             for (section, key), (name, kind) in _SCHEMA.items() if kind in (float, int)
@@ -140,38 +145,33 @@ class ScenarioConfig:
                 raise ConfigError(f"{path} must be finite, got {value!r}")
         if not self.strains:
             raise ConfigError("at least one [strain.N] section is required")
-        if not self.dt > 0:
-            raise ConfigError(f"grid.dt must be > 0, got {self.dt!r}")
         if not self.start >= 0:
             raise ConfigError(f"grid.start must be >= 0, got {self.start!r}")
-        if not self.horizon > self.start:
-            raise ConfigError("grid.horizon must lie after grid.start")
         if not self.population > 0:
             raise ConfigError("initial.population must be > 0")
-        span = self.horizon - self.start
-        if _off_grid(span, self.dt):
-            raise ConfigError(
-                f"grid.dt={self.dt!r} does not divide the horizon span {span!r}"
-            )
+        with _prefixed("grid"):
+            grid = self.grid()
+        params = []
         for idx, s in enumerate(self.strains, start=1):
-            for fname in ("beta", "sigma", "gamma", "delta"):
-                if not getattr(s, fname) > 0:
-                    raise ConfigError(f"strain.{idx}.{fname} must be > 0")
-            if s.mu < 0:
-                raise ConfigError(f"strain.{idx}.mu must be >= 0")
-            for fname in ("seed_exposed", "seed_infected", "seed_removed"):
-                if getattr(s, fname) < 0:
-                    raise ConfigError(f"strain.{idx}.{fname} must be >= 0")
             if s.activation_day < self.start:
                 raise ConfigError(
                     f"strain.{idx}.activation_day lies before grid.start"
                 )
-            if _off_grid(s.activation_day - self.start, self.dt):
+            if not grid.aligned(s.activation_day):
                 raise ConfigError(
                     f"grid.dt={self.dt!r} does not divide "
                     f"strain.{idx}.activation_day offset"
                 )
-        self._check_step_stability()
+            with _prefixed(f"strain.{idx}"):
+                params.append(s.params())
+                s.seed_event(idx - 1)
+        # RK4 stability at the infection-free state (dynamics.max_stable_dt).
+        safe = max_stable_dt(params, self.population)
+        if self.dt > safe:
+            raise ConfigError(
+                f"grid.dt={self.dt!r} makes RK4 unstable on the fastest decaying "
+                f"mode: grid.dt must be at most {safe:.4g}"
+            )
         if self.control_mode not in CONTROL_MODES:
             raise ConfigError(
                 f"control.mode must be one of {', '.join(CONTROL_MODES)}; "
@@ -180,8 +180,8 @@ class ScenarioConfig:
         if self.control_mode == "constant":
             if self.control_value is None:
                 raise ConfigError("control.value is required for constant mode")
-            if not 0.0 <= self.control_value <= 1.0:
-                raise ConfigError("control.value must lie in [0, 1]")
+            with _prefixed("control.value"):
+                check_control(self.control_value)
         elif self.control_value is not None:
             raise ConfigError("control.value only applies to constant mode")
         if self.control_mode == "schedule":
@@ -196,36 +196,19 @@ class ScenarioConfig:
                 raise ConfigError(
                     "optimize mode needs exactly one of cost.c2 and cost.c2_log_scale"
                 )
-            if not self.c1 > 0:
-                raise ConfigError("cost.c1 must be > 0")
-            if self.c2 is not None and not self.c2 > 0:
-                raise ConfigError("cost.c2 must be > 0")
             if self.c2_log_scale is not None and not self.c2_log_scale > 0:
                 raise ConfigError("cost.c2_log_scale must be > 0")
             if self.c2_population is not None and not self.c2_population > 1:
                 raise ConfigError("cost.c2_population must be > 1")
-            if not 0.0 < self.relaxation <= 1.0:
-                raise ConfigError("cost.relaxation must lie in (0, 1]")
-            if not self.tolerance > 0:
-                raise ConfigError("cost.tolerance must be > 0")
-            if self.max_iterations < 1:
-                raise ConfigError("cost.max_iterations must be >= 1")
-            if not 0.0 <= self.u_init <= 1.0:
-                raise ConfigError("cost.u_init must lie in [0, 1]")
+            with _prefixed("cost"):
+                self.cost_params()
+                check_solver_settings(self.relaxation, self.tolerance, self.max_iterations)
+            with _prefixed("cost.u_init"):
+                check_control(self.u_init)
         elif any(
             v is not None for v in (self.c1, self.c2, self.c2_log_scale, self.c2_population)
         ):
             raise ConfigError("the [cost] section only applies to optimize mode")
-
-    def _check_step_stability(self) -> None:
-        """Reject a ``dt`` that RK4 cannot integrate stably (see
-        :func:`~multistrain.dynamics.max_stable_dt`)."""
-        safe = max_stable_dt(self.strain_params(), self.population)
-        if self.dt > safe:
-            raise ConfigError(
-                f"grid.dt={self.dt!r} makes RK4 unstable on the fastest decaying "
-                f"mode: grid.dt must be at most {safe:.4g}"
-            )
 
     # Derived build helpers
 
@@ -264,9 +247,14 @@ class ScenarioConfig:
         return os.path.normpath(os.path.join(self.base_dir, name))
 
 
-def _off_grid(offset: float, dt: float) -> bool:
-    steps = round(offset / dt)
-    return abs(steps * dt - offset) > 1e-9 * max(1.0, abs(offset))
+@contextmanager
+def _prefixed(prefix: str):
+    """Re-raise a model object's check as a ConfigError that names the
+    config section or key ``prefix`` it came from."""
+    try:
+        yield
+    except (DomainError, ConfigError) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 # The file schema: (section, key) -> (ScenarioConfig field, kind).  The kind

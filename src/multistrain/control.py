@@ -14,6 +14,7 @@ few times coarser, whose schedule is interpolated onto the real grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .dynamics import (
     strain_arrays,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
-from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
+from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, same_time, simulate
 
 # Number of past residual differences the Anderson step mixes.
 ANDERSON_DEPTH = 5
@@ -54,32 +55,6 @@ class CostParams:
             raise DomainError(f"c1 must be > 0, got {self.c1!r}")
         if not self.c2 > 0:
             raise DomainError(f"c2 must be > 0, got {self.c2!r}")
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """Mitigation values on a uniform grid, one per node, each in [0, 1]."""
-
-    grid: TimeGrid
-    u: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.u, dtype=float)
-        if arr.shape != (self.grid.n_points,):
-            raise DomainError(
-                f"schedule needs {self.grid.n_points} values, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("schedule contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise DomainError("schedule values must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "u", arr)
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, value: float) -> "ControlSchedule":
-        check_control(value)
-        return cls(grid=grid, u=np.full(grid.n_points, float(value)))
 
 
 @dataclass(frozen=True)
@@ -226,7 +201,7 @@ def costate_derivatives(
     """
     if state.n_strains != costate.n_strains or state.n_strains != len(params):
         raise DomainError("state, costate and parameters disagree on strain count")
-    if abs(state.t - costate.t) > 1e-9 * max(1.0, abs(state.t)):
+    if not same_time(costate.t, state.t):
         raise DomainError(
             f"state (t={state.t!r}) and costate (t={costate.t!r}) are not simultaneous"
         )
@@ -390,14 +365,6 @@ def _anderson_step(
     return np.clip(step, 0.0, 1.0)
 
 
-def _on_grid(grid: TimeGrid, time: float) -> bool:
-    try:
-        grid.index_of(time)
-    except ConfigError:
-        return False
-    return True
-
-
 def _coarse_grid(
     grid: TimeGrid,
     params: Sequence[StrainParams],
@@ -416,7 +383,7 @@ def _coarse_grid(
         if grid.n_steps % m or m * grid.dt > safe:
             continue
         coarse = TimeGrid(t0=grid.t0, dt=m * grid.dt, n_steps=grid.n_steps // m)
-        if all(_on_grid(coarse, t) for t in times):
+        if all(coarse.aligned(t) for t in times):
             return coarse
     return None
 
@@ -475,6 +442,16 @@ def _sweep(
     )
 
 
+def check_solver_settings(relaxation: float, tol: float, max_iter: int) -> None:
+    """Raise DomainError for sweep settings :func:`fbsm_solve` cannot run with."""
+    if not 0.0 < relaxation <= 1.0:
+        raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def fbsm_solve(
     initial: EpidemicState,
     params: Sequence[StrainParams],
@@ -511,13 +488,7 @@ def fbsm_solve(
     Hitting ``max_iter`` on the caller's grid returns a report with
     ``converged=False`` rather than raising.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
-
+    check_solver_settings(relaxation, tol, max_iter)
     if u_init is None:
         u = np.zeros(grid.n_points)
     else:

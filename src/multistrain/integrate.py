@@ -34,6 +34,12 @@ from .dynamics import (
 from .errors import ConfigError, DomainError, IntegrationError, StateConsistencyError
 
 
+def same_time(t: float, ref: float) -> bool:
+    """Whether ``t`` is the time ``ref`` up to round-off, 1e-9 of ``max(1,
+    |ref|)`` days; a NaN or infinite ``t`` never is.  Every time check uses it."""
+    return abs(t - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid: ``n_steps`` steps of ``dt`` days starting at ``t0``."""
@@ -56,7 +62,7 @@ class TimeGrid:
         if not horizon > t0:
             raise DomainError("horizon must lie after t0")
         n = round((horizon - t0) / dt)
-        if n < 1 or abs(t0 + n * dt - horizon) > 1e-6 * max(1.0, abs(horizon)):
+        if n < 1 or not same_time(t0 + n * dt, horizon):
             raise ConfigError(
                 f"dt={dt!r} does not divide the horizon {horizon!r} - {t0!r}"
             )
@@ -76,14 +82,42 @@ class TimeGrid:
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt
 
+    def aligned(self, time: float) -> bool:
+        """Whether ``time`` is ``t0 + k*dt`` for an integer ``k``, in the span or not."""
+        return same_time(time, self.time_at(round((time - self.t0) / self.dt)))
+
     def index_of(self, time: float) -> int:
         """Grid index of ``time``; raises ``ConfigError`` when off-grid."""
         k = round((time - self.t0) / self.dt)
-        if k < 0 or k > self.n_steps or abs(self.time_at(k) - time) > 1e-9 * max(
-            1.0, abs(time)
-        ):
+        if k < 0 or k > self.n_steps or not same_time(time, self.time_at(k)):
             raise ConfigError(f"time {time!r} does not lie on the grid")
         return k
+
+
+@dataclass(frozen=True)
+class ControlSchedule:
+    """Mitigation values on a uniform grid, one per node, each in [0, 1]."""
+
+    grid: TimeGrid
+    u: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.u, dtype=float)
+        if arr.shape != (self.grid.n_points,):
+            raise DomainError(
+                f"schedule needs {self.grid.n_points} values, got shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("schedule contains non-finite values")
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise DomainError("schedule values must lie in [0, 1]")
+        arr.setflags(write=False)
+        object.__setattr__(self, "u", arr)
+
+    @classmethod
+    def constant(cls, grid: TimeGrid, value: float) -> "ControlSchedule":
+        check_control(value)
+        return cls(grid=grid, u=np.full(grid.n_points, float(value)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +281,7 @@ def rk4_step(
 def simulate(
     initial: EpidemicState,
     params: Sequence[StrainParams],
-    schedule: "ControlSchedule",
+    schedule: ControlSchedule,
     events: Sequence[SeedEvent],
     grid: TimeGrid,
 ) -> Trajectory:
@@ -259,15 +293,13 @@ def simulate(
     must hold zero compartments, and no strain may be seeded before it
     activates.
     """
-    from .control import ControlSchedule  # local import to avoid a cycle
-
     if not isinstance(schedule, ControlSchedule):
         raise DomainError("simulate expects a ControlSchedule")
     if schedule.grid != grid:
         raise ConfigError("control schedule is defined on a different grid")
     if len(params) != initial.n_strains:
         raise DomainError("initial state and parameter list disagree on strain count")
-    if abs(initial.t - grid.t0) > 1e-9 * max(1.0, abs(grid.t0)):
+    if not same_time(initial.t, grid.t0):
         raise ConfigError(
             f"initial state is at t={initial.t!r} but the grid starts at {grid.t0!r}"
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 
@@ -11,9 +10,9 @@ import numpy as np
 
 from .analysis import TrajectorySummary, summarize
 from .config import ScenarioConfig, set_config_value
-from .control import ControlSchedule, FbsmReport, fbsm_solve
+from .control import FbsmReport, fbsm_solve
 from .errors import ConfigError
-from .integrate import TimeGrid, Trajectory, simulate
+from .integrate import ControlSchedule, TimeGrid, Trajectory, same_time, simulate
 from .svgchart import line_chart
 
 DEFAULT_WINDOW = 90.0
@@ -83,7 +82,7 @@ def _check_times(path: str, times, grid: TimeGrid) -> None:
     nodes = grid.times()
     for k, t in enumerate(times):
         t = float(t)
-        if not math.isfinite(t) or abs(t - nodes[k]) > 1e-9 * max(1.0, abs(t)):
+        if not same_time(t, nodes[k]):
             raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
 
 
@@ -248,6 +247,14 @@ def format_report(report: FbsmReport) -> str:
     )
 
 
+def _make_dir(path: str) -> None:
+    """Create the output directory ``path``, or raise ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create the output directory ({exc})") from exc
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
@@ -257,11 +264,13 @@ def run_scenario(
     """Execute one scenario and write its artifacts.
 
     Artifacts are ``trajectory.csv``, ``summary.csv`` and (unless disabled)
-    SVG charts, all placed in the scenario's output directory.  For optimize
-    mode the sweep report is attached to the result; non-convergence is
-    reported, not raised.
+    SVG charts, all placed in the scenario's output directory, which is made
+    before the run.  For optimize mode the sweep report is attached to the
+    result; non-convergence is reported, not raised.
     """
     config.validate()
+    out = out_dir or config.output_dir or os.path.join("out", config.name)
+    _make_dir(out)
     grid = config.grid()
     params = config.strain_params()
     events = config.seed_events()
@@ -289,8 +298,6 @@ def run_scenario(
 
     summary = summarize(traj, window=min(DEFAULT_WINDOW, grid.T - grid.t0))
 
-    out = out_dir or config.output_dir or os.path.join("out", config.name)
-    os.makedirs(out, exist_ok=True)
     files = []
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj_path, traj)
@@ -346,7 +353,7 @@ def sweep(
             )
         tags[tag] = value
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
-    os.makedirs(root, exist_ok=True)
+    _make_dir(root)
     results = []
     combined = []
     for value, cfg in zip(values, configs):

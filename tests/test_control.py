@@ -379,6 +379,8 @@ class TestFbsmSolve:
                        relaxation=0.0)
         with pytest.raises(DomainError):
             fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), tol=0.0)
+        with pytest.raises(DomainError, match="max_iter"):
+            fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), max_iter=2.5)
 
 
 class TestCoarseStart:

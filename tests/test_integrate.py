@@ -40,6 +40,9 @@ class TestTimeGrid:
     def test_incommensurate_horizon_rejected(self):
         with pytest.raises(ConfigError):
             TimeGrid.from_horizon(0.0, 10.05, 0.1)
+        # The tolerance of every same-time check, which config load also uses.
+        with pytest.raises(ConfigError):
+            TimeGrid.from_horizon(0.0, 730.00001, 0.1)
 
     def test_index_of_off_grid_time(self):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)

@@ -259,6 +259,37 @@ class TestSchema:
         ).max_iterations == 7
 
 
+    # Rules the config leaves to the model object that takes the value: a
+    # value that breaks one, and the section or key the ConfigError names.
+    @pytest.mark.parametrize("path, value, prefix", [
+        ("strain.1.beta", -1.0, "strain.1"),
+        ("strain.1.seed_infected", -2.0, "strain.1"),
+        ("grid.dt", 0.0, "grid"),
+        ("grid.horizon", -5.0, "grid"),
+        ("grid.horizon", 150.00001, "grid"),
+        ("control.value", 1.5, "control.value"),
+        ("cost.c1", 0.0, "cost"),
+        ("cost.c2", -1.0, "cost"),
+        ("cost.relaxation", 1.5, "cost"),
+        ("cost.tolerance", 0.0, "cost"),
+        ("cost.u_init", -0.1, "cost.u_init"),
+        ("cost.max_iterations", 0, "cost"),
+    ])
+    def test_model_checks_name_the_config_section(self, path, value, prefix):
+        section, key = path.rsplit(".", 1)
+        message = rf"^{re.escape(prefix)}: "
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(_set_key(_base_for(path), section, key, repr(value)))
+        with pytest.raises(ConfigError, match=message):
+            set_config_value(parse_config_text(_base_for(path)), path, value)
+
+    def test_fractional_max_iterations_from_library_code_is_rejected(self):
+        cfg = preset_config("case_a")
+        cfg.max_iterations = 2.5
+        with pytest.raises(ConfigError, match=r"^cost: max_iter"):
+            cfg.validate()
+
+
 class TestRunScenario:
     def test_artifacts_and_determinism(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
@@ -619,6 +650,17 @@ class TestCli:
         path.write_bytes(b"\xff\xfe" + SHORT_SIM.encode("utf-8"))
         assert main(["simulate", str(path), "--quiet"]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, out", [
+        (["simulate", "experiment1", "--dt", "0.5", "--horizon", "10"], "file"),
+        (["sweep", "experiment1", "--dt", "0.5", "--horizon", "10",
+          "--param", "strain.1.beta", "--values", "3e-9"], "file/sub"),
+    ])
+    def test_unusable_output_directory_exits_two(self, argv, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / out)
+        assert main(argv + ["--out", path, "--quiet", "--no-svg"]) == 2
+        assert path in capsys.readouterr().err
 
     def test_presets_write_to_a_directory_exits_two(self, tmp_path, capsys):
         assert main(["presets", "write", "experiment1", str(tmp_path)]) == 2
