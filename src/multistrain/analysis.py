@@ -51,8 +51,8 @@ def numeric_jacobian(
         plus[i] += step
         minus = x0.copy()
         minus[i] -= step
-        f_plus = np.hstack(full_system_rhs(*split(plus, n), params, u, t=state.t))
-        f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u, t=state.t))
+        f_plus = np.hstack(full_system_rhs(*split(plus, n), params, u))
+        f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u))
         jac[:, i] = (f_plus - f_minus) / (2.0 * step)
     return jac
 

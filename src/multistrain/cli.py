@@ -38,7 +38,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--seed-day", type=float, metavar="DAYS", dest="seed_day",
-        help="override the activation day of strains 2..n",
+        help="override the seed day (activation_day) of strains 2..n",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress run output")
     parser.add_argument("--no-svg", action="store_true", help="skip chart output")

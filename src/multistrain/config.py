@@ -28,7 +28,9 @@ builds that object and only adds the config key to its error.
 
     [strain.1] .. [strain.n]   one section per strain, numbered from 1
     beta, sigma, gamma, delta, mu     per-strain rates
-    activation_day        day the strain is seeded (default: start)
+    activation_day        the day the strain's seed is applied, in
+                          [start, horizon] (default: start); a strain enters
+                          the model only through its seed
     seed_exposed, seed_infected, seed_removed
                           mass moved from susceptibles into the strain's
                           compartments on its activation day (default 0)
@@ -88,7 +90,7 @@ class StrainSpec:
     def params(self) -> StrainParams:
         return StrainParams(
             beta=self.beta, sigma=self.sigma, gamma=self.gamma,
-            delta=self.delta, mu=self.mu, activation_time=self.activation_day,
+            delta=self.delta, mu=self.mu,
         )
 
     def seed_event(self, strain_index: int) -> SeedEvent | None:
@@ -156,6 +158,12 @@ class ScenarioConfig:
             if s.activation_day < self.start:
                 raise ConfigError(
                     f"strain.{idx}.activation_day lies before grid.start"
+                )
+            if s.activation_day > self.horizon:
+                raise ConfigError(
+                    f"strain.{idx}.activation_day={s.activation_day!r} lies after "
+                    f"grid.horizon={self.horizon!r}; seed the strain on or before "
+                    "the last day"
                 )
             if not grid.aligned(s.activation_day):
                 raise ConfigError(

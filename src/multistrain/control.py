@@ -193,11 +193,10 @@ def costate_derivatives(
                      + phi_P mu_j + mu_j sum_{i != j} phi_S_i
     d phi_R_j / dt = delta_j (phi_R_j - phi_S_j)
 
-    with S_j taken algebraically from the state and the sum over active
-    strains only.  Strains not yet activated at ``state.t`` have frozen
-    dynamics, so their adjoints are frozen too.  The product with ``J`` is an
-    ``einsum``: a BLAS product may fuse multiply and add, and then equal
-    ``phi_S_j`` and ``phi_E_j`` no longer cancel exactly.
+    with S_j taken algebraically from the state.  A strain not yet seeded
+    has ``I_j = 0``, so its ``phi_S_j`` stays constant until the seed.  The
+    product with ``J`` is an ``einsum``: a BLAS product may fuse multiply and
+    add, and then equal ``phi_S_j`` and ``phi_E_j`` no longer cancel exactly.
     """
     if state.n_strains != costate.n_strains or state.n_strains != len(params):
         raise DomainError("state, costate and parameters disagree on strain count")
@@ -206,10 +205,8 @@ def costate_derivatives(
             f"state (t={state.t!r}) and costate (t={costate.t!r}) are not simultaneous"
         )
     check_control(u)
-    arrays = strain_arrays(params)
     J = jacobian(
-        state.susceptible_all()[None], state.I[None], u,
-        (state.t >= arrays.activation)[None], arrays,
+        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
     )[0]
     phi = np.hstack((
         costate.phi_P, costate.phi_S, costate.phi_E, costate.phi_I, costate.phi_R
@@ -232,15 +229,13 @@ def optimal_u(
 
     u* = max(0, (1/c2) ln( (1/c2) sum_j S_j I_j beta_j (phi_S_j - phi_E_j) ))
 
-    evaluated with algebraic S_j and only over activated strains.  A
-    non-positive log argument yields 0; values above 1 are clamped.
+    evaluated with algebraic S_j.  A non-positive log argument yields 0;
+    values above 1 are clamped.
     """
     if state.n_strains != costate.n_strains or state.n_strains != len(params):
         raise DomainError("state, costate and parameters disagree on strain count")
     total = 0.0
     for j, p in enumerate(params):
-        if state.t < p.activation_time:
-            continue
         s_j = state.P - state.E[j] - state.I[j] - state.R[j]
         total += s_j * state.I[j] * p.beta * (costate.phi_S[j] - costate.phi_E[j])
     arg = total / costs.c2
@@ -275,9 +270,9 @@ def backward_sweep(
     k-1 is the affine map ``phi_{k-1} = M_k phi_k + c_k``, held as the
     matrix ``[[M_k, c_k], [0, 1]]`` acting on ``(phi, 1)``: the RK4 stages
     applied to the identity.  Stage 1 takes ``J`` at node k, stages 2 and 3
-    at the midpoint (linear interpolants of the stored state and control,
-    with node k-1's strain activity) and stage 4 at node k-1.  The maps are
-    formed in batches of ``SWEEP_BLOCK`` steps, then applied in one loop.
+    at the midpoint (linear interpolants of the stored state and control)
+    and stage 4 at node k-1.  The maps are formed in batches of
+    ``SWEEP_BLOCK`` steps, then applied in one loop.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
@@ -290,7 +285,6 @@ def backward_sweep(
     S = traj.susceptible_matrix()
     I = traj.I
     u = traj.u
-    active = grid.times()[:, None] >= arrays.activation
     S_mid = 0.5 * (S[:-1] + S[1:])
     I_mid = 0.5 * (I[:-1] + I[1:])
     u_mid = 0.5 * (u[:-1] + u[1:])
@@ -305,12 +299,11 @@ def backward_sweep(
         m0 = max(m1 - SWEEP_BLOCK, 0)
         nodes = slice(m0, m1 + 1)
         A_node = _adjoint_generators(
-            jacobian(S[nodes], I[nodes], u[nodes], active[nodes], arrays), costs.c1
+            jacobian(S[nodes], I[nodes], u[nodes], arrays), costs.c1
         )
         steps = slice(m0, m1)
         A_mid = _adjoint_generators(
-            jacobian(S_mid[steps], I_mid[steps], u_mid[steps], active[steps], arrays),
-            costs.c1,
+            jacobian(S_mid[steps], I_mid[steps], u_mid[steps], arrays), costs.c1
         )
         a = A_node[1:]
         b = A_mid @ (eye + 0.5 * h * a)
@@ -328,13 +321,11 @@ def _pointwise_formula(
     traj: Trajectory,
     costates: CostateTrajectory,
     beta_row: np.ndarray,
-    active_mask: np.ndarray,
     costs: CostParams,
 ) -> np.ndarray:
     """Closed-form control at every grid node, clamped to [0, 1]."""
     contrib = beta_row * traj.susceptible_matrix() * traj.I
-    contrib = contrib * (costates.phi_S - costates.phi_E)
-    total = np.where(active_mask, contrib, 0.0).sum(axis=1)
+    total = (contrib * (costates.phi_S - costates.phi_E)).sum(axis=1)
     positive = total > 0.0
     safe = np.where(positive, total / costs.c2, 1.0)
     values = np.log(safe) / costs.c2
@@ -372,18 +363,14 @@ def _coarse_grid(
     population: float,
 ) -> TimeGrid | None:
     """The grid of step ``m * grid.dt`` for the largest ``m`` in
-    ``COARSE_FACTORS`` that divides the step count, holds every seed time and
-    every in-horizon activation time as a node, and keeps RK4 stable; ``None``
-    when no ``m`` qualifies."""
-    times = [ev.time for ev in events] + [
-        p.activation_time for p in params if grid.t0 <= p.activation_time <= grid.T
-    ]
+    ``COARSE_FACTORS`` that divides the step count, holds every seed time as
+    a node, and keeps RK4 stable; ``None`` when no ``m`` qualifies."""
     safe = max_stable_dt(params, population)
     for m in COARSE_FACTORS:
         if grid.n_steps % m or m * grid.dt > safe:
             continue
         coarse = TimeGrid(t0=grid.t0, dt=m * grid.dt, n_steps=grid.n_steps // m)
-        if all(coarse.aligned(t) for t in times):
+        if all(coarse.aligned(ev.time) for ev in events):
             return coarse
     return None
 
@@ -401,8 +388,7 @@ def _sweep(
 ) -> FbsmReport:
     """Anderson-mixed fixed-point iteration of ``u = F(u)`` on one grid,
     starting from the schedule values ``u``."""
-    arrays = strain_arrays(params)
-    active_mask = grid.times()[:, None] >= arrays.activation
+    beta = strain_arrays(params).beta
 
     # The last ANDERSON_DEPTH differences, kept in ring buffers allocated once
     # so that no step stacks fresh copies of the history.
@@ -414,7 +400,7 @@ def _sweep(
         schedule = ControlSchedule(grid, u)
         traj = simulate(initial, params, schedule, events, grid)
         costates = backward_sweep(traj, params, costs)
-        g = _pointwise_formula(traj, costates, arrays.beta, active_mask, costs) - u
+        g = _pointwise_formula(traj, costates, beta, costs) - u
         if not np.all(np.isfinite(g)):
             raise SolverError("control update produced non-finite values")
         residual = float(np.max(np.abs(g)))
@@ -478,8 +464,8 @@ def fbsm_solve(
     a grid of step ``m * grid.dt``, started from ``u_init`` at every m-th
     node and run to ``COARSE_TOL_FACTOR * tol``, gives a schedule that is
     interpolated linearly onto ``grid``.  ``m`` is the largest of
-    ``COARSE_FACTORS`` that divides the step count, puts every seed time and
-    every in-horizon activation time on a coarse node and keeps RK4 stable
+    ``COARSE_FACTORS`` that divides the step count, puts every seed time on
+    a coarse node and keeps RK4 stable
     (:func:`~multistrain.dynamics.max_stable_dt`).  When none does, or the
     coarse run leaves the admissible region, the sweep starts cold from
     ``u_init``.  A coarse solve that does not converge still seeds the fine

@@ -9,6 +9,11 @@ so every strain sees its own susceptible pool.  Strains interact only through
 deaths (which drain ``P``) and through the mitigation factor ``u`` in
 ``[0, 1]`` that scales every transmission term by ``1 - u``.
 
+A strain enters the model when it is seeded.  Every flow is a product with
+``E``, ``I`` or ``R``, so a strain with ``E = I = R = 0`` has no flows at all
+and, until its seed, its susceptible pool simply tracks ``P``.  There is no
+separate inactive state to switch on, and so no jump in the adjoint.
+
 :func:`flows` is the one vectorised definition of the five per-strain flows,
 from which :func:`full_system_rhs` and :func:`equilibrium_residuals` are
 built; :func:`rhs_lists` is their list form for the integrator's hot loop.
@@ -46,7 +51,7 @@ def check_control(u: float) -> float:
 
 @dataclass(frozen=True)
 class StrainParams:
-    """Per-strain rates (1/day) and the day the strain enters the system.
+    """Per-strain rates (1/day).
 
     ``beta`` is the transmission rate per person per day, ``sigma`` the
     inverse latency, ``gamma`` the recovery rate, ``delta`` the rate of
@@ -60,7 +65,6 @@ class StrainParams:
     gamma: float
     delta: float
     mu: float
-    activation_time: float = 0.0
 
     def __post_init__(self):
         for name in ("beta", "sigma", "gamma", "delta"):
@@ -69,10 +73,6 @@ class StrainParams:
                 raise DomainError(f"strain parameter {name} must be > 0, got {value!r}")
         if not self.mu >= 0.0:
             raise DomainError(f"strain parameter mu must be >= 0, got {self.mu!r}")
-        if not self.activation_time >= 0.0:
-            raise DomainError(
-                f"activation_time must be >= 0, got {self.activation_time!r}"
-            )
 
     def require_positive_mu(self) -> None:
         """Strict validation mode for analysis that divides by ``mu``."""
@@ -163,33 +163,19 @@ def _check_strains(state: EpidemicState, params: Sequence[StrainParams]) -> None
         )
 
 
-def _check_inactive_blank(state: EpidemicState, params: Sequence[StrainParams]) -> None:
-    tol = NEGATIVE_TOLERANCE * max(state.P, 1.0)
-    for j, p in enumerate(params):
-        if state.t < p.activation_time:
-            if abs(state.E[j]) > tol or abs(state.I[j]) > tol or abs(state.R[j]) > tol:
-                raise StateConsistencyError(
-                    f"strain {j} activates at day {p.activation_time} but has "
-                    f"non-zero compartments at t={state.t}"
-                )
-
-
-def rhs_lists(t, P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
+def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
     """Compartment flows on plain Python lists; the one list form of the model.
 
     Evaluates the right-hand side at the stage state ``E + h*kE``,
     ``I + h*kI``, ``R + h*kR`` with total population ``P``, so an RK4 stage
     needs no list of its own; ``h = 0`` with zero slopes gives the flows at
     ``(P, E, I, R)`` itself.  ``rows`` comes from :func:`strain_rows`.  The
-    per-strain derivatives are written into ``dE``, ``dI`` and ``dR``; strains
-    not yet activated at ``t`` get zeros.  Returns ``dP``.
+    per-strain derivatives are written into ``dE``, ``dI`` and ``dR``.
+    Returns ``dP``.
     """
     deaths = 0.0
     w = 1.0 - u
-    for j, beta, sigma, mu_gamma, gamma, delta, mu, activation in rows:
-        if t < activation:
-            dE[j] = dI[j] = dR[j] = 0.0
-            continue
+    for j, beta, sigma, mu_gamma, gamma, delta, mu in rows:
         e = E[j] + h * kE[j]
         i = I[j] + h * kI[j]
         r = R[j] + h * kR[j]
@@ -210,17 +196,16 @@ class StrainArrays(NamedTuple):
     gamma: np.ndarray
     delta: np.ndarray
     mu: np.ndarray
-    activation: np.ndarray
 
 
 def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
-    """Columns of the strain parameter table; ``activation`` is the start day.
+    """Columns of the strain parameter table.
 
     The one place parameter arrays are built: vectorised code uses the arrays
     and the per-step loops walk the rows of :func:`strain_rows`.
     """
     columns = []
-    for name in ("beta", "sigma", "gamma", "delta", "mu", "activation_time"):
+    for name in ("beta", "sigma", "gamma", "delta", "mu"):
         column = np.array([getattr(p, name) for p in params], dtype=float)
         column.setflags(write=False)
         columns.append(column)
@@ -228,7 +213,7 @@ def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
 
 
 def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
-    """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu, activation)``.
+    """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu)``.
 
     Plain floats from :func:`strain_arrays`, in the order :func:`rhs_lists`
     unpacks them.
@@ -237,7 +222,7 @@ def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
     return list(zip(
         range(len(a.beta)), a.beta.tolist(), a.sigma.tolist(),
         (a.mu + a.gamma).tolist(), a.gamma.tolist(), a.delta.tolist(),
-        a.mu.tolist(), a.activation.tolist(),
+        a.mu.tolist(),
     ))
 
 
@@ -247,17 +232,15 @@ def derivatives(
     """Time derivative of the epidemic state under mitigation ``u``.
 
     The P, E, I and R balance equations of :func:`flows`, with the
-    susceptible pool taken algebraically.  Strains whose activation day lies
-    in the future must hold zero compartments and get a zero derivative.
+    susceptible pool taken algebraically.
     """
     _check_strains(state, params)
     check_control(u)
     state.validate()
-    _check_inactive_blank(state, params)
     zero = [0.0] * state.n_strains
     dE, dI, dR = list(zero), list(zero), list(zero)
     dP = rhs_lists(
-        state.t, state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
+        state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
         0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
     )
     return StateDerivative(dP=dP, dE=np.array(dE), dI=np.array(dI), dR=np.array(dR))
@@ -286,11 +269,10 @@ class Flows(NamedTuple):
     waning: np.ndarray  # delta R, from R back to S
 
 
-def flows(S, E, I, R, u, active, arrays: StrainArrays) -> Flows:
+def flows(S, E, I, R, u, arrays: StrainArrays) -> Flows:
     """The flows at per-strain coordinates ``S, E, I, R``, with ``S`` independent.
 
-    Inactive strains (``active`` False) get zero flows.  Every balance
-    equation is a signed sum of these terms:
+    Every balance equation is a signed sum of these terms:
 
         dP/dt   = -sum_j deaths_j
         dS_j/dt = -transmission_j + waning_j - sum_{i != j} deaths_i
@@ -298,9 +280,8 @@ def flows(S, E, I, R, u, active, arrays: StrainArrays) -> Flows:
         dI_j/dt = latent_exit_j - recovery_j - deaths_j
         dR_j/dt = recovery_j - waning_j
     """
-    beta, sigma, gamma, delta, mu, _ = arrays
-    terms = ((1.0 - u) * beta * S * I, sigma * E, gamma * I, mu * I, delta * R)
-    return Flows(*(np.where(active, term, 0.0) for term in terms))
+    beta, sigma, gamma, delta, mu = arrays
+    return Flows((1.0 - u) * beta * S * I, sigma * E, gamma * I, mu * I, delta * R)
 
 
 def split(x: np.ndarray, n: int):
@@ -326,8 +307,9 @@ def full_system_rhs(
 
     Here ``S`` is an independent coordinate vector rather than the algebraic
     pool, which is the form the adjoint equations and the stability Jacobian
-    are written against.  ``t=None`` treats every strain as active.
-    Returns ``(dP, dS, dE, dI, dR)`` as floats/arrays.
+    are written against.  The system is autonomous: ``t`` is accepted for
+    callers that pass it and has no effect.  Returns ``(dP, dS, dE, dI, dR)``
+    as floats/arrays.
     """
     n = len(params)
     check_control(u)
@@ -337,52 +319,45 @@ def full_system_rhs(
     R = np.asarray(R, dtype=float)
     if not (len(S) == len(E) == len(I) == len(R) == n):
         raise DomainError("coordinate vectors must have one entry per strain")
-    arrays = strain_arrays(params)
-    active = np.full(n, True) if t is None else t >= arrays.activation
-    f = flows(S, E, I, R, u, active, arrays)
+    f = flows(S, E, I, R, u, strain_arrays(params))
     total_deaths = f.deaths.sum()
-    # Inactive strains are frozen, so their S too ignores the other deaths.
-    dS = np.where(active, -f.transmission + f.waning - (total_deaths - f.deaths), 0.0)
     return (
-        -total_deaths, dS, f.transmission - f.latent_exit,
+        -total_deaths, -f.transmission + f.waning - (total_deaths - f.deaths),
+        f.transmission - f.latent_exit,
         f.latent_exit - (f.recovery + f.deaths), f.recovery - f.waning,
     )
 
 
-def jacobian(S, I, u, active, arrays: StrainArrays) -> np.ndarray:
+def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
     """Analytic Jacobian of :func:`full_system_rhs` at K nodes at once.
 
-    ``S`` and ``I`` have shape (K, n), ``u`` is a scalar or one value per
-    node and ``active`` is the (K, n) activity mask of the strains.  The
-    result has shape (K, 4n+1, 4n+1) in the coordinates
-    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``; the rows and columns of
-    inactive strains are exactly zero.  The flows are bilinear in S and I, so
+    ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
+    node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
+    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  The flows are bilinear in S and I, so
     only those two enter.  The adjoint equations are
     ``d phi / dt = -J^T phi - c1 e_P``.
     """
     S = np.asarray(S, dtype=float)
     I = np.asarray(I, dtype=float)
     K, n = S.shape
-    on = np.asarray(active, dtype=float)
     w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
-    wb = w[:, None] * arrays.beta * on
-    mu = arrays.mu * on
+    wb = w[:, None] * arrays.beta
     _, s, e, i, r = split(np.arange(4 * n + 1), n)
 
     J = np.zeros((K, 4 * n + 1, 4 * n + 1))
-    J[:, 0, i] = -mu
-    # S_j loses the deaths of every other active strain.
-    J[:, s[:, None], i] = -on[:, :, None] * mu[:, None, :]
+    J[:, 0, i] = -arrays.mu
+    # S_j loses the deaths of every other strain.
+    J[:, s[:, None], i] = -arrays.mu
     J[:, s, i] = -wb * S
     J[:, s, s] = -wb * I
-    J[:, s, r] = arrays.delta * on
+    J[:, s, r] = arrays.delta
     J[:, e, s] = wb * I
-    J[:, e, e] = -arrays.sigma * on
+    J[:, e, e] = -arrays.sigma
     J[:, e, i] = wb * S
-    J[:, i, e] = arrays.sigma * on
-    J[:, i, i] = -(arrays.mu + arrays.gamma) * on
-    J[:, r, i] = arrays.gamma * on
-    J[:, r, r] = -arrays.delta * on
+    J[:, i, e] = arrays.sigma
+    J[:, i, i] = -(arrays.mu + arrays.gamma)
+    J[:, r, i] = arrays.gamma
+    J[:, r, r] = -arrays.delta
     return J
 
 
@@ -417,7 +392,7 @@ def reproduction_number(
         raise DomainError("S_bar must provide one value per strain")
     if np.any(s_bar < 0):
         raise DomainError("S_bar values must be >= 0")
-    beta, _, gamma, _, mu, _ = strain_arrays(params)
+    beta, _, gamma, _, mu = strain_arrays(params)
     terms = (1.0 - u) * beta * s_bar / (mu + gamma)
     k = int(np.argmax(terms))
     return ReproductionNumber(value=float(terms[k]), per_strain=terms, argmax_strain=k)
@@ -435,7 +410,7 @@ def min_stabilizing_control(params: Sequence[StrainParams], S_bar) -> float:
     s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
     if np.any(s_bar <= 0):
         raise DomainError("S_bar values must be > 0")
-    beta, _, gamma, _, mu, _ = strain_arrays(params)
+    beta, _, gamma, _, mu = strain_arrays(params)
     u_min = 1.0 - float(np.min((mu + gamma) / (beta * s_bar)))
     return max(0.0, u_min)
 
@@ -520,7 +495,7 @@ def equilibrium_residuals(
     if not (len(point.S) == n):
         raise DomainError("equilibrium point and parameter list disagree on strains")
     check_control(u)
-    f = flows(point.S, point.E, point.I, point.R, u, True, strain_arrays(params))
+    f = flows(point.S, point.E, point.I, point.R, u, strain_arrays(params))
 
     def rel(*terms):
         terms = np.array(terms)
@@ -558,7 +533,7 @@ def analytic_eigenvalues(
     s_bar = _strain_vector(S_bar, "S_bar", n=n)
     if np.any(s_bar < 0):
         raise DomainError("S_bar values must be >= 0")
-    beta, sigma, gamma, delta, mu, _ = strain_arrays(params)
+    beta, sigma, gamma, delta, mu = strain_arrays(params)
     out = np.zeros(4 * n + 1, dtype=complex)
     out[n + 1 : 2 * n + 1] = -delta
     half_trace = -0.5 * (mu + gamma + sigma)

@@ -26,7 +26,6 @@ from .dynamics import (
     NEGATIVE_TOLERANCE,
     EpidemicState,
     StrainParams,
-    _check_inactive_blank,
     check_control,
     rhs_lists,
     strain_rows,
@@ -192,7 +191,7 @@ def _slope_buffers(n: int) -> tuple:
     return tuple([0.0] * n for _ in range(13))
 
 
-def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
+def _step(P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
     """One classical RK4 step on plain lists.
 
     Updates ``E``, ``I`` and ``R`` in place and returns the new ``P``.  Each
@@ -203,14 +202,10 @@ def _step(t, P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
     """
     aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = slopes
     half = 0.5 * dt
-    aP = rhs_lists(t, P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
-    bP = rhs_lists(
-        t + half, P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR
-    )
-    cP = rhs_lists(
-        t + half, P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR
-    )
-    dP = rhs_lists(t + dt, P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
+    aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
+    bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
+    cP = rhs_lists(P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR)
+    dP = rhs_lists(P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
     sixth = dt / 6.0
     P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
     admissible = True
@@ -256,8 +251,7 @@ def rk4_step(
     """Advance the state by one RK4 step of length ``dt``.
 
     The three control values feed the four stages: ``u_now`` at the first,
-    ``u_mid`` at both middle stages, ``u_next`` at the last.  A strain not
-    yet active at ``state.t`` must hold zero compartments.  Round-off
+    ``u_mid`` at both middle stages, ``u_next`` at the last.  Round-off
     negatives within tolerance are clamped to zero; non-finite results raise
     :class:`IntegrationError`.
     """
@@ -268,11 +262,10 @@ def rk4_step(
     if not dt > 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     state.validate()
-    _check_inactive_blank(state, params)
     tol = NEGATIVE_TOLERANCE * max(state.P, 1.0)
     E, I, R = state.E.tolist(), state.I.tolist(), state.R.tolist()
     P = _step(
-        state.t, state.P, E, I, R, strain_rows(params), u_now, u_mid, u_next, dt,
+        state.P, E, I, R, strain_rows(params), u_now, u_mid, u_next, dt,
         _slope_buffers(state.n_strains), tol, None,
     )
     return EpidemicState(t=state.t + dt, P=P, E=E, I=I, R=R)
@@ -289,9 +282,9 @@ def simulate(
 
     Seeds are added to the named strain's compartments with the total
     population unchanged, then the step proceeds.  The recorded state at a
-    seeding node includes the seed.  A strain not yet active at the start
-    must hold zero compartments, and no strain may be seeded before it
-    activates.
+    seeding node includes the seed.  A strain with zero compartments has no
+    flows, so it enters the run through its seed; until then its
+    susceptible pool is all of ``P``.
     """
     if not isinstance(schedule, ControlSchedule):
         raise DomainError("simulate expects a ControlSchedule")
@@ -304,21 +297,13 @@ def simulate(
             f"initial state is at t={initial.t!r} but the grid starts at {grid.t0!r}"
         )
     initial.validate()
-    _check_inactive_blank(initial, params)
 
     n = initial.n_strains
     events_at: dict[int, list[SeedEvent]] = {}
     for ev in sorted(events, key=lambda e: (e.time, e.strain)):
         if ev.strain >= n:
             raise ConfigError(f"seed event targets unknown strain {ev.strain}")
-        k = grid.index_of(ev.time)
-        # The step holds a strain frozen before activation, seed and all.
-        if grid.time_at(k) < params[ev.strain].activation_time:
-            raise ConfigError(
-                f"seed event for strain {ev.strain} at day {ev.time} lies before "
-                f"its activation day {params[ev.strain].activation_time}"
-            )
-        events_at.setdefault(k, []).append(ev)
+        events_at.setdefault(grid.index_of(ev.time), []).append(ev)
 
     rows = strain_rows(params)
     slopes = _slope_buffers(n)
@@ -335,10 +320,9 @@ def simulate(
     E = initial.E.tolist()
     I = initial.I.tolist()
     R = initial.R.tolist()
-    t0, dt = grid.t0, grid.dt
+    dt = grid.dt
 
     for k in range(N + 1):
-        t = t0 + k * dt
         for ev in events_at.get(k, ()):
             j = ev.strain
             E[j] += ev.exposed
@@ -357,7 +341,7 @@ def simulate(
             break
         u0 = u_list[k]
         u1 = u_list[k + 1]
-        P = _step(t, P, E, I, R, rows, u0, 0.5 * (u0 + u1), u1, dt, slopes, tol, k)
+        P = _step(P, E, I, R, rows, u0, 0.5 * (u0 + u1), u1, dt, slopes, tol, k)
 
     return Trajectory(
         grid=grid, P=P_hist, E=E_hist, I=I_hist, R=R_hist,

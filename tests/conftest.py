@@ -26,7 +26,7 @@ def baseline_initial():
     return EpidemicState(t=0.0, P=P0, E=[E0], I=[I0], R=[R0_])
 
 
-def random_params(rng: np.random.Generator, n: int, activation=0.0) -> list[StrainParams]:
+def random_params(rng: np.random.Generator, n: int) -> list[StrainParams]:
     """Positive rates in physically plausible ranges."""
     out = []
     for _ in range(n):
@@ -37,7 +37,6 @@ def random_params(rng: np.random.Generator, n: int, activation=0.0) -> list[Stra
                 gamma=float(rng.uniform(0.02, 0.3)),
                 delta=float(rng.uniform(0.005, 0.1)),
                 mu=float(rng.uniform(1e-6, 1e-3)),
-                activation_time=activation,
             )
         )
     return out
@@ -68,7 +67,7 @@ def susceptible_derivative(
     transmission = (1.0 - u) * p.beta * s_j * state.I[j]
     other_deaths = 0.0
     for i, q in enumerate(params):
-        if i != j and state.t >= q.activation_time:
+        if i != j:
             other_deaths += q.mu * state.I[i]
     return -transmission + p.delta * state.R[j] - other_deaths
 

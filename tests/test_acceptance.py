@@ -292,7 +292,7 @@ def test_criterion_06_adjoint_agreement():
             P, S = x[0], x[1 : n + 1]
             E, I = x[n + 1 : 2 * n + 1], x[2 * n + 1 : 3 * n + 1]
             R = x[3 * n + 1 :]
-            dP, dS, dE, dI, dR = full_system_rhs(P, S, E, I, R, params, u, t=None)
+            dP, dS, dE, dI, dR = full_system_rhs(P, S, E, I, R, params, u)
             return (
                 costs.c1 * P - math.exp(costs.c2 * u) + cs.phi_P * dP
                 + float(cs.phi_S @ dS + cs.phi_E @ dE + cs.phi_I @ dI + cs.phi_R @ dR)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -46,11 +45,6 @@ class TestStrainParams:
         with pytest.raises(DomainError):
             p.require_positive_mu()
 
-    def test_negative_activation_rejected(self):
-        with pytest.raises(DomainError):
-            StrainParams(beta=1e-9, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0,
-                         activation_time=-1.0)
-
 
 class TestDerivatives:
     def test_infection_free_point_is_fixed(self, baseline_params):
@@ -78,19 +72,6 @@ class TestDerivatives:
         state = EpidemicState(t=0.0, P=1e6, E=[-5.0], I=[0.0], R=[0.0])
         with pytest.raises(StateConsistencyError):
             derivatives(state, baseline_params, 0.0)
-
-    def test_inactive_strain_must_be_blank(self):
-        params = [
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
-                         activation_time=180.0),
-        ]
-        bad = EpidemicState(t=0.0, P=1e6, E=[10.0, 5.0], I=[1.0, 0.0], R=[0.0, 0.0])
-        with pytest.raises(StateConsistencyError):
-            derivatives(bad, params, 0.0)
-        good = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[1.0, 0.0], R=[0.0, 0.0])
-        d = derivatives(good, params, 0.0)
-        assert d.dE[1] == 0.0 and d.dI[1] == 0.0 and d.dR[1] == 0.0
 
 
 class TestSusceptible:
@@ -276,7 +257,7 @@ class TestFullSystemRhs:
             d = derivatives(state, params, u)
             dP, dS, dE, dI, dR = full_system_rhs(
                 state.P, state.susceptible_all(), state.E, state.I, state.R,
-                params, u, t=state.t,
+                params, u,
             )
             assert dP == pytest.approx(d.dP, rel=1e-14, abs=1e-300)
             assert dE == pytest.approx(d.dE, rel=1e-14)
@@ -286,10 +267,8 @@ class TestFullSystemRhs:
 
 def jacobian_at(state, params, u):
     """The analytic Jacobian at one state, as a single (4n+1)^2 matrix."""
-    arrays = strain_arrays(params)
-    active = state.t >= arrays.activation
     return jacobian(
-        state.susceptible_all()[None], state.I[None], u, active[None], arrays
+        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
     )[0]
 
 
@@ -298,12 +277,10 @@ class TestJacobian:
         rng = np.random.default_rng(23)
         for _ in range(60):
             n = int(rng.integers(1, 4))
-            params = [
-                dataclasses.replace(p, activation_time=float(rng.choice([0.0, 10.0])))
-                for p in random_params(rng, n)
-            ]
+            params = random_params(rng, n)
+            # Some strains are not yet seeded: E = I = R = 0.
+            blank = [bool(rng.choice([False, True])) for _ in params]
             state = random_state(rng, n, t=5.0)
-            blank = [p.activation_time > state.t for p in params]
             state = EpidemicState(
                 t=state.t, P=state.P, E=np.where(blank, 0.0, state.E),
                 I=np.where(blank, 0.0, state.I), R=np.where(blank, 0.0, state.R),
@@ -313,16 +290,9 @@ class TestJacobian:
             gap = np.abs(jacobian_at(state, params, u) - J_num).max()
             assert gap < 1e-9 * max(np.abs(J_num).max(), 1.0)
 
-    def test_inactive_strains_give_a_zero_matrix(self):
-        rng = np.random.default_rng(29)
-        params = random_params(rng, 3, activation=10.0)
-        state = random_state(rng, 3, t=5.0)
-        assert np.all(jacobian_at(state, params, 0.4) == 0.0)
-
     def test_strain_arrays_are_read_only_columns(self):
-        params = random_params(np.random.default_rng(31), 2, activation=3.0)
+        params = random_params(np.random.default_rng(31), 2)
         arrays = strain_arrays(params)
         assert arrays.beta.tolist() == [p.beta for p in params]
-        assert arrays.activation.tolist() == [3.0, 3.0]
         with pytest.raises(ValueError):
             arrays.mu[0] = 0.0

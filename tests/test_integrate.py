@@ -79,18 +79,6 @@ class TestRk4Step:
         with pytest.raises(Exception):
             rk4_step(state, self.params(), 0.0, 1.5, 0.0, 0.1)
 
-    def test_inactive_strain_must_be_blank(self):
-        params = self.params() + [
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
-                         activation_time=2.0)
-        ]
-        state = EpidemicState(t=1.0, P=1e6, E=[10.0, 0.0], I=[10.0, 5.0], R=[0.0, 0.0])
-        with pytest.raises(StateConsistencyError, match="strain 1 activates"):
-            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
-        grid = TimeGrid(t0=1.0, dt=1.0, n_steps=2)
-        with pytest.raises(StateConsistencyError, match="strain 1 activates"):
-            simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
-
     def test_convergence_is_fourth_order(self):
         # Coarse steps keep the truncation error well above round-off.
         def final(dt):
@@ -181,8 +169,7 @@ class TestSimulate:
     def test_second_strain_activation_keeps_compartments_blank(self):
         params = [
             StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
-                         activation_time=20.0),
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
         ]
         grid = TimeGrid.from_horizon(0.0, 40.0, 0.1)
         initial = EpidemicState(t=0.0, P=P0, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
@@ -197,45 +184,25 @@ class TestSimulate:
         assert traj.E[before, 1] == E0
         assert traj.I[-1, 1] > I0
 
-    def test_seed_before_activation_rejected(self):
-        # Seeded on day 2 but active from day 10, the seed would sit frozen
-        # in the inactive strain for eight days.
-        params = [
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
-            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
-                         activation_time=10.0),
-        ]
-        grid = TimeGrid.from_horizon(0.0, 20.0, 0.1)
-        initial = EpidemicState(t=0.0, P=P0, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
-        events = [
-            SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
-            SeedEvent(time=2.0, strain=1, infected=50.0),
-        ]
-        schedule = ControlSchedule.constant(grid, 0.0)
-        with pytest.raises(ConfigError, match=r"strain 1 at day 2\.0 .* activation day 10\.0"):
-            simulate(initial, params, schedule, events, grid)
-
 
 def oracle_simulate(initial, params, u, events, grid):
     """Plain numpy RK4 over x = [P, E, I, R], one row per grid node.
 
     The flows come from ``full_system_rhs`` with ``S = P - E - I - R`` at
-    every stage, each stage decides strain activity at its own time, the
-    middle stages take the control ``(u_k + u_{k+1}) / 2`` and seeds are added
-    at their nodes before the node is recorded.
+    every stage, the middle stages take the control ``(u_k + u_{k+1}) / 2``
+    and seeds are added at their nodes before the node is recorded.
     """
     n = len(params)
 
-    def f(t, x, uu):
+    def f(x, uu):
         P, E, I, R = x[0], x[1:1 + n], x[1 + n:1 + 2 * n], x[1 + 2 * n:]
-        dP, _, dE, dI, dR = full_system_rhs(P, P - E - I - R, E, I, R, params, uu, t=t)
+        dP, _, dE, dI, dR = full_system_rhs(P, P - E - I - R, E, I, R, params, uu)
         return np.concatenate(([dP], dE, dI, dR))
 
     x = np.concatenate(([initial.P], initial.E, initial.I, initial.R))
     out = np.empty((grid.n_points, 3 * n + 1))
     h = grid.dt
     for k in range(grid.n_points):
-        t = grid.time_at(k)
         for ev in events:
             if grid.index_of(ev.time) == k:
                 x[1 + ev.strain] += ev.exposed
@@ -245,19 +212,19 @@ def oracle_simulate(initial, params, u, events, grid):
         if k == grid.n_steps:
             break
         um = 0.5 * (u[k] + u[k + 1])
-        k1 = f(t, x, u[k])
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1, um)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2, um)
-        k4 = f(t + h, x + h * k3, u[k + 1])
+        k1 = f(x, u[k])
+        k2 = f(x + 0.5 * h * k1, um)
+        k3 = f(x + 0.5 * h * k2, um)
+        k4 = f(x + h * k3, u[k + 1])
         x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out
 
 
 def late_strains(n):
-    """Strain j activates on day 10 j with its own beta and is seeded then."""
+    """Strain j is seeded on day 10 j and has its own beta."""
     params = [
         StrainParams(beta=BETA * (1.0 + 0.1 * j), sigma=SIGMA, gamma=GAMMA,
-                     delta=DELTA, mu=MU * (1.0 + 0.2 * j), activation_time=10.0 * j)
+                     delta=DELTA, mu=MU * (1.0 + 0.2 * j))
         for j in range(n)
     ]
     events = [
@@ -299,17 +266,16 @@ def overshoot_state(t):
     return EpidemicState(t=t, P=1.0, E=[0.0], I=[0.999], R=[0.0])
 
 
-def overshoot_params(e_target, activation=0.0):
+def overshoot_params(e_target):
     """Parameters under which one unit RK4 step from ``overshoot_state``
     leaves E at ``e_target``, found by bisection on beta with the oracle."""
 
     def make(beta):
-        return [StrainParams(beta=beta, sigma=1e-6, gamma=1e-6, delta=1e-6, mu=0.0,
-                             activation_time=activation)]
+        return [StrainParams(beta=beta, sigma=1e-6, gamma=1e-6, delta=1e-6, mu=0.0)]
 
     def e_after(beta):
-        grid = TimeGrid(t0=activation, dt=1.0, n_steps=1)
-        state = overshoot_state(activation)
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
+        state = overshoot_state(0.0)
         return oracle_simulate(state, make(beta), [0.0, 0.0], [], grid)[1, 1]
 
     lo, hi = 2.0 / 0.999, 3.5 / 0.999  # E > 0 at lo, E < target at hi
@@ -334,7 +300,7 @@ class TestClamp:
         assert traj.E[1, 0] == 0.0 and traj.I[1, 0] == out.I[0]
 
     def test_negative_just_beyond_tolerance_raises_with_the_step(self):
-        params = overshoot_params(-1.5 * NEGATIVE_TOLERANCE, activation=3.0)
+        params = overshoot_params(-1.5 * NEGATIVE_TOLERANCE)
         with pytest.raises(IntegrationError) as err:
             rk4_step(overshoot_state(3.0), params, 0.0, 0.0, 0.0, 1.0)
         assert err.value.step is None
@@ -347,13 +313,12 @@ class TestClamp:
         assert err.value.step == 3
 
     def test_nan_compartment_raises(self):
-        # A strain that activates at t + dt is live in stage 4 only; there
-        # (beta * S) overflows and meets I = 0, so its E turns NaN while P
-        # stays finite.
+        # For the unseeded strain (beta * S) overflows and meets I = 0, so
+        # its E slope turns NaN in stage 1; by stage 3 the NaN reaches I and,
+        # through the deaths, P.
         params = [
             StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
-            StrainParams(beta=1e308, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU,
-                         activation_time=2.0),
+            StrainParams(beta=1e308, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
         ]
         state = EpidemicState(t=1.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
         with pytest.raises(IntegrationError, match="nan"):
@@ -362,7 +327,7 @@ class TestClamp:
         initial = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
         with pytest.raises(IntegrationError, match="nan") as err:
             simulate(initial, params, ControlSchedule.constant(grid, 0.0), [], grid)
-        assert err.value.step == 1
+        assert err.value.step == 0
 
     def test_infinite_compartment_raises(self):
         # Every stage slope of E is finite and positive, about P, but their

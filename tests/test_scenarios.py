@@ -173,6 +173,10 @@ class TestLoadConfig:
         ).replace("dt = 0.1", "dt = 0.2")
         with pytest.raises(ConfigError, match="activation_day"):
             parse_config_text(text)
+        # Past the horizon, where no node holds the seed.
+        text = preset_text("experiment2").replace("horizon = 730", "horizon = 10")
+        with pytest.raises(ConfigError, match=r"strain\.2\.activation_day.*grid\.horizon"):
+            parse_config_text(text)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="population"):
@@ -618,6 +622,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, key", [
         (["simulate", "experiment1", "--horizon", "inf"], "grid.horizon"),
         (["simulate", "experiment2", "--seed-day", "nan"], "strain.2.activation_day"),
+        (["simulate", "experiment2", "--horizon", "10"], "strain.2.activation_day"),
         (["sweep", "experiment1", "--param", "strain.1.activation_day", "--values", "nan"],
          "strain.1.activation_day"),
         (["sweep", "experiment1", "--param", "strain.1.seed_exposed", "--values", "nan"],
@@ -719,10 +724,9 @@ class TestReferenceIntegrator:
     def test_experiment3_terminal_state_matches_dop853(self):
         """RK4 agrees with an adaptive solver across the day-180 seeding.
 
-        The reference is piecewise: inside a piece the set of active strains
-        is fixed.  On an activation day the strain's susceptible pool, which
-        the right-hand side freezes while the strain is inactive, is reset to
-        its algebraic value ``P - E - I - R`` and the seed is moved out of it.
+        The reference is piecewise, split at the seed days.  It carries every
+        susceptible pool as a coordinate of its own, so an unseeded strain's
+        pool tracks ``P``; on its seed day the seed is moved out of it.
         """
         integrate = pytest.importorskip("scipy.integrate")
         cfg = preset_config("experiment3")
@@ -733,15 +737,14 @@ class TestReferenceIntegrator:
         # Layout [P, S_1..n, E_1..n, I_1..n, R_1..n]; x[1 + n + j :: n] is
         # strain j's E, I and R.
         x = np.concatenate(([p0], np.full(n, p0), np.zeros(3 * n)))
+
+        def rhs(_t, y):
+            dP, dS, dE, dI, dR = full_system_rhs(y[0], *np.split(y[1:], 4), params, 0.0)
+            return np.concatenate(([dP], dS, dE, dI, dR))
+
         t = grid.t0
         for stop in sorted({s.activation_day for s in cfg.strains} | {grid.T}):
             if stop > t:
-                def rhs(_t, y, t_piece=t):
-                    dP, dS, dE, dI, dR = full_system_rhs(
-                        y[0], *np.split(y[1:], 4), params, 0.0, t=t_piece
-                    )
-                    return np.concatenate(([dP], dS, dE, dI, dR))
-
                 ref = integrate.solve_ivp(
                     rhs, (t, stop), x, method="DOP853", rtol=1e-12, atol=1e-12 * p0
                 )
@@ -750,7 +753,7 @@ class TestReferenceIntegrator:
             for j, s in enumerate(cfg.strains):
                 if s.activation_day == t:
                     seed = np.array([s.seed_exposed, s.seed_infected, s.seed_removed])
-                    x[1 + j] = x[0] - x[1 + n + j :: n].sum() - seed.sum()
+                    x[1 + j] -= seed.sum()
                     x[1 + n + j :: n] += seed
 
         traj = simulate(
