@@ -1,4 +1,3 @@
-
 import numpy as np
 import pytest
 
@@ -72,6 +71,22 @@ class TestDerivatives:
         state = EpidemicState(t=0.0, P=1e6, E=[-5.0], I=[0.0], R=[0.0])
         with pytest.raises(StateConsistencyError):
             derivatives(state, baseline_params, 0.0)
+
+    def test_unseeded_strain_has_no_flows(self):
+        # Every flow of a strain is a product with its E, I or R, so a strain
+        # with none of them adds nothing to the model.
+        params = [
+            StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+            StrainParams(beta=2.0 * BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+        ]
+        two = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[1.0, 0.0], R=[3.0, 0.0])
+        one = EpidemicState(t=0.0, P=1e6, E=[10.0], I=[1.0], R=[3.0])
+        for u in (0.0, 0.4, 1.0):
+            d2 = derivatives(two, params, u)
+            d1 = derivatives(one, params[:1], u)
+            assert d2.dE[1] == 0.0 and d2.dI[1] == 0.0 and d2.dR[1] == 0.0
+            assert d2.dP == d1.dP
+            assert (d2.dE[0], d2.dI[0], d2.dR[0]) == (d1.dE[0], d1.dI[0], d1.dR[0])
 
 
 class TestSusceptible:

@@ -184,6 +184,44 @@ class TestSimulate:
         assert traj.E[before, 1] == E0
         assert traj.I[-1, 1] > I0
 
+    def test_unseeded_strain_susceptibles_track_population(self):
+        # Until its seed on day 20 strain 2 has no flows: its susceptible
+        # pool is all of P and strain 1 runs as in the one-strain model.
+        params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)] * 2
+        grid = TimeGrid.from_horizon(0.0, 40.0, 0.1)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
+        events = [
+            SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+            SeedEvent(time=20.0, strain=1, exposed=E0, infected=I0, removed=R0_),
+        ]
+        traj = simulate(initial, params, ControlSchedule.constant(grid, 0.0), events, grid)
+        alone, _, _ = baseline_run(dt=0.1, horizon=40.0)
+        before = traj.grid.index_of(20.0)
+        assert np.array_equal(traj.susceptible_matrix()[:before, 1], traj.P[:before])
+        assert np.array_equal(traj.P[:before + 1], alone.P[:before + 1])
+        assert np.array_equal(traj.E[:before + 1, 0], alone.E[:before + 1, 0])
+        assert traj.P[-1] != alone.P[-1]
+
+    def test_seeds_of_one_strain_add_up(self):
+        # A second seed of a strain that is already spreading adds to its
+        # compartments as they stand on the seed day.
+        params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
+        grid = TimeGrid.from_horizon(0.0, 30.0, 0.1)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0], I=[0.0], R=[0.0])
+        first = SeedEvent(time=5.0, strain=0, exposed=E0, infected=I0, removed=R0_)
+        second = SeedEvent(time=10.0, strain=0, exposed=100.0, infected=20.0, removed=3.0)
+        schedule = ControlSchedule.constant(grid, 0.0)
+        once = simulate(initial, params, schedule, [first], grid)
+        twice = simulate(initial, params, schedule, [first, second], grid)
+        k = grid.index_of(10.0)
+        for name in ("P", "E", "I", "R"):
+            assert np.array_equal(getattr(twice, name)[:k], getattr(once, name)[:k])
+        assert twice.P[k] == once.P[k]
+        assert twice.E[k, 0] == once.E[k, 0] + 100.0
+        assert twice.I[k, 0] == once.I[k, 0] + 20.0
+        assert twice.R[k, 0] == once.R[k, 0] + 3.0
+        assert twice.I[-1, 0] > once.I[-1, 0]
+
 
 def oracle_simulate(initial, params, u, events, grid):
     """Plain numpy RK4 over x = [P, E, I, R], one row per grid node.
