@@ -85,7 +85,9 @@ def _apply_overrides(config, args):
             raise ConfigError("--seed-day needs a scenario with at least two strains")
         for j in range(2, len(config.strains) + 1):
             values[f"strain.{j}.activation_day"] = args.seed_day
-    return _with_values(config, {k: v for k, v in values.items() if v is not None})
+    out = _with_values(config, {k: v for k, v in values.items() if v is not None})
+    out.svg = out.svg and not args.no_svg
+    return out
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -122,19 +124,14 @@ def main(argv=None) -> int:
 
         if args.verb == "sweep":
             results = sweep(
-                config, args.param, _parse_values(args.values),
-                out_dir=args.out, quiet=args.quiet,
-                write_svg=False if args.no_svg else None,
+                config, args.param, _parse_values(args.values), out_dir=args.out, quiet=args.quiet
             )
             if any(r.report is not None and not r.report.converged for r in results):
                 print("at least one sweep run did not converge", file=sys.stderr)
                 return EXIT_SOLVER
             return EXIT_OK
 
-        result = run_scenario(
-            config, out_dir=args.out, quiet=args.quiet,
-            write_svg=False if args.no_svg else None,
-        )
+        result = run_scenario(config, out_dir=args.out, quiet=args.quiet)
         if result.report is not None and not result.report.converged:
             print(
                 f"solver did not converge within {config.max_iterations} iterations "

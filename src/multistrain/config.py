@@ -213,10 +213,10 @@ class ScenarioConfig:
                 check_solver_settings(self.relaxation, self.tolerance, self.max_iterations)
             with _prefixed("cost.u_init"):
                 check_control(self.u_init)
-        elif any(
-            v is not None for v in (self.c1, self.c2, self.c2_log_scale, self.c2_population)
-        ):
-            raise ConfigError("the [cost] section only applies to optimize mode")
+        else:
+            for (section, key), (name, _) in _SCHEMA.items():
+                if section == "cost" and getattr(self, name) != _DEFAULTS[name]:
+                    raise ConfigError(f"cost.{key} only applies to optimize mode")
 
     # Derived build helpers
 
@@ -290,6 +290,7 @@ _SCHEMA = {
     ("output", "svg"): ("svg", bool),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 _STRAIN_KEYS = tuple(f.name for f in fields(StrainSpec))
 
 _BOOLEANS = {

@@ -123,23 +123,29 @@ class FbsmReport:
     ``trajectory`` and ``costates`` are the forward and backward passes run
     under the returned schedule, so the three parts are mutually consistent.
     ``update_history`` holds the fixed-point residual ``max|F(u) - u|`` of
-    every iteration in order; ``last_update`` is its final entry, the
-    residual of the returned schedule.  These fields and ``iterations``
-    describe the sweep on the caller's grid only.  ``coarse_iterations`` and
-    ``coarse_dt`` describe the coarse solve that seeded it; they are 0 and
-    ``None`` when the solve started cold.
+    every iteration in order; ``iterations`` is its length and
+    ``last_update`` its final entry, the residual of the returned schedule.
+    These describe the sweep on the caller's grid only.  ``coarse_iterations``
+    and ``coarse_dt`` describe the coarse solve that seeded it; they are 0
+    and ``None`` when the solve started cold.
     """
 
     converged: bool
-    iterations: int
     objective: float
-    last_update: float
     schedule: ControlSchedule
     trajectory: Trajectory
     costates: CostateTrajectory
     update_history: tuple[float, ...]
     coarse_iterations: int = 0
     coarse_dt: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.update_history)
+
+    @property
+    def last_update(self) -> float:
+        return self.update_history[-1]
 
 
 def running_cost(P: float, u: float, costs: CostParams) -> float:
@@ -156,21 +162,10 @@ def _uniform_trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def objective(
-    traj: Trajectory, costs: CostParams, schedule: ControlSchedule | None = None
-) -> float:
-    """Total reward: trapezoid quadrature of the running cost over the grid.
-
-    The trajectory's own recorded control is used unless an explicit schedule
-    is passed, which must live on the same grid.
-    """
-    if schedule is not None:
-        if schedule.grid != traj.grid:
-            raise ConfigError("schedule and trajectory are on different grids")
-        u = schedule.u
-    else:
-        u = traj.u
-    rates = costs.c1 * traj.P - np.exp(costs.c2 * u)
+def objective(traj: Trajectory, costs: CostParams) -> float:
+    """Total reward: trapezoid quadrature of the running cost, under the
+    trajectory's own recorded control, over the grid."""
+    rates = costs.c1 * traj.P - np.exp(costs.c2 * traj.u)
     return _uniform_trapezoid(rates, traj.grid.dt)
 
 
@@ -418,9 +413,7 @@ def _sweep(
 
     return FbsmReport(
         converged=converged,
-        iterations=iterations,
         objective=objective(traj, costs),
-        last_update=residual,
         schedule=schedule,
         trajectory=traj,
         costates=costates,

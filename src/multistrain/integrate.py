@@ -82,13 +82,15 @@ class TimeGrid:
         return self.t0 + k * self.dt
 
     def aligned(self, time: float) -> bool:
-        """Whether ``time`` is ``t0 + k*dt`` for an integer ``k``, in the span or not."""
-        return same_time(time, self.time_at(round((time - self.t0) / self.dt)))
+        """Whether ``time`` is ``t0 + k*dt`` for an integer ``k``, in the span or
+        not; a NaN or infinite ``time`` never is."""
+        k = round((time - self.t0) / self.dt) if math.isfinite(time) else 0
+        return same_time(time, self.time_at(k))
 
     def index_of(self, time: float) -> int:
         """Grid index of ``time``; raises ``ConfigError`` when off-grid."""
-        k = round((time - self.t0) / self.dt)
-        if k < 0 or k > self.n_steps or not same_time(time, self.time_at(k)):
+        k = round((time - self.t0) / self.dt) if self.aligned(time) else -1
+        if not 0 <= k <= self.n_steps:
             raise ConfigError(f"time {time!r} does not lie on the grid")
         return k
 
@@ -136,6 +138,9 @@ class SeedEvent:
     def __post_init__(self):
         if self.strain < 0:
             raise DomainError("strain index must be >= 0")
+        for name in ("time", "exposed", "infected", "removed"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"seed {name} must be finite, got {getattr(self, name)!r}")
         if self.exposed < 0 or self.infected < 0 or self.removed < 0:
             raise DomainError("seed amounts must be >= 0")
 

@@ -11,6 +11,7 @@ import numpy as np
 from .analysis import TrajectorySummary, summarize
 from .config import ScenarioConfig, set_config_value
 from .control import FbsmReport, fbsm_solve
+from .dynamics import NEGATIVE_TOLERANCE
 from .errors import ConfigError
 from .integrate import ControlSchedule, TimeGrid, Trajectory, same_time, simulate
 from .svgchart import line_chart
@@ -38,18 +39,18 @@ def _g17(x: float) -> str:
 _CSV_CHUNK_ROWS = 1024
 
 
+def _trajectory_header(n_strains: int) -> list[str]:
+    """Columns of a trajectory file: t, P, then S_j, E_j, I_j, R_j per strain, then u."""
+    return ["t", "P", *(f"{c}_{j}" for j in range(1, n_strains + 1) for c in "SEIR"), "u"]
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Write the full run, one row per grid node, 17 significant digits.
 
-    Columns are ``t``, ``P``, then ``S_j, E_j, I_j, R_j`` per strain, then
-    ``u``.  Each row is formatted by one ``%`` call on a whole row of the
-    value matrix; ``"%.17g" % x`` gives the same text as ``_g17(x)``.
+    Each row is formatted by one ``%`` call on a whole row of the value
+    matrix; ``"%.17g" % x`` gives the same text as ``_g17(x)``.
     """
-    n = traj.n_strains
-    header = ["t", "P"]
-    for j in range(1, n + 1):
-        header += [f"S_{j}", f"E_{j}", f"I_{j}", f"R_{j}"]
-    header.append("u")
+    header = _trajectory_header(traj.n_strains)
     values = np.empty((traj.grid.n_points, len(header)))
     values[:, 0] = traj.grid.times()
     values[:, 1] = traj.P
@@ -86,17 +87,28 @@ def _check_times(path: str, times, grid: TimeGrid) -> None:
             raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
 
 
+def _check_cells(path: str, names: list[str], values: np.ndarray, bad, flaw: str) -> None:
+    """Raise ConfigError naming the first row and column where ``bad`` holds."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        k, c = hits[0]
+        raise ConfigError(f"{path}: row {k + 1} {names[c]} = {float(values[k, c])!r} {flaw}")
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    The grid is taken from the times of rows 1 and 2, and every row's time
-    must lie on it.  Every flaw raises :class:`ConfigError` naming the file
-    and, for a bad data row, its number (data rows count from 1 after the
-    header).
+    The header must be the writer's, and the values finite, ``u`` in [0, 1],
+    compartments >= 0 and S equal to ``P - E - I - R``, the last two within
+    ``NEGATIVE_TOLERANCE * max(P, 1)``.  The grid is taken from the times of
+    rows 1 and 2, and every row's time must lie on it.  Every flaw raises
+    :class:`ConfigError` naming the file and, for a bad data row, its number
+    (data rows count from 1 after the header).
     """
     lines = _read_csv(path, "trajectory")
     header = lines[0] if lines else []
-    if len(header) < 3 or header[0] != "t" or header[-1] != "u":
+    n = (len(header) - 3) // 4
+    if n < 1 or header != _trajectory_header(n):
         raise ConfigError(f"{path}: not a trajectory file")
     rows = []
     for k, line in enumerate(lines[1:], start=1):
@@ -111,14 +123,21 @@ def read_trajectory_csv(path: str) -> Trajectory:
     if len(rows) < 2:
         raise ConfigError(f"{path}: trajectory needs at least two rows")
     data = np.array(rows)
+    _check_cells(path, header, data, ~np.isfinite(data), "is not finite")
+    # Columns t, P, then S_j, E_j, I_j, R_j per strain, then u.
+    P, u, compartments = data[:, 1], data[:, -1:], data[:, 1:-1]
+    S, E, I, R = (data[:, c:-1:4] for c in (2, 3, 4, 5))
+    tol = NEGATIVE_TOLERANCE * np.maximum(P, 1.0)[:, None]
+    _check_cells(path, header[-1:], u, (u < 0.0) | (u > 1.0), "lies outside [0, 1]")
+    _check_cells(path, header[1:-1], compartments, compartments < -tol, "lies below zero")
+    off = np.abs(S - (P[:, None] - E - I - R)) > tol
+    _check_cells(path, header[2:-1:4], S, off, "is not P - E - I - R")
     t0, dt = data[0, 0], data[1, 0] - data[0, 0]
     if not dt > 0:
         raise ConfigError(f"{path}: the times of rows 1 and 2 do not increase")
     grid = TimeGrid(t0=float(t0), dt=float(dt), n_steps=len(rows) - 1)
     _check_times(path, data[:, 0], grid)
-    # Columns t, P, then S_j, E_j, I_j, R_j per strain, then u.
-    E, I, R = data[:, 3:-1:4], data[:, 4:-1:4], data[:, 5:-1:4]
-    return Trajectory(grid=grid, P=data[:, 1], E=E, I=I, R=R, u=data[:, -1])
+    return Trajectory(grid=grid, P=P, E=E, I=I, R=R, u=u[:, 0])
 
 
 def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
@@ -150,15 +169,6 @@ def read_schedule_csv(path: str, grid: TimeGrid) -> ControlSchedule:
     return ControlSchedule(grid=grid, u=np.array([u for _, u in rows]))
 
 
-_SUMMARY_FIELDS = [
-    "scenario", "strain", "initial_population", "cumulative_deaths",
-    "peak_infected", "peak_day", "dominant_strain_at_peak",
-    "share_S", "share_E", "share_I", "share_R",
-    "plateau_S", "plateau_E", "plateau_I", "plateau_R",
-    "objective", "fbsm_converged", "fbsm_iterations",
-]
-
-
 def _summary_rows(name: str, summary: TrajectorySummary, report: FbsmReport | None):
     rows = []
     for s in summary.strains:
@@ -188,8 +198,9 @@ def _summary_rows(name: str, summary: TrajectorySummary, report: FbsmReport | No
 
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
+    """Write ``rows`` under a header of their keys, in the first row's order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -259,14 +270,13 @@ def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
     quiet: bool = False,
-    write_svg: bool | None = None,
 ) -> RunResult:
     """Execute one scenario and write its artifacts.
 
-    Artifacts are ``trajectory.csv``, ``summary.csv`` and (unless disabled)
-    SVG charts, all placed in the scenario's output directory, which is made
-    before the run.  For optimize mode the sweep report is attached to the
-    result; non-convergence is reported, not raised.
+    Artifacts are ``trajectory.csv``, ``summary.csv`` and, when ``config.svg``
+    is set, SVG charts, all placed in the scenario's output directory, which
+    is made before the run.  For optimize mode the sweep report is attached
+    to the result; non-convergence is reported, not raised.
     """
     config.validate()
     out = out_dir or config.output_dir or os.path.join("out", config.name)
@@ -305,7 +315,7 @@ def run_scenario(
     summary_path = os.path.join(out, "summary.csv")
     write_summary_csv(summary_path, _summary_rows(config.name, summary, report))
     files.append(summary_path)
-    if write_svg if write_svg is not None else config.svg:
+    if config.svg:
         files += _write_charts(out, config, traj)
 
     if not quiet:
@@ -330,7 +340,6 @@ def sweep(
     values,
     out_dir: str | None = None,
     quiet: bool = False,
-    write_svg: bool | None = None,
 ) -> list[RunResult]:
     """Run the scenario once per parameter value and combine the summaries.
 
@@ -359,18 +368,12 @@ def sweep(
     for value, cfg in zip(values, configs):
         tag = f"{cfg.name}__{param_path.replace('.', '_')}_{_value_tag(value)}"
         sub = os.path.join(root, tag)
-        result = run_scenario(cfg, out_dir=sub, quiet=quiet, write_svg=write_svg)
+        result = run_scenario(cfg, out_dir=sub, quiet=quiet)
         results.append(result)
         for row in _summary_rows(tag, result.summary, result.report):
-            row["scenario"] = tag
             combined.append({"param": param_path, "value": _g17(value), **row})
     path = os.path.join(root, "sweep_summary.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["param", "value"] + _SUMMARY_FIELDS, lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(combined)
+    write_summary_csv(path, combined)
     if not quiet:
         print(f"sweep over {param_path}: combined summary at {path}")
     return results

@@ -28,12 +28,15 @@ MARGIN_RIGHT = 16
 MARGIN_TOP = 36
 MARGIN_BOTTOM = 44
 MAX_POINTS = 5000
+WIDTH = 960
+HEIGHT = 520
+TICK_COUNT = 5
+X_LABEL = "time (days)"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / count
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round tick values in [lo, hi]; the caller ensures ``hi > lo``."""
+    raw = (hi - lo) / TICK_COUNT
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -94,10 +97,7 @@ def line_chart(
     title: str,
     x: Sequence[float],
     series: Sequence[tuple[str, Sequence[float]]],
-    x_label: str = "time (days)",
     y_label: str = "",
-    width: int = 960,
-    height: int = 520,
     y_min: float | None = None,
     y_max: float | None = None,
 ) -> None:
@@ -117,8 +117,8 @@ def line_chart(
         hi_y = lo_y + 1.0
     if hi_x <= lo_x:
         hi_x = lo_x + 1.0
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(v):
         return MARGIN_LEFT + (v - lo_x) / (hi_x - lo_x) * plot_w
@@ -130,11 +130,11 @@ def line_chart(
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
     )
     axis_style = 'stroke="#444444" stroke-width="1"'
@@ -156,8 +156,8 @@ def line_chart(
             f'font-family="sans-serif" font-size="11">{ty:g}</text>'
         )
     out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{X_LABEL}</text>'
     )
     if y_label:
         cy = MARGIN_TOP + plot_h / 2

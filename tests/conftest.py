@@ -101,9 +101,7 @@ def reference_write_trajectory_csv(path: str, traj) -> None:
             writer.writerow(row)
 
 
-def reference_polyline_points(
-    x, series, width=960, height=520, y_min=None, y_max=None
-) -> list[str]:
+def reference_polyline_points(x, series, y_min=None, y_max=None) -> list[str]:
     """Per-point ``points`` attribute of each series of ``svgchart.line_chart``.
 
     Scalar ranges, decimation per series and one f-string per coordinate:
@@ -118,8 +116,8 @@ def reference_polyline_points(
         hi_y = lo_y + 1.0
     if hi_x <= lo_x:
         hi_x = lo_x + 1.0
-    plot_w = width - svgchart.MARGIN_LEFT - svgchart.MARGIN_RIGHT
-    plot_h = height - svgchart.MARGIN_TOP - svgchart.MARGIN_BOTTOM
+    plot_w = svgchart.WIDTH - svgchart.MARGIN_LEFT - svgchart.MARGIN_RIGHT
+    plot_h = svgchart.HEIGHT - svgchart.MARGIN_TOP - svgchart.MARGIN_BOTTOM
 
     def px(v):
         return svgchart.MARGIN_LEFT + (v - lo_x) / (hi_x - lo_x) * plot_w

@@ -468,8 +468,9 @@ def test_criterion_10_second_strain_structure():
 
 def test_criterion_11_determinism_and_order(tmp_path):
     cfg = preset_config("experiment1")
-    r1 = run_scenario(cfg, out_dir=str(tmp_path / "one"), quiet=True, write_svg=False)
-    r2 = run_scenario(cfg, out_dir=str(tmp_path / "two"), quiet=True, write_svg=False)
+    cfg.svg = False
+    r1 = run_scenario(cfg, out_dir=str(tmp_path / "one"), quiet=True)
+    r2 = run_scenario(cfg, out_dir=str(tmp_path / "two"), quiet=True)
     identical = all(
         (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
         for name in ("trajectory.csv", "summary.csv")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from multistrain import control
 from multistrain import (
-    ConfigError,
     ControlSchedule,
     CostateState,
     CostParams,
@@ -109,15 +108,6 @@ class TestObjective:
         traj = simulate(initial, self.params(), ControlSchedule.constant(grid, 0.3), [], grid)
         expected = 10.0 * (2.0 * 1e4 - math.exp(1.5 * 0.3))
         assert objective(traj, costs) == pytest.approx(expected, rel=1e-13)
-
-    def test_schedule_grid_mismatch(self):
-        grid = TimeGrid.from_horizon(0.0, 10.0, 0.5)
-        other = TimeGrid.from_horizon(0.0, 10.0, 0.25)
-        initial = EpidemicState(t=0.0, P=1e4, E=[0.0], I=[0.0], R=[0.0])
-        traj = simulate(initial, self.params(), ControlSchedule.constant(grid, 0.0), [], grid)
-        with pytest.raises(ConfigError):
-            objective(traj, CostParams(c1=1.0, c2=1.0),
-                      schedule=ControlSchedule.constant(other, 0.0))
 
 
 class TestCostateDerivatives:

@@ -7,6 +7,7 @@ from multistrain import (
     NEGATIVE_TOLERANCE,
     ConfigError,
     ControlSchedule,
+    DomainError,
     EpidemicState,
     IntegrationError,
     SeedEvent,
@@ -53,6 +54,26 @@ class TestTimeGrid:
     def test_bad_steps(self):
         with pytest.raises(Exception):
             TimeGrid(t0=0.0, dt=0.0, n_steps=10)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_off_the_grid(self, time):
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
+        assert not grid.aligned(time)
+        with pytest.raises(ConfigError, match="does not lie on the grid"):
+            grid.index_of(time)
+
+
+class TestSeedEvent:
+    @pytest.mark.parametrize("field", ["time", "exposed", "infected", "removed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_or_amount_is_rejected(self, field, value):
+        kwargs = {"time": 10.0, "strain": 0, "exposed": 1.0, field: value}
+        with pytest.raises(DomainError, match=f"seed {field} must be finite"):
+            SeedEvent(**kwargs)
+
+    def test_negative_amount_is_rejected(self):
+        with pytest.raises(DomainError, match=">= 0"):
+            SeedEvent(time=0.0, strain=0, removed=-1.0)
 
 
 class TestRk4Step:

@@ -183,9 +183,24 @@ class TestLoadConfig:
             parse_config_text(SHORT_SIM.replace("population = 1000255", "x = 1")
                               .replace("x = 1", ""))
 
-    def test_cost_section_requires_optimize_mode(self):
-        with pytest.raises(ConfigError, match="optimize"):
-            parse_config_text(SHORT_SIM + "\n[cost]\nc1 = 1\nc2 = 5\n")
+    # One value per [cost] key, each off the key's default.
+    COST_VALUES = {
+        "c1": 1, "c2": 5, "c2_log_scale": 1, "c2_population": 1000,
+        "relaxation": 0.3, "tolerance": -1, "max_iterations": 0, "u_init": 0.5,
+    }
+
+    @pytest.mark.parametrize("key", [key for section, key in _SCHEMA if section == "cost"])
+    def test_cost_section_requires_optimize_mode(self, key):
+        message = rf"^cost\.{key} only applies to optimize mode$"
+        value = self.COST_VALUES[key]
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(SHORT_SIM + f"\n[cost]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=message):
+            set_config_value(parse_config_text(SHORT_SIM), f"cost.{key}", value)
+        cfg = parse_config_text(SHORT_SIM)
+        setattr(cfg, _SCHEMA["cost", key][0], value)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
 
     def test_optimize_needs_exactly_one_c2_form(self):
         with pytest.raises(ConfigError, match="c2"):
@@ -310,7 +325,8 @@ class TestRunScenario:
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
-        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True, write_svg=False)
+        cfg.svg = False
+        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         back = read_trajectory_csv(os.path.join(str(tmp_path), "trajectory.csv"))
         assert np.array_equal(back.P, result.trajectory.P)
         assert np.array_equal(back.E, result.trajectory.E)
@@ -327,6 +343,28 @@ class TestRunScenario:
             "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n"
             "0.5,1,1,0,0,0,0\n",
             "row 3 time 0.5 is off the grid",
+        ),
+        ("t,P,X,Y,Z,W,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n", "not a trajectory file"),
+        ("t,P,S_1,E_1,u\n0,1,1,0,0\n0.1,1,1,0,0\n", "not a trajectory file"),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,nan,1,0,0,0,0\n",
+            r"row 2 P = nan is not finite",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,inf,0,0,0\n",
+            r"row 2 E_1 = inf is not finite",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,3,0,0,0,0\n0.1,1,3,-2,0,0,0\n",
+            r"row 2 E_1 = -2\.0 lies below zero",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,7\n",
+            r"row 2 u = 7\.0 lies outside \[0, 1\]",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,0.5,0,0,0,0\n",
+            r"row 2 S_1 = 0\.5 is not P - E - I - R",
         ),
     ])
     def test_malformed_trajectory_names_the_file_and_the_row(
@@ -365,7 +403,8 @@ class TestRunScenario:
     def test_constant_mode_records_control(self, tmp_path):
         text = SHORT_SIM.replace("mode = none", "mode = constant\nvalue = 0.4")
         cfg = parse_config_text(text)
-        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True, write_svg=False)
+        cfg.svg = False
+        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         assert np.all(result.trajectory.u == 0.4)
 
     def test_schedule_mode_reads_file(self, tmp_path):
@@ -374,16 +413,18 @@ class TestRunScenario:
             SHORT_SIM.replace("mode = none", "mode = schedule\nfile = sched.csv"),
         )
         cfg.base_dir = str(tmp_path)
+        cfg.svg = False
         grid = cfg.grid()
         times = grid.times()
         lines = ["t,u"] + [f"{float(t)!r},0.25" for t in times]
         sched.write_text("\n".join(lines) + "\n")
-        result = run_scenario(cfg, out_dir=str(tmp_path / "out"), quiet=True, write_svg=False)
+        result = run_scenario(cfg, out_dir=str(tmp_path / "out"), quiet=True)
         assert np.all(result.trajectory.u == 0.25)
 
     def test_optimize_attaches_report(self, tmp_path):
         cfg = parse_config_text(SHORT_OPT)
-        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True, write_svg=False)
+        cfg.svg = False
+        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         assert result.report is not None
         assert result.report.converged
         assert np.array_equal(result.trajectory.u, result.report.schedule.u)
@@ -497,18 +538,19 @@ class TestScheduleCsv:
 class TestSweep:
     def test_single_value_sweep_matches_run_scenario(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
-        single = run_scenario(cfg, out_dir=str(tmp_path / "direct"), quiet=True,
-                              write_svg=False)
+        cfg.svg = False
+        single = run_scenario(cfg, out_dir=str(tmp_path / "direct"), quiet=True)
         results = sweep(cfg, "strain.1.beta", [5.2e-7],
-                        out_dir=str(tmp_path / "swept"), quiet=True, write_svg=False)
+                        out_dir=str(tmp_path / "swept"), quiet=True)
         assert len(results) == 1
         assert np.array_equal(results[0].trajectory.P, single.trajectory.P)
         assert (tmp_path / "swept" / "sweep_summary.csv").exists()
 
     def test_two_value_sweep_writes_combined_summary(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
+        cfg.svg = False
         results = sweep(cfg, "strain.1.beta", [5.2e-7, 8.84e-7],
-                        out_dir=str(tmp_path), quiet=True, write_svg=False)
+                        out_dir=str(tmp_path), quiet=True)
         assert len(results) == 2
         text = (tmp_path / "sweep_summary.csv").read_text()
         assert text.count("\n") == 3  # header + one row per run
@@ -521,9 +563,10 @@ class TestSweep:
 
     def test_values_sharing_a_run_directory_are_rejected_before_any_run(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
+        cfg.svg = False
         with pytest.raises(ConfigError, match=r"5\.2e-07 and 5\.200000001e-07"):
             sweep(cfg, "strain.1.beta", [5.2e-7, 5.200000001e-7],
-                  out_dir=str(tmp_path / "sw"), quiet=True, write_svg=False)
+                  out_dir=str(tmp_path / "sw"), quiet=True)
         assert not (tmp_path / "sw").exists()
 
 
@@ -543,6 +586,7 @@ class TestCli:
                      "--quiet", "--no-svg"])
         assert code == 0
         assert (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "compartments.svg").exists()
 
     def test_simulate_rejects_optimize_config(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -590,6 +634,7 @@ class TestCli:
                      "--quiet", "--no-svg"])
         assert code == 0
         assert (tmp_path / "sw" / "sweep_summary.csv").exists()
+        assert not list((tmp_path / "sw").glob("*/*.svg"))
 
     def test_preset_name_as_config_argument(self, tmp_path):
         code = main(["simulate", "experiment1", "--out", str(tmp_path),
@@ -675,8 +720,9 @@ class TestCli:
 class TestCostSweep:
     def test_cheaper_mitigation_raises_the_schedule(self, tmp_path):
         cfg = parse_config_text(SHORT_OPT)
+        cfg.svg = False
         results = sweep(cfg, "cost.c2_log_scale", [1.0, 0.8],
-                        out_dir=str(tmp_path), quiet=True, write_svg=False)
+                        out_dir=str(tmp_path), quiet=True)
         assert all(r.report is not None and r.report.converged for r in results)
         mean_costly = results[0].trajectory.u.mean()
         mean_cheap = results[1].trajectory.u.mean()
