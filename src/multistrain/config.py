@@ -145,6 +145,8 @@ class ScenarioConfig:
         for path, value in numbers:
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{path} must be finite, got {value!r}")
+        if not isinstance(self.svg, bool):
+            raise ConfigError(f"output.svg must be true or false, got {self.svg!r}")
         if not self.strains:
             raise ConfigError("at least one [strain.N] section is required")
         if not self.start >= 0:
@@ -206,6 +208,11 @@ class ScenarioConfig:
                 )
             if self.c2_log_scale is not None and not self.c2_log_scale > 0:
                 raise ConfigError("cost.c2_log_scale must be > 0")
+            if self.c2_population is not None and self.c2_log_scale is None:
+                raise ConfigError(
+                    "cost.c2_population applies only with cost.c2_log_scale, "
+                    "not with a direct cost.c2"
+                )
             if self.c2_population is not None and not self.c2_population > 1:
                 raise ConfigError("cost.c2_population must be > 1")
             with _prefixed("cost"):

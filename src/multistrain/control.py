@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    EpidemicState, StrainParams, check_control, jacobian, max_stable_dt, split,
-    strain_arrays,
+    EpidemicState, StrainArrays, StrainParams, check_control, constant_jacobian,
+    jacobian, max_stable_dt, split, strain_arrays, write_transmission,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
 from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, same_time, simulate
@@ -31,9 +31,11 @@ from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, same_ti
 ANDERSON_DEPTH = 5
 
 # Steps whose adjoint maps the backward sweep forms at once.  All of them at
-# once would hold 8 strains x 14 600 steps x 33^2 doubles = 127 MB per array.
-# On that sweep blocks of 64 peaked at 47 MB RSS and blocks of 256 at 63 MB,
-# at about the same speed; blocks of 16 ran a 1-strain sweep 3x slower.
+# once would hold 8 strains x 14 600 steps x 34^2 doubles = 135 MB per array.
+# A process holding that 8-strain trajectory (730 days at dt 0.05) sat at
+# 38.5 MB RSS; its sweep peaked at 49 MB with blocks of 64 and at 57 MB with
+# blocks of 256, which also ran 1.4x slower.  Blocks of 16 ran a 1-strain
+# sweep 3x slower.
 SWEEP_BLOCK = 64
 
 # Step multiples tried for the coarse grid of the nested start, largest first,
@@ -242,17 +244,9 @@ def optimal_u(
     return min(value, 1.0)
 
 
-def _adjoint_generators(J: np.ndarray, c1: float) -> np.ndarray:
-    """Augmented generators ``[[-J^T, -c1 e_P], [0, 0]]`` of the adjoint.
-
-    Acting on ``(phi, 1)`` they give ``d phi / dt``, so the affine adjoint
-    becomes linear in one more coordinate.
-    """
-    K, D, _ = J.shape
-    A = np.zeros((K, D + 1, D + 1))
-    np.negative(J.transpose(0, 2, 1), out=A[:, :D, :D])
-    A[:, 0, D] = -c1
-    return A
+def _add_identity(X: np.ndarray) -> None:
+    """Add the identity to every matrix of a contiguous (K, D, D) stack."""
+    X.reshape(len(X), -1)[:, :: X.shape[-1] + 1] += 1.0
 
 
 def backward_sweep(
@@ -260,23 +254,40 @@ def backward_sweep(
 ) -> CostateTrajectory:
     """Integrate the adjoint system from zero terminal values back to t0.
 
-    Runs RK4 with time reversed on the trajectory's grid.  The adjoint is
-    affine, ``d phi / dt = -J^T phi - c1 e_P``, so the step from node k to
-    k-1 is the affine map ``phi_{k-1} = M_k phi_k + c_k``, held as the
-    matrix ``[[M_k, c_k], [0, 1]]`` acting on ``(phi, 1)``: the RK4 stages
-    applied to the identity.  Stage 1 takes ``J`` at node k, stages 2 and 3
-    at the midpoint (linear interpolants of the stored state and control)
-    and stage 4 at node k-1.  The maps are formed in batches of
-    ``SWEEP_BLOCK`` steps, then applied in one loop.
+    Runs RK4 on the trajectory's grid in reversed time ``tau = T - t``, with
+    step ``h = +dt``.  There the adjoint ``d phi / dt = -J^T phi - c1 e_P``
+    reads, for the row vector ``(phi, 1)``,
+
+        d (phi, 1) / d tau = (phi, 1) G,   G = [[J, 0], [c1 e_P^T, 0]],
+
+    the Jacobian ``J`` with one forcing row.  The step from node k to k-1 is
+    then a matrix ``M_k`` with ``(phi, 1)_{k-1} = (phi, 1)_k M_k``, the RK4
+    stages applied to the identity from the left:
+
+        a = G_k,  b = (I + h/2 a) G_mid,  c = (I + h/2 b) G_mid,
+        d = (I + h c) G_{k-1},  M_k = I + h/6 (a + 2 (b + c) + d),
+
+    with ``G_mid`` at the midpoint (linear interpolants of the stored state
+    and control).  The generator stacks hold :func:`constant_jacobian` and
+    the forcing row from the start; each batch of ``SWEEP_BLOCK`` steps
+    rewrites only their transmission entries, forms its maps in three
+    reused buffers and then applies them in one loop.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
-    grid = traj.grid
-    n = traj.n_strains
-    N = grid.n_steps
-    D = 4 * n + 1
-    arrays = strain_arrays(params)
+    # The block buffers are gone once _adjoint_rows returns, before the
+    # copies below raise the peak memory.
+    rows = _adjoint_rows(traj, strain_arrays(params), costs.c1)
+    return CostateTrajectory(
+        traj.grid, *(part.copy() for part in split(rows, traj.n_strains))
+    )
 
+
+def _adjoint_rows(traj: Trajectory, arrays: StrainArrays, c1: float) -> np.ndarray:
+    """The rows ``(phi, 1)`` at every node, as :func:`backward_sweep` forms
+    them; shape (n_points, 4n+2)."""
+    N = traj.grid.n_steps
+    D = 4 * traj.n_strains + 1
     S = traj.susceptible_matrix()
     I = traj.I
     u = traj.u
@@ -284,32 +295,46 @@ def backward_sweep(
     I_mid = 0.5 * (I[:-1] + I[1:])
     u_mid = 0.5 * (u[:-1] + u[1:])
 
-    h = -grid.dt
-    eye = np.eye(D + 1)
-    hist = np.empty((N + 1, D + 1))
-    x = np.zeros(D + 1)
-    x[D] = 1.0
-    hist[N] = x
+    h = traj.grid.dt
+    width = min(SWEEP_BLOCK, N)
+    G_node = np.zeros((width + 1, D + 1, D + 1))
+    G_node[:, :D, :D] = constant_jacobian(arrays)
+    G_node[:, D, 0] = c1
+    G_mid = G_node[1:].copy()
+    X = np.empty_like(G_mid)
+    B = np.empty_like(G_mid)
+    C = np.empty_like(G_mid)
+
+    rows = np.empty((N + 1, D + 1))
+    rows[N] = 0.0
+    rows[N, D] = 1.0
     for m1 in range(N, 0, -SWEEP_BLOCK):
         m0 = max(m1 - SWEEP_BLOCK, 0)
-        nodes = slice(m0, m1 + 1)
-        A_node = _adjoint_generators(
-            jacobian(S[nodes], I[nodes], u[nodes], arrays), costs.c1
-        )
-        steps = slice(m0, m1)
-        A_mid = _adjoint_generators(
-            jacobian(S_mid[steps], I_mid[steps], u_mid[steps], arrays), costs.c1
-        )
-        a = A_node[1:]
-        b = A_mid @ (eye + 0.5 * h * a)
-        c = A_mid @ (eye + 0.5 * h * b)
-        d = A_node[:-1] @ (eye + h * c)
-        step_maps = eye + (h / 6.0) * (a + 2.0 * (b + c) + d)
+        k = m1 - m0
+        g_node, g_mid = G_node[: k + 1], G_mid[:k]
+        x, b, c = X[:k], B[:k], C[:k]
+        write_transmission(g_node, S[m0 : m1 + 1], I[m0 : m1 + 1], u[m0 : m1 + 1], arrays)
+        write_transmission(g_mid, S_mid[m0:m1], I_mid[m0:m1], u_mid[m0:m1], arrays)
+        a = g_node[1:]
+        np.multiply(a, 0.5 * h, out=x)
+        _add_identity(x)
+        np.matmul(x, g_mid, out=b)
+        np.multiply(b, 0.5 * h, out=x)
+        _add_identity(x)
+        np.matmul(x, g_mid, out=c)
+        b += c
+        np.multiply(c, h, out=x)
+        _add_identity(x)
+        np.matmul(x, g_node[:-1], out=c)
+        # x = I + h/6 (a + 2 (b + c) + d), with b + c in b and d in c.
+        np.multiply(b, 2.0, out=x)
+        x += a
+        x += c
+        x *= h / 6.0
+        _add_identity(x)
         for m in range(m1 - 1, m0 - 1, -1):
-            x = step_maps[m - m0] @ x
-            hist[m] = x
-
-    return CostateTrajectory(grid, *(part.copy() for part in split(hist, n)))
+            np.matmul(rows[m + 1], x[m - m0], out=rows[m])
+    return rows
 
 
 def _pointwise_formula(

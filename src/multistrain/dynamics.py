@@ -18,10 +18,14 @@ separate inactive state to switch on, and so no jump in the adjoint.
 from which :func:`full_system_rhs` and :func:`equilibrium_residuals` are
 built; :func:`rhs_lists` is their list form for the integrator's hot loop.
 :func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
+:func:`jacobian` is the one analytic Jacobian, a constant part
+(:func:`constant_jacobian`) plus the transmission entries
+(:func:`write_transmission`), so that the adjoint sweep rewrites only those.
 
 Units are persons and days throughout.  The mitigation value is a plain float;
 operations validate it on entry.  All types are immutable and every function
-is pure, so the module can be used freely from concurrent callers.
+is pure, except that :func:`write_transmission` fills the array its caller
+passes, so the module can be used freely from concurrent callers.
 """
 
 from __future__ import annotations
@@ -328,36 +332,65 @@ def full_system_rhs(
     )
 
 
+def constant_jacobian(arrays: StrainArrays) -> np.ndarray:
+    """The part of :func:`jacobian` that does not depend on the state.
+
+    Every flow but transmission is linear with constant rates, so these
+    entries hold at every node.  The entries :func:`write_transmission`
+    fills are zero here.  Shape (4n+1, 4n+1).
+    """
+    n = len(arrays.beta)
+    _, s, e, i, r = split(np.arange(4 * n + 1), n)
+    J = np.zeros((4 * n + 1, 4 * n + 1))
+    J[0, i] = -arrays.mu
+    # S_j loses the deaths of every other strain, but not its own.
+    J[s[:, None], i] = -arrays.mu
+    J[s, i] = 0.0
+    J[s, r] = arrays.delta
+    J[e, e] = -arrays.sigma
+    J[i, e] = arrays.sigma
+    J[i, i] = -(arrays.mu + arrays.gamma)
+    J[r, i] = arrays.gamma
+    J[r, r] = -arrays.delta
+    return J
+
+
+def write_transmission(J: np.ndarray, S, I, u, arrays: StrainArrays) -> None:
+    """Write the state-dependent entries of :func:`jacobian` at K nodes.
+
+    ``J`` has shape (K, D, D) with ``D >= 4n+1``; only its transmission
+    entries ``J[s, i] = -wbS``, ``J[s, s] = -wbI``, ``J[e, s] = wbI`` and
+    ``J[e, i] = wbS`` are set, with ``wb = (1-u) beta``.  Every other entry
+    is left as it is.
+    """
+    K, n = S.shape
+    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
+    wb = w[:, None] * arrays.beta
+    wbS = wb * S
+    wbI = wb * I
+    _, s, e, i, _ = split(np.arange(4 * n + 1), n)
+    J[:, s, i] = -wbS
+    J[:, s, s] = -wbI
+    J[:, e, s] = wbI
+    J[:, e, i] = wbS
+
+
 def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
     """Analytic Jacobian of :func:`full_system_rhs` at K nodes at once.
 
     ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
     node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
-    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  The flows are bilinear in S and I, so
-    only those two enter.  The adjoint equations are
-    ``d phi / dt = -J^T phi - c1 e_P``.
+    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``: :func:`constant_jacobian`
+    at every node with the entries of :func:`write_transmission`.  The flows
+    are bilinear in S and I, so only those two enter.  The adjoint equations
+    are ``d phi / dt = -J^T phi - c1 e_P``.
     """
     S = np.asarray(S, dtype=float)
     I = np.asarray(I, dtype=float)
     K, n = S.shape
-    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
-    wb = w[:, None] * arrays.beta
-    _, s, e, i, r = split(np.arange(4 * n + 1), n)
-
-    J = np.zeros((K, 4 * n + 1, 4 * n + 1))
-    J[:, 0, i] = -arrays.mu
-    # S_j loses the deaths of every other strain.
-    J[:, s[:, None], i] = -arrays.mu
-    J[:, s, i] = -wb * S
-    J[:, s, s] = -wb * I
-    J[:, s, r] = arrays.delta
-    J[:, e, s] = wb * I
-    J[:, e, e] = -arrays.sigma
-    J[:, e, i] = wb * S
-    J[:, i, e] = arrays.sigma
-    J[:, i, i] = -(arrays.mu + arrays.gamma)
-    J[:, r, i] = arrays.gamma
-    J[:, r, r] = -arrays.delta
+    J = np.empty((K, 4 * n + 1, 4 * n + 1))
+    J[:] = constant_jacobian(arrays)
+    write_transmission(J, S, I, u, arrays)
     return J
 
 

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,64 @@ class TestOptimalU:
             assert 0.0 <= optimal_u(state, cs, params, costs) <= 1.0
 
 
+def seeded_run(n_strains, n_steps, dt=0.5):
+    """A run of ``n_strains`` strains seeded one after another over ``n_steps``
+    steps, under a control that varies between nodes."""
+    params = [
+        StrainParams(beta=(0.3 + 0.05 * j) / 1e6, sigma=0.2, gamma=0.1,
+                     delta=0.02, mu=1e-3 * (j + 1))
+        for j in range(n_strains)
+    ]
+    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+    zero = [0.0] * n_strains
+    initial = EpidemicState(t=0.0, P=1e6, E=zero, I=zero, R=zero)
+    events = [
+        SeedEvent(grid.time_at(j * n_steps // n_strains), j, exposed=1e3, infected=1e2)
+        for j in range(n_strains)
+    ]
+    u = 0.3 + 0.2 * np.sin(grid.times() / 5.0)
+    traj = simulate(initial, params, ControlSchedule(grid, u), events, grid)
+    return traj, params
+
+
+def stacked_costates(cos):
+    """Costates as one (nodes, 4n+1) array in the Jacobian's coordinates."""
+    return np.hstack((cos.phi_P[:, None], cos.phi_S, cos.phi_E, cos.phi_I, cos.phi_R))
+
+
+def oracle_costates(traj, params, costs):
+    """The adjoint stepped backward from zero one classical RK4 step at a
+    time through ``costate_derivatives``, with the state and control at the
+    nodes and at the midpoint interpolants of the stored values."""
+    grid, n = traj.grid, traj.n_strains
+    columns = (traj.P, traj.E, traj.I, traj.R, traj.u)
+
+    def slope(t, phi, P, E, I, R, u):
+        state = EpidemicState(t=t, P=P, E=E, I=I, R=R)
+        costate = CostateState(
+            t=t, phi_P=phi[0], phi_S=phi[1 : n + 1], phi_E=phi[n + 1 : 2 * n + 1],
+            phi_I=phi[2 * n + 1 : 3 * n + 1], phi_R=phi[3 * n + 1 :],
+        )
+        d = costate_derivatives(state, costate, u, params, costs)
+        return np.hstack((d.dphi_P, d.dphi_S, d.dphi_E, d.dphi_I, d.dphi_R))
+
+    h = -grid.dt
+    phi = np.zeros((grid.n_points, 4 * n + 1))
+    for k in range(grid.n_steps, 0, -1):
+        node = [float(c[k]) if c.ndim == 1 else c[k] for c in columns]
+        prev = [float(c[k - 1]) if c.ndim == 1 else c[k - 1] for c in columns]
+        mid = [0.5 * (a + b) for a, b in zip(prev, node)]
+        t1, t0 = grid.time_at(k), grid.time_at(k - 1)
+        tm = 0.5 * (t0 + t1)
+        x = phi[k]
+        k1 = slope(t1, x, *node)
+        k2 = slope(tm, x + 0.5 * h * k1, *mid)
+        k3 = slope(tm, x + 0.5 * h * k2, *mid)
+        k4 = slope(t0, x + h * k3, *prev)
+        phi[k - 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
 class TestBackwardSweep:
     def setup_run(self, horizon=50.0, dt=0.1, u=0.2):
         params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
@@ -263,6 +322,37 @@ class TestBackwardSweep:
         cos = backward_sweep(traj, params, CostParams(c1=1.0, c2=8.0))
         assert np.all(np.isfinite(cos.phi_S))
         assert np.abs(cos.phi_S[0]).max() > 0.0
+
+    @pytest.mark.parametrize("n_strains", [2, 8])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1, control.SWEEP_BLOCK, control.SWEEP_BLOCK + 1, 3 * control.SWEEP_BLOCK + 5],
+    )
+    def test_matches_a_step_by_step_rk4_oracle(self, n_strains, n_steps):
+        # Grids of one block, one block and one step, and three blocks and a
+        # short one cover every way a block can fill the reused buffers.
+        traj, params = seeded_run(n_strains, n_steps)
+        costs = CostParams(c1=1.0, c2=math.log(1e6))
+        phi = stacked_costates(backward_sweep(traj, params, costs))
+        expected = oracle_costates(traj, params, costs)
+        assert np.abs(phi - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_calls_share_no_state(self):
+        # Interleaved 1- and 8-strain sweeps, serially and from two threads,
+        # each give what a fresh serial call gives.
+        n_steps = 3 * control.SWEEP_BLOCK + 5
+        costs = CostParams(c1=2.0, c2=8.0)
+        runs = [seeded_run(n, n_steps) for n in (1, 8)]
+        fresh = [stacked_costates(backward_sweep(t, p, costs)) for t, p in runs]
+        order = [0, 1] * 4
+        serial = [stacked_costates(backward_sweep(*runs[i], costs)) for i in order]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(
+                lambda i: stacked_costates(backward_sweep(*runs[i], costs)), order
+            ))
+        for i, a, b in zip(order, serial, threaded):
+            assert np.array_equal(a, fresh[i])
+            assert np.array_equal(b, fresh[i])
 
 
 class TestFbsmSolve:

@@ -19,6 +19,7 @@ from multistrain import (
     strain_arrays,
     susceptible,
 )
+from multistrain.dynamics import constant_jacobian, write_transmission
 
 from conftest import (
     BETA, DELTA, GAMMA, MU, SIGMA, random_params, random_state, susceptible_derivative,
@@ -304,6 +305,24 @@ class TestJacobian:
             J_num = numeric_jacobian(state, params, u)
             gap = np.abs(jacobian_at(state, params, u) - J_num).max()
             assert gap < 1e-9 * max(np.abs(J_num).max(), 1.0)
+
+    def test_constant_part_plus_transmission_entries(self):
+        rng = np.random.default_rng(37)
+        n, K = 3, 5
+        D = 4 * n + 1
+        arrays = strain_arrays(random_params(rng, n))
+        S, I = rng.uniform(1.0, 1e6, size=(2, K, n))
+        u = rng.uniform(0.0, 0.9, size=K)
+        J = jacobian(S, I, u, arrays)
+        constant = constant_jacobian(arrays)
+        # Transmission sets 4 entries per strain; every other entry is constant.
+        assert np.all((J != constant).sum(axis=(1, 2)) == 4 * n)
+        # Written into a larger stack, it leaves the extra row and column be.
+        G = np.full((K, D + 1, D + 1), 7.0)
+        G[:, :D, :D] = constant
+        write_transmission(G, S, I, u, arrays)
+        assert np.array_equal(G[:, :D, :D], J)
+        assert np.all(G[:, D, :] == 7.0) and np.all(G[:, :, D] == 7.0)
 
     def test_strain_arrays_are_read_only_columns(self):
         params = random_params(np.random.default_rng(31), 2)

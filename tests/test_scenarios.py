@@ -206,6 +206,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="c2"):
             parse_config_text(SHORT_OPT + "c2 = 12\n")
 
+    def test_c2_population_needs_c2_log_scale(self):
+        message = r"^cost\.c2_population applies only with cost\.c2_log_scale"
+        direct = preset_text("case_a").replace("c2_log_scale = 1.0", "c2 = 12")
+        assert parse_config_text(direct).cost_params().c2 == 12.0
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(_set_key(direct, "cost", "c2_population", "1000"))
+        with pytest.raises(ConfigError, match=message):
+            set_config_value(parse_config_text(direct), "cost.c2_population", 1000.0)
+        cfg = parse_config_text(direct)
+        cfg.c2_population = 1000.0
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_svg_must_be_a_bool(self, value, tmp_path):
+        cfg = preset_config("experiment1")
+        cfg.svg = value
+        with pytest.raises(ConfigError, match=r"^output\.svg must be true or false"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=r"^output\.svg"):
+            run_scenario(cfg, out_dir=str(tmp_path / "run"), quiet=True)
+        assert not (tmp_path / "run").exists()
+
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[grid\nhorizon = 10\n")
