@@ -8,10 +8,8 @@ forward-backward sweep of the necessary optimality conditions.
 
 from .analysis import (
     PLATEAU_BAND,
-    StabilityReport,
     StrainSummary,
     TrajectorySummary,
-    classify_stability,
     numeric_jacobian,
     summarize,
 )
@@ -39,7 +37,6 @@ from .control import (
     fbsm_solve,
     objective,
     optimal_u,
-    running_cost,
 )
 from .dynamics import (
     NEGATIVE_TOLERANCE,
@@ -58,7 +55,6 @@ from .dynamics import (
     nontrivial_equilibrium,
     reproduction_number,
     strain_arrays,
-    susceptible,
 )
 from .errors import (
     ConfigError,
@@ -69,7 +65,7 @@ from .errors import (
     SolverError,
     StateConsistencyError,
 )
-from .integrate import SeedEvent, TimeGrid, Trajectory, rk4_step, simulate
+from .integrate import SeedEvent, TimeGrid, Trajectory, simulate
 from .runner import (
     RunResult,
     read_schedule_csv,

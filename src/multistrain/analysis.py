@@ -1,4 +1,4 @@
-"""Stability classification, a numeric Jacobian oracle and trajectory summaries."""
+"""A numeric Jacobian oracle and trajectory summaries."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (
-    EpidemicState,
-    ReproductionNumber,
-    StrainParams,
-    full_system_rhs,
-    reproduction_number,
-    split,
-)
+from .dynamics import EpidemicState, StrainParams, full_system_rhs, split
 from .errors import DomainError
 from .integrate import Trajectory, same_time
 
@@ -27,23 +20,20 @@ def numeric_jacobian(
     state: EpidemicState,
     params: Sequence[StrainParams],
     u: float,
-    h: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference Jacobian of the full (4n+1)-dimensional system.
 
     Coordinates are ordered ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``
     with the susceptible values taken algebraically from the state and then
-    treated as independent coordinates.  The perturbation is ``h`` times the
+    treated as independent coordinates.  The perturbation is 1e-6 of the
     population scale; the right-hand side is bilinear, so central differences
-    are exact up to round-off for any step.
+    are exact up to round-off.
     """
-    if not h > 0:
-        raise DomainError(f"perturbation h must be > 0, got {h!r}")
     if len(params) != state.n_strains:
         raise DomainError("state and parameter list disagree on strain count")
     n = state.n_strains
     x0 = np.hstack((state.P, state.susceptible_all(), state.E, state.I, state.R))
-    step = h * max(state.P, 1.0)
+    step = 1e-6 * max(state.P, 1.0)
     dim = 4 * n + 1
     jac = np.empty((dim, dim))
     for i in range(dim):
@@ -55,30 +45,6 @@ def numeric_jacobian(
         f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u))
         jac[:, i] = (f_plus - f_minus) / (2.0 * step)
     return jac
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Local stability of the infection-free point under constant mitigation."""
-
-    stable: bool
-    reproduction: ReproductionNumber
-
-    @property
-    def r0(self) -> float:
-        return self.reproduction.value
-
-    @property
-    def binding_strain(self) -> int:
-        return self.reproduction.argmax_strain
-
-
-def classify_stability(
-    params: Sequence[StrainParams], S_bar, u: float
-) -> StabilityReport:
-    """Stable exactly when the reproduction number is below one."""
-    rn = reproduction_number(params, S_bar, u)
-    return StabilityReport(stable=rn.value < 1.0, reproduction=rn)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .config import (
-    _with_values,
     preset_names,
     PRESET_SUMMARIES,
     resolve_config,
@@ -78,16 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
+def _flag_values(config, args):
+    """The ``path: value`` pairs the run flags set in the parsed config."""
     values = {"grid.dt": args.dt, "grid.horizon": args.horizon}
     if args.seed_day is not None:
         if len(config.strains) < 2:
             raise ConfigError("--seed-day needs a scenario with at least two strains")
         for j in range(2, len(config.strains) + 1):
             values[f"strain.{j}.activation_day"] = args.seed_day
-    out = _with_values(config, {k: v for k, v in values.items() if v is not None})
-    out.svg = out.svg and not args.no_svg
-    return out
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -109,7 +107,8 @@ def main(argv=None) -> int:
                 print(f"wrote preset {args.name} to {args.path}")
             return EXIT_OK
 
-        config = _apply_overrides(resolve_config(args.config), args)
+        config = resolve_config(args.config, lambda parsed: _flag_values(parsed, args))
+        config.svg = config.svg and not args.no_svg
 
         if args.verb == "simulate":
             if config.control_mode == "optimize":

@@ -20,8 +20,8 @@ builds that object and only adds the config key to its error.
     horizon               last day, must exceed start
     dt                    step in days; must divide horizon-start and every
                           strain activation day offset, and keep RK4 stable:
-                          dt * |lambda_min| <= 2.78 at the infection-free
-                          state with S = population and u = 0
+                          dt * max(beta * population + sigma + gamma + mu,
+                          delta) <= 2.78 for every strain
 
     [initial]             required
     population            total population P at the start
@@ -175,12 +175,12 @@ class ScenarioConfig:
             with _prefixed(f"strain.{idx}"):
                 params.append(s.params())
                 s.seed_event(idx - 1)
-        # RK4 stability at the infection-free state (dynamics.max_stable_dt).
+        # RK4 stability at the strains' largest rate (dynamics.max_stable_dt).
         safe = max_stable_dt(params, self.population)
         if self.dt > safe:
             raise ConfigError(
-                f"grid.dt={self.dt!r} makes RK4 unstable on the fastest decaying "
-                f"mode: grid.dt must be at most {safe:.4g}"
+                f"grid.dt={self.dt!r} makes RK4 unstable at the fastest strain's "
+                f"rates: grid.dt must be at most {safe:.4g}"
             )
         if self.control_mode not in CONTROL_MODES:
             raise ConfigError(
@@ -343,6 +343,13 @@ def _strain_index(section: str) -> int | None:
 
 def parse_config_text(text: str, source: str = "<string>", base_dir: str = ".") -> ScenarioConfig:
     """Parse and validate configuration text; raises ConfigError on any flaw."""
+    config = _parse(text, source, base_dir)
+    config.validate()
+    return config
+
+
+def _parse(text: str, source: str, base_dir: str) -> ScenarioConfig:
+    """The config the text spells out, checked against the schema only."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"), delimiters=("=",)
     )
@@ -391,12 +398,15 @@ def parse_config_text(text: str, source: str = "<string>", base_dir: str = ".") 
             if key not in given:
                 raise ConfigError(f"{section}.{key} is required")
         config.strains.append(StrainSpec(**given))
-    config.validate()
     return config
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario file."""
+    return parse_config_text(_file_text(path), source=path, base_dir=os.path.dirname(path) or ".")
+
+
+def _file_text(path: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -404,7 +414,7 @@ def load_config(path: str) -> ScenarioConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not a readable config file ({exc})") from exc
-    return parse_config_text(text, source=path, base_dir=os.path.dirname(path) or ".")
+    return text
 
 
 # Built-in presets.  The texts below are the single source: the library parses
@@ -558,12 +568,20 @@ def write_preset(name: str, path: str) -> None:
         raise ConfigError(f"{path}: cannot write preset {name!r} ({exc})") from exc
 
 
-def resolve_config(name_or_path: str) -> ScenarioConfig:
-    """Interpret the argument as a preset name first, then as a file path."""
+def resolve_config(name_or_path: str, values=None) -> ScenarioConfig:
+    """Interpret the argument as a preset name first, then as a file path.
+
+    ``values``, if given, maps the parsed config to numeric ``path: value``
+    pairs, set as :func:`set_config_value` sets one before the one
+    validation: a value replaces the file's, so it may mend it.
+    """
     key = name_or_path.strip().lower()
     if key in PRESET_TEXTS and not os.path.exists(name_or_path):
-        return preset_config(key)
-    return load_config(name_or_path)
+        config = _parse(preset_text(key), f"<preset {key}>", ".")
+    else:
+        path = name_or_path
+        config = _parse(_file_text(path), path, os.path.dirname(path) or ".")
+    return _with_values(config, values(config) if values else {})
 
 
 def set_config_value(config: ScenarioConfig, param_path: str, value: float) -> ScenarioConfig:

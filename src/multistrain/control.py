@@ -150,14 +150,6 @@ class FbsmReport:
         return self.update_history[-1]
 
 
-def running_cost(P: float, u: float, costs: CostParams) -> float:
-    """Instantaneous reward rate ``c1 * P - exp(c2 * u)``."""
-    if not P >= 0:
-        raise DomainError(f"population must be >= 0, got {P!r}")
-    check_control(u)
-    return costs.c1 * P - math.exp(costs.c2 * u)
-
-
 def _uniform_trapezoid(values: np.ndarray, dt: float) -> float:
     if len(values) == 1:
         return 0.0

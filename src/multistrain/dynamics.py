@@ -43,7 +43,7 @@ from .errors import DegenerateControlError, DomainError, StateConsistencyError
 NEGATIVE_TOLERANCE = 1e-9
 
 # Classical RK4 is stable on the negative real axis for dt * |lambda| up to
-# about 2.785; a grid step beyond it blows up on the fastest decaying mode.
+# about 2.785; :func:`max_stable_dt` divides it by a bound on the model's rates.
 RK4_REAL_STABILITY = 2.78
 
 
@@ -60,8 +60,8 @@ class StrainParams:
     ``beta`` is the transmission rate per person per day, ``sigma`` the
     inverse latency, ``gamma`` the recovery rate, ``delta`` the rate of
     immunity loss and ``mu`` the disease death rate.  ``mu = 0`` is accepted
-    for exploratory runs; closed-form equilibrium analysis additionally
-    requires ``mu > 0`` (see :meth:`require_positive_mu`).
+    for exploratory runs; :func:`nontrivial_equilibrium` divides by ``mu``
+    and so rejects it.
     """
 
     beta: float
@@ -77,13 +77,6 @@ class StrainParams:
                 raise DomainError(f"strain parameter {name} must be > 0, got {value!r}")
         if not self.mu >= 0.0:
             raise DomainError(f"strain parameter mu must be >= 0, got {self.mu!r}")
-
-    def require_positive_mu(self) -> None:
-        """Strict validation mode for analysis that divides by ``mu``."""
-        if not self.mu > 0.0:
-            raise DomainError(
-                "equilibrium analysis requires mu > 0 for every strain"
-            )
 
 
 def _strain_vector(values, name: str, n: int | None = None) -> np.ndarray:
@@ -158,15 +151,6 @@ class StateDerivative:
             object.__setattr__(self, name, _strain_vector(getattr(self, name), name))
 
 
-def _check_strains(state: EpidemicState, params: Sequence[StrainParams]) -> None:
-    if len(params) == 0:
-        raise DomainError("at least one strain is required")
-    if len(params) != state.n_strains:
-        raise DomainError(
-            f"state has {state.n_strains} strain(s) but {len(params)} parameter sets given"
-        )
-
-
 def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
     """Compartment flows on plain Python lists; the one list form of the model.
 
@@ -238,7 +222,12 @@ def derivatives(
     The P, E, I and R balance equations of :func:`flows`, with the
     susceptible pool taken algebraically.
     """
-    _check_strains(state, params)
+    if len(params) == 0:
+        raise DomainError("at least one strain is required")
+    if len(params) != state.n_strains:
+        raise DomainError(
+            f"state has {state.n_strains} strain(s) but {len(params)} parameter sets given"
+        )
     check_control(u)
     state.validate()
     zero = [0.0] * state.n_strains
@@ -248,19 +237,6 @@ def derivatives(
         0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
     )
     return StateDerivative(dP=dP, dE=np.array(dE), dI=np.array(dI), dR=np.array(dR))
-
-
-def susceptible(state: EpidemicState, j: int) -> float:
-    """Susceptible pool of strain ``j``: P - E_j - I_j - R_j."""
-    if not 0 <= j < state.n_strains:
-        raise DomainError(f"strain index {j} out of range")
-    s = state.P - state.E[j] - state.I[j] - state.R[j]
-    if s < -NEGATIVE_TOLERANCE * max(state.P, 1.0):
-        raise StateConsistencyError(
-            f"susceptible pool of strain {j} is negative ({s!r}); "
-            "state is inconsistent or integration has blown up"
-        )
-    return float(s)
 
 
 class Flows(NamedTuple):
@@ -434,18 +410,13 @@ def reproduction_number(
 def min_stabilizing_control(params: Sequence[StrainParams], S_bar) -> float:
     """Smallest constant mitigation that brings the reproduction number to one.
 
-    u_min = max(0, 1 - min_j (mu_j + gamma_j) / (beta_j S_bar_j)); only the
-    most transmissible strain binds.  Any u strictly above the returned value
-    gives R0 < 1.
+    R0 scales with ``1 - u``, so u_min = max(0, 1 - 1/R0) with R0 taken at
+    u = 0; only the most transmissible strain binds.  Any u strictly above
+    the returned value gives R0 < 1.
     """
-    if len(params) == 0:
-        raise DomainError("min_stabilizing_control needs at least one strain")
-    s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
-    if np.any(s_bar <= 0):
+    if np.any(np.asarray(S_bar, dtype=float) <= 0):
         raise DomainError("S_bar values must be > 0")
-    beta, _, gamma, _, mu = strain_arrays(params)
-    u_min = 1.0 - float(np.min((mu + gamma) / (beta * s_bar)))
-    return max(0.0, u_min)
+    return max(0.0, 1.0 - 1.0 / reproduction_number(params, S_bar, 0.0).value)
 
 
 @dataclass(frozen=True)
@@ -473,10 +444,12 @@ def nontrivial_equilibrium(
 ) -> EquilibriumPoint:
     """Closed-form two-strain equilibrium parameterised by the free I_bar_2.
 
-    The balance equations force
+    Each balance equation of :func:`flows` fixes one compartment:
 
-        S_bar_j = (mu_j + gamma_j) / ((1-u) beta_j)
-        I_bar_1 = -(mu_2 / mu_1) I_bar_2
+        dP = 0    I_bar_1 = -(mu_2 / mu_1) I_bar_2
+        dI_j = 0  E_bar_j = (mu_j + gamma_j) I_bar_j / sigma_j
+        dR_j = 0  R_bar_j = gamma_j I_bar_j / delta_j
+        dE_j = 0  S_bar_j = (mu_j + gamma_j) / ((1-u) beta_j)
 
     so any positive choice of I_bar_2 drives I_bar_1 negative and the point is
     flagged infeasible.  ``I_bar_ref = 0`` collapses to the infection-free
@@ -485,34 +458,24 @@ def nontrivial_equilibrium(
     if len(params) != 2:
         raise DomainError("closed-form equilibrium is defined for exactly two strains")
     check_control(u)
-    for p in params:
-        p.require_positive_mu()
+    beta, sigma, gamma, delta, mu = strain_arrays(params)
+    if not np.all(mu > 0.0):
+        raise DomainError("equilibrium analysis requires mu > 0 for every strain")
     if u == 1.0:
         raise DegenerateControlError(
             "u = 1 removes all transmission; the equilibrium susceptible pool "
             "S_bar = (mu + gamma) / ((1-u) beta) is undefined"
         )
-    p1, p2 = params
-    w = 1.0 - u
     i2 = float(I_bar_ref)
-    s1 = (p1.mu + p1.gamma) / (w * p1.beta)
-    s2 = (p2.mu + p2.gamma) / (w * p2.beta)
-    i1 = -(p2.mu / p1.mu) * i2
-    e1 = -((p1.mu + p1.gamma) * p2.mu * i2) / (p1.mu * p1.sigma)
-    e2 = (p2.mu + p2.gamma) * i2 / p2.sigma
-    r1 = -(p1.gamma * p2.mu * i2) / (p1.mu * p1.delta)
-    r2 = p2.gamma * i2 / p2.delta
-    point = EquilibriumPoint(
+    I = np.array([-(mu[1] / mu[0]) * i2, i2])
+    S = (mu + gamma) / ((1.0 - u) * beta)
+    E = (mu + gamma) * I / sigma
+    R = gamma * I / delta
+    return EquilibriumPoint(
         kind="trivial" if i2 == 0.0 else "non-trivial",
-        S=[s1, s2],
-        E=[e1, e2],
-        I=[i1, i2],
-        R=[r1, r2],
-        feasible=not (
-            i1 < 0 or i2 < 0 or e1 < 0 or e2 < 0 or r1 < 0 or r2 < 0 or s1 < 0 or s2 < 0
-        ),
+        S=S, E=E, I=I, R=R,
+        feasible=not any(np.any(x < 0) for x in (S, E, I, R)),
     )
-    return point
 
 
 def equilibrium_residuals(
@@ -581,13 +544,19 @@ def analytic_eigenvalues(
 def max_stable_dt(params: Sequence[StrainParams], population: float) -> float:
     """Largest grid step that RK4 integrates stably for these strains.
 
-    The fastest mode is read from the linearisation at the infection-free
-    state with all of ``population`` susceptible and no mitigation, the
-    largest decay rate the model can reach; the step is
-    ``RK4_REAL_STABILITY`` over that rate.  With no strains nothing decays,
-    and every step is stable.
+    With ``S`` and ``I`` at most ``population`` and no mitigation, strain j
+    moves its compartments at most at the rate
+    ``max(beta_j * population + sigma_j + gamma_j + mu_j, delta_j)``: the
+    first term bounds the Jacobian rows of ``E`` and ``I`` over the
+    admissible region, the second is the waning rate of ``R``.  The step is
+    ``RK4_REAL_STABILITY`` over the largest such rate.  The decay rates of
+    the infection-free linearisation are not enough: they admit steps that
+    overshoot once the epidemic grows.  The bound is a heuristic, checked by
+    a property test rather than proven.  With no strains nothing moves, and
+    every step is stable.
     """
     if len(params) == 0:
         return math.inf
-    fastest = -min(analytic_eigenvalues(params, population, 0.0).real)
-    return RK4_REAL_STABILITY / fastest
+    beta, sigma, gamma, delta, mu = strain_arrays(params)
+    rate = np.maximum(beta * population + sigma + gamma + mu, delta)
+    return RK4_REAL_STABILITY / float(np.max(rate))

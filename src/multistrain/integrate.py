@@ -6,17 +6,18 @@ same nodes.  Controls between nodes are interpolated linearly, so an RK4 step
 from ``t_k`` takes the control at ``t_k``, the midpoint average and the value
 at ``t_{k+1}``.
 
-``simulate`` and ``rk4_step`` share one step on plain lists that allocates
-nothing: the four stage slopes live in buffers made once per call, each stage
-walks the strains once through ``dynamics.rhs_lists`` and forms its input as
-``x + h*k`` on the fly, and the result is updated in place.  The
-admissibility check is one test per strain, of the signs and of the finite
-sum; the clamp runs only when it fails.
+``simulate`` runs one step on plain lists that allocates nothing: the four
+stage slopes live in buffers made once per call, each stage walks the strains
+once through ``dynamics.rhs_lists`` and forms its input as ``x + h*k`` on the
+fly, and the result is updated in place.  The admissibility check is one test
+per strain, of the signs and of the finite sum; the clamp runs only when it
+fails.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,10 +49,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise DomainError(f"dt must be > 0, got {self.dt!r}")
-        if self.n_steps < 0:
-            raise DomainError(f"n_steps must be >= 0, got {self.n_steps!r}")
+        if not math.isfinite(self.t0):
+            raise DomainError(f"t0 must be finite, got {self.t0!r}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 0:
+            raise DomainError(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
 
     @classmethod
     def from_horizon(cls, t0: float, horizon: float, dt: float) -> "TimeGrid":
@@ -136,8 +139,8 @@ class SeedEvent:
     removed: float = 0.0
 
     def __post_init__(self):
-        if self.strain < 0:
-            raise DomainError("strain index must be >= 0")
+        if not isinstance(self.strain, numbers.Integral) or self.strain < 0:
+            raise DomainError(f"strain index must be an integer >= 0, got {self.strain!r}")
         for name in ("time", "exposed", "infected", "removed"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"seed {name} must be finite, got {getattr(self, name)!r}")
@@ -243,37 +246,6 @@ def _clamp_inplace(values, tol, step):
                 raise IntegrationError(
                     f"state left the admissible region (value {v!r})", step=step
                 )
-
-
-def rk4_step(
-    state: EpidemicState,
-    params: Sequence[StrainParams],
-    u_now: float,
-    u_mid: float,
-    u_next: float,
-    dt: float,
-) -> EpidemicState:
-    """Advance the state by one RK4 step of length ``dt``.
-
-    The three control values feed the four stages: ``u_now`` at the first,
-    ``u_mid`` at both middle stages, ``u_next`` at the last.  Round-off
-    negatives within tolerance are clamped to zero; non-finite results raise
-    :class:`IntegrationError`.
-    """
-    if len(params) != state.n_strains:
-        raise DomainError("state and parameter list disagree on strain count")
-    for u in (u_now, u_mid, u_next):
-        check_control(u)
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
-    state.validate()
-    tol = NEGATIVE_TOLERANCE * max(state.P, 1.0)
-    E, I, R = state.E.tolist(), state.I.tolist(), state.R.tolist()
-    P = _step(
-        state.P, E, I, R, strain_rows(params), u_now, u_mid, u_next, dt,
-        _slope_buffers(state.n_strains), tol, None,
-    )
-    return EpidemicState(t=state.t + dt, P=P, E=E, I=I, R=R)
 
 
 def simulate(

@@ -10,9 +10,9 @@ from multistrain import (
     TimeGrid,
     Trajectory,
     analytic_eigenvalues,
-    classify_stability,
     min_stabilizing_control,
     numeric_jacobian,
+    reproduction_number,
     simulate,
     summarize,
 )
@@ -43,14 +43,6 @@ class TestNumericJacobian:
         eig = sorted(np.linalg.eigvals(block).real)
         assert eig == pytest.approx(sorted([-SIGMA, -(MU + GAMMA)]), rel=1e-9)
 
-    def test_linear_rows_do_not_depend_on_step(self, baseline_params):
-        state = trivial_state(217e6, 1)
-        j1 = numeric_jacobian(state, baseline_params, 0.0, h=1e-6)
-        j2 = numeric_jacobian(state, baseline_params, 0.0, h=1e-3)
-        # The removed-compartment row is linear, so central differences are
-        # exact for any step.
-        assert j1[4] == pytest.approx(j2[4], rel=1e-12, abs=1e-18)
-
     def test_matches_analytic_spectrum(self):
         rng = np.random.default_rng(23)
         for n in (1, 2, 3):
@@ -64,27 +56,26 @@ class TestNumericJacobian:
                 analytic = analytic_eigenvalues(params, np.full(n, P), u)
                 assert eigenvalue_gaps(numeric, analytic).max() < 1e-7
 
-    def test_step_must_be_positive(self, baseline_params):
-        with pytest.raises(DomainError):
-            numeric_jacobian(trivial_state(1e6, 1), baseline_params, 0.0, h=0.0)
 
+class TestStabilityThreshold:
+    """The infection-free point is locally stable exactly when R0 < 1."""
 
-class TestClassifyStability:
     def test_full_lockdown_is_stable(self, baseline_params):
-        report = classify_stability(baseline_params, 217e6, 1.0)
-        assert report.stable
-        assert report.r0 == 0.0
+        rn = reproduction_number(baseline_params, 217e6, 1.0)
+        assert rn.value < 1.0
+        assert rn.value == 0.0
 
     def test_baseline_unstable_without_control(self, baseline_params):
-        report = classify_stability(baseline_params, 217e6, 0.0)
-        assert not report.stable
-        assert report.r0 == pytest.approx(10.979713787640495, rel=1e-12)
-        assert report.binding_strain == 0
+        rn = reproduction_number(baseline_params, 217e6, 0.0)
+        assert not rn.value < 1.0
+        assert rn.value == pytest.approx(10.979713787640495, rel=1e-12)
+        assert rn.argmax_strain == 0
 
     def test_just_above_threshold_is_stable(self, baseline_params):
         u_min = min_stabilizing_control(baseline_params, 217e6)
-        assert classify_stability(baseline_params, 217e6, u_min + 1e-6).stable
-        assert not classify_stability(baseline_params, 217e6, max(u_min - 1e-6, 0)).stable
+        assert reproduction_number(baseline_params, 217e6, u_min + 1e-6).value < 1.0
+        below = max(u_min - 1e-6, 0)
+        assert not reproduction_number(baseline_params, 217e6, below).value < 1.0
 
 
 def constant_trajectory(P=1000.0, e=10.0, i=20.0, r=30.0, n_steps=100, dt=1.0):

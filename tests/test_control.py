@@ -18,6 +18,8 @@ from multistrain import (
     SeedEvent,
     StrainParams,
     TimeGrid,
+    Trajectory,
+    analytic_eigenvalues,
     backward_sweep,
     costate_derivatives,
     fbsm_solve,
@@ -26,7 +28,6 @@ from multistrain import (
     objective,
     optimal_u,
     preset_config,
-    running_cost,
     set_config_value,
     simulate,
 )
@@ -67,26 +68,35 @@ def true_residual(report, params, costs):
     )
 
 
+def constant_reward(P, u, costs):
+    """The running reward ``c1 * P - exp(c2 * u)``, read off :func:`objective`
+    on a one-day trajectory that holds ``P`` and ``u``."""
+    grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
+    zero = np.zeros((2, 1))
+    traj = Trajectory(grid, np.full(2, P), zero, zero, zero, np.full(2, u))
+    return objective(traj, costs)
+
+
 class TestRunningCost:
     def test_full_lockdown_cancels_population_value(self):
         costs = CostParams(c1=1.0, c2=math.log(1000.0))
-        assert running_cost(1000.0, 1.0, costs) == pytest.approx(0.0, abs=1e-9)
+        assert constant_reward(1000.0, 1.0, costs) == pytest.approx(0.0, abs=1e-9)
 
     def test_no_control_costs_one(self):
         costs = CostParams(c1=2.0, c2=5.0)
-        assert running_cost(300.0, 0.0, costs) == 2.0 * 300.0 - 1.0
+        assert constant_reward(300.0, 0.0, costs) == 2.0 * 300.0 - 1.0
 
     def test_half_control_is_square_root(self):
         costs = CostParams(c1=1.0, c2=math.log(P0))
         expected = 216985524.0714821  # P0 - sqrt(P0), computed independently
-        assert running_cost(P0, 0.5, costs) == pytest.approx(expected, rel=1e-12)
+        assert constant_reward(P0, 0.5, costs) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_checks(self):
-        costs = CostParams(c1=1.0, c2=1.0)
+        # The reward's inputs are checked where they are made: u by the
+        # schedule a trajectory is simulated under, c1 and c2 by CostParams.
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
         with pytest.raises(DomainError):
-            running_cost(-1.0, 0.0, costs)
-        with pytest.raises(DomainError):
-            running_cost(1.0, 1.5, costs)
+            ControlSchedule.constant(grid, 1.5)
         with pytest.raises(DomainError):
             CostParams(c1=0.0, c2=1.0)
 
@@ -510,13 +520,13 @@ class TestCoarseStart:
     @pytest.mark.parametrize("dt, seed_day, coarse_dt", [
         (0.1, None, 1.0),
         (0.1, 100.5, 0.5),
-        # case A's largest stable step lies between 5 and 10 days.
-        (1.0, None, 5.0),
+        # case A's largest stable step lies between 2 and 5 days.
+        (1.0, None, 2.0),
         (0.1, 180.3, None),
     ])
     def test_choice_of_the_coarse_step(self, dt, seed_day, coarse_dt):
         initial, params, events, grid = self.problem(dt=dt, seed_day=seed_day)
-        assert 5.0 <= max_stable_dt(params, P0) < 10.0
+        assert 2.0 <= max_stable_dt(params, P0) < 5.0
         costs = CostParams(c1=1.0, c2=math.log(P0))
         report = fbsm_solve(initial, params, events, grid, costs, max_iter=1)
         assert report.iterations == 1
@@ -533,12 +543,16 @@ class TestCoarseStart:
         assert report.converged and report.coarse_dt == 1.0
         assert np.all(report.schedule.u == 0.0)
 
-    def test_coarse_overshoot_starts_cold(self):
-        # At beta P = 2/day a 3-day step is stable (the bound is 4.4 days)
-        # but drives a compartment negative near day 42; 0.3 days does not.
+    def test_coarse_overshoot_starts_cold(self, monkeypatch):
+        # At beta P = 2/day a 3-day step drives a compartment negative near
+        # day 42; 0.3 days does not.  The rate bound rejects the 3-day step,
+        # so put back the looser bound of the linearisation at the
+        # infection-free state (4.4 days) to reach the cold start.
         initial, params, events, grid = self.problem(dt=0.3, horizon=60.0)
         params = [replace(params[0], beta=2.0 / P0)]
-        assert 3.0 < max_stable_dt(params, P0)
+        linear = 2.78 / -min(analytic_eigenvalues(params, P0, 0.0).real)
+        assert 3.0 < linear and max_stable_dt(params, P0) < 3.0
+        monkeypatch.setattr(control, "max_stable_dt", lambda params, population: linear)
         coarse = TimeGrid(0.0, 3.0, 20)
         with pytest.raises(IntegrationError):
             simulate(initial, params, ControlSchedule.constant(coarse, 0.0), events, coarse)

@@ -17,7 +17,6 @@ from multistrain import (
     numeric_jacobian,
     reproduction_number,
     strain_arrays,
-    susceptible,
 )
 from multistrain.dynamics import constant_jacobian, write_transmission
 
@@ -40,10 +39,11 @@ class TestStrainParams:
             with pytest.raises(DomainError):
                 StrainParams(**kwargs)
 
-    def test_mu_zero_allowed_but_strict_mode_rejects(self):
+    def test_mu_zero_allowed_but_equilibrium_rejects_it(self):
         p = StrainParams(beta=1e-9, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0)
-        with pytest.raises(DomainError):
-            p.require_positive_mu()
+        q = StrainParams(beta=1e-9, sigma=0.1, gamma=0.1, delta=0.1, mu=1e-5)
+        with pytest.raises(DomainError, match="mu > 0"):
+            nontrivial_equilibrium([q, p], 0.0, 1.0)
 
 
 class TestDerivatives:
@@ -93,20 +93,20 @@ class TestDerivatives:
 class TestSusceptible:
     def test_arithmetic_identity(self, baseline_params):
         state = EpidemicState(t=0.0, P=100.0, E=[10.0], I=[20.0], R=[30.0])
-        assert susceptible(state, 0) == 40.0
+        assert state.susceptible_all().tolist() == [40.0]
 
     def test_trivial_state_gives_total_population(self):
         state = EpidemicState(t=0.0, P=5e5, E=[0.0, 0.0], I=[0.0, 0.0], R=[0.0, 0.0])
-        assert susceptible(state, 0) == 5e5
-        assert susceptible(state, 1) == 5e5
+        assert state.susceptible_all().tolist() == [5e5, 5e5]
 
     def test_baseline_initial_pool(self, baseline_initial):
-        assert susceptible(baseline_initial, 0) == 217e6
+        assert baseline_initial.susceptible_all().tolist() == [217e6]
 
     def test_blown_up_state_reports_inconsistency(self):
         state = EpidemicState(t=0.0, P=100.0, E=[80.0], I=[80.0], R=[0.0])
-        with pytest.raises(StateConsistencyError):
-            susceptible(state, 0)
+        assert state.susceptible_all()[0] == -60.0
+        with pytest.raises(StateConsistencyError, match="susceptible pool negative"):
+            state.validate()
 
 
 class TestSusceptibleDerivative:

@@ -15,7 +15,6 @@ from multistrain import (
     StrainParams,
     TimeGrid,
     full_system_rhs,
-    rk4_step,
     simulate,
 )
 
@@ -55,6 +54,19 @@ class TestTimeGrid:
         with pytest.raises(Exception):
             TimeGrid(t0=0.0, dt=0.0, n_steps=10)
 
+    @pytest.mark.parametrize("n_steps", [10.0, 2.5, "10"])
+    def test_non_integral_step_count_is_rejected(self, n_steps):
+        with pytest.raises(DomainError, match="n_steps must be an integer"):
+            TimeGrid(0.0, 0.1, n_steps)
+        assert TimeGrid(0.0, 0.1, np.int64(10)).n_points == 11
+
+    @pytest.mark.parametrize("field", ["t0", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_or_step_is_rejected(self, field, value):
+        kwargs = {"t0": 0.0, "dt": 0.1, "n_steps": 3, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            TimeGrid(**kwargs)
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_off_the_grid(self, time):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
@@ -75,6 +87,18 @@ class TestSeedEvent:
         with pytest.raises(DomainError, match=">= 0"):
             SeedEvent(time=0.0, strain=0, removed=-1.0)
 
+    @pytest.mark.parametrize("strain", [0.5, 1.0, -1, "0"])
+    def test_strain_must_be_a_non_negative_integer(self, strain):
+        with pytest.raises(DomainError, match="strain index must be an integer"):
+            SeedEvent(0.0, strain)
+        assert SeedEvent(0.0, np.int64(1)).strain == 1
+
+
+def one_step(state, params, u, dt):
+    """The state after one ``simulate`` step of ``dt`` under constant ``u``."""
+    grid = TimeGrid(t0=state.t, dt=dt, n_steps=1)
+    return simulate(state, params, ControlSchedule.constant(grid, u), [], grid).final_state
+
 
 class TestRk4Step:
     def params(self):
@@ -82,7 +106,7 @@ class TestRk4Step:
 
     def test_fixed_point_stays_put(self):
         state = EpidemicState(t=3.0, P=1e6, E=[0.0], I=[0.0], R=[0.0])
-        out = rk4_step(state, self.params(), 0.2, 0.2, 0.2, 0.5)
+        out = one_step(state, self.params(), 0.2, 0.5)
         assert out.t == 3.5
         assert out.P == 1e6
         assert np.all(out.E == 0) and np.all(out.I == 0) and np.all(out.R == 0)
@@ -91,14 +115,9 @@ class TestRk4Step:
         # Full lockdown: dE/dt = -sigma E, exactly linear, so one RK4 step is
         # the degree-4 truncation of the exponential.
         state = EpidemicState(t=0.0, P=1e9, E=[100.0], I=[0.0], R=[0.0])
-        out = rk4_step(state, self.params(), 1.0, 1.0, 1.0, 1.0)
+        out = one_step(state, self.params(), 1.0, 1.0)
         assert out.E[0] == pytest.approx(86.6878384006664, abs=1e-10)
         assert abs(out.E[0] - 100.0 * math.exp(-SIGMA)) < 1e-4
-
-    def test_step_requires_valid_controls(self):
-        state = EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0])
-        with pytest.raises(Exception):
-            rk4_step(state, self.params(), 0.0, 1.5, 0.0, 0.1)
 
     def test_convergence_is_fourth_order(self):
         # Coarse steps keep the truncation error well above round-off.
@@ -306,17 +325,15 @@ class TestForwardOracle:
         assert traj.I[-1, n - 1] > I0  # the last strain really spread
         assert np.max(np.abs(got - expected)) <= 1e-12 * P0
 
-    def test_one_simulate_step_is_rk4_step_with_the_midpoint_control(self):
+    def test_one_simulate_step_takes_the_midpoint_control(self):
         _, params, _ = late_strains(2)
         grid = TimeGrid(t0=10.0, dt=0.1, n_steps=1)
         state = EpidemicState(t=10.0, P=P0, E=[E0, E0], I=[I0, I0], R=[R0_, R0_])
-        u0, u1 = 0.15, 0.35
-        traj = simulate(state, params, ControlSchedule(grid, [u0, u1]), [], grid)
-        out = rk4_step(state, params, u0, (u0 + u1) / 2, u1, 0.1)
-        assert traj.P[1] == out.P
-        assert np.array_equal(traj.E[1], out.E)
-        assert np.array_equal(traj.I[1], out.I)
-        assert np.array_equal(traj.R[1], out.R)
+        u = [0.15, 0.35]
+        traj = simulate(state, params, ControlSchedule(grid, u), [], grid)
+        got = np.concatenate(([traj.P[1]], traj.E[1], traj.I[1], traj.R[1]))
+        expected = oracle_simulate(state, params, u, [], grid)[1]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * P0
 
 
 def overshoot_state(t):
@@ -351,18 +368,15 @@ class TestClamp:
 
     def test_round_off_negative_becomes_exact_zero(self):
         params = overshoot_params(-0.5 * NEGATIVE_TOLERANCE)
-        out = rk4_step(overshoot_state(0.0), params, 0.0, 0.0, 0.0, 1.0)
+        out = one_step(overshoot_state(0.0), params, 0.0, 1.0)
         assert out.E[0] == 0.0 and math.copysign(1.0, out.E[0]) == 1.0
-        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
-        traj = simulate(overshoot_state(0.0), params, ControlSchedule.constant(grid, 0.0),
-                        [], grid)
-        assert traj.E[1, 0] == 0.0 and traj.I[1, 0] == out.I[0]
+        assert out.I[0] > 0.0
 
     def test_negative_just_beyond_tolerance_raises_with_the_step(self):
         params = overshoot_params(-1.5 * NEGATIVE_TOLERANCE)
         with pytest.raises(IntegrationError) as err:
-            rk4_step(overshoot_state(3.0), params, 0.0, 0.0, 0.0, 1.0)
-        assert err.value.step is None
+            one_step(overshoot_state(3.0), params, 0.0, 1.0)
+        assert err.value.step == 0
         # The strain is seeded on day 3, so the overshoot comes at step 3.
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=5)
         initial = EpidemicState(t=0.0, P=1.0, E=[0.0], I=[0.0], R=[0.0])
@@ -379,9 +393,6 @@ class TestClamp:
             StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
             StrainParams(beta=1e308, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
         ]
-        state = EpidemicState(t=1.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
-        with pytest.raises(IntegrationError, match="nan"):
-            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=3)
         initial = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
         with pytest.raises(IntegrationError, match="nan") as err:
@@ -394,8 +405,6 @@ class TestClamp:
         params = [StrainParams(beta=1e-100, sigma=1e-220, gamma=1e-220, delta=1e-220,
                                mu=0.0)]
         state = EpidemicState(t=0.0, P=1e308, E=[0.0], I=[1e100], R=[0.0])
-        with pytest.raises(IntegrationError, match="value inf"):
-            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
         with pytest.raises(IntegrationError, match="value inf") as err:
             simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
@@ -404,8 +413,6 @@ class TestClamp:
     def test_non_finite_population_raises(self):
         params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=1e10)]
         state = EpidemicState(t=0.0, P=1e300, E=[0.0], I=[1e299], R=[0.0])
-        with pytest.raises(IntegrationError, match="total population"):
-            rk4_step(state, params, 0.0, 0.0, 0.0, 1.0)
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
         with pytest.raises(IntegrationError, match="total population") as err:
             simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)

@@ -1,10 +1,12 @@
 """Property-based checks of the model invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multistrain import (
+    ConfigError,
     ControlSchedule,
     EpidemicState,
     SeedEvent,
@@ -13,6 +15,7 @@ from multistrain import (
     analytic_eigenvalues,
     derivatives,
     min_stabilizing_control,
+    parse_config_text,
     reproduction_number,
     simulate,
 )
@@ -143,3 +146,48 @@ def test_positive_reference_equilibria_are_never_feasible(params, u, i2):
     point = nontrivial_equilibrium(strict, u, i2)
     assert point.I[0] < 0.0
     assert not point.feasible
+
+
+@st.composite
+def stepped_scenarios(draw):
+    """Config text for 1-3 strains at beta * population in [0.1, 8]/day, on a
+    grid whose step divides a horizon of at most 120 days, with every seed
+    day a grid node.  Returns the text and the horizon."""
+    horizon = draw(st.integers(min_value=1, max_value=120))
+    steps = draw(st.integers(min_value=1, max_value=4 * horizon))
+    population = draw(st.floats(min_value=1e3, max_value=1e9))
+    lines = [
+        "[grid]", "start = 0", f"horizon = {horizon}", f"dt = {horizon / steps!r}",
+        "[initial]", f"population = {population!r}",
+    ]
+    for j in range(draw(st.integers(min_value=1, max_value=3))):
+        lines += [
+            f"[strain.{j + 1}]",
+            f"beta = {draw(st.floats(min_value=0.1, max_value=8.0)) / population!r}",
+            f"sigma = {draw(st.floats(min_value=1 / 14, max_value=1.0))!r}",
+            f"gamma = {draw(st.floats(min_value=1 / 21, max_value=0.5))!r}",
+            f"delta = {draw(st.floats(min_value=1 / 730, max_value=5.0))!r}",
+            f"mu = {draw(st.floats(min_value=0.0, max_value=1e-3))!r}",
+            f"activation_day = {horizon * draw(st.integers(0, steps)) / steps!r}",
+            f"seed_exposed = {population * draw(st.floats(1e-7, 1e-2))!r}",
+            f"seed_infected = {population * draw(st.floats(1e-7, 1e-2))!r}",
+        ]
+    lines += ["[control]", "mode = none"]
+    return "\n".join(lines) + "\n", horizon
+
+
+@given(stepped_scenarios())
+@settings(max_examples=30, deadline=None)
+def test_every_step_that_loads_runs_to_the_horizon(scenario):
+    """The step bound of ``max_stable_dt`` rejects at load every step that
+    would leave the admissible region mid-run."""
+    text, horizon = scenario
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError as err:
+        assert "grid.dt" in str(err)
+        return
+    grid = cfg.grid()
+    schedule = ControlSchedule.constant(grid, 0.0)
+    traj = simulate(cfg.initial_state(), cfg.strain_params(), schedule, cfg.seed_events(), grid)
+    assert traj.grid.T == pytest.approx(horizon)

@@ -236,14 +236,24 @@ class TestLoadConfig:
             load_config(str(path))
 
     def test_unstable_step_is_rejected_with_a_safe_step(self):
-        # case_a's fastest decay rate is about 0.373/day, so dt = 10 puts
-        # dt * |lambda| near 3.7, past the RK4 real-axis bound of 2.78.
+        # case_a's rate bound beta P + sigma + gamma + mu is about 0.713/day,
+        # so dt = 10 puts dt times it near 7.1, past the RK4 real-axis bound
+        # of 2.78.
         text = preset_text("case_a").replace("dt = 0.1", "dt = 10")
-        with pytest.raises(ConfigError, match=r"grid\.dt must be at most 7\.4"):
+        with pytest.raises(ConfigError, match=r"grid\.dt must be at most 3\.897"):
             parse_config_text(text)
         with pytest.raises(ConfigError, match="unstable"):
             set_config_value(preset_config("case_a"), "grid.dt", 10.0)
-        assert set_config_value(preset_config("case_a"), "grid.dt", 5.0).dt == 5.0
+        assert set_config_value(preset_config("case_a"), "grid.dt", 2.0).dt == 2.0
+
+    def test_fast_waning_step_is_rejected_at_load(self):
+        # With delta = 5/day, R alone decays past the RK4 real-axis bound at
+        # dt = 1 (1 * 5 > 2.78), though beta P + sigma + gamma + mu stays small.
+        text = preset_text("case_a").replace("dt = 0.1", "dt = 1")
+        text = text.replace("delta = 0.011111111111111112", "delta = 5")
+        with pytest.raises(ConfigError, match=r"grid\.dt must be at most 0\.556"):
+            parse_config_text(text)
+        assert parse_config_text(text.replace("dt = 1", "dt = 0.5")).dt == 0.5
 
     def test_activation_day_defaults_to_grid_start(self):
         cfg = parse_config_text(SHORT_SIM.replace("start = 0", "start = 5"))
@@ -713,6 +723,21 @@ class TestCli:
         # The new dt divides only the new horizon and seed day, so checking
         # the config after each flag would reject these.
         assert main(argv + ["--out", str(tmp_path), "--quiet", "--no-svg"]) == 0
+
+    def test_flag_mends_a_step_the_file_gets_wrong(self, tmp_path, capsys):
+        # beta P0 = 2/day allows steps up to 1.27 days; a 3-day step passed
+        # the bound of the linearisation at the infection-free state (4.4
+        # days) and then left the admissible region at step 14 (exit 4).
+        text = (
+            preset_text("experiment1").replace("beta = 2.41e-09", "beta = 9.2166e-09")
+            .replace("horizon = 730", "horizon = 60").replace("dt = 0.05", "dt = 3")
+        )
+        path = tmp_path / "fast.ini"
+        path.write_text(text)
+        argv = ["simulate", str(path), "--out", str(tmp_path / "out"), "--quiet", "--no-svg"]
+        assert main(argv) == 2
+        assert "grid.dt must be at most 1.269" in capsys.readouterr().err
+        assert main(argv + ["--dt", "1.2"]) == 0
 
     def test_directory_as_config_exits_two(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path), "--quiet"]) == 2
