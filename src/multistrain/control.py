@@ -30,13 +30,25 @@ from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, same_ti
 # Number of past residual differences the Anderson step mixes.
 ANDERSON_DEPTH = 5
 
-# Steps whose adjoint maps the backward sweep forms at once.  All of them at
-# once would hold 8 strains x 14 600 steps x 34^2 doubles = 135 MB per array.
-# A process holding that 8-strain trajectory (730 days at dt 0.05) sat at
-# 38.5 MB RSS; its sweep peaked at 49 MB with blocks of 64 and at 57 MB with
-# blocks of 256, which also ran 1.4x slower.  Blocks of 16 ran a 1-strain
-# sweep 3x slower.
+# Steps whose adjoint maps the backward sweep forms at once: as many as keep
+# each of its five (steps, 4n+2, 4n+2) float64 buffers within
+# SWEEP_BUFFER_BYTES, which is 1 024 steps at one strain, 368 at two and 64
+# at eight, and never fewer than SWEEP_BLOCK.  All steps at once would hold
+# 8 strains x 14 600 steps x 34^2 doubles = 135 MB per array.  Over 730 days
+# at dt 0.05, a 1-strain sweep raised the peak RSS of a process by 1.6 MB
+# with blocks of 64, 3.2 MB with 1 024 and 4.7 MB with 2 055 (the byte size
+# of 64 eight-strain steps); at dt 0.1, blocks of 64, 1 024 and 2 048 took
+# 28.5, 17.9 and 20.1 ms.
+# An 8-strain sweep raised it by 10.4 MB with blocks of 64; blocks of 256
+# had raised it by 8 MB more and ran 1.4x slower.
 SWEEP_BLOCK = 64
+SWEEP_BUFFER_BYTES = 1024 * 36 * 8
+
+
+def _sweep_block(n_strains: int) -> int:
+    """Steps per block of the backward sweep for ``n_strains`` strains."""
+    return max(SWEEP_BLOCK, SWEEP_BUFFER_BYTES // (8 * (4 * n_strains + 2) ** 2))
+
 
 # Step multiples tried for the coarse grid of the nested start, largest first,
 # and the tolerance of the coarse solve as a multiple of the fine one.  The
@@ -261,9 +273,10 @@ def backward_sweep(
 
     with ``G_mid`` at the midpoint (linear interpolants of the stored state
     and control).  The generator stacks hold :func:`constant_jacobian` and
-    the forcing row from the start; each batch of ``SWEEP_BLOCK`` steps
-    rewrites only their transmission entries, forms its maps in three
-    reused buffers and then applies them in one loop.
+    the forcing row from the start.  The steps go in blocks sized by
+    ``SWEEP_BUFFER_BYTES`` (1 024 steps at one strain, 64 at eight); each
+    block rewrites only the transmission entries, forms its maps in three
+    reused buffers and then applies them in one loop of ``ndarray.dot``.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
@@ -288,7 +301,8 @@ def _adjoint_rows(traj: Trajectory, arrays: StrainArrays, c1: float) -> np.ndarr
     u_mid = 0.5 * (u[:-1] + u[1:])
 
     h = traj.grid.dt
-    width = min(SWEEP_BLOCK, N)
+    block = _sweep_block(traj.n_strains)
+    width = min(block, N)
     G_node = np.zeros((width + 1, D + 1, D + 1))
     G_node[:, :D, :D] = constant_jacobian(arrays)
     G_node[:, D, 0] = c1
@@ -300,8 +314,8 @@ def _adjoint_rows(traj: Trajectory, arrays: StrainArrays, c1: float) -> np.ndarr
     rows = np.empty((N + 1, D + 1))
     rows[N] = 0.0
     rows[N, D] = 1.0
-    for m1 in range(N, 0, -SWEEP_BLOCK):
-        m0 = max(m1 - SWEEP_BLOCK, 0)
+    for m1 in range(N, 0, -block):
+        m0 = max(m1 - block, 0)
         k = m1 - m0
         g_node, g_mid = G_node[: k + 1], G_mid[:k]
         x, b, c = X[:k], B[:k], C[:k]
@@ -324,8 +338,12 @@ def _adjoint_rows(traj: Trajectory, arrays: StrainArrays, c1: float) -> np.ndarr
         x += c
         x *= h / 6.0
         _add_identity(x)
-        for m in range(m1 - 1, m0 - 1, -1):
-            np.matmul(rows[m + 1], x[m - m0], out=rows[m])
+        # Lists of row views index faster than the arrays, and ndarray.dot
+        # dispatches faster than np.matmul; both are the same BLAS product.
+        rv = list(rows[m0 : m1 + 1])
+        xv = list(x)
+        for j in range(k - 1, -1, -1):
+            rv[j + 1].dot(xv[j], out=rv[j])
     return rows
 
 

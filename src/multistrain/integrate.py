@@ -6,12 +6,14 @@ same nodes.  Controls between nodes are interpolated linearly, so an RK4 step
 from ``t_k`` takes the control at ``t_k``, the midpoint average and the value
 at ``t_{k+1}``.
 
-``simulate`` runs one step on plain lists that allocates nothing: the four
-stage slopes live in buffers made once per call, each stage walks the strains
-once through ``dynamics.rhs_lists`` and forms its input as ``x + h*k`` on the
-fly, and the result is updated in place.  The admissibility check is one test
-per strain, of the signs and of the finite sum; the clamp runs only when it
-fails.
+``simulate`` runs the RK4 steps inline in its node loop, on plain lists: the
+four stage slopes live in lists made once per call, each stage walks the
+strains once through ``dynamics.rhs_lists`` and forms its input as ``x + h*k``
+on the fly, and the state is updated in place.  The admissibility check is one
+test per strain, of the signs and of the finite sum; the clamp runs only when
+it fails.  Each node's state goes into one preallocated history matrix as one
+row, ``[P, E, I, R]``, and the recorded ``P``, ``E``, ``I`` and ``R`` are
+column views of it.
 """
 
 from __future__ import annotations
@@ -189,57 +191,10 @@ class Trajectory:
         return self.state_at(self.grid.n_steps)
 
 
-# A plain global for the per-strain admissibility test of every step.
-_INF = math.inf
-
-
-def _slope_buffers(n: int) -> tuple:
-    """Stage slopes of one RK4 step: E, I, R lists for each of the four
-    stages, then one zero list that stands for the slope before stage 1."""
-    return tuple([0.0] * n for _ in range(13))
-
-
-def _step(P, E, I, R, rows, u0, um, u1, dt, slopes, tol, step):
-    """One classical RK4 step on plain lists.
-
-    Updates ``E``, ``I`` and ``R`` in place and returns the new ``P``.  Each
-    stage evaluates :func:`rhs_lists` at ``x + h*k`` of the previous stage's
-    slope ``k``, so the step builds no list.  Round-off negatives within
-    ``tol`` become zero; anything worse, a NaN or infinite compartment or a
-    non-finite ``P`` raises :class:`IntegrationError` tagged with ``step``.
-    """
-    aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = slopes
-    half = 0.5 * dt
-    aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
-    bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
-    cP = rhs_lists(P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR)
-    dP = rhs_lists(P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
-    sixth = dt / 6.0
-    P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
-    admissible = True
-    for j in range(len(E)):
-        e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
-        i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
-        r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
-        # False for a negative, NaN or +inf value, which the clamp handles.
-        if not (e >= 0.0 and i >= 0.0 and r >= 0.0 and e + i + r < _INF):
-            admissible = False
-    if not math.isfinite(P):
-        raise IntegrationError(f"total population became {P!r}", step=step)
-    if not P >= 0.0:
-        boxed = [P]
-        _clamp_inplace(boxed, tol, step)
-        P = boxed[0]
-    if not admissible:
-        for values in (E, I, R):
-            _clamp_inplace(values, tol, step)
-    return P
-
-
 def _clamp_inplace(values, tol, step):
     """Zero small negative overshoots; reject anything worse, NaN or +inf."""
     for idx, v in enumerate(values):
-        if not 0.0 <= v < _INF:
+        if not 0.0 <= v < math.inf:
             if -tol <= v < 0.0:
                 values[idx] = 0.0
             else:
@@ -283,12 +238,14 @@ def simulate(
         events_at.setdefault(grid.index_of(ev.time), []).append(ev)
 
     rows = strain_rows(params)
-    slopes = _slope_buffers(n)
+    # Stage slopes of one RK4 step: E, I, R lists for each of the four
+    # stages, and one zero list that stands for the slope before stage 1.
+    aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = (
+        [0.0] * n for _ in range(13)
+    )
     N = grid.n_steps
-    P_hist = np.empty(N + 1)
-    E_hist = np.empty((N + 1, n))
-    I_hist = np.empty((N + 1, n))
-    R_hist = np.empty((N + 1, n))
+    # One row [P, E_1..E_n, I_1..I_n, R_1..R_n] per node, written in one call.
+    hist = np.empty((N + 1, 3 * n + 1))
     u_list = schedule.u.tolist()
 
     p_ref = max(initial.P, 1.0)
@@ -298,29 +255,57 @@ def simulate(
     I = initial.I.tolist()
     R = initial.R.tolist()
     dt = grid.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    inf = math.inf
+    strains = range(n)
 
     for k in range(N + 1):
-        for ev in events_at.get(k, ()):
-            j = ev.strain
-            E[j] += ev.exposed
-            I[j] += ev.infected
-            R[j] += ev.removed
-            if P - E[j] - I[j] - R[j] < -tol:
-                raise StateConsistencyError(
-                    f"seed at day {ev.time} exceeds the susceptible pool of "
-                    f"strain {j}"
-                )
-        P_hist[k] = P
-        E_hist[k] = E
-        I_hist[k] = I
-        R_hist[k] = R
+        if k in events_at:
+            for ev in events_at[k]:
+                j = ev.strain
+                E[j] += ev.exposed
+                I[j] += ev.infected
+                R[j] += ev.removed
+                if P - E[j] - I[j] - R[j] < -tol:
+                    raise StateConsistencyError(
+                        f"seed at day {ev.time} exceeds the susceptible pool of "
+                        f"strain {j}"
+                    )
+        hist[k] = [P, *E, *I, *R]
         if k == N:
             break
+        # One classical RK4 step.  Each stage evaluates rhs_lists at x + h*k
+        # of the previous stage's slope k, so the step builds no list.
         u0 = u_list[k]
         u1 = u_list[k + 1]
-        P = _step(P, E, I, R, rows, u0, 0.5 * (u0 + u1), u1, dt, slopes, tol, k)
+        um = 0.5 * (u0 + u1)
+        aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
+        bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
+        cP = rhs_lists(P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR)
+        dP = rhs_lists(P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
+        P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
+        admissible = True
+        for j in strains:
+            e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
+            i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
+            r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
+            # False for a negative, NaN or +inf value, which the clamp handles.
+            if not (e >= 0.0 and i >= 0.0 and r >= 0.0 and e + i + r < inf):
+                admissible = False
+        # Round-off negatives within tol become zero; anything worse, a NaN
+        # or infinite compartment or a non-finite P fails with the step.
+        if not math.isfinite(P):
+            raise IntegrationError(f"total population became {P!r}", step=k)
+        if not P >= 0.0:
+            boxed = [P]
+            _clamp_inplace(boxed, tol, k)
+            P = boxed[0]
+        if not admissible:
+            for values in (E, I, R):
+                _clamp_inplace(values, tol, k)
 
     return Trajectory(
-        grid=grid, P=P_hist, E=E_hist, I=I_hist, R=R_hist,
-        u=np.array(schedule.u, dtype=float),
+        grid=grid, P=hist[:, 0], E=hist[:, 1 : n + 1], I=hist[:, n + 1 : 2 * n + 1],
+        R=hist[:, 2 * n + 1 :], u=np.array(schedule.u, dtype=float),
     )

@@ -333,14 +333,17 @@ class TestBackwardSweep:
         assert np.all(np.isfinite(cos.phi_S))
         assert np.abs(cos.phi_S[0]).max() > 0.0
 
-    @pytest.mark.parametrize("n_strains", [2, 8])
+    @pytest.mark.parametrize("n_strains", [1, 2, 8])
     @pytest.mark.parametrize(
-        "n_steps",
-        [1, control.SWEEP_BLOCK, control.SWEEP_BLOCK + 1, 3 * control.SWEEP_BLOCK + 5],
+        "blocks, extra",
+        [(0, 1), (1, 0), (1, 1), (2, 3)],
+        ids=["1", "B", "B+1", "2B+3"],
     )
-    def test_matches_a_step_by_step_rk4_oracle(self, n_strains, n_steps):
-        # Grids of one block, one block and one step, and three blocks and a
-        # short one cover every way a block can fill the reused buffers.
+    def test_matches_a_step_by_step_rk4_oracle(self, n_strains, blocks, extra):
+        # Grids of one step, one block of B steps, one block and one step, and
+        # two blocks and a short one cover every way a block can fill the
+        # reused buffers; B depends on the strain count.
+        n_steps = blocks * control._sweep_block(n_strains) + extra
         traj, params = seeded_run(n_strains, n_steps)
         costs = CostParams(c1=1.0, c2=math.log(1e6))
         phi = stacked_costates(backward_sweep(traj, params, costs))
@@ -348,11 +351,11 @@ class TestBackwardSweep:
         assert np.abs(phi - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_calls_share_no_state(self):
-        # Interleaved 1- and 8-strain sweeps, serially and from two threads,
-        # each give what a fresh serial call gives.
-        n_steps = 3 * control.SWEEP_BLOCK + 5
+        # Interleaved 1- and 8-strain sweeps of two blocks and a short one
+        # each, serially and from two threads, each give what a fresh serial
+        # call gives.
         costs = CostParams(c1=2.0, c2=8.0)
-        runs = [seeded_run(n, n_steps) for n in (1, 8)]
+        runs = [seeded_run(n, 2 * control._sweep_block(n) + 3) for n in (1, 8)]
         fresh = [stacked_costates(backward_sweep(t, p, costs)) for t, p in runs]
         order = [0, 1] * 4
         serial = [stacked_costates(backward_sweep(*runs[i], costs)) for i in order]

@@ -194,6 +194,14 @@ class TestSimulate:
         integral = grid.dt * (rate.sum() - 0.5 * (rate[0] + rate[-1]))
         assert deaths == pytest.approx(integral, rel=1e-4)
 
+    def test_recorded_arrays_are_read_only(self):
+        traj, _, _ = baseline_run(dt=0.1, horizon=5.0)
+        for name in ("P", "E", "I", "R", "u"):
+            values = getattr(traj, name)
+            assert values.flags.writeable is False
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
     def test_deterministic_repetition(self):
         t1, _, _ = baseline_run(dt=0.1, horizon=50.0)
         t2, _, _ = baseline_run(dt=0.1, horizon=50.0)

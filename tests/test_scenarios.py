@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -355,6 +356,19 @@ class TestRunScenario:
             assert b1 == b2
         assert (out1 / "compartments.svg").exists()
         assert not (out1 / "control.svg").exists()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("experiment1", "113d4565163d21c39df0ba223b76fc35a45f4ef444b7a684cc8936170d9e43da"),
+        ("experiment3", "645c483cc5f038bfabdf25067e8b5e3d1ad13717ef9074b000e64aee87e4cbea"),
+    ], ids=["experiment1", "experiment3"])
+    def test_preset_trajectory_is_pinned_bit_for_bit(self, name, digest, tmp_path):
+        # The forward pass is CPython float arithmetic written with %.17g, so
+        # any change to its operations or their order shows in the digest.
+        cfg = preset_config(name)
+        cfg.svg = False
+        run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
+        data = (tmp_path / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
