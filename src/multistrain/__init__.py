@@ -27,13 +27,11 @@ from .config import (
 )
 from .control import (
     ControlSchedule,
-    CostateDerivative,
     CostateState,
     CostateTrajectory,
     CostParams,
     FbsmReport,
     backward_sweep,
-    costate_derivatives,
     fbsm_solve,
     objective,
     optimal_u,
@@ -43,10 +41,8 @@ from .dynamics import (
     EpidemicState,
     EquilibriumPoint,
     ReproductionNumber,
-    StateDerivative,
     StrainParams,
     analytic_eigenvalues,
-    derivatives,
     equilibrium_residuals,
     full_system_rhs,
     jacobian,

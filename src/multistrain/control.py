@@ -21,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    EpidemicState, StrainArrays, StrainParams, check_control, constant_jacobian,
-    jacobian, max_stable_dt, split, strain_arrays, write_transmission,
+    EpidemicState, StrainArrays, StrainParams, constant_jacobian, max_stable_dt,
+    split, strain_arrays, write_transmission,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
-from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, same_time, simulate
+from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, simulate
 
 # Number of past residual differences the Anderson step mixes.
 ANDERSON_DEPTH = 5
@@ -73,9 +73,8 @@ class CostParams:
 
 @dataclass(frozen=True)
 class CostateState:
-    """Adjoint variables at one time: phi_P plus per-strain phi_S/E/I/R."""
+    """Adjoint variables at one node: phi_P plus per-strain phi_S/E/I/R."""
 
-    t: float
     phi_P: float
     phi_S: np.ndarray
     phi_E: np.ndarray
@@ -99,15 +98,6 @@ class CostateState:
 
 
 @dataclass(frozen=True)
-class CostateDerivative:
-    dphi_P: float
-    dphi_S: np.ndarray
-    dphi_E: np.ndarray
-    dphi_I: np.ndarray
-    dphi_R: np.ndarray
-
-
-@dataclass(frozen=True)
 class CostateTrajectory:
     """Adjoint sweep recorded on the same grid as the forward trajectory."""
 
@@ -124,7 +114,7 @@ class CostateTrajectory:
 
     def state_at(self, k: int) -> CostateState:
         return CostateState(
-            t=self.grid.time_at(k), phi_P=float(self.phi_P[k]),
+            phi_P=float(self.phi_P[k]),
             phi_S=self.phi_S[k], phi_E=self.phi_E[k],
             phi_I=self.phi_I[k], phi_R=self.phi_R[k],
         )
@@ -173,51 +163,6 @@ def objective(traj: Trajectory, costs: CostParams) -> float:
     trajectory's own recorded control, over the grid."""
     rates = costs.c1 * traj.P - np.exp(costs.c2 * traj.u)
     return _uniform_trapezoid(rates, traj.grid.dt)
-
-
-def costate_derivatives(
-    state: EpidemicState,
-    costate: CostateState,
-    u: float,
-    params: Sequence[StrainParams],
-    costs: CostParams,
-) -> CostateDerivative:
-    """Adjoint system ``d phi / dt = -J^T phi - c1 e_P`` at a state/costate pair.
-
-    With ``J`` from :func:`~multistrain.dynamics.jacobian` this reads
-
-    d phi_P / dt   = -c1
-    d phi_S_j / dt = (phi_S_j - phi_E_j) (1-u) beta_j I_j
-    d phi_E_j / dt = sigma_j (phi_E_j - phi_I_j)
-    d phi_I_j / dt = (phi_S_j - phi_E_j) (1-u) beta_j S_j
-                     + phi_I_j (mu_j + gamma_j) - phi_R_j gamma_j
-                     + phi_P mu_j + mu_j sum_{i != j} phi_S_i
-    d phi_R_j / dt = delta_j (phi_R_j - phi_S_j)
-
-    with S_j taken algebraically from the state.  A strain not yet seeded
-    has ``I_j = 0``, so its ``phi_S_j`` stays constant until the seed.  The
-    product with ``J`` is an ``einsum``: a BLAS product may fuse multiply and
-    add, and then equal ``phi_S_j`` and ``phi_E_j`` no longer cancel exactly.
-    """
-    if state.n_strains != costate.n_strains or state.n_strains != len(params):
-        raise DomainError("state, costate and parameters disagree on strain count")
-    if not same_time(costate.t, state.t):
-        raise DomainError(
-            f"state (t={state.t!r}) and costate (t={costate.t!r}) are not simultaneous"
-        )
-    check_control(u)
-    J = jacobian(
-        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
-    )[0]
-    phi = np.hstack((
-        costate.phi_P, costate.phi_S, costate.phi_E, costate.phi_I, costate.phi_R
-    ))
-    d = -np.einsum("ij,i->j", J, phi)
-    d[0] -= costs.c1
-    dP, dS, dE, dI, dR = split(d, state.n_strains)
-    return CostateDerivative(
-        dphi_P=float(dP), dphi_S=dS, dphi_E=dE, dphi_I=dI, dphi_R=dR
-    )
 
 
 def optimal_u(

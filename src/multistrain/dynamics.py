@@ -137,20 +137,6 @@ class EpidemicState:
             )
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of an :class:`EpidemicState` (same shape, per day)."""
-
-    dP: float
-    dE: np.ndarray
-    dI: np.ndarray
-    dR: np.ndarray
-
-    def __post_init__(self):
-        for name in ("dE", "dI", "dR"):
-            object.__setattr__(self, name, _strain_vector(getattr(self, name), name))
-
-
 def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
     """Compartment flows on plain Python lists; the one list form of the model.
 
@@ -212,31 +198,6 @@ def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
         (a.mu + a.gamma).tolist(), a.gamma.tolist(), a.delta.tolist(),
         a.mu.tolist(),
     ))
-
-
-def derivatives(
-    state: EpidemicState, params: Sequence[StrainParams], u: float
-) -> StateDerivative:
-    """Time derivative of the epidemic state under mitigation ``u``.
-
-    The P, E, I and R balance equations of :func:`flows`, with the
-    susceptible pool taken algebraically.
-    """
-    if len(params) == 0:
-        raise DomainError("at least one strain is required")
-    if len(params) != state.n_strains:
-        raise DomainError(
-            f"state has {state.n_strains} strain(s) but {len(params)} parameter sets given"
-        )
-    check_control(u)
-    state.validate()
-    zero = [0.0] * state.n_strains
-    dE, dI, dR = list(zero), list(zero), list(zero)
-    dP = rhs_lists(
-        state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
-        0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
-    )
-    return StateDerivative(dP=dP, dE=np.array(dE), dI=np.array(dI), dR=np.array(dR))
 
 
 class Flows(NamedTuple):

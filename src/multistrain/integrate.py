@@ -65,7 +65,12 @@ class TimeGrid:
             raise DomainError(f"dt must be > 0, got {dt!r}")
         if not horizon > t0:
             raise DomainError("horizon must lie after t0")
-        n = round((horizon - t0) / dt)
+        span = (horizon - t0) / dt
+        if not math.isfinite(span):
+            raise DomainError(
+                f"dt={dt!r} does not give a finite step count over {horizon!r} - {t0!r}"
+            )
+        n = round(span)
         if n < 1 or not same_time(t0 + n * dt, horizon):
             raise ConfigError(
                 f"dt={dt!r} does not divide the horizon {horizon!r} - {t0!r}"
@@ -185,10 +190,6 @@ class Trajectory:
             t=self.grid.time_at(k), P=float(self.P[k]),
             E=self.E[k], I=self.I[k], R=self.R[k],
         )
-
-    @property
-    def final_state(self) -> EpidemicState:
-        return self.state_at(self.grid.n_steps)
 
 
 def _clamp_inplace(values, tol, step):

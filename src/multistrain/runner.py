@@ -351,6 +351,8 @@ def sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # Run directories and the summary name the path as set_config_value reads it.
+    param_path = param_path.strip().lower()
     configs = [set_config_value(config, param_path, value) for value in values]
     tags: dict[str, float] = {}
     for value in values:

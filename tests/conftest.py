@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from multistrain import EpidemicState, StrainParams, svgchart
+from multistrain import EpidemicState, StrainParams, jacobian, strain_arrays, svgchart
+from multistrain.dynamics import rhs_lists, strain_rows
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -51,6 +52,45 @@ def random_state(rng: np.random.Generator, n: int, t=0.0) -> EpidemicState:
     return EpidemicState(t=t, P=P, E=E, I=I, R=R)
 
 
+def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):
+    """``(dP, dE, dI, dR)`` at ``state`` from the forward step's own list
+    code: ``dynamics.rhs_lists`` at ``h = 0`` with zero slopes."""
+    zero = [0.0] * state.n_strains
+    dE, dI, dR = list(zero), list(zero), list(zero)
+    dP = rhs_lists(
+        state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
+        0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
+    )
+    return dP, np.array(dE), np.array(dI), np.array(dR)
+
+
+def jacobian_at(state: EpidemicState, params: list[StrainParams], u: float) -> np.ndarray:
+    """The analytic Jacobian at one state, as a single (4n+1)^2 matrix."""
+    return jacobian(
+        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
+    )[0]
+
+
+def costate_slope(state, phi, u, params, c1) -> np.ndarray:
+    """The adjoint slope ``-J^T phi - c1 e_P`` at ``state``, with ``phi`` and
+    the result in the coordinates ``[P, S_1..S_n, E.., I.., R..]``:
+
+    d phi_P / dt   = -c1
+    d phi_S_j / dt = (phi_S_j - phi_E_j) (1-u) beta_j I_j
+    d phi_E_j / dt = sigma_j (phi_E_j - phi_I_j)
+    d phi_I_j / dt = (phi_S_j - phi_E_j) (1-u) beta_j S_j
+                     + phi_I_j (mu_j + gamma_j) - phi_R_j gamma_j
+                     + phi_P mu_j + mu_j sum_{i != j} phi_S_i
+    d phi_R_j / dt = delta_j (phi_R_j - phi_S_j)
+
+    The product is an ``einsum``: a BLAS product may fuse multiply and add,
+    and then equal ``phi_S_j`` and ``phi_E_j`` no longer cancel exactly.
+    """
+    d = -np.einsum("ij,i->j", jacobian_at(state, params, u), phi)
+    d[0] -= c1
+    return d
+
+
 def susceptible_derivative(
     state: EpidemicState, params: list[StrainParams], u: float, j: int
 ) -> float:
@@ -59,7 +99,7 @@ def susceptible_derivative(
     dS_j/dt = -(1-u) beta_j S_j I_j + delta_j R_j - sum_{i != j} mu_i I_i
 
     A scalar oracle for the algebraic form the package uses: it must equal
-    d/dt (P - E_j - I_j - R_j) assembled from ``derivatives``.
+    d/dt (P - E_j - I_j - R_j) assembled from :func:`state_slopes`.
     """
     state.validate()
     p = params[j]

@@ -18,8 +18,6 @@ from multistrain import (
     EpidemicState,
     analytic_eigenvalues,
     backward_sweep,
-    costate_derivatives,
-    derivatives,
     equilibrium_residuals,
     fbsm_solve,
     full_system_rhs,
@@ -32,8 +30,11 @@ from multistrain import (
     run_scenario,
     simulate,
 )
+from multistrain.dynamics import split
 
-from conftest import random_params, random_state, susceptible_derivative
+from conftest import (
+    costate_slope, random_params, random_state, state_slopes, susceptible_derivative,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -103,7 +104,7 @@ def window_mean(grid, values, lo, hi):
 def endemic_equilibrium_shares(params, population, p0):
     """Closed-form endemic equilibrium of one strain, as shares of ``p0``.
 
-    Setting dE = dI = dR = 0 in ``derivatives`` gives S* = (mu + gamma) / beta,
+    Setting dE = dI = dR = 0 in the model equations gives S* = (mu + gamma) / beta,
     E* = (mu + gamma) / sigma * I* and R* = gamma / delta * I*; the four
     compartments add up to ``population`` (Hethcote, SIAM Review 42, 2000).
     """
@@ -247,10 +248,10 @@ def test_criterion_05_susceptible_route_identity():
         params = random_params(rng, n)
         state = random_state(rng, n)
         u = float(rng.uniform(0.0, 1.0))
-        d = derivatives(state, params, u)
+        dP, dE, dI, dR = state_slopes(state, params, u)
         for j in range(n):
             p = params[j]
-            algebraic = d.dP - d.dE[j] - d.dI[j] - d.dR[j]
+            algebraic = dP - dE[j] - dI[j] - dR[j]
             differential = susceptible_derivative(state, params, u, j)
             s_j = state.P - state.E[j] - state.I[j] - state.R[j]
             scale = max(
@@ -277,16 +278,13 @@ def test_criterion_06_adjoint_agreement():
         n = int(rng.integers(1, 4))
         params = random_params(rng, n)
         state = random_state(rng, n)
-        from multistrain import CostateState
-
-        cs = CostateState(
-            t=0.0, phi_P=float(rng.uniform(-10, 10)),
-            phi_S=rng.uniform(-10, 10, n), phi_E=rng.uniform(-10, 10, n),
-            phi_I=rng.uniform(-10, 10, n), phi_R=rng.uniform(-10, 10, n),
-        )
+        phi = np.hstack((
+            rng.uniform(-10, 10), rng.uniform(-10, 10, n), rng.uniform(-10, 10, n),
+            rng.uniform(-10, 10, n), rng.uniform(-10, 10, n),
+        ))
         u = float(rng.uniform(0, 1))
-        d = costate_derivatives(state, cs, u, params, costs)
-        analytic = np.concatenate(([d.dphi_P], d.dphi_S, d.dphi_E, d.dphi_I, d.dphi_R))
+        analytic = costate_slope(state, phi, u, params, costs.c1)
+        pP, pS, pE, pI, pR = split(phi, n)
 
         def hamiltonian(x):
             P, S = x[0], x[1 : n + 1]
@@ -294,8 +292,8 @@ def test_criterion_06_adjoint_agreement():
             R = x[3 * n + 1 :]
             dP, dS, dE, dI, dR = full_system_rhs(P, S, E, I, R, params, u)
             return (
-                costs.c1 * P - math.exp(costs.c2 * u) + cs.phi_P * dP
-                + float(cs.phi_S @ dS + cs.phi_E @ dE + cs.phi_I @ dI + cs.phi_R @ dR)
+                costs.c1 * P - math.exp(costs.c2 * u) + pP * dP
+                + float(pS @ dS + pE @ dE + pI @ dI + pR @ dR)
             )
 
         x0 = np.concatenate(([state.P], state.susceptible_all(), state.E, state.I, state.R))

@@ -8,7 +8,6 @@ from multistrain import (
     StateConsistencyError,
     StrainParams,
     analytic_eigenvalues,
-    derivatives,
     equilibrium_residuals,
     full_system_rhs,
     jacobian,
@@ -21,7 +20,8 @@ from multistrain import (
 from multistrain.dynamics import constant_jacobian, write_transmission
 
 from conftest import (
-    BETA, DELTA, GAMMA, MU, SIGMA, random_params, random_state, susceptible_derivative,
+    BETA, DELTA, GAMMA, MU, SIGMA, jacobian_at, random_params, random_state,
+    state_slopes, susceptible_derivative,
 )
 
 
@@ -50,28 +50,29 @@ class TestDerivatives:
     def test_infection_free_point_is_fixed(self, baseline_params):
         state = EpidemicState(t=0.0, P=1e6, E=[0.0], I=[0.0], R=[0.0])
         for u in (0.0, 0.3, 1.0):
-            d = derivatives(state, baseline_params, u)
-            assert d.dP == 0.0
-            assert np.all(d.dE == 0.0) and np.all(d.dI == 0.0) and np.all(d.dR == 0.0)
+            dP, dE, dI, dR = state_slopes(state, baseline_params, u)
+            assert dP == 0.0
+            assert np.all(dE == 0.0) and np.all(dI == 0.0) and np.all(dR == 0.0)
 
     def test_baseline_initial_exposure_rate(self, baseline_params, baseline_initial):
         # Hand-computed: beta*S*I - sigma*E = 2.41e-9 * 217e6 * 2 - 252/7
-        d = derivatives(baseline_initial, baseline_params, 0.0)
-        assert d.dE[0] == pytest.approx(-34.95406, rel=1e-9)
+        _, dE, _, _ = state_slopes(baseline_initial, baseline_params, 0.0)
+        assert dE[0] == pytest.approx(-34.95406, rel=1e-9)
 
     def test_full_lockdown_removes_transmission(self, baseline_params, baseline_initial):
-        d = derivatives(baseline_initial, baseline_params, 1.0)
-        assert d.dE[0] == -SIGMA * 252.0
+        _, dE, _, _ = state_slopes(baseline_initial, baseline_params, 1.0)
+        assert dE[0] == -SIGMA * 252.0
 
     def test_control_out_of_range(self, baseline_params, baseline_initial):
+        s = baseline_initial
         for u in (-0.1, 1.1):
             with pytest.raises(DomainError):
-                derivatives(baseline_initial, baseline_params, u)
+                full_system_rhs(s.P, s.susceptible_all(), s.E, s.I, s.R, baseline_params, u)
 
-    def test_negative_compartment_rejected(self, baseline_params):
+    def test_negative_compartment_rejected(self):
         state = EpidemicState(t=0.0, P=1e6, E=[-5.0], I=[0.0], R=[0.0])
         with pytest.raises(StateConsistencyError):
-            derivatives(state, baseline_params, 0.0)
+            state.validate()
 
     def test_unseeded_strain_has_no_flows(self):
         # Every flow of a strain is a product with its E, I or R, so a strain
@@ -83,11 +84,11 @@ class TestDerivatives:
         two = EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[1.0, 0.0], R=[3.0, 0.0])
         one = EpidemicState(t=0.0, P=1e6, E=[10.0], I=[1.0], R=[3.0])
         for u in (0.0, 0.4, 1.0):
-            d2 = derivatives(two, params, u)
-            d1 = derivatives(one, params[:1], u)
-            assert d2.dE[1] == 0.0 and d2.dI[1] == 0.0 and d2.dR[1] == 0.0
-            assert d2.dP == d1.dP
-            assert (d2.dE[0], d2.dI[0], d2.dR[0]) == (d1.dE[0], d1.dI[0], d1.dR[0])
+            dP2, dE2, dI2, dR2 = state_slopes(two, params, u)
+            dP1, dE1, dI1, dR1 = state_slopes(one, params[:1], u)
+            assert dE2[1] == 0.0 and dI2[1] == 0.0 and dR2[1] == 0.0
+            assert dP2 == dP1
+            assert (dE2[0], dI2[0], dR2[0]) == (dE1[0], dI1[0], dR1[0])
 
 
 class TestSusceptible:
@@ -128,10 +129,10 @@ class TestSusceptibleDerivative:
             params = random_params(rng, n)
             state = random_state(rng, n)
             u = float(rng.uniform(0.0, 1.0))
-            d = derivatives(state, params, u)
+            dP, dE, dI, dR = state_slopes(state, params, u)
             for j in range(n):
                 p = params[j]
-                algebraic = d.dP - d.dE[j] - d.dI[j] - d.dR[j]
+                algebraic = dP - dE[j] - dI[j] - dR[j]
                 differential = susceptible_derivative(state, params, u, j)
                 s_j = state.P - state.E[j] - state.I[j] - state.R[j]
                 assert rel_gap(
@@ -270,22 +271,15 @@ class TestFullSystemRhs:
             params = random_params(rng, n)
             state = random_state(rng, n)
             u = float(rng.uniform(0, 1))
-            d = derivatives(state, params, u)
+            lP, lE, lI, lR = state_slopes(state, params, u)
             dP, dS, dE, dI, dR = full_system_rhs(
                 state.P, state.susceptible_all(), state.E, state.I, state.R,
                 params, u,
             )
-            assert dP == pytest.approx(d.dP, rel=1e-14, abs=1e-300)
-            assert dE == pytest.approx(d.dE, rel=1e-14)
-            assert dI == pytest.approx(d.dI, rel=1e-14)
-            assert dR == pytest.approx(d.dR, rel=1e-14)
-
-
-def jacobian_at(state, params, u):
-    """The analytic Jacobian at one state, as a single (4n+1)^2 matrix."""
-    return jacobian(
-        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
-    )[0]
+            assert dP == pytest.approx(lP, rel=1e-14, abs=1e-300)
+            assert dE == pytest.approx(lE, rel=1e-14)
+            assert dI == pytest.approx(lI, rel=1e-14)
+            assert dR == pytest.approx(lR, rel=1e-14)
 
 
 class TestJacobian:

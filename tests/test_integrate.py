@@ -44,6 +44,11 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGrid.from_horizon(0.0, 730.00001, 0.1)
 
+    @pytest.mark.parametrize("horizon, dt", [(math.inf, 0.1), (1e308, 0.1), (730.0, 1e-320)])
+    def test_step_count_beyond_float_range_is_rejected(self, horizon, dt):
+        with pytest.raises(DomainError, match="finite step count"):
+            TimeGrid.from_horizon(0.0, horizon, dt)
+
     def test_index_of_off_grid_time(self):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
         assert grid.index_of(0.5) == 5
@@ -97,7 +102,7 @@ class TestSeedEvent:
 def one_step(state, params, u, dt):
     """The state after one ``simulate`` step of ``dt`` under constant ``u``."""
     grid = TimeGrid(t0=state.t, dt=dt, n_steps=1)
-    return simulate(state, params, ControlSchedule.constant(grid, u), [], grid).final_state
+    return simulate(state, params, ControlSchedule.constant(grid, u), [], grid).state_at(1)
 
 
 class TestRk4Step:

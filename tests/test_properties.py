@@ -13,14 +13,13 @@ from multistrain import (
     StrainParams,
     TimeGrid,
     analytic_eigenvalues,
-    derivatives,
     min_stabilizing_control,
     parse_config_text,
     reproduction_number,
     simulate,
 )
 
-from conftest import susceptible_derivative
+from conftest import state_slopes, susceptible_derivative
 
 rates = st.floats(min_value=0.01, max_value=1.0)
 betas = st.floats(min_value=1e-9, max_value=1e-6)
@@ -74,9 +73,9 @@ def identity_scale(state, params, u, j):
 @settings(max_examples=100, deadline=None)
 def test_susceptible_routes_agree(ps, u):
     params, state = ps
-    d = derivatives(state, params, u)
+    dP, dE, dI, dR = state_slopes(state, params, u)
     for j in range(state.n_strains):
-        algebraic = d.dP - d.dE[j] - d.dI[j] - d.dR[j]
+        algebraic = dP - dE[j] - dI[j] - dR[j]
         differential = susceptible_derivative(state, params, u, j)
         scale = max(abs(algebraic), abs(differential), identity_scale(state, params, u, j))
         assert abs(algebraic - differential) / scale < 1e-12
@@ -86,7 +85,7 @@ def test_susceptible_routes_agree(ps, u):
 @settings(max_examples=100, deadline=None)
 def test_population_never_grows(ps, u):
     params, state = ps
-    assert derivatives(state, params, u).dP <= 0.0
+    assert state_slopes(state, params, u)[0] <= 0.0
 
 
 @given(strain_params(), st.floats(min_value=1e3, max_value=1e9),

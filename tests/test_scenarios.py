@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import os
@@ -608,6 +609,16 @@ class TestSweep:
             "shortrun__strain_1_beta_5.2em07", "shortrun__strain_1_beta_8.84em07",
         ]
 
+    def test_mixed_case_path_names_runs_by_the_canonical_path(self, tmp_path):
+        cfg = parse_config_text(SHORT_SIM)
+        cfg.svg = False
+        sweep(cfg, " Strain.1.BETA ", [5.2e-7], out_dir=str(tmp_path), quiet=True)
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [
+            "shortrun__strain_1_beta_5.2em07",
+        ]
+        with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+            assert {row["param"] for row in csv.DictReader(fh)} == {"strain.1.beta"}
+
     def test_values_sharing_a_run_directory_are_rejected_before_any_run(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
         cfg.svg = False
@@ -723,6 +734,7 @@ class TestCli:
          "cost.max_iterations"),
         (["sweep", "case_a", "--param", "cost.max_iterations", "--values", "inf"],
          "cost.max_iterations"),
+        (["simulate", "experiment1", "--dt", "1e-320"], "grid"),
     ])
     def test_bad_override_exits_two_naming_the_key(self, argv, key, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path), "--quiet", "--no-svg"]) == 2
