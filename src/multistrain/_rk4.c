@@ -1,0 +1,127 @@
+/* Forward RK4 node loop of multistrain.integrate.simulate.
+ *
+ * integrate.py compiles this file with -ffp-contract=off: every expression
+ * below rounds in exactly the order the list form dynamics.rhs_lists and the
+ * classical RK4 update state it, so the history is bit for bit that of
+ * integrate._python_loop, the same loop in Python.  The kernel holds no static
+ * state; the caller owns every buffer.
+ *
+ * hist is (n_steps + 1) x (3n + 1), one row [P, E_1..E_n, I_1..I_n, R_1..R_n]
+ * per node, with row 0 holding the initial state.  Node k's row is the state
+ * being stepped: seeds are added to it, then the step writes row k + 1.
+ * rates is n x 6, one row (beta, sigma, mu + gamma, gamma, delta, mu) per
+ * strain.  Events are sorted by node, each adding amounts[3e..3e+2] to the
+ * E, I and R of strain ev_strain[e] at node ev_node[e].  work holds 13n
+ * doubles: the E, I and R slopes of the four stages, each 3n, and n zeros
+ * that stand for every compartment's slope before stage 1.
+ *
+ * Returns MS_OK, or a failure code with fail[0] the step (or the event
+ * index, for MS_SEED_POOL) and *fail_value the offending value.
+ */
+#include <math.h>
+#include <stdint.h>
+
+enum { MS_OK = 0, MS_SEED_POOL = 1, MS_POPULATION = 2, MS_ADMISSIBLE = 3 };
+
+/* dynamics.rhs_lists: writes the slopes at (P, E + h*kE, I + h*kI, R + h*kR)
+ * into dE, dI, dR and returns dP. */
+static double rhs(int64_t n, const double *rates, double P, const double *E,
+                  const double *I, const double *R, double h, const double *kE,
+                  const double *kI, const double *kR, double u, double *dE,
+                  double *dI, double *dR)
+{
+    double deaths = 0.0, w = 1.0 - u;
+    for (int64_t j = 0; j < n; j++) {
+        const double *r = rates + 6 * j;
+        double e = E[j] + h * kE[j];
+        double i = I[j] + h * kI[j];
+        double rr = R[j] + h * kR[j];
+        double s = P - e - i - rr;
+        double latent_exit = r[1] * e;
+        dE[j] = w * r[0] * s * i - latent_exit;
+        dI[j] = latent_exit - r[2] * i;
+        dR[j] = r[3] * i - r[4] * rr;
+        deaths += r[5] * i;
+    }
+    return -deaths;
+}
+
+/* integrate._clamp: zero a negative within tol, fail on anything worse, NaN
+ * or +inf. */
+static int clamp(double *v, double tol, double *fail_value)
+{
+    if (!(0.0 <= *v && *v < INFINITY)) {
+        if (-tol <= *v && *v < 0.0) {
+            *v = 0.0;
+        } else {
+            *fail_value = *v;
+            return MS_ADMISSIBLE;
+        }
+    }
+    return MS_OK;
+}
+
+int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
+           const double *rates, const double *u,
+           int64_t n_events, const int64_t *ev_node, const int64_t *ev_strain,
+           const double *amounts, double *hist, double *work,
+           int64_t *fail, double *fail_value)
+{
+    const int64_t width = 3 * n + 1;
+    const double half = 0.5 * dt, sixth = dt / 6.0;
+    double *a = work, *b = work + 3 * n, *c = work + 6 * n, *d = work + 9 * n;
+    double *zero = work + 12 * n;
+    int64_t ev = 0;
+    for (int64_t j = 0; j < n; j++)
+        zero[j] = 0.0;
+
+    for (int64_t k = 0;; k++) {
+        double *row = hist + k * width, *x = row + 1;
+        for (; ev < n_events && ev_node[ev] == k; ev++) {
+            int64_t j = ev_strain[ev];
+            x[j] += amounts[3 * ev];
+            x[n + j] += amounts[3 * ev + 1];
+            x[2 * n + j] += amounts[3 * ev + 2];
+            if (row[0] - x[j] - x[n + j] - x[2 * n + j] < -tol) {
+                fail[0] = ev;
+                return MS_SEED_POOL;
+            }
+        }
+        if (k == n_steps)
+            return MS_OK;
+
+        double P = row[0], u0 = u[k], u1 = u[k + 1], um = 0.5 * (u0 + u1);
+        const double *E = x, *I = x + n, *R = x + 2 * n;
+        double aP = rhs(n, rates, P, E, I, R, 0.0, zero, zero, zero, u0,
+                        a, a + n, a + 2 * n);
+        double bP = rhs(n, rates, P + half * aP, E, I, R, half, a, a + n, a + 2 * n,
+                        um, b, b + n, b + 2 * n);
+        double cP = rhs(n, rates, P + half * bP, E, I, R, half, b, b + n, b + 2 * n,
+                        um, c, c + n, c + 2 * n);
+        double dP = rhs(n, rates, P + dt * cP, E, I, R, dt, c, c + n, c + 2 * n,
+                        u1, d, d + n, d + 2 * n);
+        double *next = row + width, *y = next + 1;
+        P = P + sixth * (aP + 2.0 * (bP + cP) + dP);
+        int admissible = 1;
+        for (int64_t j = 0; j < n; j++) {
+            double e = y[j] = x[j] + sixth * (a[j] + 2.0 * (b[j] + c[j]) + d[j]);
+            int64_t m = n + j, q = 2 * n + j;
+            double i = y[m] = x[m] + sixth * (a[m] + 2.0 * (b[m] + c[m]) + d[m]);
+            double r = y[q] = x[q] + sixth * (a[q] + 2.0 * (b[q] + c[q]) + d[q]);
+            if (!(e >= 0.0 && i >= 0.0 && r >= 0.0 && e + i + r < INFINITY))
+                admissible = 0;
+        }
+        fail[0] = k;
+        if (!isfinite(P)) {
+            *fail_value = P;
+            return MS_POPULATION;
+        }
+        if (!(P >= 0.0) && clamp(&P, tol, fail_value))
+            return MS_ADMISSIBLE;
+        next[0] = P;
+        if (!admissible)
+            for (int64_t j = 0; j < 3 * n; j++)
+                if (clamp(&y[j], tol, fail_value))
+                    return MS_ADMISSIBLE;
+    }
+}

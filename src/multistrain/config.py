@@ -21,7 +21,9 @@ builds that object and only adds the config key to its error.
     dt                    step in days; must divide horizon-start and every
                           strain activation day offset, and keep RK4 stable:
                           dt * max(beta * population + sigma + gamma + mu,
-                          delta) <= 2.78 for every strain
+                          delta) <= 2.78 for every strain; and give a
+                          (nodes, 4n + 3) float64 history that fits in
+                          physical memory
 
     [initial]             required
     population            total population P at the start
@@ -155,6 +157,20 @@ class ScenarioConfig:
             raise ConfigError("initial.population must be > 0")
         with _prefixed("grid"):
             grid = self.grid()
+        # A run holds every grid node as the trajectory's 4n + 3 float64
+        # columns (t, P, S, E, I, R, u); a grid whose history cannot fit in
+        # physical memory fails here, before any output exists, not mid-run.
+        # os.sysconf is POSIX only; without it no grid is rejected here.
+        need = grid.n_points * (4 * len(self.strains) + 3) * 8
+        memory = (
+            os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if hasattr(os, "sysconf") else math.inf
+        )
+        if need > memory:
+            raise ConfigError(
+                f"grid.dt={self.dt!r} needs a history of {need} bytes, more than "
+                f"the {memory} bytes of physical memory; use a larger grid.dt"
+            )
         params = []
         for idx, s in enumerate(self.strains, start=1):
             if s.activation_day < self.start:

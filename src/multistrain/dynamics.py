@@ -16,7 +16,9 @@ separate inactive state to switch on, and so no jump in the adjoint.
 
 :func:`flows` is the one vectorised definition of the five per-strain flows,
 from which :func:`full_system_rhs` and :func:`equilibrium_residuals` are
-built; :func:`rhs_lists` is their list form for the integrator's hot loop.
+built; :func:`rhs_lists` is their scalar list form, which the Python node
+loop of :mod:`.integrate` calls and whose operation order its compiled loop
+(``_rk4.c``) follows.
 :func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
 :func:`jacobian` is the one analytic Jacobian, a constant part
 (:func:`constant_jacobian`) plus the transmission entries
@@ -190,7 +192,8 @@ def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
     """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu)``.
 
     Plain floats from :func:`strain_arrays`, in the order :func:`rhs_lists`
-    unpacks them.
+    unpacks them; without ``j``, each row is one row of the compiled RK4
+    loop's rate table.
     """
     a = strain_arrays(params)
     return list(zip(

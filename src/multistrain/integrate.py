@@ -6,20 +6,40 @@ same nodes.  Controls between nodes are interpolated linearly, so an RK4 step
 from ``t_k`` takes the control at ``t_k``, the midpoint average and the value
 at ``t_{k+1}``.
 
-``simulate`` runs the RK4 steps inline in its node loop, on plain lists: the
-four stage slopes live in lists made once per call, each stage walks the
-strains once through ``dynamics.rhs_lists`` and forms its input as ``x + h*k``
-on the fly, and the state is updated in place.  The admissibility check is one
-test per strain, of the signs and of the finite sum; the clamp runs only when
-it fails.  Each node's state goes into one preallocated history matrix as one
-row, ``[P, E, I, R]``, and the recorded ``P``, ``E``, ``I`` and ``R`` are
-column views of it.
+``simulate`` checks its inputs in Python and then runs the whole node loop
+in one of two implementations that give the same history bit for bit:
+``ms_rk4`` in ``_rk4.c``, called once through ``ctypes``, or
+``_python_loop``, the same loop on plain lists.  Both round in exactly the
+order of ``dynamics.rhs_lists`` and the classical RK4 update: each stage
+forms its input as ``x + h*k`` of the previous stage's slope, the
+admissibility check is one test per strain, of the signs and of the finite
+sum, and the clamp runs only when it fails.
+
+The C file is compiled when the process first calls ``simulate``, never at
+import, with ``cc -O2 -ffp-contract=off -shared -fPIC`` into a temporary
+directory that is deleted once the library is loaded; nothing is cached on
+disk.  ``-ffp-contract=off`` keeps the compiler from fusing ``a*b + c`` into
+one rounding, which would break the bit equality.  ``cc`` runs in the
+background: calls run the Python loop until the library is ready and the
+kernel after, and only a call whose Python loop would take longer than the
+build (more than ``_WAIT_ABOVE`` strain-steps) waits for it.  So a single
+run of a preset costs what the Python loop costs, and a solver that re-runs
+the forward pass switches to the kernel within about 0.2 s.  A build still
+running at exit is killed.  Without a working ``cc`` on ``PATH``, or where
+the library cannot be loaded, every call runs in Python.  Neither loop holds
+state between calls: ``simulate`` owns the history matrix, one row
+``[P, E, I, R]`` per node, whose columns are the recorded ``P``, ``E``,
+``I`` and ``R``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
+import tempfile
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,16 +212,183 @@ class Trajectory:
         )
 
 
-def _clamp_inplace(values, tol, step):
-    """Zero small negative overshoots; reject anything worse, NaN or +inf."""
+# Failure codes of ms_rk4 in _rk4.c, which _python_loop returns too.
+_SEED_POOL, _POPULATION, _ADMISSIBLE = 1, 2, 3
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Strain-steps the Python loop runs in about the time cc takes to build the
+# kernel: 0.15-0.25 s of cc against 5-7 us per strain-step at one or two
+# strains.  A call with more work waits for the build instead.
+_WAIT_ABOVE = 30_000
+_KERNEL = None  # the loaded library; False once a build has failed
+_build = None  # (cc process, its temporary directory) while cc runs
+_KERNEL_LOCK = threading.Lock()
+
+
+def _kernel(work):
+    """The compiled loop for a call of ``work`` strain-steps, or ``None`` when
+    the Python loop is to run it.
+
+    The first call starts the build in the background.  A later call loads
+    the library once ``cc`` has exited; a call of more than ``_WAIT_ABOVE``
+    strain-steps waits for it.  The lock makes concurrent calls share one
+    build.
+    """
+    global _KERNEL, _build
+    with _KERNEL_LOCK:
+        if _KERNEL is None and _build is None:
+            _build = _start_build()
+            if _build is None:
+                _KERNEL = False
+        if _build is not None and (work > _WAIT_ABOVE or _build[0].poll() is not None):
+            _KERNEL = _load_build(*_build)
+            _build = None
+        return _KERNEL or None
+
+
+def _start_build():
+    """Start ``cc`` on ``_rk4.c`` in a new process group, writing into a new
+    temporary directory that also holds ``cc``'s own temporary files;
+    ``None`` when either cannot be made, as without a ``cc`` on ``PATH``."""
+    import atexit
+    import subprocess
+
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+    try:
+        tmp = tempfile.TemporaryDirectory()
+    except OSError:
+        return None
+    try:
+        proc = subprocess.Popen(
+            [*_CC, "-o", os.path.join(tmp.name, "_rk4.so"), source],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "TMPDIR": tmp.name}, start_new_session=True,
+        )
+    except OSError:
+        tmp.cleanup()
+        return None
+    atexit.register(_end_build)
+    return proc, tmp
+
+
+def _load_build(proc, tmp):
+    """Wait for ``cc``, load the library it built and remove the directory;
+    ``False`` when ``cc`` failed or the library cannot be loaded, as from a
+    temporary directory mounted ``noexec``."""
+    try:
+        if proc.wait() != 0:
+            return False
+        lib = ctypes.CDLL(os.path.join(tmp.name, "_rk4.so"))
+    except OSError:
+        return False
+    finally:
+        tmp.cleanup()
+    c_int64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.ms_rk4.argtypes = (
+        c_int64, c_int64, ctypes.c_double, ctypes.c_double, ptr, ptr,
+        c_int64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+    )
+    lib.ms_rk4.restype = ctypes.c_int
+    return lib
+
+
+def _end_build():
+    """At exit, kill a build that is still running and remove its directory,
+    so that a short run neither waits for ``cc`` nor leaves it behind."""
+    global _build
+    if _build is None:
+        return
+    import signal
+
+    proc, tmp = _build
+    _build = None
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    tmp.cleanup()
+
+
+def _clamp(values: list, tol: float):
+    """Zero round-off negatives within ``tol`` in place; return the first
+    value that is worse, NaN or +inf, else ``None``."""
     for idx, v in enumerate(values):
         if not 0.0 <= v < math.inf:
             if -tol <= v < 0.0:
                 values[idx] = 0.0
             else:
-                raise IntegrationError(
-                    f"state left the admissible region (value {v!r})", step=step
-                )
+                return v
+    return None
+
+
+def _python_loop(hist, n, rows, u_list, dt, tol, events, nodes):
+    """``ms_rk4`` on plain lists, with its failure codes: fills ``hist`` from
+    row 0 and returns ``(code, step or event index, value)``.
+
+    The four stage slopes live in lists made once per call, each stage walks
+    the strains once through ``dynamics.rhs_lists`` and forms its input as
+    ``x + h*k`` on the fly, and the state is updated in place.
+    """
+    row = hist[0].tolist()
+    P, E, I, R = row[0], row[1 : n + 1], row[n + 1 : 2 * n + 1], row[2 * n + 1 :]
+    # Stage slopes of one RK4 step: E, I, R lists for each of the four
+    # stages, and one zero list that stands for the slope before stage 1.
+    aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = (
+        [0.0] * n for _ in range(13)
+    )
+    N = len(u_list) - 1
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    inf = math.inf
+    strains = range(n)
+    ev = 0
+    next_node = nodes[0] if nodes else -1
+
+    for k in range(N + 1):
+        while k == next_node:
+            j = events[ev].strain
+            E[j] += events[ev].exposed
+            I[j] += events[ev].infected
+            R[j] += events[ev].removed
+            if P - E[j] - I[j] - R[j] < -tol:
+                return _SEED_POOL, ev, 0.0
+            ev += 1
+            next_node = nodes[ev] if ev < len(nodes) else -1
+        hist[k] = [P, *E, *I, *R]
+        if k == N:
+            break
+        # One classical RK4 step.  Each stage evaluates rhs_lists at x + h*k
+        # of the previous stage's slope k, so the step builds no list.
+        u0 = u_list[k]
+        u1 = u_list[k + 1]
+        um = 0.5 * (u0 + u1)
+        aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
+        bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
+        cP = rhs_lists(P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR)
+        dP = rhs_lists(P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
+        P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
+        admissible = True
+        for j in strains:
+            e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
+            i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
+            r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
+            # False for a negative, NaN or +inf value, which the clamp handles.
+            if not (e >= 0.0 and i >= 0.0 and r >= 0.0 and e + i + r < inf):
+                admissible = False
+        # Round-off negatives within tol become zero; anything worse, a NaN
+        # or infinite compartment or a non-finite P fails with the step.
+        if not math.isfinite(P):
+            return _POPULATION, k, P
+        if not P >= 0.0:
+            boxed = [P]
+            bad = _clamp(boxed, tol)
+            if bad is not None:
+                return _ADMISSIBLE, k, bad
+            P = boxed[0]
+        if not admissible:
+            for values in (E, I, R):
+                bad = _clamp(values, tol)
+                if bad is not None:
+                    return _ADMISSIBLE, k, bad
+    return 0, 0, 0.0
 
 
 def simulate(
@@ -232,79 +419,53 @@ def simulate(
     initial.validate()
 
     n = initial.n_strains
-    events_at: dict[int, list[SeedEvent]] = {}
-    for ev in sorted(events, key=lambda e: (e.time, e.strain)):
+    events = sorted(events, key=lambda e: (e.time, e.strain))
+    nodes = []
+    for ev in events:
         if ev.strain >= n:
             raise ConfigError(f"seed event targets unknown strain {ev.strain}")
-        events_at.setdefault(grid.index_of(ev.time), []).append(ev)
+        nodes.append(grid.index_of(ev.time))
 
-    rows = strain_rows(params)
-    # Stage slopes of one RK4 step: E, I, R lists for each of the four
-    # stages, and one zero list that stands for the slope before stage 1.
-    aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = (
-        [0.0] * n for _ in range(13)
-    )
     N = grid.n_steps
-    # One row [P, E_1..E_n, I_1..I_n, R_1..R_n] per node, written in one call.
+    # One row [P, E_1..E_n, I_1..I_n, R_1..R_n] per node; either loop steps
+    # from row k into row k + 1.
     hist = np.empty((N + 1, 3 * n + 1))
-    u_list = schedule.u.tolist()
-
-    p_ref = max(initial.P, 1.0)
-    tol = NEGATIVE_TOLERANCE * p_ref
-    P = initial.P
-    E = initial.E.tolist()
-    I = initial.I.tolist()
-    R = initial.R.tolist()
-    dt = grid.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    inf = math.inf
-    strains = range(n)
-
-    for k in range(N + 1):
-        if k in events_at:
-            for ev in events_at[k]:
-                j = ev.strain
-                E[j] += ev.exposed
-                I[j] += ev.infected
-                R[j] += ev.removed
-                if P - E[j] - I[j] - R[j] < -tol:
-                    raise StateConsistencyError(
-                        f"seed at day {ev.time} exceeds the susceptible pool of "
-                        f"strain {j}"
-                    )
-        hist[k] = [P, *E, *I, *R]
-        if k == N:
-            break
-        # One classical RK4 step.  Each stage evaluates rhs_lists at x + h*k
-        # of the previous stage's slope k, so the step builds no list.
-        u0 = u_list[k]
-        u1 = u_list[k + 1]
-        um = 0.5 * (u0 + u1)
-        aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
-        bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
-        cP = rhs_lists(P + half * bP, E, I, R, half, bE, bI, bR, rows, um, cE, cI, cR)
-        dP = rhs_lists(P + dt * cP, E, I, R, dt, cE, cI, cR, rows, u1, dE, dI, dR)
-        P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
-        admissible = True
-        for j in strains:
-            e = E[j] = E[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
-            i = I[j] = I[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
-            r = R[j] = R[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
-            # False for a negative, NaN or +inf value, which the clamp handles.
-            if not (e >= 0.0 and i >= 0.0 and r >= 0.0 and e + i + r < inf):
-                admissible = False
-        # Round-off negatives within tol become zero; anything worse, a NaN
-        # or infinite compartment or a non-finite P fails with the step.
-        if not math.isfinite(P):
-            raise IntegrationError(f"total population became {P!r}", step=k)
-        if not P >= 0.0:
-            boxed = [P]
-            _clamp_inplace(boxed, tol, k)
-            P = boxed[0]
-        if not admissible:
-            for values in (E, I, R):
-                _clamp_inplace(values, tol, k)
+    hist[0] = [initial.P, *initial.E, *initial.I, *initial.R]
+    tol = NEGATIVE_TOLERANCE * max(initial.P, 1.0)
+    lib = _kernel(n * N)
+    if lib is None:
+        code, at, bad = _python_loop(
+            hist, n, strain_rows(params), schedule.u.tolist(), grid.dt, tol, events,
+            nodes,
+        )
+    else:
+        rates = np.array([row[1:] for row in strain_rows(params)], dtype=float)
+        u = np.ascontiguousarray(schedule.u, dtype=float)
+        ev_node = np.array(nodes, dtype=np.int64)
+        ev_strain = np.array([ev.strain for ev in events], dtype=np.int64)
+        amounts = np.array(
+            [(ev.exposed, ev.infected, ev.removed) for ev in events], dtype=float
+        )
+        work = np.empty(13 * n)
+        fail = np.zeros(1, dtype=np.int64)
+        value = np.zeros(1)
+        code = lib.ms_rk4(
+            n, N, grid.dt, tol, rates.ctypes.data, u.ctypes.data, len(events),
+            ev_node.ctypes.data, ev_strain.ctypes.data, amounts.ctypes.data,
+            hist.ctypes.data, work.ctypes.data, fail.ctypes.data, value.ctypes.data,
+        )
+        at, bad = int(fail[0]), float(value[0])
+    if code == _SEED_POOL:
+        ev = events[at]
+        raise StateConsistencyError(
+            f"seed at day {ev.time} exceeds the susceptible pool of strain {ev.strain}"
+        )
+    if code == _POPULATION:
+        raise IntegrationError(f"total population became {bad!r}", step=at)
+    if code == _ADMISSIBLE:
+        raise IntegrationError(
+            f"state left the admissible region (value {bad!r})", step=at
+        )
 
     return Trajectory(
         grid=grid, P=hist[:, 0], E=hist[:, 1 : n + 1], I=hist[:, n + 1 : 2 * n + 1],

@@ -1,9 +1,20 @@
 import csv
+import math
+import shutil
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from multistrain import EpidemicState, StrainParams, jacobian, strain_arrays, svgchart
+from multistrain import (
+    EpidemicState,
+    StrainParams,
+    integrate,
+    jacobian,
+    simulate,
+    strain_arrays,
+    svgchart,
+)
 from multistrain.dynamics import rhs_lists, strain_rows
 
 # Single-strain baseline parameters shared by many tests.
@@ -50,6 +61,24 @@ def random_state(rng: np.random.Generator, n: int, t=0.0) -> EpidemicState:
     I = rng.uniform(0.0, 0.05 * P, size=n)
     R = rng.uniform(0.0, 0.05 * P, size=n)
     return EpidemicState(t=t, P=P, E=E, I=I, R=R)
+
+
+def reference_simulate(*inputs):
+    """``simulate`` with its node loop in Python, ``integrate._python_loop``:
+    the reference that the compiled loop must match bit for bit."""
+    with patch.object(integrate, "_kernel", lambda work: None):
+        return simulate(*inputs)
+
+
+def compiled_simulate(*inputs):
+    """``simulate`` with its node loop in the compiled kernel, waiting for the
+    build if this process has not finished one; skips where there is no
+    ``cc``."""
+    if not integrate._kernel(math.inf):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH to build _rk4.c")
+        pytest.fail("cc is on PATH but could not build and load _rk4.c")
+    return simulate(*inputs)
 
 
 def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):

@@ -1,4 +1,12 @@
+import ctypes
 import math
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,10 +23,25 @@ from multistrain import (
     StrainParams,
     TimeGrid,
     full_system_rhs,
+    integrate,
+    preset_config,
     simulate,
 )
+from multistrain.cli import main
 
-from conftest import BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA
+from conftest import (
+    BETA,
+    DELTA,
+    E0,
+    GAMMA,
+    I0,
+    MU,
+    P0,
+    R0_,
+    SIGMA,
+    compiled_simulate,
+    reference_simulate,
+)
 
 
 def baseline_run(dt=0.05, horizon=730.0, u=0.0):
@@ -430,3 +453,294 @@ class TestClamp:
         with pytest.raises(IntegrationError, match="total population") as err:
             simulate(state, params, ControlSchedule.constant(grid, 0.0), [], grid)
         assert err.value.step == 0
+
+
+def preset_inputs(name, u=None):
+    """``simulate``'s arguments for a preset, under ``u(times)`` if given."""
+    cfg = preset_config(name)
+    grid = cfg.grid()
+    if u is None:
+        schedule = ControlSchedule.constant(grid, cfg.control_value or 0.0)
+    else:
+        schedule = ControlSchedule(grid, u(grid.times()))
+    return cfg.initial_state(), cfg.strain_params(), schedule, cfg.seed_events(), grid
+
+
+def many_strain_inputs():
+    """Eight strains shaped like the ``many_strains`` benchmark pool: the
+    first seeded on day 0, strain j about 40 j days later with its own beta."""
+    rng = np.random.default_rng(8)
+    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
+    params += [
+        StrainParams(beta=BETA * rng.uniform(0.8, 1.6), sigma=SIGMA, gamma=GAMMA,
+                     delta=DELTA, mu=MU)
+        for _ in range(7)
+    ]
+    events = [
+        SeedEvent(time=float(0 if j == 0 else 40 * j + rng.integers(0, 21)), strain=j,
+                  exposed=E0, infected=I0, removed=R0_)
+        for j in range(8)
+    ]
+    grid = TimeGrid.from_horizon(0.0, 730.0, 0.05)
+    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * 8, I=[0.0] * 8, R=[0.0] * 8)
+    return initial, params, ControlSchedule.constant(grid, 0.2), events, grid
+
+
+def seeded_inputs(*events, n=2):
+    """``n`` baseline strains over 30 days at dt 0.1 with the given seeds."""
+    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)] * n
+    grid = TimeGrid.from_horizon(0.0, 30.0, 0.1)
+    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
+    return initial, params, ControlSchedule.constant(grid, 0.1), list(events), grid
+
+
+def wave(times):
+    return 0.3 + 0.2 * np.sin(2.0 * math.pi * times / 60.0)
+
+
+KERNEL_INPUTS = {
+    "experiment1": lambda: preset_inputs("experiment1"),
+    "experiment3": lambda: preset_inputs("experiment3"),
+    "case_a_varying_u": lambda: preset_inputs("case_a", wave),
+    "eight_strains": many_strain_inputs,
+    "seeds_at_node_0_and_N": lambda: seeded_inputs(
+        SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=30.0, strain=1, exposed=E0, infected=I0, removed=R0_),
+    ),
+    "two_seeds_one_strain_one_node": lambda: seeded_inputs(
+        SeedEvent(time=0.0, strain=1, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=5.0, strain=0, exposed=0.1, infected=0.7, removed=0.3),
+        SeedEvent(time=5.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+    ),
+    "zero_seed": lambda: seeded_inputs(
+        SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=3.0, strain=1),
+    ),
+}
+
+
+def history_bytes(traj):
+    return [getattr(traj, name).tobytes() for name in ("P", "E", "I", "R")]
+
+
+def outcome(run, *inputs):
+    """The history bytes of a run, or its error's type, message and step."""
+    try:
+        return history_bytes(run(*inputs))
+    except (IntegrationError, StateConsistencyError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+
+
+class TestCompiledLoop:
+    """``simulate`` runs its node loop in compiled C or in Python; the two
+    agree bit for bit, failures included."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+    def test_history_is_the_reference_bit_for_bit(self, name):
+        inputs = KERNEL_INPUTS[name]()
+        assert history_bytes(compiled_simulate(*inputs)) == history_bytes(
+            reference_simulate(*inputs)
+        )
+
+    @pytest.mark.parametrize("run", [compiled_simulate, reference_simulate])
+    def test_seeds_add_in_order_and_land_on_their_node(self, run):
+        # Two seeds of strain 0 on day 5 add in input order; the one on the
+        # last node is in the recorded last row; the zero seed changes nothing.
+        _, _, _, _, grid = seeded_inputs()
+        two = run(*KERNEL_INPUTS["two_seeds_one_strain_one_node"]())
+        k = grid.index_of(5.0)
+        assert two.E[k - 1, 0] == 0.0 and two.E[k, 0] == (0.0 + 0.1) + E0
+        ends = run(*KERNEL_INPUTS["seeds_at_node_0_and_N"]())
+        assert np.all(ends.E[:-1, 1] == 0.0) and ends.E[-1, 1] == E0
+        zero = run(*KERNEL_INPUTS["zero_seed"]())
+        assert np.all(zero.E[:, 1] == 0.0) and np.all(zero.I[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (overshoot_state(0.0), overshoot_params(-0.5 * NEGATIVE_TOLERANCE),
+                 0.0, 1.0, 1),
+        lambda: (overshoot_state(0.0), overshoot_params(-1.5 * NEGATIVE_TOLERANCE),
+                 0.0, 1.0, 1),
+        lambda: (EpidemicState(t=0.0, P=1e6, E=[10.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0]),
+                 [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU),
+                  StrainParams(beta=1e308, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)],
+                 0.0, 1.0, 3),
+        lambda: (EpidemicState(t=0.0, P=1e308, E=[0.0], I=[1e100], R=[0.0]),
+                 [StrainParams(beta=1e-100, sigma=1e-220, gamma=1e-220, delta=1e-220,
+                               mu=0.0)], 0.0, 1.0, 2),
+        lambda: (EpidemicState(t=0.0, P=1e300, E=[0.0], I=[1e299], R=[0.0]),
+                 [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=1e10)],
+                 0.0, 1.0, 2),
+        lambda: (EpidemicState(t=0.0, P=1e8, E=[0.0], I=[10.0], R=[0.0]),
+                 [StrainParams(beta=1e4, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0)],
+                 0.0, 0.5, 100),
+    ], ids=["clamped", "beyond_tol", "nan", "inf", "population", "blow_up"])
+    def test_failures_match_the_reference(self, make):
+        state, params, u, dt, steps = make()
+        grid = TimeGrid(t0=state.t, dt=dt, n_steps=steps)
+        inputs = (state, params, ControlSchedule.constant(grid, u), [], grid)
+        assert outcome(compiled_simulate, *inputs) == outcome(reference_simulate, *inputs)
+
+    def test_oversized_seed_names_its_own_day(self):
+        inputs = seeded_inputs(
+            SeedEvent(time=2.0, strain=0, exposed=E0),
+            SeedEvent(time=2.0, strain=1, exposed=2.0 * P0),
+        )
+        got = outcome(compiled_simulate, *inputs)
+        assert got == outcome(reference_simulate, *inputs)
+        assert got[0] is StateConsistencyError and "day 2.0" in got[1] and "strain 1" in got[1]
+
+    def test_calls_share_no_state(self):
+        # Interleaved 1- and 8-strain runs, serially and from two threads,
+        # each give what a fresh serial call gives.
+        one = seeded_inputs(SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0), n=1)
+        eight = seeded_inputs(
+            *(SeedEvent(time=2.0 * j, strain=j, exposed=E0, infected=I0) for j in range(8)),
+            n=8,
+        )
+        runs = [one, eight]
+        fresh = [history_bytes(reference_simulate(*inputs)) for inputs in runs]
+        order = [0, 1] * 4
+        serial = [history_bytes(compiled_simulate(*runs[i])) for i in order]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda i: history_bytes(simulate(*runs[i])), order))
+        for i, a, b in zip(order, serial, threaded):
+            assert a == fresh[i]
+            assert b == fresh[i]
+
+
+def raise_oserror(*args, **kwargs):
+    raise OSError("failed to map segment from shared object")
+
+
+class TestKernelBuild:
+    """Which loop a call runs: Python while ``cc`` builds the kernel in the
+    background, the kernel once it is ready, and Python for good when the
+    build fails; a call too large for Python waits for the build."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch, tmp_path):
+        """A process that has not started the build, its temporary files in
+        an empty directory; the list gains one entry per build started."""
+        monkeypatch.setattr(integrate, "_KERNEL", None)
+        monkeypatch.setattr(integrate, "_build", None)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        attempts = []
+        start = integrate._start_build
+        monkeypatch.setattr(
+            integrate, "_start_build", lambda: attempts.append(1) or start()
+        )
+        yield attempts
+        integrate._end_build()
+
+    @pytest.fixture
+    def python_calls(self, monkeypatch):
+        """The list gains one entry per call that runs the Python loop."""
+        calls = []
+        loop = integrate._python_loop
+        monkeypatch.setattr(
+            integrate, "_python_loop", lambda *a: calls.append(1) or loop(*a)
+        )
+        return calls
+
+    @pytest.fixture
+    def cc(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH to build _rk4.c")
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment3"])
+    def test_one_run_of_a_preset_does_not_wait_for_cc(
+        self, name, starts, python_calls, tmp_path
+    ):
+        argv = ["simulate", name, "--out", str(tmp_path / "out"), "--quiet", "--no-svg"]
+        assert main(argv) == 0
+        assert starts == [1] and python_calls == [1]
+
+    def test_calls_switch_to_the_kernel_once_it_is_built(
+        self, cc, starts, python_calls, tmp_path
+    ):
+        inputs = seeded_inputs(SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0))
+        first = simulate(*inputs)
+        assert starts == [1] and python_calls == [1]
+        integrate._build[0].wait()
+        second = simulate(*inputs)
+        assert python_calls == [1] and integrate._KERNEL and integrate._build is None
+        assert history_bytes(first) == history_bytes(second)
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_a_call_above_the_bound_waits_for_the_build(
+        self, cc, starts, python_calls, monkeypatch
+    ):
+        # 300 steps of 2 strains is 600 strain-steps: under the bound, then
+        # over it once the bound is lowered.
+        inputs = seeded_inputs(SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0))
+        simulate(*inputs)
+        assert python_calls == [1] and integrate._build is not None
+        monkeypatch.setattr(integrate, "_WAIT_ABOVE", 599)
+        simulate(*inputs)
+        assert starts == [1] and python_calls == [1] and integrate._KERNEL
+
+    @pytest.mark.parametrize("mode", ["no_cc", "cc_fails", "no_tempdir", "no_load"])
+    def test_a_failed_build_leaves_every_run_in_python(
+        self, mode, starts, python_calls, monkeypatch, tmp_path
+    ):
+        if mode == "no_cc":
+            monkeypatch.setenv("PATH", "")
+        elif mode == "cc_fails":
+            bin_dir = tmp_path / "bin"
+            bin_dir.mkdir()
+            cc = bin_dir / "cc"
+            cc.write_text("#!/bin/sh\necho 'cc: error: unrecognized option' >&2\nexit 1\n")
+            cc.chmod(0o755)
+            monkeypatch.setenv("PATH", str(bin_dir))
+        elif mode == "no_tempdir":
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", raise_oserror)
+        argv = ["simulate", "experiment1", "--dt", "0.5", "--horizon", "10",
+                "--out", str(tmp_path / "out"), "--quiet", "--no-svg"]
+        assert main(argv) == 0
+        assert integrate._kernel(math.inf) is None and integrate._KERNEL is False
+        inputs = preset_inputs("experiment1")
+        assert history_bytes(simulate(*inputs)) == history_bytes(reference_simulate(*inputs))
+        assert starts == [1] and len(python_calls) == 3
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_a_build_running_at_exit_is_killed_and_removed(self, tmp_path):
+        # A stand-in cc writes a temporary file, says so and keeps running;
+        # the process exits then.  Exit handlers run last-registered first,
+        # so the one registered before the call reads cc's status after the
+        # kill, and cc's file went with the build's directory.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text('#!/bin/sh\ntouch "$TMPDIR/cc-temp" "$READY"\nexec sleep 20\n')
+        cc.chmod(0o755)
+        ready = tmp_path / "ready"
+        code = (
+            "import atexit, os, sys, time; sys.path.insert(0, sys.argv[1]);"
+            "from multistrain import integrate, simulate, EpidemicState,"
+            " StrainParams, ControlSchedule, TimeGrid;"
+            "atexit.register(lambda: print(build.returncode));"
+            "g = TimeGrid(0.0, 1.0, 1);"
+            "x = EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0]);"
+            "p = [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)];"
+            "simulate(x, p, ControlSchedule.constant(g, 0.0), [], g);"
+            "build = integrate._build[0];"
+            "[time.sleep(0.01) for _ in range(1000) if not os.path.exists(os.environ['READY'])];"
+            "assert build.poll() is None"
+        )
+        src = os.path.dirname(os.path.dirname(integrate.__file__))
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        path = str(bin_dir) + os.pathsep + os.environ.get("PATH", "")
+        env = {**os.environ, "TMPDIR": str(tmp), "READY": str(ready), "PATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code, src], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ready.exists()
+        assert done.stdout.strip() == str(-signal.SIGKILL)
+        assert list(tmp.iterdir()) == []

@@ -741,6 +741,27 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-7"])
+    def test_grid_beyond_physical_memory_exits_two(self, dt, tmp_path, capsys):
+        # Both used to fail mid-run with exit 1, after --out was made: 1e-300
+        # on numpy's array dimension limit, 1e-7 allocating 54 GiB.
+        cfg = preset_config("experiment1")
+        nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
+        need = nodes * (4 * len(cfg.strains) + 3) * 8
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need <= memory:
+            pytest.skip(f"this host's {memory} bytes of memory hold a {need}-byte history")
+        out = tmp_path / "out"
+        argv = ["simulate", "experiment1", "--dt", dt, "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "grid.dt" in err and f"{need} bytes" in err and f"{memory} bytes" in err
+        assert not out.exists()
+
+    def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        assert preset_config("experiment1").grid().n_steps == 14600
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "experiment1", "--dt", "0.3", "--horizon", "9"],
         ["simulate", "experiment2", "--dt", "0.7", "--horizon", "14", "--seed-day", "7"],
