@@ -1,22 +1,35 @@
-/* Forward RK4 node loop of multistrain.integrate.simulate.
+/* Node loops of multistrain: the forward RK4 loop of integrate.simulate
+ * (ms_rk4) and the backward adjoint sweep of control.backward_sweep
+ * (ms_adjoint).
  *
  * integrate.py compiles this file with -ffp-contract=off: every expression
- * below rounds in exactly the order the list form dynamics.rhs_lists and the
- * classical RK4 update state it, so the history is bit for bit that of
- * integrate._python_loop, the same loop in Python.  The kernel holds no static
- * state; the caller owns every buffer.
+ * below rounds in exactly the order its list form in Python states it, so
+ * ms_rk4 gives bit for bit the history of integrate._python_loop (the list
+ * form dynamics.rhs_lists and the classical RK4 update), and ms_adjoint the
+ * costates of control._adjoint_loop (dynamics.costate_lists).  The kernels
+ * hold no static state; the caller owns every buffer.
  *
- * hist is (n_steps + 1) x (3n + 1), one row [P, E_1..E_n, I_1..I_n, R_1..R_n]
- * per node, with row 0 holding the initial state.  Node k's row is the state
- * being stepped: seeds are added to it, then the step writes row k + 1.
  * rates is n x 6, one row (beta, sigma, mu + gamma, gamma, delta, mu) per
- * strain.  Events are sorted by node, each adding amounts[3e..3e+2] to the
+ * strain, for both kernels.
+ *
+ * ms_rk4: hist is (n_steps + 1) x (3n + 1), one row [P, E_1..E_n, I_1..I_n,
+ * R_1..R_n] per node, with row 0 holding the initial state.  Node k's row is
+ * the state being stepped: seeds are added to it, then the step writes row
+ * k + 1.  Events are sorted by node, each adding amounts[3e..3e+2] to the
  * E, I and R of strain ev_strain[e] at node ev_node[e].  work holds 13n
  * doubles: the E, I and R slopes of the four stages, each 3n, and n zeros
- * that stand for every compartment's slope before stage 1.
+ * that stand for every compartment's slope before stage 1.  Returns MS_OK,
+ * or a failure code with fail[0] the step (or the event index, for
+ * MS_SEED_POOL) and *fail_value the offending value.
  *
- * Returns MS_OK, or a failure code with fail[0] the step (or the event
- * index, for MS_SEED_POOL) and *fail_value the offending value.
+ * ms_adjoint: phi is (n_steps + 1) x (4n + 1), one costate row [phi_P,
+ * phi_S_1..n, phi_E_1..n, phi_I_1..n, phi_R_1..n] per node; the kernel sets
+ * row n_steps to zero and steps back to row 0.  S and I are (n_steps + 1)
+ * x n, the susceptibles and infected of the forward run, and u holds one
+ * control value per node.  work holds 24n doubles: the S, E, I and R slopes
+ * of the four stages, each 4n, 4n zeros for the slope before stage 1, the
+ * 2n transmission coefficients of one stage and the 2n midpoint values of
+ * S and I.
  */
 #include <math.h>
 #include <stdint.h>
@@ -123,5 +136,87 @@ int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
             for (int64_t j = 0; j < 3 * n; j++)
                 if (clamp(&y[j], tol, fail_value))
                     return MS_ADMISSIBLE;
+    }
+}
+
+/* The transmission coefficients (1-u) beta S and (1-u) beta I of every
+ * strain at one stage, in the order the costate sweep's numpy form builds
+ * them: w = 1 - u, then (w * beta) * S. */
+static void coefficients(int64_t n, const double *rates, double u,
+                         const double *S, const double *I, double *wbS,
+                         double *wbI)
+{
+    double w = 1.0 - u;
+    for (int64_t j = 0; j < n; j++) {
+        double wb = w * rates[6 * j];
+        wbS[j] = wb * S[j];
+        wbI[j] = wb * I[j];
+    }
+}
+
+/* dynamics.costate_lists: writes the slope phi J + c1 e_P at the stage
+ * input phi + h*k into d (the S, E, I and R parts, 4n) and returns the P
+ * slope, c1.  x holds the S, E, I and R parts of phi, k those of the slope;
+ * the P part of the slope is c1 at every stage. */
+static double costate(int64_t n, const double *rates, double c1,
+                      const double *wbS, const double *wbI, double P,
+                      const double *x, double h, const double *k, double *d)
+{
+    const double *S = x, *E = x + n, *I = x + 2 * n, *R = x + 3 * n;
+    const double *kS = k, *kE = k + n, *kI = k + 2 * n, *kR = k + 3 * n;
+    double total = P + h * c1;
+    for (int64_t j = 0; j < n; j++)
+        total += S[j] + h * kS[j];
+    for (int64_t j = 0; j < n; j++) {
+        const double *r = rates + 6 * j;
+        double s = S[j] + h * kS[j];
+        double e = E[j] + h * kE[j];
+        double i = I[j] + h * kI[j];
+        double rr = R[j] + h * kR[j];
+        double diff = e - s;
+        d[j] = wbI[j] * diff;
+        d[n + j] = r[1] * (i - e);
+        d[2 * n + j] = wbS[j] * diff - r[5] * (total - s) - r[2] * i + r[3] * rr;
+        d[3 * n + j] = r[4] * (s - rr);
+    }
+    return c1;
+}
+
+void ms_adjoint(int64_t n, int64_t n_steps, double dt, double c1,
+                const double *rates, const double *S, const double *I,
+                const double *u, double *phi, double *work)
+{
+    const int64_t width = 4 * n + 1, m = 4 * n;
+    const double half = 0.5 * dt, sixth = dt / 6.0;
+    double *a = work, *b = work + m, *c = work + 2 * m, *d = work + 3 * m;
+    double *zero = work + 4 * m, *wbS = work + 5 * m, *wbI = wbS + n;
+    double *Sm = wbI + n, *Im = Sm + n;
+    for (int64_t j = 0; j < m; j++)
+        zero[j] = 0.0;
+    for (int64_t j = 0; j < width; j++)
+        phi[n_steps * width + j] = 0.0;
+
+    for (int64_t k = n_steps; k > 0; k--) {
+        double *row = phi + k * width, *x = row + 1;
+        const double *S0 = S + (k - 1) * n, *S1 = S + k * n;
+        const double *I0 = I + (k - 1) * n, *I1 = I + k * n;
+        double P = row[0];
+
+        coefficients(n, rates, u[k], S1, I1, wbS, wbI);
+        double aP = costate(n, rates, c1, wbS, wbI, P, x, 0.0, zero, a);
+        for (int64_t j = 0; j < n; j++) {
+            Sm[j] = 0.5 * (S0[j] + S1[j]);
+            Im[j] = 0.5 * (I0[j] + I1[j]);
+        }
+        coefficients(n, rates, 0.5 * (u[k - 1] + u[k]), Sm, Im, wbS, wbI);
+        double bP = costate(n, rates, c1, wbS, wbI, P, x, half, a, b);
+        double cP = costate(n, rates, c1, wbS, wbI, P, x, half, b, c);
+        coefficients(n, rates, u[k - 1], S0, I0, wbS, wbI);
+        double dP = costate(n, rates, c1, wbS, wbI, P, x, dt, c, d);
+
+        double *prev = row - width, *y = prev + 1;
+        prev[0] = P + sixth * (aP + 2.0 * (bP + cP) + dP);
+        for (int64_t j = 0; j < m; j++)
+            y[j] = x[j] + sixth * (a[j] + 2.0 * (b[j] + c[j]) + d[j]);
     }
 }

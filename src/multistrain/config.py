@@ -21,9 +21,11 @@ builds that object and only adds the config key to its error.
     dt                    step in days; must divide horizon-start and every
                           strain activation day offset, and keep RK4 stable:
                           dt * max(beta * population + sigma + gamma + mu,
-                          delta) <= 2.78 for every strain; and give a
-                          (nodes, 4n + 3) float64 history that fits in
-                          physical memory
+                          delta) <= 2.78 for every strain; and give run
+                          arrays that fit in physical memory and under a
+                          finite RLIMIT_AS: the (nodes, 4n + 3) float64
+                          history, plus in optimize mode the (nodes, 4n + 1)
+                          costates and 2 * ANDERSON_DEPTH Anderson rows
 
     [initial]             required
     population            total population P at the start
@@ -67,7 +69,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .control import CostParams, check_solver_settings
+from .control import ANDERSON_DEPTH, CostParams, check_solver_settings
 from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
 from .errors import ConfigError, DomainError
 from .integrate import SeedEvent, TimeGrid
@@ -158,18 +160,20 @@ class ScenarioConfig:
         with _prefixed("grid"):
             grid = self.grid()
         # A run holds every grid node as the trajectory's 4n + 3 float64
-        # columns (t, P, S, E, I, R, u); a grid whose history cannot fit in
-        # physical memory fails here, before any output exists, not mid-run.
-        # os.sysconf is POSIX only; without it no grid is rejected here.
-        need = grid.n_points * (4 * len(self.strains) + 3) * 8
-        memory = (
-            os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if hasattr(os, "sysconf") else math.inf
-        )
+        # columns (t, P, S, E, I, R, u); an optimize run adds the 4n + 1
+        # costate columns and the 2 * ANDERSON_DEPTH rows of Anderson
+        # differences.  A grid whose arrays cannot fit in memory fails here,
+        # before any output exists, not mid-run.
+        n = len(self.strains)
+        columns = 4 * n + 3
+        if self.control_mode == "optimize":
+            columns += 4 * n + 1 + 2 * ANDERSON_DEPTH
+        need = grid.n_points * columns * 8
+        memory, source = _memory_limit()
         if need > memory:
             raise ConfigError(
-                f"grid.dt={self.dt!r} needs a history of {need} bytes, more than "
-                f"the {memory} bytes of physical memory; use a larger grid.dt"
+                f"grid.dt={self.dt!r} needs run arrays of {need} bytes, more than "
+                f"the {memory} bytes of {source}; use a larger grid.dt"
             )
         params = []
         for idx, s in enumerate(self.strains, start=1):
@@ -276,6 +280,25 @@ class ScenarioConfig:
 
     def resolve_path(self, name: str) -> str:
         return os.path.normpath(os.path.join(self.base_dir, name))
+
+
+def _memory_limit() -> tuple[float, str]:
+    """The bytes a run's arrays may take, and where the bound comes from:
+    physical memory, or a finite soft address-space limit (``RLIMIT_AS``, as
+    ``ulimit -v`` sets) below it.  ``os.sysconf`` and ``resource`` are POSIX
+    only; without either, that bound is not applied."""
+    memory, source = math.inf, "memory"
+    if hasattr(os, "sysconf"):
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        source = "physical memory"
+    try:
+        import resource
+    except ImportError:
+        return memory, source
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < memory:
+        return soft, "the address-space limit (RLIMIT_AS)"
+    return memory, source
 
 
 @contextmanager

@@ -20,35 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import integrate
 from .dynamics import (
-    EpidemicState, StrainArrays, StrainParams, constant_jacobian, max_stable_dt,
-    split, strain_arrays, write_transmission,
+    EpidemicState, StrainParams, costate_lists, max_stable_dt, split, strain_arrays,
+    strain_rows,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
 from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, simulate
 
 # Number of past residual differences the Anderson step mixes.
 ANDERSON_DEPTH = 5
-
-# Steps whose adjoint maps the backward sweep forms at once: as many as keep
-# each of its five (steps, 4n+2, 4n+2) float64 buffers within
-# SWEEP_BUFFER_BYTES, which is 1 024 steps at one strain, 368 at two and 64
-# at eight, and never fewer than SWEEP_BLOCK.  All steps at once would hold
-# 8 strains x 14 600 steps x 34^2 doubles = 135 MB per array.  Over 730 days
-# at dt 0.05, a 1-strain sweep raised the peak RSS of a process by 1.6 MB
-# with blocks of 64, 3.2 MB with 1 024 and 4.7 MB with 2 055 (the byte size
-# of 64 eight-strain steps); at dt 0.1, blocks of 64, 1 024 and 2 048 took
-# 28.5, 17.9 and 20.1 ms.
-# An 8-strain sweep raised it by 10.4 MB with blocks of 64; blocks of 256
-# had raised it by 8 MB more and ran 1.4x slower.
-SWEEP_BLOCK = 64
-SWEEP_BUFFER_BYTES = 1024 * 36 * 8
-
-
-def _sweep_block(n_strains: int) -> int:
-    """Steps per block of the backward sweep for ``n_strains`` strains."""
-    return max(SWEEP_BLOCK, SWEEP_BUFFER_BYTES // (8 * (4 * n_strains + 2) ** 2))
-
 
 # Step multiples tried for the coarse grid of the nested start, largest first,
 # and the tolerance of the coarse solve as a multiple of the fine one.  The
@@ -193,103 +174,100 @@ def optimal_u(
     return min(value, 1.0)
 
 
-def _add_identity(X: np.ndarray) -> None:
-    """Add the identity to every matrix of a contiguous (K, D, D) stack."""
-    X.reshape(len(X), -1)[:, :: X.shape[-1] + 1] += 1.0
-
-
 def backward_sweep(
     traj: Trajectory, params: Sequence[StrainParams], costs: CostParams
 ) -> CostateTrajectory:
     """Integrate the adjoint system from zero terminal values back to t0.
 
-    Runs RK4 on the trajectory's grid in reversed time ``tau = T - t``, with
-    step ``h = +dt``.  There the adjoint ``d phi / dt = -J^T phi - c1 e_P``
-    reads, for the row vector ``(phi, 1)``,
+    Runs classical RK4 on the trajectory's grid in reversed time
+    ``tau = T - t``, with step ``h = +dt``, where the adjoint
+    ``d phi / dt = -J^T phi - c1 e_P`` reads, for the row vector ``phi``,
 
-        d (phi, 1) / d tau = (phi, 1) G,   G = [[J, 0], [c1 e_P^T, 0]],
+        d phi / d tau = phi J + c1 e_P.
 
-    the Jacobian ``J`` with one forcing row.  The step from node k to k-1 is
-    then a matrix ``M_k`` with ``(phi, 1)_{k-1} = (phi, 1)_k M_k``, the RK4
-    stages applied to the identity from the left:
-
-        a = G_k,  b = (I + h/2 a) G_mid,  c = (I + h/2 b) G_mid,
-        d = (I + h c) G_{k-1},  M_k = I + h/6 (a + 2 (b + c) + d),
-
-    with ``G_mid`` at the midpoint (linear interpolants of the stored state
-    and control).  The generator stacks hold :func:`constant_jacobian` and
-    the forcing row from the start.  The steps go in blocks sized by
-    ``SWEEP_BUFFER_BYTES`` (1 024 steps at one strain, 64 at eight); each
-    block rewrites only the transmission entries, forms its maps in three
-    reused buffers and then applies them in one loop of ``ndarray.dot``.
+    Stage 1 takes the state and control at node k, stages 2 and 3 at the
+    midpoint (linear interpolants of the stored S, I and u) and stage 4 at
+    node k-1.  Each slope is the O(n) row product of
+    :func:`~multistrain.dynamics.costate_lists`, never a dense Jacobian.
+    The whole sweep is one call: ``ms_adjoint`` in ``_rk4.c`` once the
+    background build of :mod:`.integrate` is ready, and ``_adjoint_loop``,
+    the same loop on plain lists, until then or without ``cc``; the two
+    give the same costates bit for bit.  The result holds read-only views
+    of one (nodes, 4n+1) costate matrix.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
-    # The block buffers are gone once _adjoint_rows returns, before the
-    # copies below raise the peak memory.
-    rows = _adjoint_rows(traj, strain_arrays(params), costs.c1)
-    return CostateTrajectory(
-        traj.grid, *(part.copy() for part in split(rows, traj.n_strains))
-    )
-
-
-def _adjoint_rows(traj: Trajectory, arrays: StrainArrays, c1: float) -> np.ndarray:
-    """The rows ``(phi, 1)`` at every node, as :func:`backward_sweep` forms
-    them; shape (n_points, 4n+2)."""
-    N = traj.grid.n_steps
-    D = 4 * traj.n_strains + 1
+    n, N = traj.n_strains, traj.grid.n_steps
+    rows = strain_rows(params)
     S = traj.susceptible_matrix()
-    I = traj.I
-    u = traj.u
-    S_mid = 0.5 * (S[:-1] + S[1:])
-    I_mid = 0.5 * (I[:-1] + I[1:])
-    u_mid = 0.5 * (u[:-1] + u[1:])
+    phi = np.empty((N + 1, 4 * n + 1))
+    # The list loop takes 1.4 to 1.8 times as long per strain-step as the
+    # forward one, so the build's wait rule sees it as twice the work.
+    lib = integrate._kernel(2 * n * N)
+    if lib is None:
+        _adjoint_loop(phi, rows, costs.c1, traj.grid.dt, S, traj.I, traj.u)
+    else:
+        rates = np.array([row[1:] for row in rows], dtype=float)
+        S = np.ascontiguousarray(S, dtype=float)
+        I = np.ascontiguousarray(traj.I, dtype=float)
+        u = np.ascontiguousarray(traj.u, dtype=float)
+        work = np.empty(24 * n)
+        lib.ms_adjoint(
+            n, N, traj.grid.dt, costs.c1, rates.ctypes.data, S.ctypes.data,
+            I.ctypes.data, u.ctypes.data, phi.ctypes.data, work.ctypes.data,
+        )
+    return CostateTrajectory(traj.grid, *split(phi, n))
 
-    h = traj.grid.dt
-    block = _sweep_block(traj.n_strains)
-    width = min(block, N)
-    G_node = np.zeros((width + 1, D + 1, D + 1))
-    G_node[:, :D, :D] = constant_jacobian(arrays)
-    G_node[:, D, 0] = c1
-    G_mid = G_node[1:].copy()
-    X = np.empty_like(G_mid)
-    B = np.empty_like(G_mid)
-    C = np.empty_like(G_mid)
 
-    rows = np.empty((N + 1, D + 1))
-    rows[N] = 0.0
-    rows[N, D] = 1.0
-    for m1 in range(N, 0, -block):
-        m0 = max(m1 - block, 0)
-        k = m1 - m0
-        g_node, g_mid = G_node[: k + 1], G_mid[:k]
-        x, b, c = X[:k], B[:k], C[:k]
-        write_transmission(g_node, S[m0 : m1 + 1], I[m0 : m1 + 1], u[m0 : m1 + 1], arrays)
-        write_transmission(g_mid, S_mid[m0:m1], I_mid[m0:m1], u_mid[m0:m1], arrays)
-        a = g_node[1:]
-        np.multiply(a, 0.5 * h, out=x)
-        _add_identity(x)
-        np.matmul(x, g_mid, out=b)
-        np.multiply(b, 0.5 * h, out=x)
-        _add_identity(x)
-        np.matmul(x, g_mid, out=c)
-        b += c
-        np.multiply(c, h, out=x)
-        _add_identity(x)
-        np.matmul(x, g_node[:-1], out=c)
-        # x = I + h/6 (a + 2 (b + c) + d), with b + c in b and d in c.
-        np.multiply(b, 2.0, out=x)
-        x += a
-        x += c
-        x *= h / 6.0
-        _add_identity(x)
-        # Lists of row views index faster than the arrays, and ndarray.dot
-        # dispatches faster than np.matmul; both are the same BLAS product.
-        rv = list(rows[m0 : m1 + 1])
-        xv = list(x)
-        for j in range(k - 1, -1, -1):
-            rv[j + 1].dot(xv[j], out=rv[j])
-    return rows
+def _adjoint_loop(phi, rows, c1, h, S, I, u):
+    """``ms_adjoint`` on plain lists: fills ``phi`` from its last row back.
+
+    The transmission coefficients ``((1-u) beta) S`` and ``((1-u) beta) I``
+    are built up front with numpy, in the kernel's operation order, into
+    two arrays whose row 2k holds node k and row 2k+1 the midpoint after
+    it; the node loop takes each step's two new rows as lists.
+    """
+    N, n = S.shape[0] - 1, S.shape[1]
+    beta = np.array([row[1] for row in rows], dtype=float)
+    wbS = np.empty((2 * N + 1, n))
+    wbI = np.empty_like(wbS)
+    wb = (1.0 - u)[:, None] * beta
+    wbS[::2] = wb * S
+    wbI[::2] = wb * I
+    wb = (1.0 - 0.5 * (u[:-1] + u[1:]))[:, None] * beta
+    wbS[1::2] = wb * (0.5 * (S[:-1] + S[1:]))
+    wbI[1::2] = wb * (0.5 * (I[:-1] + I[1:]))
+    half = 0.5 * h
+    sixth = h / 6.0
+    strains = range(n)
+    P = 0.0
+    xS, xE, xI, xR = ([0.0] * n for _ in range(4))
+    # The S, E, I and R slopes of the four stages, and one zero list that
+    # stands for every slope before stage 1.
+    aS, aE, aI, aR, bS, bE, bI, bR, cS, cE, cI, cR, dS, dE, dI, dR, zero = (
+        [0.0] * n for _ in range(17)
+    )
+    phi[N] = 0.0
+    nS, nI = wbS[2 * N].tolist(), wbI[2 * N].tolist()
+    for k in range(N, 0, -1):
+        pS, mS = wbS[2 * k - 2 : 2 * k].tolist()
+        pI, mI = wbI[2 * k - 2 : 2 * k].tolist()
+        aP = costate_lists(P, xS, xE, xI, xR, 0.0, zero, zero, zero, zero, rows,
+                           nS, nI, c1, aS, aE, aI, aR)
+        bP = costate_lists(P, xS, xE, xI, xR, half, aS, aE, aI, aR, rows,
+                           mS, mI, c1, bS, bE, bI, bR)
+        cP = costate_lists(P, xS, xE, xI, xR, half, bS, bE, bI, bR, rows,
+                           mS, mI, c1, cS, cE, cI, cR)
+        dP = costate_lists(P, xS, xE, xI, xR, h, cS, cE, cI, cR, rows,
+                           pS, pI, c1, dS, dE, dI, dR)
+        nS, nI = pS, pI
+        P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
+        for j in strains:
+            xS[j] = xS[j] + sixth * (aS[j] + 2.0 * (bS[j] + cS[j]) + dS[j])
+            xE[j] = xE[j] + sixth * (aE[j] + 2.0 * (bE[j] + cE[j]) + dE[j])
+            xI[j] = xI[j] + sixth * (aI[j] + 2.0 * (bI[j] + cI[j]) + dI[j])
+            xR[j] = xR[j] + sixth * (aR[j] + 2.0 * (bR[j] + cR[j]) + dR[j])
+        phi[k - 1] = [P, *xS, *xE, *xI, *xR]
 
 
 def _pointwise_formula(

@@ -20,13 +20,14 @@ built; :func:`rhs_lists` is their scalar list form, which the Python node
 loop of :mod:`.integrate` calls and whose operation order its compiled loop
 (``_rk4.c``) follows.
 :func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
-:func:`jacobian` is the one analytic Jacobian, a constant part
-(:func:`constant_jacobian`) plus the transmission entries
-(:func:`write_transmission`), so that the adjoint sweep rewrites only those.
+:func:`jacobian` is the one analytic Jacobian, and :func:`costate_lists` its
+row product ``phi J + c1 e_P`` in list form, the slope of the adjoint sweep
+in :mod:`.control`, whose compiled loop (``_rk4.c``) follows its operation
+order.
 
 Units are persons and days throughout.  The mitigation value is a plain float;
 operations validate it on entry.  All types are immutable and every function
-is pure, except that :func:`write_transmission` fills the array its caller
+is pure, except that the list forms write into the lists their caller
 passes, so the module can be used freely from concurrent callers.
 """
 
@@ -192,8 +193,8 @@ def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
     """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu)``.
 
     Plain floats from :func:`strain_arrays`, in the order :func:`rhs_lists`
-    unpacks them; without ``j``, each row is one row of the compiled RK4
-    loop's rate table.
+    and :func:`costate_lists` unpack them; without ``j``, each row is one
+    row of the rate table of the compiled loops in ``_rk4.c``.
     """
     a = strain_arrays(params)
     return list(zip(
@@ -272,66 +273,77 @@ def full_system_rhs(
     )
 
 
-def constant_jacobian(arrays: StrainArrays) -> np.ndarray:
-    """The part of :func:`jacobian` that does not depend on the state.
-
-    Every flow but transmission is linear with constant rates, so these
-    entries hold at every node.  The entries :func:`write_transmission`
-    fills are zero here.  Shape (4n+1, 4n+1).
-    """
-    n = len(arrays.beta)
-    _, s, e, i, r = split(np.arange(4 * n + 1), n)
-    J = np.zeros((4 * n + 1, 4 * n + 1))
-    J[0, i] = -arrays.mu
-    # S_j loses the deaths of every other strain, but not its own.
-    J[s[:, None], i] = -arrays.mu
-    J[s, i] = 0.0
-    J[s, r] = arrays.delta
-    J[e, e] = -arrays.sigma
-    J[i, e] = arrays.sigma
-    J[i, i] = -(arrays.mu + arrays.gamma)
-    J[r, i] = arrays.gamma
-    J[r, r] = -arrays.delta
-    return J
-
-
-def write_transmission(J: np.ndarray, S, I, u, arrays: StrainArrays) -> None:
-    """Write the state-dependent entries of :func:`jacobian` at K nodes.
-
-    ``J`` has shape (K, D, D) with ``D >= 4n+1``; only its transmission
-    entries ``J[s, i] = -wbS``, ``J[s, s] = -wbI``, ``J[e, s] = wbI`` and
-    ``J[e, i] = wbS`` are set, with ``wb = (1-u) beta``.  Every other entry
-    is left as it is.
-    """
-    K, n = S.shape
-    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
-    wb = w[:, None] * arrays.beta
-    wbS = wb * S
-    wbI = wb * I
-    _, s, e, i, _ = split(np.arange(4 * n + 1), n)
-    J[:, s, i] = -wbS
-    J[:, s, s] = -wbI
-    J[:, e, s] = wbI
-    J[:, e, i] = wbS
-
-
 def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
     """Analytic Jacobian of :func:`full_system_rhs` at K nodes at once.
 
     ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
     node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
-    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``: :func:`constant_jacobian`
-    at every node with the entries of :func:`write_transmission`.  The flows
-    are bilinear in S and I, so only those two enter.  The adjoint equations
-    are ``d phi / dt = -J^T phi - c1 e_P``.
+    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  Every flow but
+    transmission is linear with constant rates; transmission is bilinear in
+    S and I, so only those two enter.  The adjoint equations are
+    ``d phi / dt = -J^T phi - c1 e_P``.
     """
     S = np.asarray(S, dtype=float)
     I = np.asarray(I, dtype=float)
     K, n = S.shape
-    J = np.empty((K, 4 * n + 1, 4 * n + 1))
-    J[:] = constant_jacobian(arrays)
-    write_transmission(J, S, I, u, arrays)
+    _, s, e, i, r = split(np.arange(4 * n + 1), n)
+    J = np.zeros((K, 4 * n + 1, 4 * n + 1))
+    J[:, 0, i] = -arrays.mu
+    # S_j loses the deaths of every other strain, but not its own.
+    J[:, s[:, None], i] = -arrays.mu
+    J[:, s, r] = arrays.delta
+    J[:, e, e] = -arrays.sigma
+    J[:, i, e] = arrays.sigma
+    J[:, i, i] = -(arrays.mu + arrays.gamma)
+    J[:, r, i] = arrays.gamma
+    J[:, r, r] = -arrays.delta
+    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
+    wb = w[:, None] * arrays.beta
+    J[:, s, i] = -wb * S
+    J[:, s, s] = -wb * I
+    J[:, e, s] = wb * I
+    J[:, e, i] = wb * S
     return J
+
+
+def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, dI, dR):
+    """The costate slope ``phi J + c1 e_P`` on plain Python lists; the one
+    list form of the adjoint, in O(n) operations for n strains.
+
+    ``phi`` is the row ``[P, S, E, I, R]`` of costates, taken at the stage
+    input ``S + h*kS`` and so on, with ``P + h*c1`` for the population part,
+    whose slope is ``c1`` at every stage.  ``rows`` comes from
+    :func:`strain_rows`; ``wbS`` and ``wbI`` hold ``((1-u) beta) S`` and
+    ``((1-u) beta) I`` per strain at the stage's state.  Column by column of
+    :func:`jacobian`:
+
+        (phi J)_P   = 0
+        (phi J)_S_j = wbI_j (phi_E_j - phi_S_j)
+        (phi J)_E_j = sigma_j (phi_I_j - phi_E_j)
+        (phi J)_I_j = wbS_j (phi_E_j - phi_S_j)
+                      - mu_j (phi_P + sum_i phi_S_i - phi_S_j)
+                      - (mu_j + gamma_j) phi_I_j + gamma_j phi_R_j
+        (phi J)_R_j = delta_j (phi_S_j - phi_R_j)
+
+    The deaths of strain j drain P and every other strain's S, a rank-one
+    term minus a diagonal, so one running sum serves all strains.  The
+    per-strain slopes are written into ``dS``, ``dE``, ``dI`` and ``dR``;
+    returns the P slope, ``c1``.
+    """
+    total = P + h * c1
+    for x, k in zip(S, kS):
+        total += x + h * k
+    for j, _, sigma, mu_gamma, gamma, delta, mu in rows:
+        s = S[j] + h * kS[j]
+        e = E[j] + h * kE[j]
+        i = I[j] + h * kI[j]
+        r = R[j] + h * kR[j]
+        diff = e - s
+        dS[j] = wbI[j] * diff
+        dE[j] = sigma * (i - e)
+        dI[j] = wbS[j] * diff - mu * (total - s) - mu_gamma * i + gamma * r
+        dR[j] = delta * (s - r)
+    return c1
 
 
 @dataclass(frozen=True)

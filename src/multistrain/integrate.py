@@ -13,23 +13,27 @@ in one of two implementations that give the same history bit for bit:
 order of ``dynamics.rhs_lists`` and the classical RK4 update: each stage
 forms its input as ``x + h*k`` of the previous stage's slope, the
 admissibility check is one test per strain, of the signs and of the finite
-sum, and the clamp runs only when it fails.
+sum, and the clamp runs only when it fails.  The same library holds
+``ms_adjoint``, the backward sweep of ``control.backward_sweep``, whose
+list twin is ``control._adjoint_loop``; :func:`_kernel` routes both.
 
-The C file is compiled when the process first calls ``simulate``, never at
-import, with ``cc -O2 -ffp-contract=off -shared -fPIC`` into a temporary
-directory that is deleted once the library is loaded; nothing is cached on
-disk.  ``-ffp-contract=off`` keeps the compiler from fusing ``a*b + c`` into
-one rounding, which would break the bit equality.  ``cc`` runs in the
-background: calls run the Python loop until the library is ready and the
-kernel after, and only a call whose Python loop would take longer than the
-build (more than ``_WAIT_ABOVE`` strain-steps) waits for it.  So a single
-run of a preset costs what the Python loop costs, and a solver that re-runs
-the forward pass switches to the kernel within about 0.2 s.  A build still
-running at exit is killed.  Without a working ``cc`` on ``PATH``, or where
-the library cannot be loaded, every call runs in Python.  Neither loop holds
-state between calls: ``simulate`` owns the history matrix, one row
-``[P, E, I, R]`` per node, whose columns are the recorded ``P``, ``E``,
-``I`` and ``R``.
+The C file is compiled when the process first calls ``simulate`` or
+``backward_sweep``, never at import, with ``cc -O1 -ffp-contract=off -shared
+-fPIC`` into a temporary directory that is deleted once the library is
+loaded; nothing is cached on disk.  ``-ffp-contract=off`` keeps the compiler
+from fusing ``a*b + c`` into one rounding, which would break the bit
+equality.  ``-O1`` builds in about two thirds of the time ``-O2`` takes, and
+the kernels run as fast.  ``cc`` runs in the background: calls run the
+Python loops until the library is ready and the kernels after, and only a
+call whose Python loop would take longer than the build (more than
+``_WAIT_ABOVE`` forward strain-steps; an adjoint strain-step counts twice)
+waits for it.  So a single run of a preset costs what the Python loop
+costs, and a solver that re-runs both passes switches to the kernels within
+about 0.2 s.  A build still running at exit is killed.  Without a working
+``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
+in Python.  No loop holds state between calls: ``simulate`` owns the
+history matrix, one row ``[P, E, I, R]`` per node, whose columns are the
+recorded ``P``, ``E``, ``I`` and ``R``.
 """
 
 from __future__ import annotations
@@ -214,10 +218,11 @@ class Trajectory:
 
 # Failure codes of ms_rk4 in _rk4.c, which _python_loop returns too.
 _SEED_POOL, _POPULATION, _ADMISSIBLE = 1, 2, 3
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# Strain-steps the Python loop runs in about the time cc takes to build the
-# kernel: 0.15-0.25 s of cc against 5-7 us per strain-step at one or two
-# strains.  A call with more work waits for the build instead.
+_CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
+# Strain-steps the forward Python loop runs in about the time cc takes to
+# build the kernels: 0.11-0.16 s of cc against 4-6 us per strain-step at one
+# or two strains.  A call with more work waits for the build instead; the
+# adjoint's list loop counts each of its strain-steps twice.
 _WAIT_ABOVE = 30_000
 _KERNEL = None  # the loaded library; False once a build has failed
 _build = None  # (cc process, its temporary directory) while cc runs
@@ -225,12 +230,13 @@ _KERNEL_LOCK = threading.Lock()
 
 
 def _kernel(work):
-    """The compiled loop for a call of ``work`` strain-steps, or ``None`` when
-    the Python loop is to run it.
+    """The compiled library for a call whose Python loop takes as long as
+    ``work`` forward strain-steps, or ``None`` when the Python loop is to
+    run it.
 
     The first call starts the build in the background.  A later call loads
-    the library once ``cc`` has exited; a call of more than ``_WAIT_ABOVE``
-    strain-steps waits for it.  The lock makes concurrent calls share one
+    the library once ``cc`` has exited; a call of more ``work`` than
+    ``_WAIT_ABOVE`` waits for it.  The lock makes concurrent calls share one
     build.
     """
     global _KERNEL, _build
@@ -288,6 +294,11 @@ def _load_build(proc, tmp):
         c_int64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
     )
     lib.ms_rk4.restype = ctypes.c_int
+    c_double = ctypes.c_double
+    lib.ms_adjoint.argtypes = (
+        c_int64, c_int64, c_double, c_double, ptr, ptr, ptr, ptr, ptr, ptr,
+    )
+    lib.ms_adjoint.restype = None
     return lib
 
 

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from multistrain import (
+    ControlSchedule,
     EpidemicState,
+    SeedEvent,
     StrainParams,
+    TimeGrid,
+    backward_sweep,
     integrate,
     jacobian,
+    preset_config,
     simulate,
     strain_arrays,
     svgchart,
@@ -70,15 +75,75 @@ def reference_simulate(*inputs):
         return simulate(*inputs)
 
 
-def compiled_simulate(*inputs):
-    """``simulate`` with its node loop in the compiled kernel, waiting for the
-    build if this process has not finished one; skips where there is no
-    ``cc``."""
+def require_kernel():
+    """Wait for the build of ``_rk4.c`` if this process has not finished one;
+    skips where there is no ``cc``."""
     if not integrate._kernel(math.inf):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH to build _rk4.c")
         pytest.fail("cc is on PATH but could not build and load _rk4.c")
+
+
+def compiled_simulate(*inputs):
+    """``simulate`` with its node loop in the compiled kernel."""
+    require_kernel()
     return simulate(*inputs)
+
+
+def reference_sweep(*inputs):
+    """``backward_sweep`` in Python, ``control._adjoint_loop``: the reference
+    that the compiled sweep must match bit for bit."""
+    with patch.object(integrate, "_kernel", lambda work: None):
+        return backward_sweep(*inputs)
+
+
+def compiled_sweep(*inputs):
+    """``backward_sweep`` as one call of the compiled ``ms_adjoint``."""
+    require_kernel()
+    return backward_sweep(*inputs)
+
+
+def preset_inputs(name, u=None):
+    """``simulate``'s arguments for a preset, under ``u(times)`` if given."""
+    cfg = preset_config(name)
+    grid = cfg.grid()
+    if u is None:
+        schedule = ControlSchedule.constant(grid, cfg.control_value or 0.0)
+    else:
+        schedule = ControlSchedule(grid, u(grid.times()))
+    return cfg.initial_state(), cfg.strain_params(), schedule, cfg.seed_events(), grid
+
+
+def many_strain_inputs():
+    """Eight strains shaped like the ``many_strains`` benchmark pool: the
+    first seeded on day 0, strain j about 40 j days later with its own beta."""
+    rng = np.random.default_rng(8)
+    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
+    params += [
+        StrainParams(beta=BETA * rng.uniform(0.8, 1.6), sigma=SIGMA, gamma=GAMMA,
+                     delta=DELTA, mu=MU)
+        for _ in range(7)
+    ]
+    events = [
+        SeedEvent(time=float(0 if j == 0 else 40 * j + rng.integers(0, 21)), strain=j,
+                  exposed=E0, infected=I0, removed=R0_)
+        for j in range(8)
+    ]
+    grid = TimeGrid.from_horizon(0.0, 730.0, 0.05)
+    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * 8, I=[0.0] * 8, R=[0.0] * 8)
+    return initial, params, ControlSchedule.constant(grid, 0.2), events, grid
+
+
+def seeded_inputs(*events, n=2):
+    """``n`` baseline strains over 30 days at dt 0.1 with the given seeds."""
+    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)] * n
+    grid = TimeGrid.from_horizon(0.0, 30.0, 0.1)
+    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
+    return initial, params, ControlSchedule.constant(grid, 0.1), list(events), grid
+
+
+def wave(times):
+    return 0.3 + 0.2 * np.sin(2.0 * math.pi * times / 60.0)
 
 
 def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):

@@ -1,13 +1,14 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistrain import control
+from multistrain import control, integrate
 from multistrain import (
     ControlSchedule,
     CostateState,
@@ -33,8 +34,9 @@ from multistrain import (
 from multistrain.dynamics import split
 
 from conftest import (
-    BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, costate_slope, random_params,
-    random_state,
+    BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, compiled_sweep, costate_slope,
+    many_strain_inputs, preset_inputs, random_params, random_state, reference_sweep,
+    reference_simulate, require_kernel, seeded_inputs, wave,
 )
 
 
@@ -315,32 +317,24 @@ class TestBackwardSweep:
         assert np.all(np.isfinite(cos.phi_S))
         assert np.abs(cos.phi_S[0]).max() > 0.0
 
+    @pytest.mark.parametrize("sweep", [compiled_sweep, reference_sweep])
     @pytest.mark.parametrize("n_strains", [1, 2, 8])
-    @pytest.mark.parametrize(
-        "blocks, extra",
-        [(0, 1), (1, 0), (1, 1), (2, 3)],
-        ids=["1", "B", "B+1", "2B+3"],
-    )
-    def test_matches_a_step_by_step_rk4_oracle(self, n_strains, blocks, extra):
-        # Grids of one step, one block of B steps, one block and one step, and
-        # two blocks and a short one cover every way a block can fill the
-        # reused buffers; B depends on the strain count.
-        n_steps = blocks * control._sweep_block(n_strains) + extra
+    @pytest.mark.parametrize("n_steps", [1, 64, 65, 197])
+    def test_matches_a_step_by_step_rk4_oracle(self, sweep, n_strains, n_steps):
         traj, params = seeded_run(n_strains, n_steps)
         costs = CostParams(c1=1.0, c2=math.log(1e6))
-        phi = stacked_costates(backward_sweep(traj, params, costs))
+        phi = stacked_costates(sweep(traj, params, costs))
         expected = oracle_costates(traj, params, costs)
         assert np.abs(phi - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_calls_share_no_state(self):
-        # Interleaved 1- and 8-strain sweeps of two blocks and a short one
-        # each, serially and from two threads, each give what a fresh serial
-        # call gives.
+        # Interleaved 1- and 8-strain sweeps, serially and from two threads,
+        # each give what a fresh serial call gives.
         costs = CostParams(c1=2.0, c2=8.0)
-        runs = [seeded_run(n, 2 * control._sweep_block(n) + 3) for n in (1, 8)]
-        fresh = [stacked_costates(backward_sweep(t, p, costs)) for t, p in runs]
+        runs = [seeded_run(1, 197), seeded_run(8, 65)]
+        fresh = [stacked_costates(reference_sweep(t, p, costs)) for t, p in runs]
         order = [0, 1] * 4
-        serial = [stacked_costates(backward_sweep(*runs[i], costs)) for i in order]
+        serial = [stacked_costates(compiled_sweep(*runs[i], costs)) for i in order]
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(
                 lambda i: stacked_costates(backward_sweep(*runs[i], costs)), order
@@ -348,6 +342,92 @@ class TestBackwardSweep:
         for i, a, b in zip(order, serial, threaded):
             assert np.array_equal(a, fresh[i])
             assert np.array_equal(b, fresh[i])
+
+    def test_costates_are_read_only_views_of_one_matrix(self):
+        traj, params = seeded_run(2, 9)
+        cos = backward_sweep(traj, params, CostParams(c1=1.0, c2=8.0))
+        parts = (cos.phi_P, cos.phi_S, cos.phi_E, cos.phi_I, cos.phi_R)
+        assert all(not part.flags.writeable for part in parts)
+        assert all(part.base is cos.phi_P.base for part in parts)
+        assert cos.phi_P.base.shape == (10, 9)
+
+
+def one_step_inputs():
+    """Two strains, both seeded at node 0, over a grid of a single step."""
+    inputs = seeded_inputs(
+        SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=0.0, strain=1, exposed=2 * E0, infected=I0),
+    )
+    grid = TimeGrid(t0=0.0, dt=0.5, n_steps=1)
+    return (*inputs[:2], ControlSchedule(grid, [0.2, 0.6]), inputs[3], grid)
+
+
+def extreme_u_inputs(values):
+    """``seeded_inputs`` seeded at node 0, under the schedule ``values(k)``."""
+    initial, params, schedule, events, grid = seeded_inputs(
+        SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=4.0, strain=1, exposed=E0, infected=I0),
+    )
+    u = [values(k) for k in range(grid.n_points)]
+    return initial, params, ControlSchedule(grid, u), events, grid
+
+
+ADJOINT_INPUTS = {
+    "case_a_varying_u": lambda: preset_inputs("case_a", wave),
+    "experiment3": lambda: preset_inputs("experiment3"),
+    "eight_strains": many_strain_inputs,
+    "one_step": one_step_inputs,
+    "seeds_at_node_0_and_N": lambda: seeded_inputs(
+        SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0, removed=R0_),
+        SeedEvent(time=30.0, strain=1, exposed=E0, infected=I0, removed=R0_),
+    ),
+    "u_zero_and_one": lambda: extreme_u_inputs(lambda k: float(k // 7 % 2)),
+    "u_one": lambda: extreme_u_inputs(lambda k: 1.0),
+}
+
+
+class TestCompiledAdjoint:
+    """``backward_sweep`` runs in compiled C or in Python; the two agree bit
+    for bit."""
+
+    @pytest.mark.parametrize("name", list(ADJOINT_INPUTS))
+    def test_costates_are_the_reference_bit_for_bit(self, name):
+        inputs = ADJOINT_INPUTS[name]()
+        traj = reference_simulate(*inputs)
+        costs = CostParams(c1=1.5, c2=math.log(inputs[0].P))
+        compiled = stacked_costates(compiled_sweep(traj, inputs[1], costs))
+        assert compiled.tobytes() == stacked_costates(
+            reference_sweep(traj, inputs[1], costs)
+        ).tobytes()
+        assert np.all(np.isfinite(compiled)) and np.all(compiled[-1] == 0.0)
+
+    def test_column_major_trajectory_sweeps_like_row_major(self):
+        traj, params = seeded_run(2, 20)
+        columns = (np.asfortranarray(getattr(traj, name)) for name in "EIR")
+        flipped = Trajectory(traj.grid, traj.P.copy(), *columns, traj.u.copy())
+        costs = CostParams(c1=1.0, c2=8.0)
+        assert stacked_costates(compiled_sweep(flipped, params, costs)).tobytes() == (
+            stacked_costates(reference_sweep(traj, params, costs)).tobytes()
+        )
+
+    def test_fbsm_solve_is_the_reference_bit_for_bit(self):
+        cfg = preset_config("case_a")
+        problem = (
+            cfg.initial_state(), cfg.strain_params(), cfg.seed_events(), cfg.grid(),
+            cfg.cost_params(),
+        )
+        settings = dict(
+            relaxation=cfg.relaxation, tol=cfg.tolerance, max_iter=cfg.max_iterations,
+        )
+        with patch.object(integrate, "_kernel", lambda work: None):
+            twin = fbsm_solve(*problem, **settings)
+        require_kernel()
+        compiled = fbsm_solve(*problem, **settings)
+        assert twin.converged and compiled.converged
+        assert twin.update_history == compiled.update_history
+        assert twin.objective == compiled.objective
+        assert twin.schedule.u.tobytes() == compiled.schedule.u.tobytes()
+        assert (twin.iterations, twin.coarse_iterations) == (5, 9)
 
 
 class TestFbsmSolve:

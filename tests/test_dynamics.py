@@ -10,14 +10,13 @@ from multistrain import (
     analytic_eigenvalues,
     equilibrium_residuals,
     full_system_rhs,
-    jacobian,
     min_stabilizing_control,
     nontrivial_equilibrium,
     numeric_jacobian,
     reproduction_number,
     strain_arrays,
 )
-from multistrain.dynamics import constant_jacobian, write_transmission
+from multistrain.dynamics import costate_lists, split, strain_rows
 
 from conftest import (
     BETA, DELTA, GAMMA, MU, SIGMA, jacobian_at, random_params, random_state,
@@ -300,23 +299,33 @@ class TestJacobian:
             gap = np.abs(jacobian_at(state, params, u) - J_num).max()
             assert gap < 1e-9 * max(np.abs(J_num).max(), 1.0)
 
-    def test_constant_part_plus_transmission_entries(self):
-        rng = np.random.default_rng(37)
-        n, K = 3, 5
-        D = 4 * n + 1
-        arrays = strain_arrays(random_params(rng, n))
-        S, I = rng.uniform(1.0, 1e6, size=(2, K, n))
-        u = rng.uniform(0.0, 0.9, size=K)
-        J = jacobian(S, I, u, arrays)
-        constant = constant_jacobian(arrays)
-        # Transmission sets 4 entries per strain; every other entry is constant.
-        assert np.all((J != constant).sum(axis=(1, 2)) == 4 * n)
-        # Written into a larger stack, it leaves the extra row and column be.
-        G = np.full((K, D + 1, D + 1), 7.0)
-        G[:, :D, :D] = constant
-        write_transmission(G, S, I, u, arrays)
-        assert np.array_equal(G[:, :D, :D], J)
-        assert np.all(G[:, D, :] == 7.0) and np.all(G[:, :, D] == 7.0)
+    @pytest.mark.parametrize("h", [0.0, 0.35])
+    def test_costate_lists_is_the_row_product(self, h):
+        # The adjoint's O(n) slope equals phi J + c1 e_P with the dense
+        # Jacobian, at the stage input phi + h*k; einsum keeps the product
+        # free of fused multiply-adds.
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            params = random_params(rng, n)
+            state = random_state(rng, n)
+            u = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            c1 = float(rng.uniform(0.1, 10.0))
+            phi, k = rng.uniform(-10.0, 10.0, size=(2, 4 * n + 1))
+            k[0] = c1
+            S = state.susceptible_all()
+            wb = (1.0 - u) * strain_arrays(params).beta
+            slopes = [[0.0] * n for _ in range(4)]
+            dP = costate_lists(
+                float(phi[0]), *(part.tolist() for part in split(phi, n)[1:]), h,
+                *(part.tolist() for part in split(k, n)[1:]), strain_rows(params),
+                (wb * S).tolist(), (wb * state.I).tolist(), c1, *slopes,
+            )
+            got = np.hstack(([dP], *slopes))
+            expected = np.einsum("ij,i->j", jacobian_at(state, params, u), phi + h * k)
+            expected[0] += c1
+            assert dP == c1
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_strain_arrays_are_read_only_columns(self):
         params = random_params(np.random.default_rng(31), 2)

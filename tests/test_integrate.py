@@ -15,6 +15,7 @@ from multistrain import (
     NEGATIVE_TOLERANCE,
     ConfigError,
     ControlSchedule,
+    CostParams,
     DomainError,
     EpidemicState,
     IntegrationError,
@@ -22,9 +23,10 @@ from multistrain import (
     StateConsistencyError,
     StrainParams,
     TimeGrid,
+    backward_sweep,
+    control,
     full_system_rhs,
     integrate,
-    preset_config,
     simulate,
 )
 from multistrain.cli import main
@@ -40,7 +42,11 @@ from conftest import (
     R0_,
     SIGMA,
     compiled_simulate,
+    many_strain_inputs,
+    preset_inputs,
     reference_simulate,
+    seeded_inputs,
+    wave,
 )
 
 
@@ -455,49 +461,6 @@ class TestClamp:
         assert err.value.step == 0
 
 
-def preset_inputs(name, u=None):
-    """``simulate``'s arguments for a preset, under ``u(times)`` if given."""
-    cfg = preset_config(name)
-    grid = cfg.grid()
-    if u is None:
-        schedule = ControlSchedule.constant(grid, cfg.control_value or 0.0)
-    else:
-        schedule = ControlSchedule(grid, u(grid.times()))
-    return cfg.initial_state(), cfg.strain_params(), schedule, cfg.seed_events(), grid
-
-
-def many_strain_inputs():
-    """Eight strains shaped like the ``many_strains`` benchmark pool: the
-    first seeded on day 0, strain j about 40 j days later with its own beta."""
-    rng = np.random.default_rng(8)
-    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
-    params += [
-        StrainParams(beta=BETA * rng.uniform(0.8, 1.6), sigma=SIGMA, gamma=GAMMA,
-                     delta=DELTA, mu=MU)
-        for _ in range(7)
-    ]
-    events = [
-        SeedEvent(time=float(0 if j == 0 else 40 * j + rng.integers(0, 21)), strain=j,
-                  exposed=E0, infected=I0, removed=R0_)
-        for j in range(8)
-    ]
-    grid = TimeGrid.from_horizon(0.0, 730.0, 0.05)
-    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * 8, I=[0.0] * 8, R=[0.0] * 8)
-    return initial, params, ControlSchedule.constant(grid, 0.2), events, grid
-
-
-def seeded_inputs(*events, n=2):
-    """``n`` baseline strains over 30 days at dt 0.1 with the given seeds."""
-    params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)] * n
-    grid = TimeGrid.from_horizon(0.0, 30.0, 0.1)
-    initial = EpidemicState(t=0.0, P=P0, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
-    return initial, params, ControlSchedule.constant(grid, 0.1), list(events), grid
-
-
-def wave(times):
-    return 0.3 + 0.2 * np.sin(2.0 * math.pi * times / 60.0)
-
-
 KERNEL_INPUTS = {
     "experiment1": lambda: preset_inputs("experiment1"),
     "experiment3": lambda: preset_inputs("experiment3"),
@@ -680,6 +643,21 @@ class TestKernelBuild:
         monkeypatch.setattr(integrate, "_WAIT_ABOVE", 599)
         simulate(*inputs)
         assert starts == [1] and python_calls == [1] and integrate._KERNEL
+
+    def test_a_sweep_counts_each_strain_step_twice(
+        self, cc, starts, python_calls, monkeypatch
+    ):
+        # The adjoint's list loop costs about twice the forward one per
+        # strain-step, so a sweep of 300 steps of 2 strains is 1 200 work.
+        inputs = seeded_inputs(SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0))
+        traj = simulate(*inputs)
+        assert python_calls == [1] and integrate._build is not None
+        monkeypatch.setattr(integrate, "_WAIT_ABOVE", 1199)
+        twin = []
+        loop = control._adjoint_loop
+        monkeypatch.setattr(control, "_adjoint_loop", lambda *a: twin.append(1) or loop(*a))
+        backward_sweep(traj, inputs[1], CostParams(c1=1.0, c2=8.0))
+        assert starts == [1] and twin == [] and integrate._KERNEL
 
     @pytest.mark.parametrize("mode", ["no_cc", "cc_fails", "no_tempdir", "no_load"])
     def test_a_failed_build_leaves_every_run_in_python(

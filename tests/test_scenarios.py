@@ -31,6 +31,7 @@ from multistrain import (
 )
 from multistrain.cli import main
 from multistrain.config import _SCHEMA, _STRAIN_KEYS
+from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
 
 SHORT_SIM = """\
@@ -742,9 +743,15 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("dt", ["1e-300", "1e-7"])
-    def test_grid_beyond_physical_memory_exits_two(self, dt, tmp_path, capsys):
+    def test_grid_beyond_physical_memory_exits_two(
+        self, dt, tmp_path, capsys, monkeypatch
+    ):
         # Both used to fail mid-run with exit 1, after --out was made: 1e-300
         # on numpy's array dimension limit, 1e-7 allocating 54 GiB.
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
+        )
         cfg = preset_config("experiment1")
         nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
         need = nodes * (4 * len(cfg.strains) + 3) * 8
@@ -757,6 +764,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "grid.dt" in err and f"{need} bytes" in err and f"{memory} bytes" in err
         assert not out.exists()
+
+    def test_optimize_grid_beyond_the_address_space_limit_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Under ulimit -v 8 MiB, a dt 0.01 case_a solve holds 73 001 nodes of
+        # the trajectory, the costates and the Anderson rows.
+        resource = pytest.importorskip("resource")
+        limit = 8 << 20
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
+        nodes = 73_001
+        need = nodes * ((4 + 3) + (4 + 1) + 2 * ANDERSON_DEPTH) * 8
+        out = tmp_path / "out"
+        argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "grid.dt" in err and f"{need} bytes" in err and f"{limit} bytes" in err
+        assert "RLIMIT_AS" in err
+        assert not out.exists()
+        # The trajectory alone, 4.1 MB, fits: simulate mode loads the grid.
+        cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
+        assert cfg.grid().n_points * (4 + 3) * 8 < limit
+        cfg.validate()
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")
