@@ -1,6 +1,10 @@
-/* Node loops of multistrain: the forward RK4 loop of integrate.simulate
- * (ms_rk4) and the backward adjoint sweep of control.backward_sweep
- * (ms_adjoint).
+/* Node loops and writers of multistrain: the forward RK4 loop of
+ * integrate.simulate (ms_rk4), the backward adjoint sweep of
+ * control.backward_sweep (ms_adjoint), and the text of the trajectory.csv
+ * rows of runner.write_trajectory_csv (ms_format_rows) and of the polyline
+ * points of svgchart.line_chart (ms_format_points).  ms_format_rows needs
+ * unsigned __int128 and is left out where the compiler has none; the other
+ * three build with any C99 compiler.
  *
  * integrate.py compiles this file with -ffp-contract=off: every expression
  * below rounds in exactly the order its list form in Python states it, so
@@ -32,6 +36,7 @@
  * S and I.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 enum { MS_OK = 0, MS_SEED_POOL = 1, MS_POPULATION = 2, MS_ADMISSIBLE = 3 };
@@ -220,3 +225,230 @@ void ms_adjoint(int64_t n, int64_t n_steps, double dt, double c1,
             y[j] = x[j] + sixth * (a[j] + 2.0 * (b[j] + c[j]) + d[j]);
     }
 }
+
+/* Text of the artifact writers, byte for byte with Python's "%.17g" and
+ * "%.2f": the digits are exact integer arithmetic on the double's mantissa
+ * and exponent, rounded half to even as Python rounds them, and never come
+ * from snprintf, whose rounding C only recommends.  Both entries write items
+ * from start on into the caller's buffer of cap bytes and return the index
+ * of the first item they did not write, with *used the bytes written.  They
+ * stop at n, at an item with a value outside their exact range, which the
+ * caller then formats in Python, or when the buffer has no room for one more
+ * item of the largest size. */
+
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The n decimal digits of v, zero-padded, at p. */
+static void put_digits(char *p, uint64_t v, int n)
+{
+    for (; n >= 2; n -= 2, v /= 100) {
+        const char *d = DIGIT_PAIRS + 2 * (v % 100);
+        p[n - 2] = d[0];
+        p[n - 1] = d[1];
+    }
+    if (n)
+        p[0] = (char)('0' + v % 10);
+}
+
+/* v in decimal without leading zeros at p; returns the end. */
+static char *put_uint(char *p, uint64_t v)
+{
+    int n = 1;
+    for (uint64_t t = v; t >= 10; t /= 10)
+        n++;
+    put_digits(p, v, n);
+    return p + n;
+}
+
+/* "%.2f" of x at p, returning the end; NULL for a NaN, an infinity or
+ * |x| >= 2^53, where m 2^e * 100 could exceed 64 bits. */
+static char *put_f2(char *p, double x)
+{
+    union { double d; uint64_t u; } bits = { x };
+    int be = (int)(bits.u >> 52 & 0x7ff);
+    if (be >= 1023 + 53)
+        return NULL;
+    if (bits.u >> 63)
+        *p++ = '-';
+    uint64_t m = bits.u & ((UINT64_C(1) << 52) - 1), D;
+    int e = -1074;
+    if (be) {
+        m |= UINT64_C(1) << 52;
+        e = be - 1075;
+    }
+    if (e >= 0) {
+        D = (m << e) * 100;
+    } else if (-e >= 64) {
+        D = 0; /* m * 100 < 2^60, so x * 100 < 1/16 */
+    } else {
+        int r = -e;
+        uint64_t N = m * 100, f = N >> r, rem = N & ((UINT64_C(1) << r) - 1);
+        uint64_t half = UINT64_C(1) << (r - 1);
+        D = f + (rem > half || (rem == half && (f & 1)));
+    }
+    p = put_uint(p, D / 100);
+    *p++ = '.';
+    put_digits(p, D % 100, 2);
+    return p + 2;
+}
+
+/* Largest "%.2f,%.2f" point with its leading space, and largest "%.17g"
+ * cell with its separator. */
+enum { MS_POINT_BYTES = 48, MS_CELL_BYTES = 25 };
+
+/* The points "%.2f,%.2f" of xs and ys, each after a space but the first. */
+int64_t ms_format_points(const double *xs, const double *ys, int64_t start,
+                         int64_t n, char *buf, int64_t cap, int64_t *used)
+{
+    char *p = buf;
+    int64_t k = start;
+    for (; k < n && cap - (p - buf) >= MS_POINT_BYTES; k++) {
+        char *q = p;
+        if (k > 0)
+            *q++ = ' ';
+        if ((q = put_f2(q, xs[k]))) {
+            *q++ = ',';
+            q = put_f2(q, ys[k]);
+        }
+        if (!q)
+            break;
+        p = q;
+    }
+    *used = p - buf;
+    return k;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    UINT64_C(1), UINT64_C(5), UINT64_C(25), UINT64_C(125), UINT64_C(625),
+    UINT64_C(3125), UINT64_C(15625), UINT64_C(78125), UINT64_C(390625),
+    UINT64_C(1953125), UINT64_C(9765625), UINT64_C(48828125),
+    UINT64_C(244140625), UINT64_C(1220703125), UINT64_C(6103515625),
+    UINT64_C(30517578125), UINT64_C(152587890625), UINT64_C(762939453125),
+    UINT64_C(3814697265625), UINT64_C(19073486328125),
+    UINT64_C(95367431640625), UINT64_C(476837158203125),
+    UINT64_C(2384185791015625), UINT64_C(11920928955078125),
+    UINT64_C(59604644775390625), UINT64_C(298023223876953125),
+    UINT64_C(1490116119384765625), UINT64_C(7450580596923828125),
+};
+#define E16 UINT64_C(10000000000000000)
+#define E17 UINT64_C(100000000000000000)
+
+/* m 2^e 10^s rounded half to even, for s in [0, 32]: m 5^s < 2^53 5^32 <
+ * 2^128 is exact.  *below gets the value rounded down. */
+static uint64_t scaled(uint64_t m, int e, int s, uint64_t *below)
+{
+    u128 N = (u128)m * POW5[s < 27 ? s : 27];
+    if (s > 27)
+        N *= POW5[s - 27];
+    int q = e + s;
+    if (q >= 0)
+        return *below = (uint64_t)(N << q);
+    int r = -q; /* N >= 2^52 and the result >= 10^15, so r < 80 */
+    u128 f = N >> r, rem = N - (f << r), half = (u128)1 << (r - 1);
+    *below = (uint64_t)f;
+    return (uint64_t)f + (rem > half || (rem == half && (f & 1)));
+}
+
+/* "%.17g" of x at p, returning the end; NULL for a NaN, an infinity or
+ * 0 < |x| < 10^-16 or |x| >= 10^17, where 17 digits of x need 10^s with s
+ * outside [0, 32]. */
+static char *put_g17(char *p, double x)
+{
+    union { double d; uint64_t u; } bits = { x };
+    if (bits.u >> 63)
+        *p++ = '-';
+    uint64_t mag = bits.u & ~(UINT64_C(1) << 63);
+    if (mag == 0) {
+        *p++ = '0';
+        return p;
+    }
+    /* x = m 2^e with 2^52 <= m < 2^53; |x| in [2^e2, 2^(e2+1)). */
+    int e2 = (int)(mag >> 52) - 1023;
+    if (e2 < -54 || e2 > 56)
+        return NULL;
+    uint64_t m = (mag & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52), D, below;
+    int e = e2 - 52;
+    /* k = floor(log10 |x|) is floor(e2 log10 2) or one more: one retry
+     * with k moved by one brings m 2^e 10^(16 - k) into [10^16, 10^17). */
+    int k = ((e2 * 78913 + (64 << 18)) >> 18) - 64, retried = 0;
+    if (k < -16)
+        k = -16;
+    for (;;) {
+        D = scaled(m, e, 16 - k, &below);
+        int step = (below >= E17) - (below < E16);
+        if (!step)
+            break;
+        k += step;
+        if (retried++ || k < -16 || k > 16)
+            return NULL;
+    }
+    if (D == E17) { /* 9.99..95 and up round to the next power of ten */
+        D = E16;
+        k++;
+    }
+    char dig[17];
+    put_digits(dig, D, 17);
+    int nd = 17;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (k < -4 || k >= 17) {
+        *p++ = dig[0];
+        if (nd > 1) {
+            *p++ = '.';
+            for (int i = 1; i < nd; i++)
+                *p++ = dig[i];
+        }
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        put_digits(p, (uint64_t)(k < 0 ? -k : k), 2);
+        return p + 2;
+    }
+    if (k < 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > k; i--)
+            *p++ = '0';
+        for (int i = 0; i < nd; i++)
+            *p++ = dig[i];
+        return p;
+    }
+    for (int i = 0; i <= k; i++)
+        *p++ = dig[i];
+    if (nd > k + 1) {
+        *p++ = '.';
+        for (int i = k + 1; i < nd; i++)
+            *p++ = dig[i];
+    }
+    return p;
+}
+
+/* The rows of the n x width matrix values as "%.17g" cells joined by
+ * commas, each row ending in a newline. */
+int64_t ms_format_rows(const double *values, int64_t width, int64_t start,
+                       int64_t n, char *buf, int64_t cap, int64_t *used)
+{
+    char *p = buf;
+    int64_t k = start;
+    for (; k < n && cap - (p - buf) >= MS_CELL_BYTES * width + 1; k++) {
+        const double *row = values + k * width;
+        char *q = p;
+        for (int64_t c = 0; q && c < width; c++) {
+            if (c)
+                *q++ = ',';
+            q = put_g17(q, row[c]);
+        }
+        if (!q)
+            break;
+        *q++ = '\n';
+        p = q;
+    }
+    *used = p - buf;
+    return k;
+}
+#endif

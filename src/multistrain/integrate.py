@@ -15,20 +15,24 @@ forms its input as ``x + h*k`` of the previous stage's slope, the
 admissibility check is one test per strain, of the signs and of the finite
 sum, and the clamp runs only when it fails.  The same library holds
 ``ms_adjoint``, the backward sweep of ``control.backward_sweep``, whose
-list twin is ``control._adjoint_loop``; :func:`_kernel` routes both.
+list twin is ``control._adjoint_loop``, and the writers' formatters
+``ms_format_rows`` and ``ms_format_points``, whose twins are Python's
+``"%.17g"`` and ``"%.2f"``; :func:`_kernel` routes all four, and
+:func:`write_text` runs a formatter over a file.
 
-The C file is compiled when the process first calls ``simulate`` or
-``backward_sweep``, never at import, with ``cc -O1 -ffp-contract=off -shared
--fPIC`` into a temporary directory that is deleted once the library is
-loaded; nothing is cached on disk.  ``-ffp-contract=off`` keeps the compiler
-from fusing ``a*b + c`` into one rounding, which would break the bit
-equality.  ``-O1`` builds in about two thirds of the time ``-O2`` takes, and
-the kernels run as fast.  ``cc`` runs in the background: calls run the
-Python loops until the library is ready and the kernels after, and only a
-call whose Python loop would take longer than the build (more than
-``_WAIT_ABOVE`` forward strain-steps; an adjoint strain-step counts twice)
-waits for it.  So a single run of a preset costs what the Python loop
-costs, and a solver that re-runs both passes switches to the kernels within
+The C file is compiled when the process first calls ``simulate``,
+``backward_sweep`` or a writer, never at import, with ``cc -O1
+-ffp-contract=off -shared -fPIC`` into a temporary directory that is deleted
+once the library is loaded; nothing is cached on disk.
+``-ffp-contract=off`` keeps the compiler from fusing ``a*b + c`` into one
+rounding, which would break the bit equality.  ``-O1`` builds in about two
+thirds of the time ``-O2`` takes, and the kernels run as fast.  ``cc`` runs
+in the background: calls run in Python until the library is ready and in C
+after, and only a call whose Python loop would take longer than what is
+left of the build waits for it (``_WAIT_ABOVE`` forward strain-steps for
+the whole build; an adjoint strain-step counts twice, a formatted value a
+fraction of one).  So a single run of a preset costs what the Python loops
+cost, and a solver that re-runs both passes switches to the kernels within
 about 0.2 s.  A build still running at exit is killed.  Without a working
 ``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
 in Python.  No loop holds state between calls: ``simulate`` owns the
@@ -44,6 +48,7 @@ import numbers
 import os
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -219,13 +224,17 @@ class Trajectory:
 # Failure codes of ms_rk4 in _rk4.c, which _python_loop returns too.
 _SEED_POOL, _POPULATION, _ADMISSIBLE = 1, 2, 3
 _CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
-# Strain-steps the forward Python loop runs in about the time cc takes to
-# build the kernels: 0.11-0.16 s of cc against 4-6 us per strain-step at one
-# or two strains.  A call with more work waits for the build instead; the
-# adjoint's list loop counts each of its strain-steps twice.
-_WAIT_ABOVE = 30_000
+# Seconds cc takes to build _rk4.c, and the strain-steps the forward Python
+# loop runs in that time: 0.17-0.30 s of cc while Python runs beside it,
+# against 3-5 us per strain-step at one or two strains.  A call waits for
+# the build when it has more work than the part of the build still
+# expected; the adjoint's list loop counts each of its strain-steps twice,
+# and the writers weigh their cells and points by what Python takes to
+# format one.
+_BUILD_SECONDS = 0.25
+_WAIT_ABOVE = 60_000
 _KERNEL = None  # the loaded library; False once a build has failed
-_build = None  # (cc process, its temporary directory) while cc runs
+_build = None  # (cc process, its temporary directory, start time) while cc runs
 _KERNEL_LOCK = threading.Lock()
 
 
@@ -235,9 +244,10 @@ def _kernel(work):
     run it.
 
     The first call starts the build in the background.  A later call loads
-    the library once ``cc`` has exited; a call of more ``work`` than
-    ``_WAIT_ABOVE`` waits for it.  The lock makes concurrent calls share one
-    build.
+    the library once ``cc`` has exited, and waits for it when ``work`` is
+    more than ``_WAIT_ABOVE`` times the share of ``_BUILD_SECONDS`` not yet
+    spent, so that no call runs in Python for longer than the rest of the
+    build would take.  The lock makes concurrent calls share one build.
     """
     global _KERNEL, _build
     with _KERNEL_LOCK:
@@ -245,9 +255,12 @@ def _kernel(work):
             _build = _start_build()
             if _build is None:
                 _KERNEL = False
-        if _build is not None and (work > _WAIT_ABOVE or _build[0].poll() is not None):
-            _KERNEL = _load_build(*_build)
-            _build = None
+        if _build is not None:
+            proc, tmp, started = _build
+            left = 1.0 - (time.monotonic() - started) / _BUILD_SECONDS
+            if work > _WAIT_ABOVE * left or proc.poll() is not None:
+                _KERNEL = _load_build(proc, tmp)
+                _build = None
         return _KERNEL or None
 
 
@@ -273,7 +286,7 @@ def _start_build():
         tmp.cleanup()
         return None
     atexit.register(_end_build)
-    return proc, tmp
+    return proc, tmp, time.monotonic()
 
 
 def _load_build(proc, tmp):
@@ -299,6 +312,16 @@ def _load_build(proc, tmp):
         c_int64, c_int64, c_double, c_double, ptr, ptr, ptr, ptr, ptr, ptr,
     )
     lib.ms_adjoint.restype = None
+    int64_p = ctypes.POINTER(c_int64)
+    lib.ms_format_points.argtypes = (ptr, ptr, c_int64, c_int64, ptr, c_int64, int64_p)
+    lib.ms_format_points.restype = c_int64
+    # Missing where cc has no __int128; trajectory rows are then formatted
+    # in Python.
+    if hasattr(lib, "ms_format_rows"):
+        lib.ms_format_rows.argtypes = (
+            ptr, c_int64, c_int64, c_int64, ptr, c_int64, int64_p,
+        )
+        lib.ms_format_rows.restype = c_int64
     return lib
 
 
@@ -310,12 +333,40 @@ def _end_build():
         return
     import signal
 
-    proc, tmp = _build
+    proc, tmp, _ = _build
     _build = None
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
     proc.wait()
     tmp.cleanup()
+
+
+# Bytes of text one formatting call writes at most: a few hundred rows or
+# thousands of points per call, and never the whole text of a file.
+_TEXT_BYTES = 1 << 18
+
+
+def write_text(fh, entry, args, n, python_item):
+    """Write items ``0..n-1`` to the binary file ``fh``, formatted by
+    ``entry(*args, start, n, buf, cap, used)``, ``ms_format_rows`` or
+    ``ms_format_points``, in one buffer of ``_TEXT_BYTES``.
+
+    The entry writes items from ``start`` on until one is outside its exact
+    range or would not fit, and returns that item's index.  An item at which
+    it stops at once is the text ``python_item(k)`` instead, so Python's own
+    format defines the bytes of every item.
+    """
+    buf = ctypes.create_string_buffer(_TEXT_BYTES)
+    view = memoryview(buf)
+    used = ctypes.c_int64()
+    k = 0
+    while k < n:
+        stop = entry(*args, k, n, buf, _TEXT_BYTES, ctypes.byref(used))
+        fh.write(view[: used.value])
+        if stop == k:
+            fh.write(python_item(k).encode())
+            stop += 1
+        k = stop
 
 
 def _clamp(values: list, tol: float):

@@ -5,9 +5,12 @@ keeps files diffable and easy to assert on.  No timestamps or generated ids
 are embedded, so identical inputs give identical bytes.
 
 Pixel coordinates are computed on whole numpy arrays, in the operation order
-of the scalar formula, and each point is formatted by one ``%`` call; the
-bytes equal those of the earlier per-point writer, which the tests keep as
-the oracle.  Title, axis and series labels are XML-escaped.
+of the scalar formula.  The points are written as ``"%.2f,%.2f"`` by
+``ms_format_points`` of the compiled library once it is loaded, and by one
+``%`` call per point until then or without ``cc``; a point the C formatter
+cannot write exactly takes the ``%`` call too, so the bytes are Python's
+either way and equal those of the earlier per-point writer, which the tests
+keep as the oracle.  Title, axis and series labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from . import integrate
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -68,9 +73,9 @@ def _decimate(n: int):
     if n <= MAX_POINTS:
         return slice(None)
     stride = -(-n // MAX_POINTS)
-    keep = list(range(0, n, stride))
+    keep = np.arange(0, n, stride)
     if keep[-1] != n - 1:
-        keep.append(n - 1)
+        keep = np.append(keep, n - 1)
     return keep
 
 
@@ -167,23 +172,35 @@ def line_chart(
         )
 
     keep = _decimate(len(x))
-    xs_px = px(x[keep]).tolist()
-    for idx, (label, ys) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(["%.2f,%.2f" % p for p in zip(xs_px, py(ys[keep]).tolist())])
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-        )
-        ly = MARGIN_TOP + 14 + 16 * idx
-        lx = MARGIN_LEFT + plot_w - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
-    out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    xs_px = px(x[keep])
+    n_points = xs_px.size
+    # Python formats a point in about a third of a forward strain-step.
+    format_points = getattr(
+        integrate._kernel(len(series) * n_points // 3), "ms_format_points", None
+    )
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(out) + "\n").encode("utf-8"))
+        for idx, (label, ys) in enumerate(series):
+            color = PALETTE[idx % len(PALETTE)]
+            ys_py = py(ys[keep])
+            fh.write(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="'.encode()
+            )
+            if format_points is None:
+                pts = zip(xs_px.tolist(), ys_py.tolist())
+                fh.write(" ".join(["%.2f,%.2f" % p for p in pts]).encode())
+            else:
+                integrate.write_text(
+                    fh, format_points, (xs_px.ctypes.data, ys_py.ctypes.data), n_points,
+                    lambda k: (" " if k else "") + "%.2f,%.2f" % (xs_px[k], ys_py[k]),
+                )
+            ly = MARGIN_TOP + 14 + 16 * idx
+            lx = MARGIN_LEFT + plot_w - 150
+            fh.write((
+                f'"/>\n<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"/>\n'
+                f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
+                f'font-size="11">{_escape(label)}</text>\n'
+            ).encode("utf-8"))
+        fh.write(b"</svg>\n")

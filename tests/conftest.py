@@ -1,6 +1,7 @@
 import csv
 import math
 import shutil
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -88,6 +89,20 @@ def compiled_simulate(*inputs):
     """``simulate`` with its node loop in the compiled kernel."""
     require_kernel()
     return simulate(*inputs)
+
+
+@contextmanager
+def python_path():
+    """Every loop and writer of the block in Python, as without ``cc``."""
+    with patch.object(integrate, "_kernel", lambda work: None):
+        yield
+
+
+@contextmanager
+def compiled_path():
+    """Every loop and writer of the block in the compiled library."""
+    require_kernel()
+    yield
 
 
 def reference_sweep(*inputs):

@@ -644,6 +644,25 @@ class TestKernelBuild:
         simulate(*inputs)
         assert starts == [1] and python_calls == [1] and integrate._KERNEL
 
+    def test_a_call_waits_when_it_outlasts_the_rest_of_the_build(
+        self, cc, starts, monkeypatch, tmp_path
+    ):
+        # A cc that idles for half a second before it builds.  A call worth
+        # 0.9 of the build runs in Python as the build starts; a call worth
+        # half of it waits once three quarters of the build time are spent.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        slow = bin_dir / "cc"
+        slow.write_text(f'#!/bin/sh\nsleep 0.5\nexec "{shutil.which("cc")}" "$@"\n')
+        slow.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir) + os.pathsep + os.environ["PATH"])
+        assert integrate._kernel(0.9 * integrate._WAIT_ABOVE) is None
+        proc, tmp, started = integrate._build
+        spent = 0.75 * integrate._BUILD_SECONDS
+        monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent))
+        assert integrate._kernel(0.5 * integrate._WAIT_ABOVE)
+        assert starts == [1] and integrate._build is None
+
     def test_a_sweep_counts_each_strain_step_twice(
         self, cc, starts, python_calls, monkeypatch
     ):

@@ -34,6 +34,8 @@ from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
 
+from conftest import compiled_path, python_path
+
 SHORT_SIM = """\
 [scenario]
 name = shortrun
@@ -363,12 +365,17 @@ class TestRunScenario:
         ("experiment1", "113d4565163d21c39df0ba223b76fc35a45f4ef444b7a684cc8936170d9e43da"),
         ("experiment3", "645c483cc5f038bfabdf25067e8b5e3d1ad13717ef9074b000e64aee87e4cbea"),
     ], ids=["experiment1", "experiment3"])
-    def test_preset_trajectory_is_pinned_bit_for_bit(self, name, digest, tmp_path):
-        # The forward pass is CPython float arithmetic written with %.17g, so
-        # any change to its operations or their order shows in the digest.
+    @pytest.mark.parametrize("path", [compiled_path, python_path],
+                             ids=["compiled", "python"])
+    def test_preset_trajectory_is_pinned_bit_for_bit(self, name, digest, path, tmp_path):
+        # The forward pass rounds each operation in the order of its list
+        # form, in C or in Python, and the rows are written as %.17g, in C or
+        # in Python; a change to the operations, their order or a digit of
+        # the text shows in the digest.
         cfg = preset_config(name)
         cfg.svg = False
-        run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
+        with path():
+            run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         data = (tmp_path / "trajectory.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 

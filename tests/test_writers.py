@@ -1,6 +1,14 @@
-"""The artifact writers against their per-cell and per-point oracles."""
+"""The artifact writers against their per-cell and per-point oracles, and
+the compiled formatters against Python's ``%`` formats."""
 
+import io
+import math
+import os
+import shutil
+import subprocess
+import tempfile
 import xml.etree.ElementTree as ET
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,14 +19,16 @@ from multistrain import (
     StrainParams,
     TimeGrid,
     Trajectory,
+    integrate,
     simulate,
 )
 from multistrain.runner import write_trajectory_csv
 from multistrain.svgchart import MAX_POINTS, line_chart
 
 from conftest import (
-    BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA,
-    reference_polyline_points, reference_write_trajectory_csv,
+    BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, compiled_path, preset_inputs,
+    python_path, reference_polyline_points, reference_write_trajectory_csv,
+    require_kernel,
 )
 
 # Doubles whose text is easy to get wrong: subnormals, the smallest normal,
@@ -43,11 +53,12 @@ def run_strains(n: int, horizon: float) -> Trajectory:
     return simulate(initial, params, ControlSchedule(grid, u), [], grid)
 
 
-def awkward_trajectory(n_points: int, n: int) -> Trajectory:
+def awkward_trajectory(n_points: int, n: int, pool=AWKWARD) -> Trajectory:
+    """P, E, I, R and u drawn from ``pool``; S = P - E - I - R as it falls."""
     rng = np.random.default_rng(n_points + n)
 
     def draw(*shape):
-        return rng.choice(AWKWARD, size=shape)
+        return rng.choice(pool, size=shape)
 
     grid = TimeGrid(t0=0.0, dt=0.1, n_steps=n_points - 1)
     return Trajectory(grid=grid, P=draw(n_points), E=draw(n_points, n),
@@ -137,3 +148,200 @@ class TestLineChart:
         x = np.array([0.0, 1.0, np.inf])
         with pytest.raises(ValueError, match="x holds a non-finite value"):
             line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", np.ones(3))])
+
+
+def finite_bit_patterns(size: int, seed: int) -> np.ndarray:
+    """Finite doubles of uniformly random bits, either sign."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=size, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def both_paths(tmp_path, write, *args, **kwargs) -> list[bytes]:
+    """The bytes ``write(path, *args, **kwargs)`` writes with the compiled
+    formatters and with Python's."""
+    out = []
+    for name, path in (("compiled", compiled_path), ("python", python_path)):
+        target = tmp_path / name
+        with path(), np.errstate(over="ignore", invalid="ignore"):
+            write(target, *args, **kwargs)
+        out.append(target.read_bytes())
+    return out
+
+
+def compiled_text(entry: str, arrays, python_item):
+    """``integrate.write_text`` with the library's ``entry`` over the rows of
+    ``arrays``: the text, and the items it handed to ``python_item``."""
+    require_kernel()
+    lib = integrate._kernel(math.inf)
+    arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+    if entry == "ms_format_rows":
+        args = (arrays[0].ctypes.data, arrays[0].shape[1])
+    else:
+        args = tuple(a.ctypes.data for a in arrays)
+    fh, handed = io.BytesIO(), []
+    integrate.write_text(
+        fh, getattr(lib, entry), args, len(arrays[0]),
+        lambda k: handed.append(k) or python_item(k),
+    )
+    return fh.getvalue().decode(), handed
+
+
+def rows_both_ways(values):
+    """``values`` as ``%.17g`` rows: the compiled text, the items it handed
+    back and Python's text."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    text, handed = compiled_text(
+        "ms_format_rows", [values], lambda k: row % tuple(values[k].tolist())
+    )
+    return text, handed, "".join([row % tuple(r) for r in values.tolist()])
+
+
+def points_both_ways(xs, ys):
+    """``"%.2f,%.2f"`` points joined by spaces: the compiled text, the items
+    it handed back and Python's text."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    text, handed = compiled_text(
+        "ms_format_points", [xs, ys],
+        lambda k: (" " if k else "") + "%.2f,%.2f" % (xs[k], ys[k]),
+    )
+    return text, handed, " ".join(["%.2f,%.2f" % p for p in zip(xs.tolist(), ys.tolist())])
+
+
+class TestCompiledWriters:
+    """The compiled formatters give Python's bytes on every input: digit for
+    digit where they format a value, and by handing the row or point back
+    where a value is outside their exact range."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_awkward_doubles_give_the_python_bytes(self, tmp_path, n):
+        # inf where S = P - E - I - R overflows, subnormals, signed zeros.
+        compiled, python = both_paths(tmp_path, write_trajectory_csv,
+                                      awkward_trajectory(2500, n))
+        assert compiled == python
+        assert b"inf" in python and b"4.9406564584124654e-324" in python
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_bit_patterns_give_the_python_bytes(self, tmp_path, seed):
+        pool = finite_bit_patterns(20_000, seed)
+        traj = awkward_trajectory(3000, 2, pool)
+        compiled, python = both_paths(tmp_path, write_trajectory_csv, traj)
+        assert compiled == python
+        text, _, expected = rows_both_ways(pool[:16_000].reshape(-1, 8))
+        assert text == expected
+
+    def test_g17_switch_points_and_carries(self):
+        values = [
+            1e-5, 9.999999999999999e-5, 1e-4, 0.00012345678901234567, 1e16,
+            9999999999999998.0, 1e17, 99999999999999999.0, 1e-16, 1.0000000000000001e-16,
+            0.1, 1.0, 123456.5, 0.0, -0.0, -1e-5, 2.0**53, 2.0**-54, 2.0**56,
+        ]
+        values += [math.nextafter(v, math.inf) for v in values[:8]]
+        values += [math.nextafter(v, 0.0) for v in values[:8]]
+        values += [float(f"{d}e{k}") for k in range(-17, 18) for d in (1, 5, 9.5)]
+        text, _, expected = rows_both_ways(np.array(values)[:, None])
+        assert text == expected
+        for cell in ("1.0000000000000001e-05", "9.9999999999999991e-05", "0.0001",
+                     "10000000000000000", "1e+17", "123456.5", "-0", "0"):
+            assert f"\n{cell}\n" in "\n" + text
+
+    def test_rounds_ties_to_even_at_two_decimals(self):
+        xs = [0.125, 0.375, 2.675, 0.005, 1.005, -0.001, -0.0, 2.5, 64.125, 64.375,
+              2.0**53 - 1, -(2.0**53 - 1), 5e-324, 1e-300, 0.995, 999.995]
+        ys = [0.0] * len(xs)
+        text, handed, expected = points_both_ways(xs, ys)
+        assert text == expected and handed == []
+        assert text.split(" ")[:6] == [
+            "0.12,0.00", "0.38,0.00", "2.67,0.00", "0.01,0.00", "1.00,0.00", "-0.00,0.00"
+        ]
+
+    def test_random_points_give_the_python_bytes(self):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([finite_bit_patterns(4000, 3)[:3000],
+                             rng.uniform(-1e4, 1e4, 3000),
+                             rng.integers(-2**20, 2**20, 3000) / 8.0])
+        ys = rng.permutation(xs)
+        text, _, expected = points_both_ways(xs, ys)
+        assert text == expected
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e17, 1e-17, 2.0**53])
+    def test_items_outside_the_exact_range_are_handed_back(self, where, bad):
+        n = 50
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        rows = np.linspace(0.5, 7.5, n * 3).reshape(n, 3)
+        xs = np.linspace(64.0, 944.0, n)
+        ys = np.linspace(476.0, 36.0, n)
+        rows[k, 1] = xs[k] = bad
+        text, handed, expected = rows_both_ways(rows)
+        assert text == expected
+        assert handed == ([] if bad == 2.0**53 else [k])
+        text, handed, expected = points_both_ways(xs, ys)
+        assert text == expected
+        assert handed == ([] if abs(bad) < 2.0**53 else [k])
+
+    @pytest.mark.parametrize("cap", [300, 1_000, 2_049, 100])
+    def test_rows_and_points_across_the_buffer_edge(self, tmp_path, monkeypatch, cap):
+        # A row of 2 strains takes up to 11 * 25 + 1 bytes and a point 48;
+        # below that the formatter writes nothing, and Python each item.
+        monkeypatch.setattr(integrate, "_TEXT_BYTES", cap)
+        traj = run_strains(2, 20.0)
+        compiled, python = both_paths(tmp_path, write_trajectory_csv, traj)
+        assert compiled == python
+        x = traj.grid.times()
+        compiled, python = both_paths(
+            tmp_path, line_chart, title="t", x=x, series=compartment_series(traj)
+        )
+        assert compiled == python
+
+    @pytest.mark.parametrize("n_points", [40, MAX_POINTS + 1, 12_345])
+    def test_charts_give_the_python_bytes(self, tmp_path, n_points):
+        traj = awkward_trajectory(n_points, 2)
+        x = traj.grid.times()
+        series = [("E", traj.E[:, 0]), ("I", traj.I[:, 1]), ("P", traj.P)]
+        for limits in ({}, {"y_min": 0.0}, {"y_min": 0.0, "y_max": 1.0}):
+            compiled, python = both_paths(
+                tmp_path, line_chart, title="t é", x=x, series=series, **limits
+            )
+            assert compiled == python
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment3", "case_a"])
+    def test_preset_artifacts_give_the_python_bytes(self, tmp_path, name):
+        with python_path():
+            traj = simulate(*preset_inputs(name))
+        csv_bytes = both_paths(tmp_path, write_trajectory_csv, traj)
+        assert csv_bytes[0] == csv_bytes[1]
+        series = compartment_series(traj)
+        svg_bytes = both_paths(
+            tmp_path, line_chart, title=name, x=traj.grid.times(), series=series,
+            y_min=0.0,
+        )
+        assert svg_bytes[0] == svg_bytes[1]
+
+    def test_a_cc_without_int128_builds_every_kernel_but_the_row_writer(
+        self, tmp_path
+    ):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH to build _rk4.c")
+        source = os.path.join(os.path.dirname(integrate.__file__), "_rk4.c")
+        build = tempfile.TemporaryDirectory()
+        proc = subprocess.Popen([
+            *integrate._CC, "-U__SIZEOF_INT128__",
+            "-o", os.path.join(build.name, "_rk4.so"), source,
+        ])
+        lib = integrate._load_build(proc, build)
+        assert lib, "cc could not build _rk4.c without __int128"
+        assert all(hasattr(lib, f) for f in ("ms_rk4", "ms_adjoint", "ms_format_points"))
+        assert not hasattr(lib, "ms_format_rows")
+        traj = run_strains(2, 50.0)
+        series = compartment_series(traj)
+        written = []
+        for kernel in (lambda work: lib, lambda work: None):
+            with patch.object(integrate, "_kernel", kernel):
+                write_trajectory_csv(tmp_path / "t.csv", traj)
+                line_chart(tmp_path / "c.svg", title="t", x=traj.grid.times(),
+                           series=series)
+            written.append(((tmp_path / "t.csv").read_bytes(),
+                            (tmp_path / "c.svg").read_bytes()))
+        assert written[0] == written[1]
