@@ -45,7 +45,6 @@ from .dynamics import (
     analytic_eigenvalues,
     equilibrium_residuals,
     full_system_rhs,
-    jacobian,
     max_stable_dt,
     min_stabilizing_control,
     nontrivial_equilibrium,

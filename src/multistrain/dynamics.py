@@ -20,10 +20,11 @@ built; :func:`rhs_lists` is their scalar list form, which the Python node
 loop of :mod:`.integrate` calls and whose operation order its compiled loop
 (``_rk4.c``) follows.
 :func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
-:func:`jacobian` is the one analytic Jacobian, and :func:`costate_lists` its
-row product ``phi J + c1 e_P`` in list form, the slope of the adjoint sweep
-in :mod:`.control`, whose compiled loop (``_rk4.c``) follows its operation
-order.
+:func:`costate_lists` is the row product ``phi J + c1 e_P`` with the
+analytic Jacobian ``J`` of :func:`full_system_rhs`, in list form: the slope
+of the adjoint sweep in :mod:`.control`, whose compiled loop (``_rk4.c``)
+follows its operation order.  ``J`` itself is never formed; the tests hold
+the row product to a dense ``J``, and that to a finite-difference one.
 
 Units are persons and days throughout.  The mitigation value is a plain float;
 operations validate it on entry.  All types are immutable and every function
@@ -273,39 +274,6 @@ def full_system_rhs(
     )
 
 
-def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
-    """Analytic Jacobian of :func:`full_system_rhs` at K nodes at once.
-
-    ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
-    node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
-    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  Every flow but
-    transmission is linear with constant rates; transmission is bilinear in
-    S and I, so only those two enter.  The adjoint equations are
-    ``d phi / dt = -J^T phi - c1 e_P``.
-    """
-    S = np.asarray(S, dtype=float)
-    I = np.asarray(I, dtype=float)
-    K, n = S.shape
-    _, s, e, i, r = split(np.arange(4 * n + 1), n)
-    J = np.zeros((K, 4 * n + 1, 4 * n + 1))
-    J[:, 0, i] = -arrays.mu
-    # S_j loses the deaths of every other strain, but not its own.
-    J[:, s[:, None], i] = -arrays.mu
-    J[:, s, r] = arrays.delta
-    J[:, e, e] = -arrays.sigma
-    J[:, i, e] = arrays.sigma
-    J[:, i, i] = -(arrays.mu + arrays.gamma)
-    J[:, r, i] = arrays.gamma
-    J[:, r, r] = -arrays.delta
-    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
-    wb = w[:, None] * arrays.beta
-    J[:, s, i] = -wb * S
-    J[:, s, s] = -wb * I
-    J[:, e, s] = wb * I
-    J[:, e, i] = wb * S
-    return J
-
-
 def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, dI, dR):
     """The costate slope ``phi J + c1 e_P`` on plain Python lists; the one
     list form of the adjoint, in O(n) operations for n strains.
@@ -315,7 +283,7 @@ def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, 
     whose slope is ``c1`` at every stage.  ``rows`` comes from
     :func:`strain_rows`; ``wbS`` and ``wbI`` hold ``((1-u) beta) S`` and
     ``((1-u) beta) I`` per strain at the stage's state.  Column by column of
-    :func:`jacobian`:
+    the Jacobian of :func:`full_system_rhs` in ``[P, S, E, I, R]``:
 
         (phi J)_P   = 0
         (phi J)_S_j = wbI_j (phi_E_j - phi_S_j)

@@ -18,7 +18,8 @@ sum, and the clamp runs only when it fails.  The same library holds
 list twin is ``control._adjoint_loop``, and the writers' formatters
 ``ms_format_rows`` and ``ms_format_points``, whose twins are Python's
 ``"%.17g"`` and ``"%.2f"``; :func:`_kernel` routes all four, and
-:func:`write_text` runs a formatter over a file.
+:func:`write_text` writes a file's items through a formatter, or in Python
+where there is none.
 
 The C file is compiled when the process first calls ``simulate``,
 ``backward_sweep`` or a writer, never at import, with ``cc -O1
@@ -33,7 +34,8 @@ left of the build waits for it (``_WAIT_ABOVE`` forward strain-steps for
 the whole build; an adjoint strain-step counts twice, a formatted value a
 fraction of one).  So a single run of a preset costs what the Python loops
 cost, and a solver that re-runs both passes switches to the kernels within
-about 0.2 s.  A build still running at exit is killed.  Without a working
+about 0.2 s.  A build still running at exit is killed.  A forked process
+leaves its parent's build alone and starts its own.  Without a working
 ``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
 in Python.  No loop holds state between calls: ``simulate`` owns the
 history matrix, one row ``[P, E, I, R]`` per node, whose columns are the
@@ -46,6 +48,7 @@ import ctypes
 import math
 import numbers
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -234,7 +237,7 @@ _CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_SECONDS = 0.25
 _WAIT_ABOVE = 60_000
 _KERNEL = None  # the loaded library; False once a build has failed
-_build = None  # (cc process, its temporary directory, start time) while cc runs
+_build = None  # (cc process, its directory, start time, owner pid) while cc runs
 _KERNEL_LOCK = threading.Lock()
 
 
@@ -247,16 +250,20 @@ def _kernel(work):
     the library once ``cc`` has exited, and waits for it when ``work`` is
     more than ``_WAIT_ABOVE`` times the share of ``_BUILD_SECONDS`` not yet
     spent, so that no call runs in Python for longer than the rest of the
-    build would take.  The lock makes concurrent calls share one build.
+    build would take.  The lock makes concurrent calls share one build.  A
+    forked process drops the build it inherited untouched, since only the
+    parent can wait for that ``cc``, and starts its own.
     """
     global _KERNEL, _build
     with _KERNEL_LOCK:
+        if _build is not None and _build[3] != os.getpid():
+            _build = None
         if _KERNEL is None and _build is None:
             _build = _start_build()
             if _build is None:
                 _KERNEL = False
         if _build is not None:
-            proc, tmp, started = _build
+            proc, tmp, started, _ = _build
             left = 1.0 - (time.monotonic() - started) / _BUILD_SECONDS
             if work > _WAIT_ABOVE * left or proc.poll() is not None:
                 _KERNEL = _load_build(proc, tmp)
@@ -273,20 +280,20 @@ def _start_build():
 
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
     try:
-        tmp = tempfile.TemporaryDirectory()
+        tmp = tempfile.mkdtemp()
     except OSError:
         return None
     try:
         proc = subprocess.Popen(
-            [*_CC, "-o", os.path.join(tmp.name, "_rk4.so"), source],
+            [*_CC, "-o", os.path.join(tmp, "_rk4.so"), source],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env={**os.environ, "TMPDIR": tmp.name}, start_new_session=True,
+            env={**os.environ, "TMPDIR": tmp}, start_new_session=True,
         )
     except OSError:
-        tmp.cleanup()
+        shutil.rmtree(tmp)
         return None
     atexit.register(_end_build)
-    return proc, tmp, time.monotonic()
+    return proc, tmp, time.monotonic(), os.getpid()
 
 
 def _load_build(proc, tmp):
@@ -296,11 +303,11 @@ def _load_build(proc, tmp):
     try:
         if proc.wait() != 0:
             return False
-        lib = ctypes.CDLL(os.path.join(tmp.name, "_rk4.so"))
+        lib = ctypes.CDLL(os.path.join(tmp, "_rk4.so"))
     except OSError:
         return False
     finally:
-        tmp.cleanup()
+        shutil.rmtree(tmp)
     c_int64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.ms_rk4.argtypes = (
         c_int64, c_int64, ctypes.c_double, ctypes.c_double, ptr, ptr,
@@ -326,36 +333,44 @@ def _load_build(proc, tmp):
 
 
 def _end_build():
-    """At exit, kill a build that is still running and remove its directory,
-    so that a short run neither waits for ``cc`` nor leaves it behind."""
+    """At exit, kill a build this process started that is still running and
+    remove its directory, so that a short run neither waits for ``cc`` nor
+    leaves it behind."""
     global _build
-    if _build is None:
+    if _build is None or _build[3] != os.getpid():
         return
     import signal
 
-    proc, tmp, _ = _build
+    proc, tmp, _, _ = _build
     _build = None
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
     proc.wait()
-    tmp.cleanup()
+    shutil.rmtree(tmp)
 
 
-# Bytes of text one formatting call writes at most: a few hundred rows or
-# thousands of points per call, and never the whole text of a file.
+# Bytes of text one compiled formatting call writes at most, and items one
+# Python call formats: never the whole text of a file.
 _TEXT_BYTES = 1 << 18
+_PYTHON_ITEMS = 1024
 
 
-def write_text(fh, entry, args, n, python_item):
-    """Write items ``0..n-1`` to the binary file ``fh``, formatted by
+def write_text(fh, entry, args, n, python_text):
+    """Write items ``0..n-1`` to the binary file ``fh``; ``python_text(lo,
+    hi)`` is Python's text of items ``lo..hi-1``.
+
     ``entry(*args, start, n, buf, cap, used)``, ``ms_format_rows`` or
-    ``ms_format_points``, in one buffer of ``_TEXT_BYTES``.
-
-    The entry writes items from ``start`` on until one is outside its exact
-    range or would not fit, and returns that item's index.  An item at which
-    it stops at once is the text ``python_item(k)`` instead, so Python's own
-    format defines the bytes of every item.
+    ``ms_format_points``, writes items from ``start`` on into one buffer of
+    ``_TEXT_BYTES`` until one is outside its exact range or would not fit,
+    and returns that item's index; an item at which it stops at once takes
+    ``python_text`` instead.  Without an entry, ``python_text`` writes every
+    item, in chunks of ``_PYTHON_ITEMS``.  So Python's own format defines
+    the bytes of every item.
     """
+    if entry is None:
+        for lo in range(0, n, _PYTHON_ITEMS):
+            fh.write(python_text(lo, min(lo + _PYTHON_ITEMS, n)).encode())
+        return
     buf = ctypes.create_string_buffer(_TEXT_BYTES)
     view = memoryview(buf)
     used = ctypes.c_int64()
@@ -364,7 +379,7 @@ def write_text(fh, entry, args, n, python_item):
         stop = entry(*args, k, n, buf, _TEXT_BYTES, ctypes.byref(used))
         fh.write(view[: used.value])
         if stop == k:
-            fh.write(python_item(k).encode())
+            fh.write(python_text(k, k + 1).encode())
             stop += 1
         k = stop
 

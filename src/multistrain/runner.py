@@ -34,12 +34,6 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per formatting chunk of ``write_trajectory_csv`` in Python: large
-# enough that the per-chunk numpy work is negligible, small enough that the
-# file text never sits whole in memory.
-_CSV_CHUNK_ROWS = 1024
-
-
 def _trajectory_header(n_strains: int) -> list[str]:
     """Columns of a trajectory file: t, P, then S_j, E_j, I_j, R_j per strain, then u."""
     return ["t", "P", *(f"{c}_{j}" for j in range(1, n_strains + 1) for c in "SEIR"), "u"]
@@ -68,15 +62,11 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     format_rows = getattr(integrate._kernel(values.size // 5), "ms_format_rows", None)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if format_rows is None:
-            for start in range(0, len(values), _CSV_CHUNK_ROWS):
-                chunk = values[start:start + _CSV_CHUNK_ROWS].tolist()
-                fh.write("".join([row_format % tuple(row) for row in chunk]).encode())
-        else:
-            integrate.write_text(
-                fh, format_rows, (values.ctypes.data, values.shape[1]), len(values),
-                lambda k: row_format % tuple(values[k].tolist()),
-            )
+        integrate.write_text(
+            fh, format_rows, (values.ctypes.data, values.shape[1]), len(values),
+            lambda lo, hi: "".join([row_format % tuple(row)
+                                    for row in values[lo:hi].tolist()]),
+        )
 
 
 def _read_csv(path: str, kind: str) -> list[list[str]]:

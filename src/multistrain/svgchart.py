@@ -187,14 +187,13 @@ def line_chart(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="'.encode()
             )
-            if format_points is None:
-                pts = zip(xs_px.tolist(), ys_py.tolist())
-                fh.write(" ".join(["%.2f,%.2f" % p for p in pts]).encode())
-            else:
-                integrate.write_text(
-                    fh, format_points, (xs_px.ctypes.data, ys_py.ctypes.data), n_points,
-                    lambda k: (" " if k else "") + "%.2f,%.2f" % (xs_px[k], ys_py[k]),
-                )
+            integrate.write_text(
+                fh, format_points, (xs_px.ctypes.data, ys_py.ctypes.data), n_points,
+                lambda lo, hi: (" " if lo else "") + " ".join([
+                    "%.2f,%.2f" % p
+                    for p in zip(xs_px[lo:hi].tolist(), ys_py[lo:hi].tolist())
+                ]),
+            )
             ly = MARGIN_TOP + 14 + 16 * idx
             lx = MARGIN_LEFT + plot_w - 150
             fh.write((

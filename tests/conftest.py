@@ -15,13 +15,12 @@ from multistrain import (
     TimeGrid,
     backward_sweep,
     integrate,
-    jacobian,
     preset_config,
     simulate,
     strain_arrays,
     svgchart,
 )
-from multistrain.dynamics import rhs_lists, strain_rows
+from multistrain.dynamics import StrainArrays, rhs_lists, split, strain_rows
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -171,6 +170,40 @@ def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):
         0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
     )
     return dP, np.array(dE), np.array(dI), np.array(dR)
+
+
+def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
+    """Analytic Jacobian of ``dynamics.full_system_rhs`` at K nodes at once:
+    the dense oracle of the adjoint's row product ``dynamics.costate_lists``.
+
+    ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
+    node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
+    ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  Every flow but
+    transmission is linear with constant rates; transmission is bilinear in
+    S and I, so only those two enter.  The adjoint equations are
+    ``d phi / dt = -J^T phi - c1 e_P``.
+    """
+    S = np.asarray(S, dtype=float)
+    I = np.asarray(I, dtype=float)
+    K, n = S.shape
+    _, s, e, i, r = split(np.arange(4 * n + 1), n)
+    J = np.zeros((K, 4 * n + 1, 4 * n + 1))
+    J[:, 0, i] = -arrays.mu
+    # S_j loses the deaths of every other strain, but not its own.
+    J[:, s[:, None], i] = -arrays.mu
+    J[:, s, r] = arrays.delta
+    J[:, e, e] = -arrays.sigma
+    J[:, i, e] = arrays.sigma
+    J[:, i, i] = -(arrays.mu + arrays.gamma)
+    J[:, r, i] = arrays.gamma
+    J[:, r, r] = -arrays.delta
+    w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
+    wb = w[:, None] * arrays.beta
+    J[:, s, i] = -wb * S
+    J[:, s, s] = -wb * I
+    J[:, e, s] = wb * I
+    J[:, e, i] = wb * S
+    return J
 
 
 def jacobian_at(state: EpidemicState, params: list[StrainParams], u: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import math
 import os
 import shutil
@@ -571,6 +572,55 @@ class TestCompiledLoop:
             assert b == fresh[i]
 
 
+# One process starts the build, forks a child while cc runs and two after
+# cc has exited but before it is reaped, then asks for the library itself.
+# Each process writes whether it ended on the library and the digest of its
+# history to a file named after it in the directory argv[2].
+FORK_SCRIPT = """
+import hashlib, math, os, sys, traceback
+sys.path.insert(0, sys.argv[1])
+from multistrain import integrate, simulate, EpidemicState, StrainParams, ControlSchedule, TimeGrid
+
+g = TimeGrid(0.0, 1.0, 50)
+x = EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0])
+p = [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)]
+
+
+def run():
+    return simulate(x, p, ControlSchedule.constant(g, 0.0), [], g)
+
+
+def report(name):
+    try:
+        loaded = bool(integrate._kernel(math.inf))
+        t = run()
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.P, t.E, t.I, t.R)))
+        text = f"{loaded} {digest.hexdigest()}"
+    except BaseException:
+        text = traceback.format_exc()
+    with open(os.path.join(sys.argv[2], name), "w") as fh:
+        fh.write(text)
+
+
+def fork(name):
+    pid = os.fork()
+    if pid == 0:
+        report(name)
+        os._exit(0)
+    return pid
+
+
+run()
+cc = integrate._build[0]
+children = [fork("running")]
+open(os.environ["GO"], "w").close()
+os.waitid(os.P_PID, cc.pid, os.WEXITED | os.WNOWAIT)
+children += [fork("exited-0"), fork("exited-1")]
+report("parent")
+assert all(os.waitpid(pid, 0)[1] == 0 for pid in children)
+"""
+
+
 def raise_oserror(*args, **kwargs):
     raise OSError("failed to map segment from shared object")
 
@@ -657,9 +707,9 @@ class TestKernelBuild:
         slow.chmod(0o755)
         monkeypatch.setenv("PATH", str(bin_dir) + os.pathsep + os.environ["PATH"])
         assert integrate._kernel(0.9 * integrate._WAIT_ABOVE) is None
-        proc, tmp, started = integrate._build
+        proc, tmp, started, owner = integrate._build
         spent = 0.75 * integrate._BUILD_SECONDS
-        monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent))
+        monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent, owner))
         assert integrate._kernel(0.5 * integrate._WAIT_ABOVE)
         assert starts == [1] and integrate._build is None
 
@@ -740,4 +790,39 @@ class TestKernelBuild:
         assert done.returncode == 0, done.stderr
         assert ready.exists()
         assert done.stdout.strip() == str(-signal.SIGKILL)
+        assert list(tmp.iterdir()) == []
+
+    def test_forked_processes_each_end_on_their_own_library(self, cc, tmp_path):
+        # A stand-in cc that builds once the file $GO exists, which the
+        # parent makes after its first fork.  A child cannot wait for its
+        # parent's cc, so each process must build, load and remove its own.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        stand_in = bin_dir / "cc"
+        stand_in.write_text(
+            '#!/bin/sh\nwhile [ ! -e "$GO" ]; do sleep 0.01; done\n'
+            f'exec "{shutil.which("cc")}" "$@"\n'
+        )
+        stand_in.chmod(0o755)
+        tmp, out = tmp_path / "tmp", tmp_path / "out"
+        tmp.mkdir()
+        out.mkdir()
+        src = os.path.dirname(os.path.dirname(integrate.__file__))
+        path = str(bin_dir) + os.pathsep + os.environ.get("PATH", "")
+        env = {**os.environ, "TMPDIR": str(tmp), "GO": str(tmp_path / "go"), "PATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", FORK_SCRIPT, src, str(out)], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        grid = TimeGrid(0.0, 1.0, 50)
+        expected = hashlib.sha256(b"".join(history_bytes(reference_simulate(
+            EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0]),
+            [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)],
+            ControlSchedule.constant(grid, 0.0), [], grid,
+        )))).hexdigest()
+        reports = {f.name: f.read_text() for f in out.iterdir()}
+        assert reports == dict.fromkeys(
+            ["running", "exited-0", "exited-1", "parent"], f"True {expected}"
+        )
         assert list(tmp.iterdir()) == []

@@ -169,9 +169,23 @@ def both_paths(tmp_path, write, *args, **kwargs) -> list[bytes]:
     return out
 
 
-def compiled_text(entry: str, arrays, python_item):
+def rows_text(values):
+    """Python's ``%.17g`` text of rows ``lo..hi-1`` of ``values``."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return lambda lo, hi: "".join([row % tuple(r) for r in values[lo:hi].tolist()])
+
+
+def points_text(xs, ys):
+    """Python's ``"%.2f,%.2f"`` text of points ``lo..hi-1``, each after a
+    space but the first."""
+    return lambda lo, hi: (" " if lo else "") + " ".join(
+        ["%.2f,%.2f" % p for p in zip(xs[lo:hi].tolist(), ys[lo:hi].tolist())]
+    )
+
+
+def compiled_text(entry: str, arrays, python_text):
     """``integrate.write_text`` with the library's ``entry`` over the rows of
-    ``arrays``: the text, and the items it handed to ``python_item``."""
+    ``arrays``: the text, and the items it handed to ``python_text``."""
     require_kernel()
     lib = integrate._kernel(math.inf)
     arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
@@ -182,31 +196,44 @@ def compiled_text(entry: str, arrays, python_item):
     fh, handed = io.BytesIO(), []
     integrate.write_text(
         fh, getattr(lib, entry), args, len(arrays[0]),
-        lambda k: handed.append(k) or python_item(k),
+        lambda lo, hi: handed.extend(range(lo, hi)) or python_text(lo, hi),
     )
     return fh.getvalue().decode(), handed
 
 
 def rows_both_ways(values):
     """``values`` as ``%.17g`` rows: the compiled text, the items it handed
-    back and Python's text."""
+    back and Python's text of one join."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    text, handed = compiled_text(
-        "ms_format_rows", [values], lambda k: row % tuple(values[k].tolist())
-    )
-    return text, handed, "".join([row % tuple(r) for r in values.tolist()])
+    text, handed = compiled_text("ms_format_rows", [values], rows_text(values))
+    return text, handed, rows_text(values)(0, len(values))
 
 
 def points_both_ways(xs, ys):
     """``"%.2f,%.2f"`` points joined by spaces: the compiled text, the items
-    it handed back and Python's text."""
+    it handed back and Python's text of one join."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    text, handed = compiled_text(
-        "ms_format_points", [xs, ys],
-        lambda k: (" " if k else "") + "%.2f,%.2f" % (xs[k], ys[k]),
-    )
-    return text, handed, " ".join(["%.2f,%.2f" % p for p in zip(xs.tolist(), ys.tolist())])
+    text, handed = compiled_text("ms_format_points", [xs, ys], points_text(xs, ys))
+    return text, handed, points_text(xs, ys)(0, len(xs))
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3077])
+def test_without_an_entry_python_writes_the_text_of_one_join(tmp_path, n):
+    # write_text formats every item in chunks of 1 024; the writers on that
+    # path give their per-value oracles' bytes.
+    traj = awkward_trajectory(n, 2)
+    values = np.column_stack([traj.P, traj.E, traj.u])
+    x = traj.grid.times()
+    for python_text in (rows_text(values), points_text(x, traj.P)):
+        fh, calls = io.BytesIO(), []
+        integrate.write_text(
+            fh, None, (), n, lambda lo, hi: calls.append((lo, hi)) or python_text(lo, hi)
+        )
+        assert fh.getvalue().decode() == python_text(0, n)
+        assert calls == [(lo, min(lo + 1024, n)) for lo in range(0, n, 1024)]
+    with python_path(), np.errstate(over="ignore", invalid="ignore"):
+        assert_csv_matches_oracle(tmp_path, traj)
+        assert_chart_matches_oracle(tmp_path, x, [("E", traj.E[:, 0]), ("P", traj.P)])
 
 
 class TestCompiledWriters:
@@ -325,10 +352,10 @@ class TestCompiledWriters:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH to build _rk4.c")
         source = os.path.join(os.path.dirname(integrate.__file__), "_rk4.c")
-        build = tempfile.TemporaryDirectory()
+        build = tempfile.mkdtemp()
         proc = subprocess.Popen([
             *integrate._CC, "-U__SIZEOF_INT128__",
-            "-o", os.path.join(build.name, "_rk4.so"), source,
+            "-o", os.path.join(build, "_rk4.so"), source,
         ])
         lib = integrate._load_build(proc, build)
         assert lib, "cc could not build _rk4.c without __int128"
