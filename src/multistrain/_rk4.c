@@ -17,14 +17,11 @@
  * strain, for both kernels.
  *
  * ms_rk4: hist is (n_steps + 1) x (3n + 1), one row [P, E_1..E_n, I_1..I_n,
- * R_1..R_n] per node, with row 0 holding the initial state.  Node k's row is
- * the state being stepped: seeds are added to it, then the step writes row
- * k + 1.  Events are sorted by node, each adding amounts[3e..3e+2] to the
- * E, I and R of strain ev_strain[e] at node ev_node[e].  work holds 13n
- * doubles: the E, I and R slopes of the four stages, each 3n, and n zeros
- * that stand for every compartment's slope before stage 1.  Returns MS_OK,
- * or a failure code with fail[0] the step (or the event index, for
- * MS_SEED_POOL) and *fail_value the offending value.
+ * R_1..R_n] per node, with row 0 holding the initial state; step k reads
+ * row k and writes row k + 1.  work holds 13n doubles: the E, I and R
+ * slopes of the four stages, each 3n, and n zeros that stand for every
+ * compartment's slope before stage 1.  Returns MS_OK, or a failure code
+ * with fail[0] the step and *fail_value the offending value.
  *
  * ms_adjoint: phi is (n_steps + 1) x (4n + 1), one costate row [phi_P,
  * phi_S_1..n, phi_E_1..n, phi_I_1..n, phi_R_1..n] per node; the kernel sets
@@ -39,7 +36,7 @@
 #include <stddef.h>
 #include <stdint.h>
 
-enum { MS_OK = 0, MS_SEED_POOL = 1, MS_POPULATION = 2, MS_ADMISSIBLE = 3 };
+enum { MS_OK = 0, MS_POPULATION = 1, MS_ADMISSIBLE = 2 };
 
 /* dynamics.rhs_lists: writes the slopes at (P, E + h*kE, I + h*kI, R + h*kR)
  * into dE, dI, dR and returns dP. */
@@ -80,34 +77,18 @@ static int clamp(double *v, double tol, double *fail_value)
 }
 
 int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
-           const double *rates, const double *u,
-           int64_t n_events, const int64_t *ev_node, const int64_t *ev_strain,
-           const double *amounts, double *hist, double *work,
+           const double *rates, const double *u, double *hist, double *work,
            int64_t *fail, double *fail_value)
 {
     const int64_t width = 3 * n + 1;
     const double half = 0.5 * dt, sixth = dt / 6.0;
     double *a = work, *b = work + 3 * n, *c = work + 6 * n, *d = work + 9 * n;
     double *zero = work + 12 * n;
-    int64_t ev = 0;
     for (int64_t j = 0; j < n; j++)
         zero[j] = 0.0;
 
-    for (int64_t k = 0;; k++) {
+    for (int64_t k = 0; k < n_steps; k++) {
         double *row = hist + k * width, *x = row + 1;
-        for (; ev < n_events && ev_node[ev] == k; ev++) {
-            int64_t j = ev_strain[ev];
-            x[j] += amounts[3 * ev];
-            x[n + j] += amounts[3 * ev + 1];
-            x[2 * n + j] += amounts[3 * ev + 2];
-            if (row[0] - x[j] - x[n + j] - x[2 * n + j] < -tol) {
-                fail[0] = ev;
-                return MS_SEED_POOL;
-            }
-        }
-        if (k == n_steps)
-            return MS_OK;
-
         double P = row[0], u0 = u[k], u1 = u[k + 1], um = 0.5 * (u0 + u1);
         const double *E = x, *I = x + n, *R = x + 2 * n;
         double aP = rhs(n, rates, P, E, I, R, 0.0, zero, zero, zero, u0,
@@ -142,6 +123,7 @@ int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
                 if (clamp(&y[j], tol, fail_value))
                     return MS_ADMISSIBLE;
     }
+    return MS_OK;
 }
 
 /* The transmission coefficients (1-u) beta S and (1-u) beta I of every

@@ -282,11 +282,17 @@ class ScenarioConfig:
         return os.path.normpath(os.path.join(self.base_dir, name))
 
 
+# The memory limit of this process's cgroup under cgroup v2.
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
 def _memory_limit() -> tuple[float, str]:
     """The bytes a run's arrays may take, and where the bound comes from:
-    physical memory, or a finite soft address-space limit (``RLIMIT_AS``, as
-    ``ulimit -v`` sets) below it.  ``os.sysconf`` and ``resource`` are POSIX
-    only; without either, that bound is not applied."""
+    physical memory, or below it a finite soft address-space limit
+    (``RLIMIT_AS``, as ``ulimit -v`` sets) or a cgroup v2 memory limit
+    (``memory.max``, as a container sets).  ``os.sysconf`` and ``resource``
+    are POSIX only; without either, that bound is not applied, and neither
+    is a ``memory.max`` that is missing, unreadable or says ``max``."""
     memory, source = math.inf, "memory"
     if hasattr(os, "sysconf"):
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -294,10 +300,18 @@ def _memory_limit() -> tuple[float, str]:
     try:
         import resource
     except ImportError:
+        pass
+    else:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY and soft < memory:
+            memory, source = soft, "the address-space limit (RLIMIT_AS)"
+    try:
+        with open(_CGROUP_MEMORY_MAX) as fh:
+            cgroup = int(fh.read())
+    except (OSError, ValueError):
         return memory, source
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY and soft < memory:
-        return soft, "the address-space limit (RLIMIT_AS)"
+    if cgroup < memory:
+        return cgroup, f"the cgroup memory limit ({_CGROUP_MEMORY_MAX})"
     return memory, source
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import integrate
 from .dynamics import (
-    EpidemicState, StrainParams, costate_lists, max_stable_dt, split, strain_arrays,
-    strain_rows,
+    EpidemicState, StrainParams, costate_lists, max_stable_dt, rate_table, split,
+    strain_arrays,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
 from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, simulate
@@ -198,16 +198,15 @@ def backward_sweep(
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
     n, N = traj.n_strains, traj.grid.n_steps
-    rows = strain_rows(params)
+    rates = rate_table(params)
     S = traj.susceptible_matrix()
     phi = np.empty((N + 1, 4 * n + 1))
     # The list loop takes 1.4 to 1.8 times as long per strain-step as the
     # forward one, so the build's wait rule sees it as twice the work.
     lib = integrate._kernel(2 * n * N)
     if lib is None:
-        _adjoint_loop(phi, rows, costs.c1, traj.grid.dt, S, traj.I, traj.u)
+        _adjoint_loop(phi, rates, costs.c1, traj.grid.dt, S, traj.I, traj.u)
     else:
-        rates = np.array([row[1:] for row in rows], dtype=float)
         S = np.ascontiguousarray(S, dtype=float)
         I = np.ascontiguousarray(traj.I, dtype=float)
         u = np.ascontiguousarray(traj.u, dtype=float)
@@ -219,24 +218,25 @@ def backward_sweep(
     return CostateTrajectory(traj.grid, *split(phi, n))
 
 
-def _adjoint_loop(phi, rows, c1, h, S, I, u):
+def _adjoint_loop(phi, rates, c1, h, S, I, u):
     """``ms_adjoint`` on plain lists: fills ``phi`` from its last row back.
 
-    The transmission coefficients ``((1-u) beta) S`` and ``((1-u) beta) I``
-    are built up front with numpy, in the kernel's operation order, into
-    two arrays whose row 2k holds node k and row 2k+1 the midpoint after
-    it; the node loop takes each step's two new rows as lists.
+    ``rates`` is :func:`~multistrain.dynamics.rate_table`.  The
+    transmission coefficients ``((1-u) beta) S`` and ``((1-u) beta) I`` are
+    built up front with numpy, in the kernel's operation order, into two
+    arrays whose row 2k holds node k and row 2k+1 the midpoint after it;
+    the node loop takes each step's two new rows as lists.
     """
     N, n = S.shape[0] - 1, S.shape[1]
-    beta = np.array([row[1] for row in rows], dtype=float)
     wbS = np.empty((2 * N + 1, n))
     wbI = np.empty_like(wbS)
-    wb = (1.0 - u)[:, None] * beta
+    wb = (1.0 - u)[:, None] * rates[:, 0]
     wbS[::2] = wb * S
     wbI[::2] = wb * I
-    wb = (1.0 - 0.5 * (u[:-1] + u[1:]))[:, None] * beta
+    wb = (1.0 - 0.5 * (u[:-1] + u[1:]))[:, None] * rates[:, 0]
     wbS[1::2] = wb * (0.5 * (S[:-1] + S[1:]))
     wbI[1::2] = wb * (0.5 * (I[:-1] + I[1:]))
+    rows = list(enumerate(rates.tolist()))
     half = 0.5 * h
     sixth = h / 6.0
     strains = range(n)

@@ -147,13 +147,13 @@ def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
     Evaluates the right-hand side at the stage state ``E + h*kE``,
     ``I + h*kI``, ``R + h*kR`` with total population ``P``, so an RK4 stage
     needs no list of its own; ``h = 0`` with zero slopes gives the flows at
-    ``(P, E, I, R)`` itself.  ``rows`` comes from :func:`strain_rows`.  The
-    per-strain derivatives are written into ``dE``, ``dI`` and ``dR``.
-    Returns ``dP``.
+    ``(P, E, I, R)`` itself.  ``rows`` is :func:`rate_table` as
+    ``list(enumerate(table.tolist()))``.  The per-strain derivatives are
+    written into ``dE``, ``dI`` and ``dR``.  Returns ``dP``.
     """
     deaths = 0.0
     w = 1.0 - u
-    for j, beta, sigma, mu_gamma, gamma, delta, mu in rows:
+    for j, (beta, sigma, mu_gamma, gamma, delta, mu) in rows:
         e = E[j] + h * kE[j]
         i = I[j] + h * kI[j]
         r = R[j] + h * kR[j]
@@ -179,8 +179,8 @@ class StrainArrays(NamedTuple):
 def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
     """Columns of the strain parameter table.
 
-    The one place parameter arrays are built: vectorised code uses the arrays
-    and the per-step loops walk the rows of :func:`strain_rows`.
+    Vectorised code uses the arrays; the node loops read the rows of
+    :func:`rate_table` instead.
     """
     columns = []
     for name in ("beta", "sigma", "gamma", "delta", "mu"):
@@ -190,19 +190,16 @@ def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
     return StrainArrays(*columns)
 
 
-def strain_rows(params: Sequence[StrainParams]) -> list[tuple]:
-    """Per-strain rows ``(j, beta, sigma, mu + gamma, gamma, delta, mu)``.
+def rate_table(params: Sequence[StrainParams]) -> np.ndarray:
+    """The ``(n, 6)`` rate table, one row ``(beta, sigma, mu + gamma, gamma,
+    delta, mu)`` per strain.
 
-    Plain floats from :func:`strain_arrays`, in the order :func:`rhs_lists`
-    and :func:`costate_lists` unpack them; without ``j``, each row is one
-    row of the rate table of the compiled loops in ``_rk4.c``.
+    The compiled loops in ``_rk4.c`` read it as it is; :func:`rhs_lists` and
+    :func:`costate_lists` take ``list(enumerate(table.tolist()))``, which
+    pairs each row with its strain once per pass rather than at every stage.
     """
-    a = strain_arrays(params)
-    return list(zip(
-        range(len(a.beta)), a.beta.tolist(), a.sigma.tolist(),
-        (a.mu + a.gamma).tolist(), a.gamma.tolist(), a.delta.tolist(),
-        a.mu.tolist(),
-    ))
+    rows = [(p.beta, p.sigma, p.mu + p.gamma, p.gamma, p.delta, p.mu) for p in params]
+    return np.array(rows, dtype=float).reshape(len(rows), 6)
 
 
 class Flows(NamedTuple):
@@ -280,8 +277,8 @@ def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, 
 
     ``phi`` is the row ``[P, S, E, I, R]`` of costates, taken at the stage
     input ``S + h*kS`` and so on, with ``P + h*c1`` for the population part,
-    whose slope is ``c1`` at every stage.  ``rows`` comes from
-    :func:`strain_rows`; ``wbS`` and ``wbI`` hold ``((1-u) beta) S`` and
+    whose slope is ``c1`` at every stage.  ``rows`` is as in
+    :func:`rhs_lists`; ``wbS`` and ``wbI`` hold ``((1-u) beta) S`` and
     ``((1-u) beta) I`` per strain at the stage's state.  Column by column of
     the Jacobian of :func:`full_system_rhs` in ``[P, S, E, I, R]``:
 
@@ -301,7 +298,7 @@ def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, 
     total = P + h * c1
     for x, k in zip(S, kS):
         total += x + h * k
-    for j, _, sigma, mu_gamma, gamma, delta, mu in rows:
+    for j, (_, sigma, mu_gamma, gamma, delta, mu) in rows:
         s = S[j] + h * kS[j]
         e = E[j] + h * kE[j]
         i = I[j] + h * kI[j]
@@ -343,7 +340,7 @@ def reproduction_number(
     s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
     if len(s_bar) != len(params):
         raise DomainError("S_bar must provide one value per strain")
-    if np.any(s_bar < 0):
+    if not np.all(s_bar >= 0):
         raise DomainError("S_bar values must be >= 0")
     beta, _, gamma, _, mu = strain_arrays(params)
     terms = (1.0 - u) * beta * s_bar / (mu + gamma)
@@ -358,7 +355,7 @@ def min_stabilizing_control(params: Sequence[StrainParams], S_bar) -> float:
     u = 0; only the most transmissible strain binds.  Any u strictly above
     the returned value gives R0 < 1.
     """
-    if np.any(np.asarray(S_bar, dtype=float) <= 0):
+    if not np.all(np.asarray(S_bar, dtype=float) > 0):
         raise DomainError("S_bar values must be > 0")
     return max(0.0, 1.0 - 1.0 / reproduction_number(params, S_bar, 0.0).value)
 
@@ -367,8 +364,8 @@ def min_stabilizing_control(params: Sequence[StrainParams], S_bar) -> float:
 class EquilibriumPoint:
     """Fixed point of the per-strain compartments; ``kind`` is trivial or not.
 
-    ``feasible`` is False whenever any compartment is negative, which makes
-    the point biologically meaningless.
+    ``feasible`` is False whenever any compartment is negative or NaN, which
+    makes the point biologically meaningless.
     """
 
     kind: str
@@ -411,6 +408,8 @@ def nontrivial_equilibrium(
             "S_bar = (mu + gamma) / ((1-u) beta) is undefined"
         )
     i2 = float(I_bar_ref)
+    if math.isnan(i2):
+        raise DomainError("I_bar_ref must be a number, got nan")
     I = np.array([-(mu[1] / mu[0]) * i2, i2])
     S = (mu + gamma) / ((1.0 - u) * beta)
     E = (mu + gamma) * I / sigma
@@ -418,7 +417,7 @@ def nontrivial_equilibrium(
     return EquilibriumPoint(
         kind="trivial" if i2 == 0.0 else "non-trivial",
         S=S, E=E, I=I, R=R,
-        feasible=not any(np.any(x < 0) for x in (S, E, I, R)),
+        feasible=all(np.all(x >= 0) for x in (S, E, I, R)),
     )
 
 
@@ -471,7 +470,7 @@ def analytic_eigenvalues(
     check_control(u)
     n = len(params)
     s_bar = _strain_vector(S_bar, "S_bar", n=n)
-    if np.any(s_bar < 0):
+    if not np.all(s_bar >= 0):
         raise DomainError("S_bar values must be >= 0")
     beta, sigma, gamma, delta, mu = strain_arrays(params)
     out = np.zeros(4 * n + 1, dtype=complex)

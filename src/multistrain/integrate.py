@@ -6,10 +6,12 @@ same nodes.  Controls between nodes are interpolated linearly, so an RK4 step
 from ``t_k`` takes the control at ``t_k``, the midpoint average and the value
 at ``t_{k+1}``.
 
-``simulate`` checks its inputs in Python and then runs the whole node loop
-in one of two implementations that give the same history bit for bit:
-``ms_rk4`` in ``_rk4.c``, called once through ``ctypes``, or
-``_python_loop``, the same loop on plain lists.  Both round in exactly the
+``simulate`` checks its inputs in Python and steps the history one stretch
+at a time, from one seed node to the next, adding each node's seeds in
+between.  A stretch is one call of a node loop that only steps, in one of
+two implementations that give the same history bit for bit: ``ms_rk4`` in
+``_rk4.c``, called through ``ctypes``, or ``_python_loop``, the same loop
+on plain lists.  Both round in exactly the
 order of ``dynamics.rhs_lists`` and the classical RK4 update: each stage
 forms its input as ``x + h*k`` of the previous stage's slope, the
 admissibility check is one test per strain, of the signs and of the finite
@@ -62,8 +64,8 @@ from .dynamics import (
     EpidemicState,
     StrainParams,
     check_control,
+    rate_table,
     rhs_lists,
-    strain_rows,
 )
 from .errors import ConfigError, DomainError, IntegrationError, StateConsistencyError
 
@@ -184,7 +186,7 @@ class SeedEvent:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"seed {name} must be finite, got {getattr(self, name)!r}")
         if self.exposed < 0 or self.infected < 0 or self.removed < 0:
-            raise DomainError("seed amounts must be >= 0")
+            raise DomainError("seed exposed, infected and removed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ class Trajectory:
 
 
 # Failure codes of ms_rk4 in _rk4.c, which _python_loop returns too.
-_SEED_POOL, _POPULATION, _ADMISSIBLE = 1, 2, 3
+_POPULATION, _ADMISSIBLE = 1, 2
 _CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
 # Seconds cc takes to build _rk4.c, and the strain-steps the forward Python
 # loop runs in that time: 0.17-0.30 s of cc while Python runs beside it,
@@ -310,8 +312,8 @@ def _load_build(proc, tmp):
         shutil.rmtree(tmp)
     c_int64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.ms_rk4.argtypes = (
-        c_int64, c_int64, ctypes.c_double, ctypes.c_double, ptr, ptr,
-        c_int64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        c_int64, c_int64, ctypes.c_double, ctypes.c_double, ptr, ptr, ptr, ptr,
+        ptr, ptr,
     )
     lib.ms_rk4.restype = ctypes.c_int
     c_double = ctypes.c_double
@@ -396,14 +398,17 @@ def _clamp(values: list, tol: float):
     return None
 
 
-def _python_loop(hist, n, rows, u_list, dt, tol, events, nodes):
-    """``ms_rk4`` on plain lists, with its failure codes: fills ``hist`` from
-    row 0 and returns ``(code, step or event index, value)``.
+def _python_loop(hist, rows, u, dt, tol):
+    """``ms_rk4`` on plain lists, with its failure codes: steps ``hist`` from
+    row 0, one step per value of ``u`` after the first, writing row k + 1
+    after step k, and returns ``(code, step, value)``.
 
     The four stage slopes live in lists made once per call, each stage walks
-    the strains once through ``dynamics.rhs_lists`` and forms its input as
-    ``x + h*k`` on the fly, and the state is updated in place.
+    the strains once through ``dynamics.rhs_lists``, whose ``rows`` it takes,
+    and forms its input as ``x + h*k`` on the fly, and the state is updated
+    in place.
     """
+    n = len(rows)
     row = hist[0].tolist()
     P, E, I, R = row[0], row[1 : n + 1], row[n + 1 : 2 * n + 1], row[2 * n + 1 :]
     # Stage slopes of one RK4 step: E, I, R lists for each of the four
@@ -411,31 +416,16 @@ def _python_loop(hist, n, rows, u_list, dt, tol, events, nodes):
     aE, aI, aR, bE, bI, bR, cE, cI, cR, dE, dI, dR, zero = (
         [0.0] * n for _ in range(13)
     )
-    N = len(u_list) - 1
     half = 0.5 * dt
     sixth = dt / 6.0
     inf = math.inf
     strains = range(n)
-    ev = 0
-    next_node = nodes[0] if nodes else -1
 
-    for k in range(N + 1):
-        while k == next_node:
-            j = events[ev].strain
-            E[j] += events[ev].exposed
-            I[j] += events[ev].infected
-            R[j] += events[ev].removed
-            if P - E[j] - I[j] - R[j] < -tol:
-                return _SEED_POOL, ev, 0.0
-            ev += 1
-            next_node = nodes[ev] if ev < len(nodes) else -1
-        hist[k] = [P, *E, *I, *R]
-        if k == N:
-            break
+    for k in range(len(u) - 1):
         # One classical RK4 step.  Each stage evaluates rhs_lists at x + h*k
         # of the previous stage's slope k, so the step builds no list.
-        u0 = u_list[k]
-        u1 = u_list[k + 1]
+        u0 = u[k]
+        u1 = u[k + 1]
         um = 0.5 * (u0 + u1)
         aP = rhs_lists(P, E, I, R, 0.0, zero, zero, zero, rows, u0, aE, aI, aR)
         bP = rhs_lists(P + half * aP, E, I, R, half, aE, aI, aR, rows, um, bE, bI, bR)
@@ -465,6 +455,7 @@ def _python_loop(hist, n, rows, u_list, dt, tol, events, nodes):
                 bad = _clamp(values, tol)
                 if bad is not None:
                     return _ADMISSIBLE, k, bad
+        hist[k + 1] = [P, *E, *I, *R]
     return 0, 0, 0.0
 
 
@@ -477,11 +468,13 @@ def simulate(
 ) -> Trajectory:
     """Integrate the system over the grid, applying seed events at their nodes.
 
-    Seeds are added to the named strain's compartments with the total
-    population unchanged, then the step proceeds.  The recorded state at a
-    seeding node includes the seed.  A strain with zero compartments has no
-    flows, so it enters the run through its seed; until then its
-    susceptible pool is all of ``P``.
+    One node loop call steps each stretch, from one seed node to the next
+    and from the last to the end.  Between them the node's seeds, in order
+    of time and strain, are added to their strain's compartments with the
+    total population unchanged, so the recorded state at a seeding node
+    includes the seed.  A strain with zero compartments has no flows, so it
+    enters the run through its seed; until then its susceptible pool is all
+    of ``P``.
     """
     if not isinstance(schedule, ControlSchedule):
         raise DomainError("simulate expects a ControlSchedule")
@@ -509,40 +502,48 @@ def simulate(
     hist = np.empty((N + 1, 3 * n + 1))
     hist[0] = [initial.P, *initial.E, *initial.I, *initial.R]
     tol = NEGATIVE_TOLERANCE * max(initial.P, 1.0)
+    rates, u = rate_table(params), schedule.u
     lib = _kernel(n * N)
     if lib is None:
-        code, at, bad = _python_loop(
-            hist, n, strain_rows(params), schedule.u.tolist(), grid.dt, tol, events,
-            nodes,
-        )
+        rows = list(enumerate(rates.tolist()))
     else:
-        rates = np.array([row[1:] for row in strain_rows(params)], dtype=float)
-        u = np.ascontiguousarray(schedule.u, dtype=float)
-        ev_node = np.array(nodes, dtype=np.int64)
-        ev_strain = np.array([ev.strain for ev in events], dtype=np.int64)
-        amounts = np.array(
-            [(ev.exposed, ev.infected, ev.removed) for ev in events], dtype=float
-        )
         work = np.empty(13 * n)
         fail = np.zeros(1, dtype=np.int64)
         value = np.zeros(1)
-        code = lib.ms_rk4(
-            n, N, grid.dt, tol, rates.ctypes.data, u.ctypes.data, len(events),
-            ev_node.ctypes.data, ev_strain.ctypes.data, amounts.ctypes.data,
-            hist.ctypes.data, work.ctypes.data, fail.ctypes.data, value.ctypes.data,
+        # Buffer addresses, taken once: the stretch from node k starts k
+        # strides into u and hist.
+        rates_ptr, u_ptr, hist_ptr, work_ptr, fail_ptr, value_ptr = (
+            a.ctypes.data for a in (rates, u, hist, work, fail, value)
         )
-        at, bad = int(fail[0]), float(value[0])
-    if code == _SEED_POOL:
-        ev = events[at]
-        raise StateConsistencyError(
-            f"seed at day {ev.time} exceeds the susceptible pool of strain {ev.strain}"
-        )
-    if code == _POPULATION:
-        raise IntegrationError(f"total population became {bad!r}", step=at)
-    if code == _ADMISSIBLE:
-        raise IntegrationError(
-            f"state left the admissible region (value {bad!r})", step=at
-        )
+    k = 0
+    for stop, ev in [*zip(nodes, events), (N, None)]:
+        if stop > k:
+            if lib is None:
+                code, at, bad = _python_loop(
+                    hist[k : stop + 1], rows, u[k : stop + 1].tolist(), grid.dt, tol
+                )
+            else:
+                code = lib.ms_rk4(
+                    n, stop - k, grid.dt, tol, rates_ptr, u_ptr + k * u.strides[0],
+                    hist_ptr + k * hist.strides[0], work_ptr, fail_ptr, value_ptr,
+                )
+                at, bad = int(fail[0]), float(value[0])
+            if code == _POPULATION:
+                raise IntegrationError(f"total population became {bad!r}", step=k + at)
+            if code == _ADMISSIBLE:
+                raise IntegrationError(
+                    f"state left the admissible region (value {bad!r})", step=k + at
+                )
+            k = stop
+        if ev is not None:
+            # The E, I and R of the seeded strain.
+            x = hist[k, 1 + ev.strain :: n]
+            x += (ev.exposed, ev.infected, ev.removed)
+            if hist[k, 0] - x[0] - x[1] - x[2] < -tol:
+                raise StateConsistencyError(
+                    f"seed at day {ev.time} exceeds the susceptible pool of "
+                    f"strain {ev.strain}"
+                )
 
     return Trajectory(
         grid=grid, P=hist[:, 0], E=hist[:, 1 : n + 1], I=hist[:, n + 1 : 2 * n + 1],

@@ -20,7 +20,7 @@ from multistrain import (
     strain_arrays,
     svgchart,
 )
-from multistrain.dynamics import StrainArrays, rhs_lists, split, strain_rows
+from multistrain.dynamics import StrainArrays, rate_table, rhs_lists, split
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -167,7 +167,8 @@ def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):
     dE, dI, dR = list(zero), list(zero), list(zero)
     dP = rhs_lists(
         state.P, state.E.tolist(), state.I.tolist(), state.R.tolist(),
-        0.0, zero, zero, zero, strain_rows(params), u, dE, dI, dR,
+        0.0, zero, zero, zero, list(enumerate(rate_table(params).tolist())), u,
+        dE, dI, dR,
     )
     return dP, np.array(dE), np.array(dI), np.array(dR)
 

@@ -16,12 +16,15 @@ from multistrain import (
     reproduction_number,
     strain_arrays,
 )
-from multistrain.dynamics import costate_lists, split, strain_rows
+from multistrain.dynamics import costate_lists, rate_table, split
 
 from conftest import (
     BETA, DELTA, GAMMA, MU, SIGMA, jacobian_at, random_params, random_state,
     state_slopes, susceptible_derivative,
 )
+
+
+NAN = float("nan")
 
 
 def rel_gap(a: float, b: float, *scales: float) -> float:
@@ -164,6 +167,12 @@ class TestReproductionNumber:
         with pytest.raises(DomainError):
             reproduction_number([], 217e6, 0.0)
 
+    @pytest.mark.parametrize("s_bar", [-1.0, NAN, [1e8, -1.0], [1e8, NAN]])
+    def test_negative_or_nan_pool_rejected(self, s_bar):
+        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
+        with pytest.raises(DomainError, match="S_bar"):
+            reproduction_number([p, p], s_bar, 0.0)
+
 
 class TestMinStabilizingControl:
     def test_already_stable_needs_nothing(self):
@@ -181,6 +190,14 @@ class TestMinStabilizingControl:
         u_both = min_stabilizing_control([p1, p2], 217e6)
         u_dominant = min_stabilizing_control([p2], 217e6)
         assert u_both == u_dominant
+
+    @pytest.mark.parametrize("s_bar", [0.0, -1.0, NAN, [1e8, 0.0], [1e8, NAN]])
+    def test_empty_or_nan_pool_rejected(self, s_bar):
+        # A NaN pool once compared false everywhere and gave 0.0, "no
+        # mitigation needed", while the other strain alone needs some.
+        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
+        with pytest.raises(DomainError, match="S_bar"):
+            min_stabilizing_control([p, p], s_bar)
 
 
 class TestNontrivialEquilibrium:
@@ -227,8 +244,26 @@ class TestNontrivialEquilibrium:
         with pytest.raises(DomainError):
             nontrivial_equilibrium(baseline_params, 0.0, 1.0)
 
+    def test_nan_reference_rejected(self):
+        with pytest.raises(DomainError, match="I_bar_ref"):
+            nontrivial_equilibrium(self.two_strains(), 0.0, NAN)
+
+    def test_nan_compartment_is_infeasible(self):
+        # An infinite recovery rate makes E = inf * 0 = NaN at I_bar = 0.
+        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=np.inf, delta=DELTA, mu=MU)
+        with np.errstate(invalid="ignore"):
+            point = nontrivial_equilibrium([p, p], 0.0, 0.0)
+        assert np.all(np.isnan(point.E)) and point.I[1] == 0.0
+        assert not point.feasible
+
 
 class TestAnalyticEigenvalues:
+    @pytest.mark.parametrize("s_bar", [-1.0, NAN, [NAN, 1e8]])
+    def test_negative_or_nan_pool_rejected(self, s_bar):
+        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
+        with pytest.raises(DomainError, match="S_bar"):
+            analytic_eigenvalues([p, p], s_bar, 0.0)
+
     def test_full_lockdown_collapses_roots(self, baseline_params):
         eig = analytic_eigenvalues(baseline_params, 217e6, 1.0)
         values = sorted(e.real for e in eig)
@@ -318,7 +353,8 @@ class TestJacobian:
             slopes = [[0.0] * n for _ in range(4)]
             dP = costate_lists(
                 float(phi[0]), *(part.tolist() for part in split(phi, n)[1:]), h,
-                *(part.tolist() for part in split(k, n)[1:]), strain_rows(params),
+                *(part.tolist() for part in split(k, n)[1:]),
+                list(enumerate(rate_table(params).tolist())),
                 (wb * S).tolist(), (wb * state.I).tolist(), c1, *slopes,
             )
             got = np.hstack(([dP], *slopes))

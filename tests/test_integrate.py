@@ -544,6 +544,24 @@ class TestCompiledLoop:
         inputs = (state, params, ControlSchedule.constant(grid, u), [], grid)
         assert outcome(compiled_simulate, *inputs) == outcome(reference_simulate, *inputs)
 
+    @pytest.mark.parametrize("run", [compiled_simulate, reference_simulate])
+    def test_a_failure_after_a_seed_keeps_its_global_step(self, run):
+        # Strain 0 overshoots below zero on its own, at step 38.  A seed of
+        # strain 1, whose flows never reach strain 0 since no strain dies,
+        # splits the run at node 3 and changes nothing of strain 0, so the
+        # failure keeps its step.
+        params = [
+            StrainParams(beta=2e-7, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0),
+            StrainParams(beta=1e-12, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0),
+        ]
+        state = EpidemicState(t=0.0, P=1e8, E=[0.0, 0.0], I=[10.0, 0.0], R=[0.0, 0.0])
+        grid = TimeGrid(t0=0.0, dt=0.5, n_steps=100)
+        schedule = ControlSchedule.constant(grid, 0.0)
+        alone = outcome(run, state, params, schedule, [], grid)
+        seed = SeedEvent(time=1.5, strain=1, exposed=1.0)
+        assert alone[0] is IntegrationError and alone[2] == 38
+        assert outcome(run, state, params, schedule, [seed], grid) == alone
+
     def test_oversized_seed_names_its_own_day(self):
         inputs = seeded_inputs(
             SeedEvent(time=2.0, strain=0, exposed=E0),
@@ -662,13 +680,18 @@ class TestKernelBuild:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH to build _rk4.c")
 
-    @pytest.mark.parametrize("name", ["experiment1", "experiment3"])
+    @pytest.mark.parametrize(
+        "name, stretches", [("experiment1", 1), ("experiment3", 2)],
+        ids=["experiment1", "experiment3"],
+    )
     def test_one_run_of_a_preset_does_not_wait_for_cc(
-        self, name, starts, python_calls, tmp_path
+        self, name, stretches, starts, python_calls, tmp_path
     ):
+        # One Python loop call per stretch between seed nodes: experiment3
+        # seeds strain 2 mid-run, experiment1 seeds only on day 0.
         argv = ["simulate", name, "--out", str(tmp_path / "out"), "--quiet", "--no-svg"]
         assert main(argv) == 0
-        assert starts == [1] and python_calls == [1]
+        assert starts == [1] and python_calls == [1] * stretches
 
     def test_calls_switch_to_the_kernel_once_it_is_built(
         self, cc, starts, python_calls, tmp_path

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multistrain import (
     ConfigError,
     ControlSchedule,
+    CostParams,
     EpidemicState,
+    IntegrationError,
     SeedEvent,
+    StateConsistencyError,
     StrainParams,
     TimeGrid,
     analytic_eigenvalues,
@@ -18,8 +21,19 @@ from multistrain import (
     reproduction_number,
     simulate,
 )
+from multistrain.config import _parse
 
-from conftest import state_slopes, susceptible_derivative
+from conftest import (
+    E0,
+    I0,
+    compiled_simulate,
+    compiled_sweep,
+    reference_simulate,
+    reference_sweep,
+    seeded_inputs,
+    state_slopes,
+    susceptible_derivative,
+)
 
 rates = st.floats(min_value=0.01, max_value=1.0)
 betas = st.floats(min_value=1e-9, max_value=1e-6)
@@ -190,3 +204,62 @@ def test_every_step_that_loads_runs_to_the_horizon(scenario):
     schedule = ControlSchedule.constant(grid, 0.0)
     traj = simulate(cfg.initial_state(), cfg.strain_params(), schedule, cfg.seed_events(), grid)
     assert traj.grid.T == pytest.approx(horizon)
+
+
+@st.composite
+def twin_inputs(draw):
+    """``simulate``'s inputs for a stepped scenario at its drawn step, stable
+    or not, under a random control per node, with up to three more seeds
+    (on node 0, on node N, on a scenario seed's node or on any node, some
+    larger than the susceptible pool); and a random ``c1``."""
+    text, _ = draw(stepped_scenarios())
+    cfg = _parse(text, "<drawn>", ".")
+    grid, params, events = cfg.grid(), cfg.strain_params(), cfg.seed_events()
+    N = grid.n_steps
+    nodes = st.sampled_from([0, N, grid.index_of(events[0].time)]) | st.integers(0, N)
+    share = st.floats(min_value=0.0, max_value=0.5)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        events.append(SeedEvent(
+            time=grid.time_at(draw(nodes)),
+            strain=draw(st.integers(min_value=0, max_value=len(params) - 1)),
+            exposed=cfg.population * draw(share), infected=cfg.population * draw(share),
+            removed=cfg.population * draw(share),
+        ))
+    # Values drawn beyond [0, 1] clip to exact zeros and ones.
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    u = np.clip(rng.uniform(-0.2, 1.2, size=N + 1), 0.0, 1.0)
+    c1 = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return (cfg.initial_state(), params, ControlSchedule(grid, u), events, grid), c1
+
+
+def twin_outcome(run, sweep, inputs, c1):
+    """The bytes of a run's history and of its costates, or the run's error
+    type, message and step."""
+    try:
+        traj = run(*inputs)
+    except (IntegrationError, StateConsistencyError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+    costates = sweep(traj, inputs[1], CostParams(c1=c1, c2=1.0))
+    return [
+        part.tobytes()
+        for part in (traj.P, traj.E, traj.I, traj.R, costates.phi_P, costates.phi_S,
+                     costates.phi_E, costates.phi_I, costates.phi_R)
+    ]
+
+
+@given(twin_inputs())
+@example((seeded_inputs(
+    SeedEvent(time=0.0, strain=0, exposed=E0, infected=I0),
+    SeedEvent(time=0.0, strain=1, exposed=E0),
+    SeedEvent(time=12.0, strain=1, infected=I0),
+    SeedEvent(time=12.0, strain=1, exposed=E0),
+    SeedEvent(time=30.0, strain=0, removed=E0),
+), 2.0))
+@settings(max_examples=40, deadline=None)
+def test_compiled_and_list_loops_agree(scenario):
+    """``simulate`` and ``backward_sweep`` give the same bytes in C and on
+    lists, and a run that fails fails alike on both, at the same step."""
+    inputs, c1 = scenario
+    assert twin_outcome(compiled_simulate, compiled_sweep, inputs, c1) == twin_outcome(
+        reference_simulate, reference_sweep, inputs, c1
+    )

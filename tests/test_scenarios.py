@@ -30,6 +30,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
+from multistrain import config
 from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
@@ -759,6 +760,7 @@ class TestCli:
         monkeypatch.setattr(
             resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
         )
+        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
         cfg = preset_config("experiment1")
         nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
         need = nodes * (4 * len(cfg.strains) + 3) * 8
@@ -793,6 +795,35 @@ class TestCli:
         cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
         assert cfg.grid().n_points * (4 + 3) * 8 < limit
         cfg.validate()
+
+    def test_optimize_grid_beyond_the_cgroup_memory_limit_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A container's cgroup v2 limit of 8 MiB, below physical memory and
+        # with no address-space limit: the dt 0.01 case_a solve of the test
+        # above exits 2 naming memory.max.
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
+        )
+        limit = 8 << 20
+        memory_max = tmp_path / "memory.max"
+        memory_max.write_text(f"{limit}\n")
+        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(memory_max))
+        need = 73_001 * ((4 + 3) + (4 + 1) + 2 * ANDERSON_DEPTH) * 8
+        out = tmp_path / "out"
+        argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "grid.dt" in err and f"{need} bytes" in err and f"{limit} bytes" in err
+        assert "memory.max" in err
+        assert not out.exists()
+        # A file that says "max", one that cannot be read and none at all set
+        # no limit.
+        memory_max.write_text("max\n")
+        for path in (memory_max, tmp_path, tmp_path / "missing"):
+            monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(path))
+            set_config_value(preset_config("case_a"), "grid.dt", 0.01).validate()
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")
