@@ -35,6 +35,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { MS_OK = 0, MS_POPULATION = 1, MS_ADMISSIBLE = 2 };
 
@@ -245,9 +246,16 @@ static char *put_uint(char *p, uint64_t v)
     return p + n;
 }
 
+/* v < 100 as two digits at p. */
+static inline void put_pair(char *p, unsigned v)
+{
+    memcpy(p, DIGIT_PAIRS + 2 * v, 2);
+}
+
 /* "%.2f" of x at p, returning the end; NULL for a NaN, an infinity or
- * |x| >= 2^53, where m 2^e * 100 could exceed 64 bits. */
-static char *put_f2(char *p, double x)
+ * |x| >= 2^53, where m 2^e * 100 could exceed 64 bits.  An integer part
+ * below 1000, as every chart pixel has, takes no digit-count loop. */
+static inline char *put_f2(char *p, double x)
 {
     union { double d; uint64_t u; } bits = { x };
     int be = (int)(bits.u >> 52 & 0x7ff);
@@ -266,19 +274,34 @@ static char *put_f2(char *p, double x)
     } else if (-e >= 64) {
         D = 0; /* m * 100 < 2^60, so x * 100 < 1/16 */
     } else {
-        int r = -e;
-        uint64_t N = m * 100, f = N >> r, rem = N & ((UINT64_C(1) << r) - 1);
-        uint64_t half = UINT64_C(1) << (r - 1);
-        D = f + (rem > half || (rem == half && (f & 1)));
+        int r = -e; /* rounded half to even as in scaled() below */
+        uint64_t N = m * 100, half = UINT64_C(1) << (r - 1);
+        D = (N + (half - 1) + (N >> r & 1)) >> r;
     }
-    p = put_uint(p, D / 100);
-    *p++ = '.';
-    put_digits(p, D % 100, 2);
-    return p + 2;
+    uint64_t whole = D / 100;
+    if (whole < 10) {
+        *p++ = (char)('0' + whole);
+    } else if (whole < 100) {
+        put_pair(p, (unsigned)whole);
+        p += 2;
+    } else if (whole < 1000) {
+        *p = (char)('0' + whole / 100);
+        put_pair(p + 1, (unsigned)(whole % 100));
+        p += 3;
+    } else {
+        p = put_uint(p, whole);
+    }
+    *p = '.';
+    put_pair(p + 1, (unsigned)(D % 100));
+    return p + 3;
 }
 
-/* Largest "%.2f,%.2f" point with its leading space, and largest "%.17g"
- * cell with its separator. */
+/* Largest "%.2f,%.2f" point with its leading space, and the slot of one
+ * "%.17g" cell: its separator, a sign and at most 22 characters
+ * ("d.dddddddddddddddde-16" or "0.000" and 17 digits).  put_g17 writes
+ * only the 24 bytes after the separator, also where its fixed-size copies
+ * run past the end of the text, so a row of w cells never writes more than
+ * MS_CELL_BYTES * w + 1 bytes with its newline. */
 enum { MS_POINT_BYTES = 48, MS_CELL_BYTES = 25 };
 
 /* The points "%.2f,%.2f" of xs and ys, each after a space but the first. */
@@ -321,25 +344,79 @@ static const uint64_t POW5[28] = {
 #define E16 UINT64_C(10000000000000000)
 #define E17 UINT64_C(100000000000000000)
 
+/* The decimal exponent of x = m 2^(e2 - 52), 2^52 <= m < 2^53, is K0[e2 +
+ * 54] + (m >= TH[e2 + 54]) for e2 in [-54, 56]: K0 is floor(e2 log10 2)
+ * and TH the least m with m 2^(e2 - 52) >= 10^(K0 + 1), which is 2^53 or
+ * more in a binade that holds no power of ten.  Both were computed with
+ * exact integers (Python's fractions), and the tests check every TH. */
+static const int8_t K0[111] = {
+    -17, -16, -16, -16, -16, -15, -15, -15, -14, -14, -14, -13, -13, -13, -13,
+    -12, -12, -12, -11, -11, -11, -10, -10, -10, -10, -9, -9, -9, -8, -8, -8,
+    -7, -7, -7, -7, -6, -6, -6, -5, -5, -5, -4, -4, -4, -4, -3, -3, -3, -2, -2,
+    -2, -1, -1, -1, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 5, 5, 5,
+    6, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12,
+    12, 12, 13, 13, 13, 14, 14, 14, 15, 15, 15, 15, 16, 16, 16,
+};
+static const uint64_t TH[111] = {
+    8112963841460669, 40564819207303341, 20282409603651671, 10141204801825836,
+    5070602400912918, 25353012004564589, 12676506002282295, 6338253001141148,
+    31691265005705736, 15845632502852868, 7922816251426434, 39614081257132169,
+    19807040628566085, 9903520314283043, 4951760157141522, 24758800785707606,
+    12379400392853803, 6189700196426902, 30948500982134507, 15474250491067254,
+    7737125245533627, 38685626227668134, 19342813113834067, 9671406556917034,
+    4835703278458517, 24178516392292584, 12089258196146292, 6044629098073146,
+    30223145490365730, 15111572745182865, 7555786372591433, 37778931862957162,
+    18889465931478581, 9444732965739291, 4722366482869646, 23611832414348227,
+    11805916207174114, 5902958103587057, 29514790517935283, 14757395258967642,
+    7378697629483821, 36893488147419104, 18446744073709552, 9223372036854776,
+    4611686018427388, 23058430092136940, 11529215046068470, 5764607523034235,
+    28823037615171175, 14411518807585588, 7205759403792794, 36028797018963968,
+    18014398509481984, 9007199254740992, 45035996273704960, 22517998136852480,
+    11258999068426240, 5629499534213120, 28147497671065600, 14073748835532800,
+    7036874417766400, 35184372088832000, 17592186044416000, 8796093022208000,
+    43980465111040000, 21990232555520000, 10995116277760000, 5497558138880000,
+    27487790694400000, 13743895347200000, 6871947673600000, 34359738368000000,
+    17179869184000000, 8589934592000000, 42949672960000000, 21474836480000000,
+    10737418240000000, 5368709120000000, 26843545600000000, 13421772800000000,
+    6710886400000000, 33554432000000000, 16777216000000000, 8388608000000000,
+    41943040000000000, 20971520000000000, 10485760000000000, 5242880000000000,
+    26214400000000000, 13107200000000000, 6553600000000000, 32768000000000000,
+    16384000000000000, 8192000000000000, 40960000000000000, 20480000000000000,
+    10240000000000000, 5120000000000000, 25600000000000000, 12800000000000000,
+    6400000000000000, 32000000000000000, 16000000000000000, 8000000000000000,
+    40000000000000000, 20000000000000000, 10000000000000000, 5000000000000000,
+    25000000000000000, 12500000000000000, 6250000000000000,
+};
+
 /* m 2^e 10^s rounded half to even, for s in [0, 32]: m 5^s < 2^53 5^32 <
- * 2^128 is exact.  *below gets the value rounded down. */
-static uint64_t scaled(uint64_t m, int e, int s, uint64_t *below)
+ * 2^128 is exact.  Adding half - 1 and the floor's low bit before the
+ * shift rounds a tie up just when the floor is odd. */
+static uint64_t scaled(uint64_t m, int e, int s)
 {
     u128 N = (u128)m * POW5[s < 27 ? s : 27];
     if (s > 27)
         N *= POW5[s - 27];
     int q = e + s;
     if (q >= 0)
-        return *below = (uint64_t)(N << q);
-    int r = -q; /* N >= 2^52 and the result >= 10^15, so r < 80 */
-    u128 f = N >> r, rem = N - (f << r), half = (u128)1 << (r - 1);
-    *below = (uint64_t)f;
-    return (uint64_t)f + (rem > half || (rem == half && (f & 1)));
+        return (uint64_t)(N << q);
+    int r = -q; /* N >= 2^52 and the result >= 10^16, so r < 80 */
+    u128 half = (u128)1 << (r - 1);
+    return (uint64_t)((N + (half - 1) + ((N >> r) & 1)) >> r);
+}
+
+/* v < 10^8 as eight digits at p, four pairs. */
+static inline void put8(char *p, uint32_t v)
+{
+    uint32_t a = v / 10000, b = v % 10000;
+    put_pair(p, a / 100);
+    put_pair(p + 2, a % 100);
+    put_pair(p + 4, b / 100);
+    put_pair(p + 6, b % 100);
 }
 
 /* "%.17g" of x at p, returning the end; NULL for a NaN, an infinity or
  * 0 < |x| < 10^-16 or |x| >= 10^17, where 17 digits of x need 10^s with s
- * outside [0, 32]. */
+ * outside [0, 32].  Writes no byte past p + 24 (MS_CELL_BYTES). */
 static char *put_g17(char *p, double x)
 {
     union { double d; uint64_t u; } bits = { x };
@@ -350,64 +427,80 @@ static char *put_g17(char *p, double x)
         *p++ = '0';
         return p;
     }
-    /* x = m 2^e with 2^52 <= m < 2^53; |x| in [2^e2, 2^(e2+1)). */
+    /* x = m 2^(e2 - 52) with 2^52 <= m < 2^53; |x| in [2^e2, 2^(e2+1)). */
     int e2 = (int)(mag >> 52) - 1023;
     if (e2 < -54 || e2 > 56)
         return NULL;
-    uint64_t m = (mag & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52), D, below;
-    int e = e2 - 52;
-    /* k = floor(log10 |x|) is floor(e2 log10 2) or one more: one retry
-     * with k moved by one brings m 2^e 10^(16 - k) into [10^16, 10^17). */
-    int k = ((e2 * 78913 + (64 << 18)) >> 18) - 64, retried = 0;
-    if (k < -16)
-        k = -16;
-    for (;;) {
-        D = scaled(m, e, 16 - k, &below);
-        int step = (below >= E17) - (below < E16);
-        if (!step)
-            break;
-        k += step;
-        if (retried++ || k < -16 || k > 16)
-            return NULL;
-    }
+    uint64_t m = (mag & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+    int k = K0[e2 + 54] + (m >= TH[e2 + 54]);
+    if (k < -16 || k > 16)
+        return NULL;
+    /* 10^16 <= m 2^(e2 - 52) 10^(16 - k) < 10^17 before rounding. */
+    uint64_t D = scaled(m, e2 - 52, 16 - k);
     if (D == E17) { /* 9.99..95 and up round to the next power of ten */
         D = E16;
         k++;
     }
+    /* The 17 digits: the leading one and two blocks of eight. */
+    uint64_t rest = D % E16;
+    uint32_t hi = (uint32_t)(rest / 100000000), lo = (uint32_t)(rest % 100000000);
     char dig[17];
-    put_digits(dig, D, 17);
+    dig[0] = (char)('0' + D / E16);
+    put8(dig + 1, hi);
+    put8(dig + 9, lo);
+    /* nd: the digits left when the trailing zeros go. */
     int nd = 17;
-    while (dig[nd - 1] == '0')
-        nd--;
-    if (k < -4 || k >= 17) {
-        *p++ = dig[0];
-        if (nd > 1) {
-            *p++ = '.';
-            for (int i = 1; i < nd; i++)
-                *p++ = dig[i];
+    uint32_t tail = lo;
+    if (!lo) {
+        nd = 9;
+        tail = hi;
+    }
+    if (!tail) {
+        nd = 1;
+    } else {
+        if (tail % 10000 == 0) {
+            nd -= 4;
+            tail /= 10000;
         }
-        *p++ = 'e';
-        *p++ = k < 0 ? '-' : '+';
-        put_digits(p, (uint64_t)(k < 0 ? -k : k), 2);
-        return p + 2;
+        if (tail % 100 == 0) {
+            nd -= 2;
+            tail /= 100;
+        }
+        nd -= tail % 10 == 0;
     }
-    if (k < 0) {
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > k; i--)
-            *p++ = '0';
-        for (int i = 0; i < nd; i++)
-            *p++ = dig[i];
-        return p;
+    /* Fixed-size copies, none past p + 22, the longest text; bytes past
+     * the end of the text are left for the next cell to overwrite. */
+    if (k < -4) { /* d.ddde-kk */
+        p[0] = dig[0];
+        p[1] = '.';
+        memcpy(p + 2, dig + 1, 16);
+        p += nd > 1 ? nd + 1 : 1;
+        memcpy(p, "e-", 2);
+        put_pair(p + 2, (unsigned)-k);
+        return p + 4;
     }
-    for (int i = 0; i <= k; i++)
-        *p++ = dig[i];
-    if (nd > k + 1) {
-        *p++ = '.';
-        for (int i = k + 1; i < nd; i++)
-            *p++ = dig[i];
+    if (k < 0) { /* 0.000ddd */
+        memcpy(p, "0.000", 5);
+        memcpy(p + 1 - k, dig, 17);
+        return p + 1 - k + nd;
     }
-    return p;
+    if (nd <= k + 1) { /* an integer */
+        memcpy(p, dig, 17);
+        return p + k + 1;
+    }
+    /* dig[0..k], the point, then dig[k+1..16] one place to the right; a
+     * later copy or the point replaces what a copy writes out of place. */
+    if (k <= 8) {
+        memcpy(p, dig, 16);
+        memcpy(p + k + 2, dig + k + 1, 8);
+        memcpy(p + 10, dig + 9, 8);
+    } else {
+        memcpy(p + 10, dig + 9, 8);
+        memcpy(p, dig, 8);
+        memcpy(p + k - 7, dig + k - 7, 8);
+    }
+    p[k + 1] = '.';
+    return p + nd + 1;
 }
 
 /* The rows of the n x width matrix values as "%.17g" cells joined by

@@ -282,17 +282,20 @@ class ScenarioConfig:
         return os.path.normpath(os.path.join(self.base_dir, name))
 
 
-# The memory limit of this process's cgroup under cgroup v2.
+# The memory limit of this process's cgroup under cgroup v2 and under v1.
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
 
 
 def _memory_limit() -> tuple[float, str]:
     """The bytes a run's arrays may take, and where the bound comes from:
     physical memory, or below it a finite soft address-space limit
-    (``RLIMIT_AS``, as ``ulimit -v`` sets) or a cgroup v2 memory limit
-    (``memory.max``, as a container sets).  ``os.sysconf`` and ``resource``
-    are POSIX only; without either, that bound is not applied, and neither
-    is a ``memory.max`` that is missing, unreadable or says ``max``."""
+    (``RLIMIT_AS``, as ``ulimit -v`` sets) or a cgroup memory limit, as a
+    container sets (v2 ``memory.max`` or v1 ``memory.limit_in_bytes``).
+    ``os.sysconf`` and ``resource`` are POSIX only; without either, that
+    bound is not applied.  Neither is a cgroup file that is missing,
+    unreadable or says ``max``, nor a value from physical memory up, which
+    is what v1 reports when there is no limit."""
     memory, source = math.inf, "memory"
     if hasattr(os, "sysconf"):
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -305,13 +308,14 @@ def _memory_limit() -> tuple[float, str]:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY and soft < memory:
             memory, source = soft, "the address-space limit (RLIMIT_AS)"
-    try:
-        with open(_CGROUP_MEMORY_MAX) as fh:
-            cgroup = int(fh.read())
-    except (OSError, ValueError):
-        return memory, source
-    if cgroup < memory:
-        return cgroup, f"the cgroup memory limit ({_CGROUP_MEMORY_MAX})"
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path) as fh:
+                cgroup = int(fh.read())
+        except (OSError, ValueError):
+            continue
+        if cgroup < memory:
+            memory, source = cgroup, f"the cgroup memory limit ({path})"
     return memory, source
 
 

@@ -65,7 +65,7 @@ class StrainParams:
     inverse latency, ``gamma`` the recovery rate, ``delta`` the rate of
     immunity loss and ``mu`` the disease death rate.  ``mu = 0`` is accepted
     for exploratory runs; :func:`nontrivial_equilibrium` divides by ``mu``
-    and so rejects it.
+    and so rejects it.  Every rate must be finite.
     """
 
     beta: float
@@ -75,6 +75,10 @@ class StrainParams:
     mu: float
 
     def __post_init__(self):
+        for name in ("beta", "sigma", "gamma", "delta", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"strain parameter {name} must be finite, got {value!r}")
         for name in ("beta", "sigma", "gamma", "delta"):
             value = getattr(self, name)
             if not value > 0.0:

@@ -41,6 +41,16 @@ class TestStrainParams:
             with pytest.raises(DomainError):
                 StrainParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), NAN])
+    @pytest.mark.parametrize("field", ["beta", "sigma", "gamma", "delta", "mu"])
+    def test_rejects_non_finite_rates(self, field, value):
+        # An infinite gamma used to build, and nontrivial_equilibrium then
+        # returned NaN compartments with a RuntimeWarning.
+        kwargs = dict(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=f"strain parameter {field} must be finite"):
+            StrainParams(**kwargs)
+
     def test_mu_zero_allowed_but_equilibrium_rejects_it(self):
         p = StrainParams(beta=1e-9, sigma=0.1, gamma=0.1, delta=0.1, mu=0.0)
         q = StrainParams(beta=1e-9, sigma=0.1, gamma=0.1, delta=0.1, mu=1e-5)
@@ -249,9 +259,10 @@ class TestNontrivialEquilibrium:
             nontrivial_equilibrium(self.two_strains(), 0.0, NAN)
 
     def test_nan_compartment_is_infeasible(self):
-        # An infinite recovery rate makes E = inf * 0 = NaN at I_bar = 0.
-        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=np.inf, delta=DELTA, mu=MU)
-        with np.errstate(invalid="ignore"):
+        # Finite rates whose sum mu + gamma overflows make E = inf * 0 = NaN
+        # at I_bar = 0 (an infinite rate no longer builds).
+        p = StrainParams(beta=BETA, sigma=SIGMA, gamma=1e308, delta=DELTA, mu=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
             point = nontrivial_equilibrium([p, p], 0.0, 0.0)
         assert np.all(np.isnan(point.E)) and point.I[1] == 0.0
         assert not point.feasible

@@ -761,6 +761,7 @@ class TestCli:
             resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
         )
         monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(config, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
         cfg = preset_config("experiment1")
         nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
         need = nodes * (4 * len(cfg.strains) + 3) * 8
@@ -824,6 +825,33 @@ class TestCli:
         for path in (memory_max, tmp_path, tmp_path / "missing"):
             monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(path))
             set_config_value(preset_config("case_a"), "grid.dt", 0.01).validate()
+
+    def test_optimize_grid_beyond_the_cgroup_v1_memory_limit_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The same 8 MiB limit under cgroup v1.  v1 reports no limit as a
+        # value near 2^63, which sets no bound, like any value from physical
+        # memory up.
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
+        )
+        limit = 8 << 20
+        limit_file = tmp_path / "memory.limit_in_bytes"
+        limit_file.write_text(f"{limit}\n")
+        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(config, "_CGROUP_V1_LIMIT", str(limit_file))
+        out = tmp_path / "out"
+        argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "grid.dt" in err and f"{limit} bytes" in err
+        assert "memory.limit_in_bytes" in err
+        assert not out.exists()
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        for unlimited in (9223372036854771712, memory):
+            limit_file.write_text(f"{unlimited}\n")
+            assert config._memory_limit() == (memory, "physical memory")
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")

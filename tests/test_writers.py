@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import tempfile
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -157,6 +158,17 @@ def finite_bit_patterns(size: int, seed: int) -> np.ndarray:
     return values[np.isfinite(values)]
 
 
+def decade_switch(e2: int) -> int:
+    """The least integer m with m 2^(e2 - 52) >= 10^(K + 1), where 10^K is
+    the largest power of ten up to 2^e2, in exact integers."""
+    k = math.floor(e2 * math.log10(2.0))
+    while Fraction(10) ** (k + 1) <= Fraction(2) ** e2:
+        k += 1
+    while Fraction(10) ** k > Fraction(2) ** e2:
+        k -= 1
+    return math.ceil(Fraction(10) ** (k + 1) / Fraction(2) ** (e2 - 52))
+
+
 def both_paths(tmp_path, write, *args, **kwargs) -> list[bytes]:
     """The bytes ``write(path, *args, **kwargs)`` writes with the compiled
     formatters and with Python's."""
@@ -272,6 +284,45 @@ class TestCompiledWriters:
         for cell in ("1.0000000000000001e-05", "9.9999999999999991e-05", "0.0001",
                      "10000000000000000", "1e+17", "123456.5", "-0", "0"):
             assert f"\n{cell}\n" in "\n" + text
+
+    def test_every_binade_of_the_exponent_table(self):
+        # Per binary exponent of the table and per sign: the binade's first
+        # and last mantissa and the three around its decade switch TH; then
+        # each power of ten in the exact range and two ulps either side.
+        values = []
+        for e2 in range(-54, 57):
+            th = decade_switch(e2)
+            for m in (2**52, 2**53 - 1, th - 1, th, th + 1):
+                if 2**52 <= m < 2**53:
+                    values += [math.ldexp(m, e2 - 52), -math.ldexp(m, e2 - 52)]
+        for k in range(-16, 17):
+            below = above = float(f"1e{k}")
+            values.append(below)
+            for _ in range(2):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                values += [below, above]
+        text, handed, expected = rows_both_ways(np.array(values)[:, None])
+        assert text == expected
+        outside = [
+            i for i, v in enumerate(values)
+            if not Fraction(1, 10**16) <= abs(Fraction(v)) < 10**17
+        ]
+        assert handed == outside
+        assert len(outside) < len(values) // 10
+
+    def test_points_across_the_widths_of_the_integer_part(self):
+        # 99.995 and 999.995 lie just above the tie and carry into a new
+        # digit; 9.995 lies just below it.
+        edges = [0.995, 9.99, 9.995, 10.0, 99.99, 99.995, 100.0, 999.99, 999.995,
+                 1000.0, 9999.99, 9999.995, 10000.0, 10000.004]
+        edges += [math.nextafter(v, 0.0) for v in edges]
+        xs = edges + [-v for v in edges]
+        text, handed, expected = points_both_ways(xs, xs[::-1])
+        assert text == expected and handed == []
+        assert [p.split(",")[0] for p in text.split(" ")[:14]] == [
+            "0.99", "9.99", "9.99", "10.00", "99.99", "100.00", "100.00", "999.99",
+            "1000.00", "1000.00", "9999.99", "10000.00", "10000.00", "10000.00",
+        ]
 
     def test_rounds_ties_to_even_at_two_decimals(self):
         xs = [0.125, 0.375, 2.675, 0.005, 1.005, -0.001, -0.0, 2.5, 64.125, 64.375,
