@@ -49,7 +49,6 @@ from .dynamics import (
     min_stabilizing_control,
     nontrivial_equilibrium,
     reproduction_number,
-    strain_arrays,
 )
 from .errors import (
     ConfigError,

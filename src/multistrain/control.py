@@ -23,7 +23,6 @@ import numpy as np
 from . import integrate
 from .dynamics import (
     EpidemicState, StrainParams, costate_lists, max_stable_dt, rate_table, split,
-    strain_arrays,
 )
 from .errors import ConfigError, DomainError, IntegrationError, SolverError
 from .integrate import ControlSchedule, SeedEvent, TimeGrid, Trajectory, simulate
@@ -80,7 +79,8 @@ class CostateState:
 
 @dataclass(frozen=True)
 class CostateTrajectory:
-    """Adjoint sweep recorded on the same grid as the forward trajectory."""
+    """Adjoint sweep recorded on the same grid as the forward trajectory,
+    held as read-only views of the caller's arrays, which stay writable."""
 
     grid: TimeGrid
     phi_P: np.ndarray
@@ -91,7 +91,9 @@ class CostateTrajectory:
 
     def __post_init__(self):
         for name in ("phi_P", "phi_S", "phi_E", "phi_I", "phi_R"):
-            getattr(self, name).setflags(write=False)
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def state_at(self, k: int) -> CostateState:
         return CostateState(
@@ -341,7 +343,7 @@ def _sweep(
 ) -> FbsmReport:
     """Anderson-mixed fixed-point iteration of ``u = F(u)`` on one grid,
     starting from the schedule values ``u``."""
-    beta = strain_arrays(params).beta
+    beta = rate_table(params)[:, 0]
 
     # The last ANDERSON_DEPTH differences, kept in ring buffers allocated once
     # so that no step stacks fresh copies of the history.

@@ -170,37 +170,15 @@ def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):
     return -deaths
 
 
-class StrainArrays(NamedTuple):
-    """Per-strain parameters as read-only float arrays, one entry per strain."""
-
-    beta: np.ndarray
-    sigma: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
-    mu: np.ndarray
-
-
-def strain_arrays(params: Sequence[StrainParams]) -> StrainArrays:
-    """Columns of the strain parameter table.
-
-    Vectorised code uses the arrays; the node loops read the rows of
-    :func:`rate_table` instead.
-    """
-    columns = []
-    for name in ("beta", "sigma", "gamma", "delta", "mu"):
-        column = np.array([getattr(p, name) for p in params], dtype=float)
-        column.setflags(write=False)
-        columns.append(column)
-    return StrainArrays(*columns)
-
-
 def rate_table(params: Sequence[StrainParams]) -> np.ndarray:
     """The ``(n, 6)`` rate table, one row ``(beta, sigma, mu + gamma, gamma,
-    delta, mu)`` per strain.
+    delta, mu)`` per strain: the one array form of the strain rates, and the
+    one place that adds ``mu + gamma``.
 
-    The compiled loops in ``_rk4.c`` read it as it is; :func:`rhs_lists` and
-    :func:`costate_lists` take ``list(enumerate(table.tolist()))``, which
-    pairs each row with its strain once per pass rather than at every stage.
+    Vectorised code unpacks ``rate_table(params).T``; ``_rk4.c`` reads the
+    table as it is; :func:`rhs_lists` and :func:`costate_lists` take
+    ``list(enumerate(table.tolist()))``, which pairs each row with its
+    strain once per pass rather than at every stage.
     """
     rows = [(p.beta, p.sigma, p.mu + p.gamma, p.gamma, p.delta, p.mu) for p in params]
     return np.array(rows, dtype=float).reshape(len(rows), 6)
@@ -216,7 +194,7 @@ class Flows(NamedTuple):
     waning: np.ndarray  # delta R, from R back to S
 
 
-def flows(S, E, I, R, u, arrays: StrainArrays) -> Flows:
+def flows(S, E, I, R, u, rates: np.ndarray) -> Flows:
     """The flows at per-strain coordinates ``S, E, I, R``, with ``S`` independent.
 
     Every balance equation is a signed sum of these terms:
@@ -226,8 +204,10 @@ def flows(S, E, I, R, u, arrays: StrainArrays) -> Flows:
         dE_j/dt = transmission_j - latent_exit_j
         dI_j/dt = latent_exit_j - recovery_j - deaths_j
         dR_j/dt = recovery_j - waning_j
+
+    ``rates`` is :func:`rate_table`.
     """
-    beta, sigma, gamma, delta, mu = arrays
+    beta, sigma, _, gamma, delta, mu = rates.T
     return Flows((1.0 - u) * beta * S * I, sigma * E, gamma * I, mu * I, delta * R)
 
 
@@ -266,7 +246,7 @@ def full_system_rhs(
     R = np.asarray(R, dtype=float)
     if not (len(S) == len(E) == len(I) == len(R) == n):
         raise DomainError("coordinate vectors must have one entry per strain")
-    f = flows(S, E, I, R, u, strain_arrays(params))
+    f = flows(S, E, I, R, u, rate_table(params))
     total_deaths = f.deaths.sum()
     return (
         -total_deaths, -f.transmission + f.waning - (total_deaths - f.deaths),
@@ -315,6 +295,20 @@ def costate_lists(P, S, E, I, R, h, kS, kE, kI, kR, rows, wbS, wbI, c1, dS, dE, 
     return c1
 
 
+def _infection_free_inputs(params: Sequence[StrainParams], S_bar, u: float) -> np.ndarray:
+    """Checks the strains, ``u`` and ``S_bar`` of the infection-free point and
+    returns ``S_bar`` as one value per strain: a scalar is shared by all."""
+    if len(params) == 0:
+        raise DomainError("the infection-free point needs at least one strain")
+    check_control(u)
+    s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
+    if len(s_bar) != len(params):
+        raise DomainError("S_bar must provide one value per strain")
+    if not np.all(s_bar >= 0):
+        raise DomainError("S_bar values must be >= 0")
+    return s_bar
+
+
 @dataclass(frozen=True)
 class ReproductionNumber:
     """Reproduction number with its per-strain terms and the binding strain."""
@@ -334,20 +328,14 @@ def reproduction_number(
 ) -> ReproductionNumber:
     """R0 = max_j (1-u) beta_j S_bar_j / (mu_j + gamma_j).
 
-    ``S_bar`` may be a scalar (shared by all strains) or one value per strain.
+    ``S_bar`` may be a scalar (shared by all strains) or one value per
+    strain; a wrong count, a negative value or NaN raises ``DomainError``.
     The infection-free state is locally asymptotically stable when the
     returned value is below one.
     """
-    if len(params) == 0:
-        raise DomainError("reproduction number needs at least one strain")
-    check_control(u)
-    s_bar = _strain_vector(S_bar, "S_bar", n=len(params))
-    if len(s_bar) != len(params):
-        raise DomainError("S_bar must provide one value per strain")
-    if not np.all(s_bar >= 0):
-        raise DomainError("S_bar values must be >= 0")
-    beta, _, gamma, _, mu = strain_arrays(params)
-    terms = (1.0 - u) * beta * s_bar / (mu + gamma)
+    s_bar = _infection_free_inputs(params, S_bar, u)
+    beta, _, mu_gamma, *_ = rate_table(params).T
+    terms = (1.0 - u) * beta * s_bar / mu_gamma
     k = int(np.argmax(terms))
     return ReproductionNumber(value=float(terms[k]), per_strain=terms, argmax_strain=k)
 
@@ -403,7 +391,7 @@ def nontrivial_equilibrium(
     if len(params) != 2:
         raise DomainError("closed-form equilibrium is defined for exactly two strains")
     check_control(u)
-    beta, sigma, gamma, delta, mu = strain_arrays(params)
+    beta, sigma, mu_gamma, gamma, delta, mu = rate_table(params).T
     if not np.all(mu > 0.0):
         raise DomainError("equilibrium analysis requires mu > 0 for every strain")
     if u == 1.0:
@@ -415,8 +403,8 @@ def nontrivial_equilibrium(
     if math.isnan(i2):
         raise DomainError("I_bar_ref must be a number, got nan")
     I = np.array([-(mu[1] / mu[0]) * i2, i2])
-    S = (mu + gamma) / ((1.0 - u) * beta)
-    E = (mu + gamma) * I / sigma
+    S = mu_gamma / ((1.0 - u) * beta)
+    E = mu_gamma * I / sigma
     R = gamma * I / delta
     return EquilibriumPoint(
         kind="trivial" if i2 == 0.0 else "non-trivial",
@@ -438,7 +426,7 @@ def equilibrium_residuals(
     if not (len(point.S) == n):
         raise DomainError("equilibrium point and parameter list disagree on strains")
     check_control(u)
-    f = flows(point.S, point.E, point.I, point.R, u, strain_arrays(params))
+    f = flows(point.S, point.E, point.I, point.R, u, rate_table(params))
 
     def rel(*terms):
         terms = np.array(terms)
@@ -466,21 +454,17 @@ def analytic_eigenvalues(
 
         -(mu+gamma+sigma)/2 +- sqrt(4 (1-u) beta sigma S_bar + (mu+gamma-sigma)^2)/2.
 
-    Returned as complex numbers; for admissible inputs the discriminant is
-    non-negative so all values are real.
+    ``S_bar`` is as for :func:`reproduction_number`.  Returned as complex
+    numbers; for admissible inputs the discriminant is non-negative so all
+    values are real.
     """
-    if len(params) == 0:
-        raise DomainError("analytic_eigenvalues needs at least one strain")
-    check_control(u)
+    s_bar = _infection_free_inputs(params, S_bar, u)
     n = len(params)
-    s_bar = _strain_vector(S_bar, "S_bar", n=n)
-    if not np.all(s_bar >= 0):
-        raise DomainError("S_bar values must be >= 0")
-    beta, sigma, gamma, delta, mu = strain_arrays(params)
+    beta, sigma, mu_gamma, _, delta, _ = rate_table(params).T
     out = np.zeros(4 * n + 1, dtype=complex)
     out[n + 1 : 2 * n + 1] = -delta
-    half_trace = -0.5 * (mu + gamma + sigma)
-    disc = 4.0 * (1.0 - u) * beta * sigma * s_bar + (mu + gamma - sigma) ** 2
+    half_trace = -0.5 * (mu_gamma + sigma)
+    disc = 4.0 * (1.0 - u) * beta * sigma * s_bar + (mu_gamma - sigma) ** 2
     half_root = 0.5 * np.sqrt(disc.astype(complex))
     out[2 * n + 1 :: 2] = half_trace + half_root
     out[2 * n + 2 :: 2] = half_trace - half_root
@@ -500,10 +484,11 @@ def max_stable_dt(params: Sequence[StrainParams], population: float) -> float:
     the infection-free linearisation are not enough: they admit steps that
     overshoot once the epidemic grows.  The bound is a heuristic, checked by
     a property test rather than proven.  With no strains nothing moves, and
-    every step is stable.
+    every step is stable.  The sum keeps this order: the ``mu + gamma``
+    column of :func:`rate_table` would round it differently.
     """
     if len(params) == 0:
         return math.inf
-    beta, sigma, gamma, delta, mu = strain_arrays(params)
+    beta, sigma, _, gamma, delta, mu = rate_table(params).T
     rate = np.maximum(beta * population + sigma + gamma + mu, delta)
     return RK4_REAL_STABILITY / float(np.max(rate))

@@ -191,7 +191,8 @@ class SeedEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: state and applied control at every grid node."""
+    """Recorded run: state and applied control at every grid node, held as
+    read-only views of the caller's arrays, which stay writable."""
 
     grid: TimeGrid
     P: np.ndarray
@@ -209,7 +210,9 @@ class Trajectory:
         if self.E.shape[0] != m:
             raise DomainError("per-strain history must hold one row per grid node")
         for name in ("P", "E", "I", "R", "u"):
-            getattr(self, name).setflags(write=False)
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def n_strains(self) -> int:

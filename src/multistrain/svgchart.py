@@ -39,14 +39,20 @@ TICK_COUNT = 5
 X_LABEL = "time (days)"
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    """Round tick values in [lo, hi]; the caller ensures ``hi > lo``."""
+def _ticks(lo: float, hi: float, axis: str) -> list[float]:
+    """Round tick values in [lo, hi]; the caller ensures ``hi > lo``.
+
+    ValueError names the axis when ``hi - lo`` overflows, or when the step
+    rounds to 0 or cannot move a tick value, which would repeat it forever:
+    a step must exceed half the spacing of doubles at the range's largest
+    magnitude.
+    """
     raw = (hi - lo) / TICK_COUNT
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    mag = 10.0 ** math.floor(math.log10(raw)) if 0.0 < raw < math.inf else 0.0
+    step = next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
+    if not step > math.ulp(max(abs(lo), abs(hi))) / 2:
+        problem = "spans more than a double holds" if raw == math.inf else "is too narrow"
+        raise ValueError(f"line_chart {axis} axis from {lo!r} to {hi!r} {problem}")
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
@@ -109,7 +115,9 @@ def line_chart(
     """Write a line chart of the named series against a shared x axis.
 
     Raises ``ValueError`` naming the series when one differs in length from
-    ``x`` or holds a non-finite value, and when ``x`` holds a non-finite value.
+    ``x`` or holds a non-finite value, when ``x`` holds a non-finite value,
+    and naming the axis when its range is too wide or too narrow to place
+    ticks on; the file is not opened then.
     """
     if not series:
         raise ValueError("line_chart needs at least one series")
@@ -146,14 +154,14 @@ def line_chart(
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
     out.append(f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" {axis_style}/>')
     out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" {axis_style}/>')
-    for tx in _ticks(lo_x, hi_x):
+    for tx in _ticks(lo_x, hi_x, "x"):
         p = px(tx)
         out.append(f'<line x1="{_fmt(p)}" y1="{y0}" x2="{_fmt(p)}" y2="{y0 + 5}" {axis_style}/>')
         out.append(
             f'<text x="{_fmt(p)}" y="{y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tx:g}</text>'
         )
-    for ty in _ticks(lo_y, hi_y):
+    for ty in _ticks(lo_y, hi_y, "y"):
         p = py(ty)
         out.append(f'<line x1="{x0 - 5}" y1="{_fmt(p)}" x2="{x0}" y2="{_fmt(p)}" {axis_style}/>')
         out.append(

@@ -17,10 +17,9 @@ from multistrain import (
     integrate,
     preset_config,
     simulate,
-    strain_arrays,
     svgchart,
 )
-from multistrain.dynamics import StrainArrays, rate_table, rhs_lists, split
+from multistrain.dynamics import rate_table, rhs_lists, split
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -173,12 +172,13 @@ def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):
     return dP, np.array(dE), np.array(dI), np.array(dR)
 
 
-def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
+def jacobian(S, I, u, rates: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of ``dynamics.full_system_rhs`` at K nodes at once:
     the dense oracle of the adjoint's row product ``dynamics.costate_lists``.
 
-    ``S`` and ``I`` have shape (K, n) and ``u`` is a scalar or one value per
-    node.  The result has shape (K, 4n+1, 4n+1) in the coordinates
+    ``S`` and ``I`` have shape (K, n), ``u`` is a scalar or one value per
+    node and ``rates`` is ``dynamics.rate_table``.  The result has shape
+    (K, 4n+1, 4n+1) in the coordinates
     ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``.  Every flow but
     transmission is linear with constant rates; transmission is bilinear in
     S and I, so only those two enter.  The adjoint equations are
@@ -187,19 +187,20 @@ def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     I = np.asarray(I, dtype=float)
     K, n = S.shape
+    beta, sigma, mu_gamma, gamma, delta, mu = rates.T
     _, s, e, i, r = split(np.arange(4 * n + 1), n)
     J = np.zeros((K, 4 * n + 1, 4 * n + 1))
-    J[:, 0, i] = -arrays.mu
+    J[:, 0, i] = -mu
     # S_j loses the deaths of every other strain, but not its own.
-    J[:, s[:, None], i] = -arrays.mu
-    J[:, s, r] = arrays.delta
-    J[:, e, e] = -arrays.sigma
-    J[:, i, e] = arrays.sigma
-    J[:, i, i] = -(arrays.mu + arrays.gamma)
-    J[:, r, i] = arrays.gamma
-    J[:, r, r] = -arrays.delta
+    J[:, s[:, None], i] = -mu
+    J[:, s, r] = delta
+    J[:, e, e] = -sigma
+    J[:, i, e] = sigma
+    J[:, i, i] = -mu_gamma
+    J[:, r, i] = gamma
+    J[:, r, r] = -delta
     w = 1.0 - np.broadcast_to(np.asarray(u, dtype=float), (K,))
-    wb = w[:, None] * arrays.beta
+    wb = w[:, None] * beta
     J[:, s, i] = -wb * S
     J[:, s, s] = -wb * I
     J[:, e, s] = wb * I
@@ -210,7 +211,7 @@ def jacobian(S, I, u, arrays: StrainArrays) -> np.ndarray:
 def jacobian_at(state: EpidemicState, params: list[StrainParams], u: float) -> np.ndarray:
     """The analytic Jacobian at one state, as a single (4n+1)^2 matrix."""
     return jacobian(
-        state.susceptible_all()[None], state.I[None], u, strain_arrays(params)
+        state.susceptible_all()[None], state.I[None], u, rate_table(params)
     )[0]
 
 

@@ -12,6 +12,7 @@ from multistrain import control, integrate
 from multistrain import (
     ControlSchedule,
     CostateState,
+    CostateTrajectory,
     CostParams,
     DomainError,
     EpidemicState,
@@ -350,6 +351,14 @@ class TestBackwardSweep:
         assert all(not part.flags.writeable for part in parts)
         assert all(part.base is cos.phi_P.base for part in parts)
         assert cos.phi_P.base.shape == (10, 9)
+
+    def test_callers_arrays_stay_writable(self):
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
+        phi = np.zeros((3, 5))
+        cos = CostateTrajectory(grid, *split(phi, 1))
+        assert not any(part.flags.writeable for part in (cos.phi_P, cos.phi_S, cos.phi_R))
+        phi[2] = 4.0
+        assert cos.phi_P[2] == 4.0 and cos.phi_R[2, 0] == 4.0
 
 
 def one_step_inputs():

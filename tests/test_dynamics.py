@@ -14,9 +14,10 @@ from multistrain import (
     nontrivial_equilibrium,
     numeric_jacobian,
     reproduction_number,
-    strain_arrays,
 )
-from multistrain.dynamics import costate_lists, rate_table, split
+from multistrain.dynamics import (
+    RK4_REAL_STABILITY, costate_lists, max_stable_dt, rate_table, split,
+)
 
 from conftest import (
     BETA, DELTA, GAMMA, MU, SIGMA, jacobian_at, random_params, random_state,
@@ -177,7 +178,9 @@ class TestReproductionNumber:
         with pytest.raises(DomainError):
             reproduction_number([], 217e6, 0.0)
 
-    @pytest.mark.parametrize("s_bar", [-1.0, NAN, [1e8, -1.0], [1e8, NAN]])
+    @pytest.mark.parametrize("s_bar", [
+        -1.0, NAN, [1e8, -1.0], [1e8, NAN], [1e8], [1e8, 1e8, 1e8],
+    ])
     def test_negative_or_nan_pool_rejected(self, s_bar):
         p = StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
         with pytest.raises(DomainError, match="S_bar"):
@@ -269,8 +272,12 @@ class TestNontrivialEquilibrium:
 
 
 class TestAnalyticEigenvalues:
-    @pytest.mark.parametrize("s_bar", [-1.0, NAN, [NAN, 1e8]])
+    @pytest.mark.parametrize("s_bar", [
+        -1.0, NAN, [NAN, 1e8], [1e8], [1e8, 1e8, 1e8],
+    ])
     def test_negative_or_nan_pool_rejected(self, s_bar):
+        # The same check as reproduction_number's: a one-value list is not
+        # broadcast over two strains, and a three-value one is not a shape error.
         p = StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)
         with pytest.raises(DomainError, match="S_bar"):
             analytic_eigenvalues([p, p], s_bar, 0.0)
@@ -360,7 +367,7 @@ class TestJacobian:
             phi, k = rng.uniform(-10.0, 10.0, size=(2, 4 * n + 1))
             k[0] = c1
             S = state.susceptible_all()
-            wb = (1.0 - u) * strain_arrays(params).beta
+            wb = (1.0 - u) * rate_table(params)[:, 0]
             slopes = [[0.0] * n for _ in range(4)]
             dP = costate_lists(
                 float(phi[0]), *(part.tolist() for part in split(phi, n)[1:]), h,
@@ -374,9 +381,46 @@ class TestJacobian:
             assert dP == c1
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    def test_strain_arrays_are_read_only_columns(self):
-        params = random_params(np.random.default_rng(31), 2)
-        arrays = strain_arrays(params)
-        assert arrays.beta.tolist() == [p.beta for p in params]
-        with pytest.raises(ValueError):
-            arrays.mu[0] = 0.0
+
+class TestScalarClosedForms:
+    """The vectorised stability code equals its closed forms evaluated one
+    strain at a time on Python floats, bit for bit: reading ``mu + gamma``
+    from the rate table must not re-associate a sum."""
+
+    def test_reproduction_number_terms(self):
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            params = random_params(rng, n)
+            s_bar = rng.uniform(0.0, 3e8, size=n)
+            u = float(rng.uniform(0.0, 1.0))
+            terms = reproduction_number(params, s_bar, u).per_strain
+            assert terms.tolist() == [
+                (1.0 - u) * p.beta * float(s) / (p.mu + p.gamma)
+                for p, s in zip(params, s_bar)
+            ]
+
+    def test_equilibrium_compartments(self):
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            params = random_params(rng, 2)
+            u = float(rng.uniform(0.0, 0.99))
+            i2 = float(rng.uniform(0.0, 1e5))
+            point = nontrivial_equilibrium(params, u, i2)
+            I = [-(params[1].mu / params[0].mu) * i2, i2]
+            assert point.I.tolist() == I
+            assert point.S.tolist() == [(p.mu + p.gamma) / ((1.0 - u) * p.beta) for p in params]
+            assert point.E.tolist() == [(p.mu + p.gamma) * i / p.sigma for p, i in zip(params, I)]
+            assert point.R.tolist() == [p.gamma * i / p.delta for p, i in zip(params, I)]
+
+    def test_max_stable_dt(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            params = random_params(rng, n)
+            population = float(rng.uniform(1e6, 3e8))
+            rate = max(
+                max(p.beta * population + p.sigma + p.gamma + p.mu, p.delta)
+                for p in params
+            )
+            assert max_stable_dt(params, population) == RK4_REAL_STABILITY / rate

@@ -24,6 +24,7 @@ from multistrain import (
     StateConsistencyError,
     StrainParams,
     TimeGrid,
+    Trajectory,
     backward_sweep,
     control,
     full_system_rhs,
@@ -236,6 +237,17 @@ class TestSimulate:
             assert values.flags.writeable is False
             with pytest.raises(ValueError):
                 values[0] = 0.0
+
+    def test_callers_arrays_stay_writable(self):
+        # The trajectory keeps read-only views of the arrays it is given, not
+        # copies, and leaves those arrays writable.
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
+        P, E, u = np.ones(3), np.zeros((3, 1)), np.zeros(3)
+        traj = Trajectory(grid, P, E, E, E, u)
+        assert not any(getattr(traj, name).flags.writeable for name in "PEIRu")
+        P[0] = 2.0
+        E[1, 0] = 3.0
+        assert traj.P[0] == 2.0 and traj.R[1, 0] == 3.0
 
     def test_deterministic_repetition(self):
         t1, _, _ = baseline_run(dt=0.1, horizon=50.0)

@@ -149,6 +149,24 @@ class TestLineChart:
         x = np.array([0.0, 1.0, np.inf])
         with pytest.raises(ValueError, match="x holds a non-finite value"):
             line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", np.ones(3))])
+        assert not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("x, ys, fragment", [
+        # Finite ranges that overflow, or whose tick step rounds to 0 or
+        # cannot move a tick value (that one looped forever), name the axis.
+        ([-1e308, 0.0, 1e308], [1.0, 1.0, 1.0],
+         "x axis from -1e[+]308 to 1e[+]308 spans more than a double"),
+        ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308],
+         "y axis from -1e[+]308 to 1e[+]308 spans more than a double"),
+        ([0.0, 1.0, 2.0], [0.0, 5e-324, 0.0], "y axis from 0.0 to 5e-324 is too narrow"),
+        ([0.0, 1.0, 2.0], [0.0, 5e-323, 0.0], "y axis from 0.0 to 5e-323 is too narrow"),
+        ([0.0, 1.0, 2.0], [1.0, 1.0000000000000002, 1.0],
+         "y axis from 1.0 to 1.0000000000000002 is too narrow"),
+    ])
+    def test_unchartable_axis_range_is_named(self, tmp_path, x, ys, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", ys)])
+        assert not (tmp_path / "c.svg").exists()
 
 
 def finite_bit_patterns(size: int, seed: int) -> np.ndarray:
