@@ -224,85 +224,60 @@ static const char DIGIT_PAIRS[201] =
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
-/* The n decimal digits of v, zero-padded, at p. */
-static void put_digits(char *p, uint64_t v, int n)
-{
-    for (; n >= 2; n -= 2, v /= 100) {
-        const char *d = DIGIT_PAIRS + 2 * (v % 100);
-        p[n - 2] = d[0];
-        p[n - 1] = d[1];
-    }
-    if (n)
-        p[0] = (char)('0' + v % 10);
-}
-
-/* v in decimal without leading zeros at p; returns the end. */
-static char *put_uint(char *p, uint64_t v)
-{
-    int n = 1;
-    for (uint64_t t = v; t >= 10; t /= 10)
-        n++;
-    put_digits(p, v, n);
-    return p + n;
-}
-
 /* v < 100 as two digits at p. */
 static inline void put_pair(char *p, unsigned v)
 {
     memcpy(p, DIGIT_PAIRS + 2 * v, 2);
 }
 
-/* "%.2f" of x at p, returning the end; NULL for a NaN, an infinity or
- * |x| >= 2^53, where m 2^e * 100 could exceed 64 bits.  An integer part
- * below 1000, as every chart pixel has, takes no digit-count loop. */
+/* "%.2f" of x at p, returning the end; NULL, having written nothing, for a
+ * NaN, an infinity or an x whose "%.2f" has an integer part of 1000 or more
+ * in magnitude.  Every point inside a 960 x 520 chart is in that range.  As
+ * |x| < 2^10, m 2^e has e < -42, so m * 100 < 2^60 fits in 64 bits, and a
+ * shift by 64 or more leaves x * 100 < 1/16, which rounds to 0. */
 static inline char *put_f2(char *p, double x)
 {
     union { double d; uint64_t u; } bits = { x };
     int be = (int)(bits.u >> 52 & 0x7ff);
-    if (be >= 1023 + 53)
+    if (be >= 1023 + 10)
         return NULL;
-    if (bits.u >> 63)
-        *p++ = '-';
-    uint64_t m = bits.u & ((UINT64_C(1) << 52) - 1), D;
-    int e = -1074;
+    uint64_t m = bits.u & ((UINT64_C(1) << 52) - 1), D = 0;
+    int r = 1074;
     if (be) {
         m |= UINT64_C(1) << 52;
-        e = be - 1075;
+        r = 1075 - be;
     }
-    if (e >= 0) {
-        D = (m << e) * 100;
-    } else if (-e >= 64) {
-        D = 0; /* m * 100 < 2^60, so x * 100 < 1/16 */
-    } else {
-        int r = -e; /* rounded half to even as in scaled() below */
+    if (r < 64) { /* rounded half to even as in scaled() below */
         uint64_t N = m * 100, half = UINT64_C(1) << (r - 1);
         D = (N + (half - 1) + (N >> r & 1)) >> r;
     }
-    uint64_t whole = D / 100;
+    unsigned whole = (unsigned)(D / 100);
+    if (whole >= 1000)
+        return NULL;
+    if (bits.u >> 63)
+        *p++ = '-';
     if (whole < 10) {
         *p++ = (char)('0' + whole);
     } else if (whole < 100) {
-        put_pair(p, (unsigned)whole);
+        put_pair(p, whole);
         p += 2;
-    } else if (whole < 1000) {
-        *p = (char)('0' + whole / 100);
-        put_pair(p + 1, (unsigned)(whole % 100));
-        p += 3;
     } else {
-        p = put_uint(p, whole);
+        *p = (char)('0' + whole / 100);
+        put_pair(p + 1, whole % 100);
+        p += 3;
     }
     *p = '.';
     put_pair(p + 1, (unsigned)(D % 100));
     return p + 3;
 }
 
-/* Largest "%.2f,%.2f" point with its leading space, and the slot of one
- * "%.17g" cell: its separator, a sign and at most 22 characters
- * ("d.dddddddddddddddde-16" or "0.000" and 17 digits).  put_g17 writes
- * only the 24 bytes after the separator, also where its fixed-size copies
- * run past the end of the text, so a row of w cells never writes more than
- * MS_CELL_BYTES * w + 1 bytes with its newline. */
-enum { MS_POINT_BYTES = 48, MS_CELL_BYTES = 25 };
+/* Largest "%.2f,%.2f" point with its leading space, " -999.99,-999.99",
+ * and the slot of one "%.17g" cell: its separator, a sign and at most 22
+ * characters ("d.dddddddddddddddde-16" or "0.000" and 17 digits).  put_g17
+ * writes only the 24 bytes after the separator, also where its fixed-size
+ * copies run past the end of the text, so a row of w cells never writes
+ * more than MS_CELL_BYTES * w + 1 bytes with its newline. */
+enum { MS_POINT_BYTES = 16, MS_CELL_BYTES = 25 };
 
 /* The points "%.2f,%.2f" of xs and ys, each after a space but the first. */
 int64_t ms_format_points(const double *xs, const double *ys, int64_t start,

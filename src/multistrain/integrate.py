@@ -37,7 +37,8 @@ the whole build; an adjoint strain-step counts twice, a formatted value a
 fraction of one).  So a single run of a preset costs what the Python loops
 cost, and a solver that re-runs both passes switches to the kernels within
 about 0.2 s.  A build still running at exit is killed.  A forked process
-leaves its parent's build alone and starts its own.  Without a working
+leaves its parent's build alone and starts its own, also when another thread
+of the parent was waiting for that build.  Without a working
 ``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
 in Python.  No loop holds state between calls: ``simulate`` owns the
 history matrix, one row ``[P, E, I, R]`` per node, whose columns are the
@@ -242,7 +243,7 @@ _CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_SECONDS = 0.25
 _WAIT_ABOVE = 60_000
 _KERNEL = None  # the loaded library; False once a build has failed
-_build = None  # (cc process, its directory, start time, owner pid) while cc runs
+_build = None  # (cc process, its directory, start time) while cc runs
 _KERNEL_LOCK = threading.Lock()
 
 
@@ -261,14 +262,12 @@ def _kernel(work):
     """
     global _KERNEL, _build
     with _KERNEL_LOCK:
-        if _build is not None and _build[3] != os.getpid():
-            _build = None
         if _KERNEL is None and _build is None:
             _build = _start_build()
             if _build is None:
                 _KERNEL = False
         if _build is not None:
-            proc, tmp, started, _ = _build
+            proc, tmp, started = _build
             left = 1.0 - (time.monotonic() - started) / _BUILD_SECONDS
             if work > _WAIT_ABOVE * left or proc.poll() is not None:
                 _KERNEL = _load_build(proc, tmp)
@@ -298,7 +297,17 @@ def _start_build():
         shutil.rmtree(tmp)
         return None
     atexit.register(_end_build)
-    return proc, tmp, time.monotonic(), os.getpid()
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_forget_build)
+    return proc, tmp, time.monotonic()
+
+
+def _forget_build():
+    """In a forked child, drop the parent's build, and the lock that another
+    thread of the parent may hold while it waits for ``cc``."""
+    global _build, _KERNEL_LOCK
+    _build = None
+    _KERNEL_LOCK = threading.Lock()
 
 
 def _load_build(proc, tmp):
@@ -342,11 +351,11 @@ def _end_build():
     remove its directory, so that a short run neither waits for ``cc`` nor
     leaves it behind."""
     global _build
-    if _build is None or _build[3] != os.getpid():
+    if _build is None:
         return
     import signal
 
-    proc, tmp, _, _ = _build
+    proc, tmp, _ = _build
     _build = None
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
@@ -550,5 +559,5 @@ def simulate(
 
     return Trajectory(
         grid=grid, P=hist[:, 0], E=hist[:, 1 : n + 1], I=hist[:, n + 1 : 2 * n + 1],
-        R=hist[:, 2 * n + 1 :], u=np.array(schedule.u, dtype=float),
+        R=hist[:, 2 * n + 1 :], u=schedule.u,
     )

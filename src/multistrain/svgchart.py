@@ -7,10 +7,12 @@ are embedded, so identical inputs give identical bytes.
 Pixel coordinates are computed on whole numpy arrays, in the operation order
 of the scalar formula.  The points are written as ``"%.2f,%.2f"`` by
 ``ms_format_points`` of the compiled library once it is loaded, and by one
-``%`` call per point until then or without ``cc``; a point the C formatter
-cannot write exactly takes the ``%`` call too, so the bytes are Python's
-either way and equal those of the earlier per-point writer, which the tests
-keep as the oracle.  Title, axis and series labels are XML-escaped.
+``%`` call per point until then or without ``cc``.  The C formatter writes
+a point whose two texts have an integer part below 1000 in magnitude, as
+every point inside the chart has; any other point takes the ``%`` call too,
+so the bytes are Python's either way and equal those of the earlier
+per-point writer, which the tests keep as the oracle.  Title, axis and
+series labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ def _ticks(lo: float, hi: float, axis: str) -> list[float]:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
+
+
+def _flat_range(v: float) -> tuple[float, float]:
+    """The axis range of a flat ``v``: ``v`` to ``v + 1`` where doubles lie at
+    most 0.25 apart, below 2^51 in magnitude, so that its tick step 0.2
+    moves a value, and for a non-finite ``v``, which ``_ticks`` rejects;
+    beyond, eight spacings of doubles at ``v``, below it where above would
+    overflow."""
+    if not math.isfinite(v) or max(abs(v), abs(v + 1.0)) < 2.0**51:
+        return v, v + 1.0
+    w = 8.0 * math.ulp(v)
+    return (v, v + w) if v + w < math.inf else (v - w, v)
 
 
 def _escape(text: str) -> str:
@@ -127,9 +141,9 @@ def line_chart(
     lo_y = min(float(ys.min()) for _, ys in series) if y_min is None else y_min
     hi_y = max(float(ys.max()) for _, ys in series) if y_max is None else y_max
     if hi_y <= lo_y:
-        hi_y = lo_y + 1.0
+        lo_y, hi_y = _flat_range(lo_y)
     if hi_x <= lo_x:
-        hi_x = lo_x + 1.0
+        lo_x, hi_x = _flat_range(lo_x)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 

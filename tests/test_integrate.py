@@ -651,6 +651,75 @@ assert all(os.waitpid(pid, 0)[1] == 0 for pid in children)
 """
 
 
+# A thread waits for the build, holding the kernel lock, while the main
+# thread forks.  The child runs a simulate and writes the digest of its
+# history to the file argv[2]/child; the parent gives it ten seconds, then
+# kills it, lets cc build and waits for the thread.
+FORK_WHILE_WAITING_SCRIPT = """
+import hashlib, math, os, sys, threading, time
+sys.path.insert(0, sys.argv[1])
+from multistrain import integrate, simulate, EpidemicState, StrainParams, ControlSchedule, TimeGrid
+
+g = TimeGrid(0.0, 1.0, 50)
+x = EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0])
+p = [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)]
+waiter = threading.Thread(target=integrate._kernel, args=(math.inf,))
+waiter.start()
+while integrate._build is None or not integrate._KERNEL_LOCK.locked():
+    time.sleep(0.001)
+pid = os.fork()
+if pid == 0:
+    t = simulate(x, p, ControlSchedule.constant(g, 0.0), [], g)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.P, t.E, t.I, t.R)))
+    with open(os.path.join(sys.argv[2], "child"), "w") as fh:
+        fh.write(digest.hexdigest())
+    integrate._end_build()
+    os._exit(0)
+deadline = time.monotonic() + 10.0
+while os.waitpid(pid, os.WNOHANG) == (0, 0) and time.monotonic() < deadline:
+    time.sleep(0.01)
+if not os.path.exists(os.path.join(sys.argv[2], "child")):
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+open(os.environ["GO"], "w").close()
+waiter.join()
+assert integrate._KERNEL
+"""
+
+
+def run_fork_script(script, tmp_path):
+    """Run ``script`` with a stand-in cc that builds once the file $GO
+    exists; the reports the script wrote, by file name, and the digest of
+    its run's history.  Every build directory must be gone after."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    stand_in = bin_dir / "cc"
+    stand_in.write_text(
+        '#!/bin/sh\nwhile [ ! -e "$GO" ]; do sleep 0.01; done\n'
+        f'exec "{shutil.which("cc")}" "$@"\n'
+    )
+    stand_in.chmod(0o755)
+    tmp, out = tmp_path / "tmp", tmp_path / "out"
+    tmp.mkdir()
+    out.mkdir()
+    src = os.path.dirname(os.path.dirname(integrate.__file__))
+    path = str(bin_dir) + os.pathsep + os.environ.get("PATH", "")
+    env = {**os.environ, "TMPDIR": str(tmp), "GO": str(tmp_path / "go"), "PATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, src, str(out)], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(tmp.iterdir()) == []
+    grid = TimeGrid(0.0, 1.0, 50)
+    expected = hashlib.sha256(b"".join(history_bytes(reference_simulate(
+        EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0]),
+        [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)],
+        ControlSchedule.constant(grid, 0.0), [], grid,
+    )))).hexdigest()
+    return {f.name: f.read_text() for f in out.iterdir()}, expected
+
+
 def raise_oserror(*args, **kwargs):
     raise OSError("failed to map segment from shared object")
 
@@ -742,9 +811,9 @@ class TestKernelBuild:
         slow.chmod(0o755)
         monkeypatch.setenv("PATH", str(bin_dir) + os.pathsep + os.environ["PATH"])
         assert integrate._kernel(0.9 * integrate._WAIT_ABOVE) is None
-        proc, tmp, started, owner = integrate._build
+        proc, tmp, started = integrate._build
         spent = 0.75 * integrate._BUILD_SECONDS
-        monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent, owner))
+        monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent))
         assert integrate._kernel(0.5 * integrate._WAIT_ABOVE)
         assert starts == [1] and integrate._build is None
 
@@ -828,36 +897,16 @@ class TestKernelBuild:
         assert list(tmp.iterdir()) == []
 
     def test_forked_processes_each_end_on_their_own_library(self, cc, tmp_path):
-        # A stand-in cc that builds once the file $GO exists, which the
-        # parent makes after its first fork.  A child cannot wait for its
-        # parent's cc, so each process must build, load and remove its own.
-        bin_dir = tmp_path / "bin"
-        bin_dir.mkdir()
-        stand_in = bin_dir / "cc"
-        stand_in.write_text(
-            '#!/bin/sh\nwhile [ ! -e "$GO" ]; do sleep 0.01; done\n'
-            f'exec "{shutil.which("cc")}" "$@"\n'
-        )
-        stand_in.chmod(0o755)
-        tmp, out = tmp_path / "tmp", tmp_path / "out"
-        tmp.mkdir()
-        out.mkdir()
-        src = os.path.dirname(os.path.dirname(integrate.__file__))
-        path = str(bin_dir) + os.pathsep + os.environ.get("PATH", "")
-        env = {**os.environ, "TMPDIR": str(tmp), "GO": str(tmp_path / "go"), "PATH": path}
-        done = subprocess.run(
-            [sys.executable, "-c", FORK_SCRIPT, src, str(out)], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        grid = TimeGrid(0.0, 1.0, 50)
-        expected = hashlib.sha256(b"".join(history_bytes(reference_simulate(
-            EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0]),
-            [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)],
-            ControlSchedule.constant(grid, 0.0), [], grid,
-        )))).hexdigest()
-        reports = {f.name: f.read_text() for f in out.iterdir()}
+        # The parent makes $GO after its first fork.  A child cannot wait for
+        # its parent's cc, so each process must build, load and remove its own.
+        reports, expected = run_fork_script(FORK_SCRIPT, tmp_path)
         assert reports == dict.fromkeys(
             ["running", "exited-0", "exited-1", "parent"], f"True {expected}"
         )
-        assert list(tmp.iterdir()) == []
+
+    def test_a_child_forked_while_a_thread_waits_for_cc_runs_on_its_own(
+        self, cc, tmp_path
+    ):
+        # The child inherits the lock that the waiting thread holds.
+        reports, expected = run_fork_script(FORK_WHILE_WAITING_SCRIPT, tmp_path)
+        assert reports == {"child": expected}, "the child blocked on the inherited lock"

@@ -1,11 +1,13 @@
 """The artifact writers against their per-cell and per-point oracles, and
 the compiled formatters against Python's ``%`` formats."""
 
+import hashlib
 import io
 import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -21,6 +23,8 @@ from multistrain import (
     TimeGrid,
     Trajectory,
     integrate,
+    preset_config,
+    run_scenario,
     simulate,
 )
 from multistrain.runner import write_trajectory_csv
@@ -167,6 +171,34 @@ class TestLineChart:
         with pytest.raises(ValueError, match=fragment):
             line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", ys)])
         assert not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("axis, digest", [
+        ("x", "eddf16e4ea8f68ec4a4f59305e27c089deb8ae44d4e804cd22e78b3a1cd63658"),
+        ("y", "4656ec8ee93450f48748a6520c0b4bac8fa6305358090645fd6671e66561d683"),
+    ])
+    def test_flat_axis_of_any_magnitude_charts(self, tmp_path, axis, digest):
+        # Below 2^51 in magnitude a flat axis spans v to v + 1, as it always
+        # has (the SHA-256 of those charts, one after another); beyond, where
+        # v + 1 is too narrow to tick, eight spacings of doubles from v, down
+        # from the largest double.  The flat series sits on the range's end.
+        def chart(v):
+            x, ys = [v] * 3, [0.0, 1.0, 2.0]
+            if axis == "y":
+                x, ys = ys, x
+            line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", ys)])
+            return (tmp_path / "c.svg").read_bytes()
+
+        charted = [0.0, 1.0, -5.0, 1e15, 2.0**50, 2.0**51 - 2, -(2.0**51 - 2),
+                   -(2.0**51 - 1)]
+        assert hashlib.sha256(b"".join(map(chart, charted))).hexdigest() == digest
+        big = [2.0**51 - 1, 2.0**51, 1e16, 2.0**53, 1e17, -1e17, 1e300, -1e300,
+               sys.float_info.max, -sys.float_info.max]
+        for v in big:
+            chart(v)
+            (points,) = polyline_points(tmp_path / "c.svg")
+            coords = [p.split(",")["xy".index(axis)] for p in points.split(" ")]
+            ends = {"x": ("64.00", "944.00"), "y": ("476.00", "36.00")}[axis]
+            assert coords == [ends[v == sys.float_info.max]] * 3
 
 
 def finite_bit_patterns(size: int, seed: int) -> np.ndarray:
@@ -336,7 +368,10 @@ class TestCompiledWriters:
         edges += [math.nextafter(v, 0.0) for v in edges]
         xs = edges + [-v for v in edges]
         text, handed, expected = points_both_ways(xs, xs[::-1])
-        assert text == expected and handed == []
+        # A point goes to Python when x or y reaches 1000.00 in magnitude.
+        assert text == expected
+        assert handed == [0, 1, 2, 3, 4, *range(8, 20), *range(23, 33), *range(36, 48),
+                          *range(51, 56)]
         assert [p.split(",")[0] for p in text.split(" ")[:14]] == [
             "0.99", "9.99", "9.99", "10.00", "99.99", "100.00", "100.00", "999.99",
             "1000.00", "1000.00", "9999.99", "10000.00", "10000.00", "10000.00",
@@ -347,7 +382,7 @@ class TestCompiledWriters:
               2.0**53 - 1, -(2.0**53 - 1), 5e-324, 1e-300, 0.995, 999.995]
         ys = [0.0] * len(xs)
         text, handed, expected = points_both_ways(xs, ys)
-        assert text == expected and handed == []
+        assert text == expected and handed == [10, 11, 15]
         assert text.split(" ")[:6] == [
             "0.12,0.00", "0.38,0.00", "2.67,0.00", "0.01,0.00", "1.00,0.00", "-0.00,0.00"
         ]
@@ -362,8 +397,13 @@ class TestCompiledWriters:
         assert text == expected
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e17, 1e-17, 2.0**53])
+    @pytest.mark.parametrize("bad", [
+        math.inf, -math.inf, math.nan, 1e17, 1e-17, 2.0**53,
+        math.nextafter(999.995, 0.0), 999.995, -999.995, 1023.99, 1024.0,
+    ])
     def test_items_outside_the_exact_range_are_handed_back(self, where, bad):
+        # Rows are exact from 1e-16 to below 1e17 in magnitude, points while
+        # the integer part of "%.2f" stays below 1000.
         n = 50
         k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
         rows = np.linspace(0.5, 7.5, n * 3).reshape(n, 3)
@@ -372,14 +412,14 @@ class TestCompiledWriters:
         rows[k, 1] = xs[k] = bad
         text, handed, expected = rows_both_ways(rows)
         assert text == expected
-        assert handed == ([] if bad == 2.0**53 else [k])
+        assert handed == ([] if 1e-16 <= abs(bad) < 1e17 else [k])
         text, handed, expected = points_both_ways(xs, ys)
         assert text == expected
-        assert handed == ([] if abs(bad) < 2.0**53 else [k])
+        assert handed == ([] if abs(float("%.2f" % bad)) < 1000.0 else [k])
 
-    @pytest.mark.parametrize("cap", [300, 1_000, 2_049, 100])
+    @pytest.mark.parametrize("cap", [300, 1_000, 2_049, 100, 10])
     def test_rows_and_points_across_the_buffer_edge(self, tmp_path, monkeypatch, cap):
-        # A row of 2 strains takes up to 11 * 25 + 1 bytes and a point 48;
+        # A row of 2 strains takes up to 11 * 25 + 1 bytes and a point 16;
         # below that the formatter writes nothing, and Python each item.
         monkeypatch.setattr(integrate, "_TEXT_BYTES", cap)
         traj = run_strains(2, 20.0)
@@ -414,6 +454,23 @@ class TestCompiledWriters:
             y_min=0.0,
         )
         assert svg_bytes[0] == svg_bytes[1]
+
+    @pytest.mark.parametrize("name, chart", [
+        ("experiment3", "compartments.svg"), ("case_e", "control.svg"),
+    ])
+    def test_runner_charts_are_written_wholly_in_c(self, tmp_path, name, chart):
+        require_kernel()
+        write_text, handed = integrate.write_text, {}
+
+        def recording(fh, entry, args, n, python_text):
+            items = handed.setdefault(os.path.basename(fh.name), [])
+            assert entry is not None
+            write_text(fh, entry, args, n,
+                       lambda lo, hi: items.extend(range(lo, hi)) or python_text(lo, hi))
+
+        with patch.object(integrate, "write_text", recording):
+            run_scenario(preset_config(name), out_dir=str(tmp_path), quiet=True)
+        assert handed[chart] == []
 
     def test_a_cc_without_int128_builds_every_kernel_but_the_row_writer(
         self, tmp_path
