@@ -10,7 +10,6 @@ from .analysis import (
     PLATEAU_BAND,
     StrainSummary,
     TrajectorySummary,
-    numeric_jacobian,
     summarize,
 )
 from .config import (
@@ -43,7 +42,6 @@ from .dynamics import (
     ReproductionNumber,
     StrainParams,
     analytic_eigenvalues,
-    equilibrium_residuals,
     full_system_rhs,
     max_stable_dt,
     min_stabilizing_control,

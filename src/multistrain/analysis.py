@@ -1,50 +1,21 @@
-"""A numeric Jacobian oracle and trajectory summaries."""
+"""Trajectory summaries.
+
+The finite-difference Jacobian oracle that the tests hold the analytic
+Jacobian and eigenvalues to lives in ``tests/conftest.py``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dynamics import EpidemicState, StrainParams, full_system_rhs, split
 from .errors import DomainError
 from .integrate import Trajectory, same_time
 
 # A terminal window is reported as a plateau when the compartment's share of
 # the initial population moves by less than this over the window.
 PLATEAU_BAND = 0.02
-
-
-def numeric_jacobian(
-    state: EpidemicState,
-    params: Sequence[StrainParams],
-    u: float,
-) -> np.ndarray:
-    """Central-difference Jacobian of the full (4n+1)-dimensional system.
-
-    Coordinates are ordered ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``
-    with the susceptible values taken algebraically from the state and then
-    treated as independent coordinates.  The perturbation is 1e-6 of the
-    population scale; the right-hand side is bilinear, so central differences
-    are exact up to round-off.
-    """
-    if len(params) != state.n_strains:
-        raise DomainError("state and parameter list disagree on strain count")
-    n = state.n_strains
-    x0 = np.hstack((state.P, state.susceptible_all(), state.E, state.I, state.R))
-    step = 1e-6 * max(state.P, 1.0)
-    dim = 4 * n + 1
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        plus = x0.copy()
-        plus[i] += step
-        minus = x0.copy()
-        minus[i] -= step
-        f_plus = np.hstack(full_system_rhs(*split(plus, n), params, u))
-        f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u))
-        jac[:, i] = (f_plus - f_minus) / (2.0 * step)
-    return jac
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ builds that object and only adds the config key to its error.
     start                 first day, >= 0 (default 0)
     horizon               last day, must exceed start
     dt                    step in days; must divide horizon-start and every
-                          strain activation day offset, and keep RK4 stable:
-                          dt * max(beta * population + sigma + gamma + mu,
-                          delta) <= 2.78 for every strain; and give run
+                          strain activation day offset, keep RK4 stable,
+                          dt * (beta * population + sigma + gamma + mu)
+                          <= 2.78, and R non-negative, dt * delta <= 1, for
+                          every strain; and give run
                           arrays that fit in physical memory and under a
                           finite RLIMIT_AS: the (nodes, 4n + 3) float64
                           history, plus in optimize mode the (nodes, 4n + 1)
@@ -195,12 +196,14 @@ class ScenarioConfig:
             with _prefixed(f"strain.{idx}"):
                 params.append(s.params())
                 s.seed_event(idx - 1)
-        # RK4 stability at the strains' largest rate (dynamics.max_stable_dt).
+        # RK4 stability and positivity at the strains' largest rates
+        # (dynamics.max_stable_dt).
         safe = max_stable_dt(params, self.population)
         if self.dt > safe:
             raise ConfigError(
-                f"grid.dt={self.dt!r} makes RK4 unstable at the fastest strain's "
-                f"rates: grid.dt must be at most {safe:.4g}"
+                f"grid.dt={self.dt!r} makes RK4 unstable or drives a compartment "
+                f"negative at the fastest strain's rates: grid.dt must be at most "
+                f"{safe:.4g}"
             )
         if self.control_mode not in CONTROL_MODES:
             raise ConfigError(

@@ -203,17 +203,15 @@ def backward_sweep(
     rates = rate_table(params)
     S = traj.susceptible_matrix()
     phi = np.empty((N + 1, 4 * n + 1))
-    # The list loop takes 1.4 to 1.8 times as long per strain-step as the
-    # forward one, so the build's wait rule sees it as twice the work.
-    lib = integrate._kernel(2 * n * N)
-    if lib is None:
+    adjoint = integrate._kernel("ms_adjoint", n * N)
+    if adjoint is None:
         _adjoint_loop(phi, rates, costs.c1, traj.grid.dt, S, traj.I, traj.u)
     else:
         S = np.ascontiguousarray(S, dtype=float)
         I = np.ascontiguousarray(traj.I, dtype=float)
         u = np.ascontiguousarray(traj.u, dtype=float)
         work = np.empty(24 * n)
-        lib.ms_adjoint(
+        adjoint(
             n, N, traj.grid.dt, costs.c1, rates.ctypes.data, S.ctypes.data,
             I.ctypes.data, u.ctypes.data, phi.ctypes.data, work.ctypes.data,
         )

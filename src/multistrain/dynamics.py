@@ -15,10 +15,11 @@ and, until its seed, its susceptible pool simply tracks ``P``.  There is no
 separate inactive state to switch on, and so no jump in the adjoint.
 
 :func:`flows` is the one vectorised definition of the five per-strain flows,
-from which :func:`full_system_rhs` and :func:`equilibrium_residuals` are
-built; :func:`rhs_lists` is their scalar list form, which the Python node
-loop of :mod:`.integrate` calls and whose operation order its compiled loop
-(``_rk4.c``) follows.
+from which :func:`full_system_rhs` is built, and so are the equilibrium
+residuals and the finite-difference Jacobian that the tests keep as oracles
+(``tests/conftest.py``).  :func:`rhs_lists` is the scalar list form of
+:func:`full_system_rhs`, which the Python node loop of :mod:`.integrate`
+calls and whose operation order its compiled loop (``_rk4.c``) follows.
 :func:`split` is the one definition of the ``[P, S, E, I, R]`` layout.
 :func:`costate_lists` is the row product ``phi J + c1 e_P`` with the
 analytic Jacobian ``J`` of :func:`full_system_rhs`, in list form: the slope
@@ -413,36 +414,6 @@ def nontrivial_equilibrium(
     )
 
 
-def equilibrium_residuals(
-    point: EquilibriumPoint, params: Sequence[StrainParams], u: float
-) -> np.ndarray:
-    """Relative residuals of the balance equations at an equilibrium point.
-
-    Each equation's residual is normalised by the largest magnitude among its
-    constituent flow terms (zero-flow equations report zero).  Ordering
-    matches the Jacobian coordinates: P, then S_j, E_j, I_j, R_j per strain.
-    """
-    n = len(params)
-    if not (len(point.S) == n):
-        raise DomainError("equilibrium point and parameter list disagree on strains")
-    check_control(u)
-    f = flows(point.S, point.E, point.I, point.R, u, rate_table(params))
-
-    def rel(*terms):
-        terms = np.array(terms)
-        scale = np.abs(terms).max(axis=0)
-        return np.abs(terms.sum(axis=0)) / np.where(scale == 0.0, 1.0, scale)
-
-    other_deaths = f.deaths.sum() - f.deaths
-    return np.concatenate((
-        [rel(*-f.deaths)],
-        rel(-f.transmission, f.waning, -other_deaths),
-        rel(f.transmission, -f.latent_exit),
-        rel(f.latent_exit, -(f.recovery + f.deaths)),
-        rel(f.recovery, -f.waning),
-    ))
-
-
 def analytic_eigenvalues(
     params: Sequence[StrainParams], S_bar, u: float
 ) -> np.ndarray:
@@ -473,22 +444,27 @@ def analytic_eigenvalues(
 
 
 def max_stable_dt(params: Sequence[StrainParams], population: float) -> float:
-    """Largest grid step that RK4 integrates stably for these strains.
+    """Largest grid step that RK4 integrates stably, and without driving
+    ``R`` negative, for these strains.
 
     With ``S`` and ``I`` at most ``population`` and no mitigation, strain j
-    moves its compartments at most at the rate
-    ``max(beta_j * population + sigma_j + gamma_j + mu_j, delta_j)``: the
-    first term bounds the Jacobian rows of ``E`` and ``I`` over the
-    admissible region, the second is the waning rate of ``R``.  The step is
+    moves its ``E`` and ``I`` at most at the rate
+    ``beta_j * population + sigma_j + gamma_j + mu_j``, which bounds their
+    Jacobian rows over the admissible region; the step is at most
     ``RK4_REAL_STABILITY`` over the largest such rate.  The decay rates of
     the infection-free linearisation are not enough: they admit steps that
-    overshoot once the epidemic grows.  The bound is a heuristic, checked by
-    a property test rather than proven.  With no strains nothing moves, and
-    every step is stable.  The sum keeps this order: the ``mu + gamma``
-    column of :func:`rate_table` would round it differently.
+    overshoot once the epidemic grows.  ``R`` wanes at ``delta_j``, and a
+    step within RK4's stability interval can still take a small ``R`` below
+    zero; so the step is also at most ``1 / delta_j``, where ``dt * rate``
+    stays within 1, RK4's radius of absolute monotonicity, which keeps a
+    linear decay non-negative (Kraaijevanger, BIT 31, 1991).  The bound is
+    a heuristic, checked by a property test rather than proven.  With no
+    strains nothing moves, and every step is stable.  The sum keeps this
+    order: the ``mu + gamma`` column of :func:`rate_table` would round it
+    differently.
     """
     if len(params) == 0:
         return math.inf
     beta, sigma, _, gamma, delta, mu = rate_table(params).T
-    rate = np.maximum(beta * population + sigma + gamma + mu, delta)
-    return RK4_REAL_STABILITY / float(np.max(rate))
+    rate = beta * population + sigma + gamma + mu
+    return min(RK4_REAL_STABILITY / float(np.max(rate)), 1.0 / float(np.max(delta)))

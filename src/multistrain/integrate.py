@@ -19,9 +19,10 @@ sum, and the clamp runs only when it fails.  The same library holds
 ``ms_adjoint``, the backward sweep of ``control.backward_sweep``, whose
 list twin is ``control._adjoint_loop``, and the writers' formatters
 ``ms_format_rows`` and ``ms_format_points``, whose twins are Python's
-``"%.17g"`` and ``"%.2f"``; :func:`_kernel` routes all four, and
-:func:`write_text` writes a file's items through a formatter, or in Python
-where there is none.
+``"%.17g"`` and ``"%.2f"``.  ``_ENTRIES`` declares each entry's C
+signature and its Python twin's cost, :func:`_kernel` routes all four by
+name, and :func:`write_text` writes a file's items through a formatter, or
+in Python where there is none.
 
 The C file is compiled when the process first calls ``simulate``,
 ``backward_sweep`` or a writer, never at import, with ``cc -O1
@@ -31,12 +32,10 @@ once the library is loaded; nothing is cached on disk.
 rounding, which would break the bit equality.  ``-O1`` builds in about two
 thirds of the time ``-O2`` takes, and the kernels run as fast.  ``cc`` runs
 in the background: calls run in Python until the library is ready and in C
-after, and only a call whose Python loop would take longer than what is
-left of the build waits for it (``_WAIT_ABOVE`` forward strain-steps for
-the whole build; an adjoint strain-step counts twice, a formatted value a
-fraction of one).  So a single run of a preset costs what the Python loops
-cost, and a solver that re-runs both passes switches to the kernels within
-about 0.2 s.  A build still running at exit is killed.  A forked process
+after, and only a call whose Python twin would take longer than what is
+left of the build waits for it.  So no run waits longer than its Python
+loops would take, and the bytes are the same either way.  A build still
+running at exit is killed.  A forked process
 leaves its parent's build alone and starts its own, also when another thread
 of the parent was waiting for that build.  Without a working
 ``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
@@ -236,29 +235,44 @@ _CC = ("cc", "-O1", "-ffp-contract=off", "-shared", "-fPIC")
 # Seconds cc takes to build _rk4.c, and the strain-steps the forward Python
 # loop runs in that time: 0.17-0.30 s of cc while Python runs beside it,
 # against 3-5 us per strain-step at one or two strains.  A call waits for
-# the build when it has more work than the part of the build still
-# expected; the adjoint's list loop counts each of its strain-steps twice,
-# and the writers weigh their cells and points by what Python takes to
-# format one.
+# the build when its Python twin has more work than the part of the build
+# still expected.
 _BUILD_SECONDS = 0.25
 _WAIT_ABOVE = 60_000
-_KERNEL = None  # the loaded library; False once a build has failed
+_int64, _double, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_int64_p = ctypes.POINTER(_int64)
+# Each entry of _rk4.c: its result type, its argument types, and what its
+# Python twin takes per unit of a call's work, in forward strain-steps.
+_ENTRIES = {
+    # Per strain-step of _python_loop.
+    "ms_rk4": (ctypes.c_int, (_int64, _int64, _double, _double, *[_ptr] * 6), 1.0),
+    # Per strain-step: control._adjoint_loop takes 1.4 to 1.8 times as long
+    # as the forward loop, so the wait rule sees it as twice the work.
+    "ms_adjoint": (None, (_int64, _int64, _double, _double, *[_ptr] * 6), 2.0),
+    # Per cell: Python formats one in about a fifth of a forward
+    # strain-step.  Missing where cc has no __int128; trajectory rows are
+    # then formatted in Python.
+    "ms_format_rows": (_int64, (_ptr, _int64, _int64, _int64, _ptr, _int64, _int64_p), 1 / 5),
+    # Per point: Python formats one in about a third of a forward strain-step.
+    "ms_format_points": (_int64, (_ptr, _ptr, _int64, _int64, _ptr, _int64, _int64_p), 1 / 3),
+}
+_KERNEL = None  # the loaded entries by name; False once a build has failed
 _build = None  # (cc process, its directory, start time) while cc runs
 _KERNEL_LOCK = threading.Lock()
 
 
-def _kernel(work):
-    """The compiled library for a call whose Python loop takes as long as
-    ``work`` forward strain-steps, or ``None`` when the Python loop is to
-    run it.
+def _kernel(name, units):
+    """The compiled entry ``name`` of ``_ENTRIES`` for a call of ``units``
+    units of work, or ``None`` when its Python twin is to run the call.
 
     The first call starts the build in the background.  A later call loads
-    the library once ``cc`` has exited, and waits for it when ``work`` is
-    more than ``_WAIT_ABOVE`` times the share of ``_BUILD_SECONDS`` not yet
-    spent, so that no call runs in Python for longer than the rest of the
-    build would take.  The lock makes concurrent calls share one build.  A
-    forked process drops the build it inherited untouched, since only the
-    parent can wait for that ``cc``, and starts its own.
+    the library once ``cc`` has exited, and waits for it when ``units``
+    times the entry's cost is more than ``_WAIT_ABOVE`` times the share of
+    ``_BUILD_SECONDS`` not yet spent, so that no call runs in Python for
+    longer than the rest of the build would take.  The lock makes
+    concurrent calls share one build.  A forked process drops the build it
+    inherited untouched, since only the parent can wait for that ``cc``,
+    and starts its own.
     """
     global _KERNEL, _build
     with _KERNEL_LOCK:
@@ -269,10 +283,10 @@ def _kernel(work):
         if _build is not None:
             proc, tmp, started = _build
             left = 1.0 - (time.monotonic() - started) / _BUILD_SECONDS
-            if work > _WAIT_ABOVE * left or proc.poll() is not None:
+            if units * _ENTRIES[name][2] > _WAIT_ABOVE * left or proc.poll() is not None:
                 _KERNEL = _load_build(proc, tmp)
                 _build = None
-        return _KERNEL or None
+        return (_KERNEL or {}).get(name)
 
 
 def _start_build():
@@ -311,7 +325,8 @@ def _forget_build():
 
 
 def _load_build(proc, tmp):
-    """Wait for ``cc``, load the library it built and remove the directory;
+    """Wait for ``cc``, load the library it built and remove the directory:
+    the entries of ``_ENTRIES`` that it has, bound to their types, by name;
     ``False`` when ``cc`` failed or the library cannot be loaded, as from a
     temporary directory mounted ``noexec``."""
     try:
@@ -322,28 +337,13 @@ def _load_build(proc, tmp):
         return False
     finally:
         shutil.rmtree(tmp)
-    c_int64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.ms_rk4.argtypes = (
-        c_int64, c_int64, ctypes.c_double, ctypes.c_double, ptr, ptr, ptr, ptr,
-        ptr, ptr,
-    )
-    lib.ms_rk4.restype = ctypes.c_int
-    c_double = ctypes.c_double
-    lib.ms_adjoint.argtypes = (
-        c_int64, c_int64, c_double, c_double, ptr, ptr, ptr, ptr, ptr, ptr,
-    )
-    lib.ms_adjoint.restype = None
-    int64_p = ctypes.POINTER(c_int64)
-    lib.ms_format_points.argtypes = (ptr, ptr, c_int64, c_int64, ptr, c_int64, int64_p)
-    lib.ms_format_points.restype = c_int64
-    # Missing where cc has no __int128; trajectory rows are then formatted
-    # in Python.
-    if hasattr(lib, "ms_format_rows"):
-        lib.ms_format_rows.argtypes = (
-            ptr, c_int64, c_int64, c_int64, ptr, c_int64, int64_p,
-        )
-        lib.ms_format_rows.restype = c_int64
-    return lib
+    entries = {}
+    for name, (restype, argtypes, _) in _ENTRIES.items():
+        entry = getattr(lib, name, None)
+        if entry is not None:
+            entry.restype, entry.argtypes = restype, argtypes
+            entries[name] = entry
+    return entries
 
 
 def _end_build():
@@ -515,8 +515,8 @@ def simulate(
     hist[0] = [initial.P, *initial.E, *initial.I, *initial.R]
     tol = NEGATIVE_TOLERANCE * max(initial.P, 1.0)
     rates, u = rate_table(params), schedule.u
-    lib = _kernel(n * N)
-    if lib is None:
+    rk4 = _kernel("ms_rk4", n * N)
+    if rk4 is None:
         rows = list(enumerate(rates.tolist()))
     else:
         work = np.empty(13 * n)
@@ -530,12 +530,12 @@ def simulate(
     k = 0
     for stop, ev in [*zip(nodes, events), (N, None)]:
         if stop > k:
-            if lib is None:
+            if rk4 is None:
                 code, at, bad = _python_loop(
                     hist[k : stop + 1], rows, u[k : stop + 1].tolist(), grid.dt, tol
                 )
             else:
-                code = lib.ms_rk4(
+                code = rk4(
                     n, stop - k, grid.dt, tol, rates_ptr, u_ptr + k * u.strides[0],
                     hist_ptr + k * hist.strides[0], work_ptr, fail_ptr, value_ptr,
                 )

@@ -58,8 +58,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     values[:, 5:-1:4] = traj.R
     values[:, -1] = traj.u
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    # Python formats a cell in about a fifth of a forward strain-step.
-    format_rows = getattr(integrate._kernel(values.size // 5), "ms_format_rows", None)
+    format_rows = integrate._kernel("ms_format_rows", values.size)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         integrate.write_text(

@@ -65,6 +65,17 @@ def _ticks(lo: float, hi: float, axis: str) -> list[float]:
     return ticks
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Labels of an axis's ticks: ``:g`` (six significant digits) when those
+    all differ, else the fewest significant digits, up to 17, that tell
+    every tick apart, as on an axis a few units wide at 1e7."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _flat_range(v: float) -> tuple[float, float]:
     """The axis range of a flat ``v``: ``v`` to ``v + 1`` where doubles lie at
     most 0.25 apart, below 2^51 in magnitude, so that its tick step 0.2
@@ -168,19 +179,21 @@ def line_chart(
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
     out.append(f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" {axis_style}/>')
     out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" {axis_style}/>')
-    for tx in _ticks(lo_x, hi_x, "x"):
+    x_ticks = _ticks(lo_x, hi_x, "x")
+    for tx, label in zip(x_ticks, _tick_labels(x_ticks)):
         p = px(tx)
         out.append(f'<line x1="{_fmt(p)}" y1="{y0}" x2="{_fmt(p)}" y2="{y0 + 5}" {axis_style}/>')
         out.append(
             f'<text x="{_fmt(p)}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tx:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for ty in _ticks(lo_y, hi_y, "y"):
+    y_ticks = _ticks(lo_y, hi_y, "y")
+    for ty, label in zip(y_ticks, _tick_labels(y_ticks)):
         p = py(ty)
         out.append(f'<line x1="{x0 - 5}" y1="{_fmt(p)}" x2="{x0}" y2="{_fmt(p)}" {axis_style}/>')
         out.append(
             f'<text x="{x0 - 8}" y="{_fmt(p + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{ty:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
@@ -196,10 +209,7 @@ def line_chart(
     keep = _decimate(len(x))
     xs_px = px(x[keep])
     n_points = xs_px.size
-    # Python formats a point in about a third of a forward strain-step.
-    format_points = getattr(
-        integrate._kernel(len(series) * n_points // 3), "ms_format_points", None
-    )
+    format_points = integrate._kernel("ms_format_points", len(series) * n_points)
     with open(path, "wb") as fh:
         fh.write(("\n".join(out) + "\n").encode("utf-8"))
         for idx, (label, ys) in enumerate(series):

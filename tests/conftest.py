@@ -2,6 +2,7 @@ import csv
 import math
 import shutil
 from contextlib import contextmanager
+from typing import Sequence
 from unittest.mock import patch
 
 import numpy as np
@@ -19,7 +20,16 @@ from multistrain import (
     simulate,
     svgchart,
 )
-from multistrain.dynamics import rate_table, rhs_lists, split
+from multistrain.dynamics import (
+    EquilibriumPoint,
+    check_control,
+    flows,
+    full_system_rhs,
+    rate_table,
+    rhs_lists,
+    split,
+)
+from multistrain.errors import DomainError
 
 # Single-strain baseline parameters shared by many tests.
 BETA = 2.41e-9
@@ -70,14 +80,14 @@ def random_state(rng: np.random.Generator, n: int, t=0.0) -> EpidemicState:
 def reference_simulate(*inputs):
     """``simulate`` with its node loop in Python, ``integrate._python_loop``:
     the reference that the compiled loop must match bit for bit."""
-    with patch.object(integrate, "_kernel", lambda work: None):
+    with patch.object(integrate, "_kernel", lambda name, units: None):
         return simulate(*inputs)
 
 
 def require_kernel():
     """Wait for the build of ``_rk4.c`` if this process has not finished one;
     skips where there is no ``cc``."""
-    if not integrate._kernel(math.inf):
+    if not integrate._kernel("ms_rk4", math.inf):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH to build _rk4.c")
         pytest.fail("cc is on PATH but could not build and load _rk4.c")
@@ -92,7 +102,7 @@ def compiled_simulate(*inputs):
 @contextmanager
 def python_path():
     """Every loop and writer of the block in Python, as without ``cc``."""
-    with patch.object(integrate, "_kernel", lambda work: None):
+    with patch.object(integrate, "_kernel", lambda name, units: None):
         yield
 
 
@@ -106,7 +116,7 @@ def compiled_path():
 def reference_sweep(*inputs):
     """``backward_sweep`` in Python, ``control._adjoint_loop``: the reference
     that the compiled sweep must match bit for bit."""
-    with patch.object(integrate, "_kernel", lambda work: None):
+    with patch.object(integrate, "_kernel", lambda name, units: None):
         return backward_sweep(*inputs)
 
 
@@ -170,6 +180,67 @@ def state_slopes(state: EpidemicState, params: list[StrainParams], u: float):
         dE, dI, dR,
     )
     return dP, np.array(dE), np.array(dI), np.array(dR)
+
+
+def numeric_jacobian(
+    state: EpidemicState,
+    params: Sequence[StrainParams],
+    u: float,
+) -> np.ndarray:
+    """Central-difference Jacobian of the full (4n+1)-dimensional system.
+
+    Coordinates are ordered ``[P, S_1..S_n, E_1..E_n, I_1..I_n, R_1..R_n]``
+    with the susceptible values taken algebraically from the state and then
+    treated as independent coordinates.  The perturbation is 1e-6 of the
+    population scale; the right-hand side is bilinear, so central differences
+    are exact up to round-off.
+    """
+    if len(params) != state.n_strains:
+        raise DomainError("state and parameter list disagree on strain count")
+    n = state.n_strains
+    x0 = np.hstack((state.P, state.susceptible_all(), state.E, state.I, state.R))
+    step = 1e-6 * max(state.P, 1.0)
+    dim = 4 * n + 1
+    jac = np.empty((dim, dim))
+    for i in range(dim):
+        plus = x0.copy()
+        plus[i] += step
+        minus = x0.copy()
+        minus[i] -= step
+        f_plus = np.hstack(full_system_rhs(*split(plus, n), params, u))
+        f_minus = np.hstack(full_system_rhs(*split(minus, n), params, u))
+        jac[:, i] = (f_plus - f_minus) / (2.0 * step)
+    return jac
+
+
+def equilibrium_residuals(
+    point: EquilibriumPoint, params: Sequence[StrainParams], u: float
+) -> np.ndarray:
+    """Relative residuals of the balance equations at an equilibrium point.
+
+    Each equation's residual is normalised by the largest magnitude among its
+    constituent flow terms (zero-flow equations report zero).  Ordering
+    matches the Jacobian coordinates: P, then S_j, E_j, I_j, R_j per strain.
+    """
+    n = len(params)
+    if not (len(point.S) == n):
+        raise DomainError("equilibrium point and parameter list disagree on strains")
+    check_control(u)
+    f = flows(point.S, point.E, point.I, point.R, u, rate_table(params))
+
+    def rel(*terms):
+        terms = np.array(terms)
+        scale = np.abs(terms).max(axis=0)
+        return np.abs(terms.sum(axis=0)) / np.where(scale == 0.0, 1.0, scale)
+
+    other_deaths = f.deaths.sum() - f.deaths
+    return np.concatenate((
+        [rel(*-f.deaths)],
+        rel(-f.transmission, f.waning, -other_deaths),
+        rel(f.transmission, -f.latent_exit),
+        rel(f.latent_exit, -(f.recovery + f.deaths)),
+        rel(f.recovery, -f.waning),
+    ))
 
 
 def jacobian(S, I, u, rates: np.ndarray) -> np.ndarray:

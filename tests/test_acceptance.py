@@ -18,12 +18,10 @@ from multistrain import (
     EpidemicState,
     analytic_eigenvalues,
     backward_sweep,
-    equilibrium_residuals,
     fbsm_solve,
     full_system_rhs,
     min_stabilizing_control,
     nontrivial_equilibrium,
-    numeric_jacobian,
     objective,
     preset_config,
     reproduction_number,
@@ -33,7 +31,8 @@ from multistrain import (
 from multistrain.dynamics import split
 
 from conftest import (
-    costate_slope, random_params, random_state, state_slopes, susceptible_derivative,
+    costate_slope, equilibrium_residuals, numeric_jacobian, random_params, random_state,
+    state_slopes, susceptible_derivative,
 )
 
 

@@ -11,13 +11,14 @@ from multistrain import (
     Trajectory,
     analytic_eigenvalues,
     min_stabilizing_control,
-    numeric_jacobian,
     reproduction_number,
     simulate,
     summarize,
 )
 
-from conftest import BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, random_params
+from conftest import (
+    BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, numeric_jacobian, random_params,
+)
 
 
 def eigenvalue_gaps(numeric: np.ndarray, analytic: np.ndarray) -> np.ndarray:

@@ -428,7 +428,7 @@ class TestCompiledAdjoint:
         settings = dict(
             relaxation=cfg.relaxation, tol=cfg.tolerance, max_iter=cfg.max_iterations,
         )
-        with patch.object(integrate, "_kernel", lambda work: None):
+        with patch.object(integrate, "_kernel", lambda name, units: None):
             twin = fbsm_solve(*problem, **settings)
         require_kernel()
         compiled = fbsm_solve(*problem, **settings)

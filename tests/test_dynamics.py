@@ -8,11 +8,9 @@ from multistrain import (
     StateConsistencyError,
     StrainParams,
     analytic_eigenvalues,
-    equilibrium_residuals,
     full_system_rhs,
     min_stabilizing_control,
     nontrivial_equilibrium,
-    numeric_jacobian,
     reproduction_number,
 )
 from multistrain.dynamics import (
@@ -20,8 +18,8 @@ from multistrain.dynamics import (
 )
 
 from conftest import (
-    BETA, DELTA, GAMMA, MU, SIGMA, jacobian_at, random_params, random_state,
-    state_slopes, susceptible_derivative,
+    BETA, DELTA, GAMMA, MU, SIGMA, equilibrium_residuals, jacobian_at, numeric_jacobian,
+    random_params, random_state, state_slopes, susceptible_derivative,
 )
 
 
@@ -419,8 +417,8 @@ class TestScalarClosedForms:
             n = int(rng.integers(1, 9))
             params = random_params(rng, n)
             population = float(rng.uniform(1e6, 3e8))
-            rate = max(
-                max(p.beta * population + p.sigma + p.gamma + p.mu, p.delta)
-                for p in params
+            rate = max(p.beta * population + p.sigma + p.gamma + p.mu for p in params)
+            waning = max(p.delta for p in params)
+            assert max_stable_dt(params, population) == min(
+                RK4_REAL_STABILITY / rate, 1.0 / waning
             )
-            assert max_stable_dt(params, population) == RK4_REAL_STABILITY / rate

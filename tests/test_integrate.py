@@ -622,7 +622,7 @@ def run():
 
 def report(name):
     try:
-        loaded = bool(integrate._kernel(math.inf))
+        loaded = bool(integrate._kernel("ms_rk4", math.inf))
         t = run()
         digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.P, t.E, t.I, t.R)))
         text = f"{loaded} {digest.hexdigest()}"
@@ -663,7 +663,7 @@ from multistrain import integrate, simulate, EpidemicState, StrainParams, Contro
 g = TimeGrid(0.0, 1.0, 50)
 x = EpidemicState(t=0.0, P=1e6, E=[1.0], I=[1.0], R=[0.0])
 p = [StrainParams(beta=1e-7, sigma=0.2, gamma=0.1, delta=0.01, mu=0.0)]
-waiter = threading.Thread(target=integrate._kernel, args=(math.inf,))
+waiter = threading.Thread(target=integrate._kernel, args=("ms_rk4", math.inf))
 waiter.start()
 while integrate._build is None or not integrate._KERNEL_LOCK.locked():
     time.sleep(0.001)
@@ -810,11 +810,11 @@ class TestKernelBuild:
         slow.write_text(f'#!/bin/sh\nsleep 0.5\nexec "{shutil.which("cc")}" "$@"\n')
         slow.chmod(0o755)
         monkeypatch.setenv("PATH", str(bin_dir) + os.pathsep + os.environ["PATH"])
-        assert integrate._kernel(0.9 * integrate._WAIT_ABOVE) is None
+        assert integrate._kernel("ms_rk4", 0.9 * integrate._WAIT_ABOVE) is None
         proc, tmp, started = integrate._build
         spent = 0.75 * integrate._BUILD_SECONDS
         monkeypatch.setattr(integrate, "_build", (proc, tmp, started - spent))
-        assert integrate._kernel(0.5 * integrate._WAIT_ABOVE)
+        assert integrate._kernel("ms_rk4", 0.5 * integrate._WAIT_ABOVE)
         assert starts == [1] and integrate._build is None
 
     def test_a_sweep_counts_each_strain_step_twice(
@@ -852,7 +852,7 @@ class TestKernelBuild:
         argv = ["simulate", "experiment1", "--dt", "0.5", "--horizon", "10",
                 "--out", str(tmp_path / "out"), "--quiet", "--no-svg"]
         assert main(argv) == 0
-        assert integrate._kernel(math.inf) is None and integrate._KERNEL is False
+        assert integrate._kernel("ms_rk4", math.inf) is None and integrate._KERNEL is False
         inputs = preset_inputs("experiment1")
         assert history_bytes(simulate(*inputs)) == history_bytes(reference_simulate(*inputs))
         assert starts == [1] and len(python_calls) == 3

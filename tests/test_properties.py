@@ -189,7 +189,21 @@ def stepped_scenarios(draw):
     return "\n".join(lines) + "\n", horizon
 
 
+# R waning at delta = 5/day from 0 under an inflow gamma I: the step
+# 24/44 lies within RK4's stability bound 2.78/5 but takes R below zero at
+# step 0, so the step bound must reject it at load.
+FAST_WANING = "\n".join([
+    "[grid]", "start = 0", "horizon = 24", f"dt = {24 / 44!r}",
+    "[initial]", "population = 1000.0",
+    "[strain.1]", "beta = 0.001", "sigma = 1.0", "gamma = 0.5", "delta = 5.0",
+    "mu = 0.0", "activation_day = 0.0", "seed_exposed = 1.953125",
+    "seed_infected = 7.8125",
+    "[control]", "mode = none",
+]) + "\n"
+
+
 @given(stepped_scenarios())
+@example((FAST_WANING, 24))
 @settings(max_examples=30, deadline=None)
 def test_every_step_that_loads_runs_to_the_horizon(scenario):
     """The step bound of ``max_stable_dt`` rejects at load every step that

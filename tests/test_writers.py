@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -173,14 +174,16 @@ class TestLineChart:
         assert not (tmp_path / "c.svg").exists()
 
     @pytest.mark.parametrize("axis, digest", [
-        ("x", "eddf16e4ea8f68ec4a4f59305e27c089deb8ae44d4e804cd22e78b3a1cd63658"),
-        ("y", "4656ec8ee93450f48748a6520c0b4bac8fa6305358090645fd6671e66561d683"),
+        ("x", "53629121fa56231701cbcf8b8686a081bed350c2ba88bac8a16ef92dc1f98f00"),
+        ("y", "5cd661467ddb01440727816e59f4b73c07ed33845bc211789f9780ab41a38718"),
     ])
     def test_flat_axis_of_any_magnitude_charts(self, tmp_path, axis, digest):
         # Below 2^51 in magnitude a flat axis spans v to v + 1, as it always
-        # has (the SHA-256 of those charts, one after another); beyond, where
-        # v + 1 is too narrow to tick, eight spacings of doubles from v, down
-        # from the largest double.  The flat series sits on the range's end.
+        # has (the SHA-256 of those charts, one after another, whose tick
+        # labels from 1e15 up carry the digits that tell them apart); beyond,
+        # where v + 1 is too narrow to tick, eight spacings of doubles from v,
+        # down from the largest double.  The flat series sits on the range's
+        # end.
         def chart(v):
             x, ys = [v] * 3, [0.0, 1.0, 2.0]
             if axis == "y":
@@ -199,6 +202,27 @@ class TestLineChart:
             coords = [p.split(",")["xy".index(axis)] for p in points.split(" ")]
             ends = {"x": ("64.00", "944.00"), "y": ("476.00", "36.00")}[axis]
             assert coords == [ends[v == sys.float_info.max]] * 3
+
+    @pytest.mark.parametrize("values, labels", [
+        # Distinct in :g, which the labels keep.
+        ([0.0, 1.0, 2.0], ["0", "0.5", "1", "1.5", "2"]),
+        ([1e7, 2e7, 3e7], ["1e+07", "1.5e+07", "2e+07", "2.5e+07", "3e+07"]),
+        # Five labels of 1e+07, and of 2.2518e+15 for a flat series.
+        ([1e7, 1e7 + 1, 1e7 + 2],
+         ["10000000", "10000000.5", "10000001", "10000001.5", "10000002"]),
+        ([2.0**51 - 1] * 3,
+         ["2251799813685247", "2251799813685247.5", "2251799813685248",
+          "2251799813685248.5", "2251799813685249"]),
+    ])
+    @pytest.mark.parametrize("axis, anchor", [("x", "middle"), ("y", "end")])
+    def test_tick_labels_tell_the_ticks_apart(self, tmp_path, values, labels, axis, anchor):
+        x, ys = [0.0, 1.0, 2.0], values
+        if axis == "x":
+            x, ys = ys, x
+        line_chart(tmp_path / "c.svg", title="t", x=x, series=[("a", ys)])
+        text = (tmp_path / "c.svg").read_text()
+        pattern = rf'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<'
+        assert re.findall(pattern, text) == labels
 
 
 def finite_bit_patterns(size: int, seed: int) -> np.ndarray:
@@ -249,7 +273,6 @@ def compiled_text(entry: str, arrays, python_text):
     """``integrate.write_text`` with the library's ``entry`` over the rows of
     ``arrays``: the text, and the items it handed to ``python_text``."""
     require_kernel()
-    lib = integrate._kernel(math.inf)
     arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
     if entry == "ms_format_rows":
         args = (arrays[0].ctypes.data, arrays[0].shape[1])
@@ -257,7 +280,7 @@ def compiled_text(entry: str, arrays, python_text):
         args = tuple(a.ctypes.data for a in arrays)
     fh, handed = io.BytesIO(), []
     integrate.write_text(
-        fh, getattr(lib, entry), args, len(arrays[0]),
+        fh, integrate._kernel(entry, math.inf), args, len(arrays[0]),
         lambda lo, hi: handed.extend(range(lo, hi)) or python_text(lo, hi),
     )
     return fh.getvalue().decode(), handed
@@ -485,12 +508,11 @@ class TestCompiledWriters:
         ])
         lib = integrate._load_build(proc, build)
         assert lib, "cc could not build _rk4.c without __int128"
-        assert all(hasattr(lib, f) for f in ("ms_rk4", "ms_adjoint", "ms_format_points"))
-        assert not hasattr(lib, "ms_format_rows")
+        assert set(lib) == {"ms_rk4", "ms_adjoint", "ms_format_points"}
         traj = run_strains(2, 50.0)
         series = compartment_series(traj)
         written = []
-        for kernel in (lambda work: lib, lambda work: None):
+        for kernel in (lambda name, units: lib.get(name), lambda name, units: None):
             with patch.object(integrate, "_kernel", kernel):
                 write_trajectory_csv(tmp_path / "t.csv", traj)
                 line_chart(tmp_path / "c.svg", title="t", x=traj.grid.times(),
