@@ -159,6 +159,40 @@ class TestLoadConfig:
             assert loaded.dt == built_in.dt
             assert len(loaded.strains) == len(built_in.strains)
 
+    # The SHA-256 of each preset's text, in `presets list` order: the bytes
+    # that `presets write` puts on disk, which users keep.
+    PRESET_DIGESTS = {
+        "experiment1": "968d30695ff654b880197aba0f3488206494c7f3eba889fb115464f3adeb38d2",
+        "experiment2": "4b8353de207b1d95ac0a20119e63ea7f37ceea4febe30a6418e0efa99fdf724a",
+        "experiment3": "06559a3541e424516c5786d79dd34fd1ed00d2d959c76578a5c8ca5eee268758",
+        "case_a": "4b8fd61e8f9c91c5cf179980980ad974d677614eb7165f53c0bf22069d81db81",
+        "case_b": "e99b29044d476e9a580f8a9183b63ab6eede4ebf2469cd5132cb3eb5e7571bcf",
+        "case_c": "7bc96778c64e874f3347410175d89135d1e1a83a289eaca23cfe6329d46e104c",
+        "case_d": "0233c05b45e9a180ff861f06ec0b6d6c886a4664d4b08701c9baa624704d8d85",
+        "case_e": "0c11a2199fcdd2e7f902bfd6981f19f3289cb35f5c090f0041143082fd6d99c5",
+        "case_f": "821c316167715ba65f104154456035a9d828ff86f9169503ba5e4456bb570b60",
+    }
+    PRESET_LIST = """\
+experiment1    single strain, no mitigation, 730 d
+experiment2    two identical strains, second seeded at day 180
+experiment3    second strain 70% more transmissible, seeded at day 180
+case_a         optimal mitigation, c2 = 1.0 ln(P0)
+case_b         optimal mitigation, c2 = 0.9 ln(P0)
+case_c         optimal mitigation, c2 = 0.8 ln(P0)
+case_d         optimal mitigation, c2 = 0.7 ln(P0)
+case_e         optimal mitigation, c2 = 0.6 ln(P0)
+case_f         optimal mitigation, c2 = 0.5 ln(P0)
+"""
+
+    def test_every_preset_text_and_summary_is_pinned(self, capsys):
+        digests = {
+            name: hashlib.sha256(preset_text(name).encode()).hexdigest()
+            for name in preset_names()
+        }
+        assert list(digests.items()) == list(self.PRESET_DIGESTS.items())
+        assert main(["presets", "list"]) == 0
+        assert capsys.readouterr().out == self.PRESET_LIST
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("")
