@@ -4,8 +4,8 @@ Verbs: ``simulate``, ``optimize``, ``sweep``, ``presets list`` and
 ``presets write``.  The config argument of the run verbs accepts either a
 file path or a built-in preset name.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 integration failure.
+Exit codes: 0 success, 2 configuration error or a file that cannot be
+written, 3 solver non-convergence, 4 integration failure.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (
-    preset_names,
-    PRESET_SUMMARIES,
-    resolve_config,
-    write_preset,
-)
+from .config import PRESETS, resolve_config, write_preset
 from .errors import ConfigError, IntegrationError, ModelError, SolverError
 from .runner import run_scenario, sweep
 
@@ -100,8 +95,8 @@ def main(argv=None) -> int:
     try:
         if args.verb == "presets":
             if args.presets_verb == "list":
-                for name in preset_names():
-                    print(f"{name:14s} {PRESET_SUMMARIES[name]}")
+                for name, (summary, _) in PRESETS.items():
+                    print(f"{name:14s} {summary}")
             else:
                 write_preset(args.name, args.path)
                 print(f"wrote preset {args.name} to {args.path}")

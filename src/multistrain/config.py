@@ -470,93 +470,31 @@ def _file_text(path: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not a readable config file ({exc})") from exc
     return text
 
 
-# Built-in presets.  The texts below are the single source: the library parses
-# the same bytes that `presets write` puts on disk.
+# Built-in presets: name -> (`presets list` summary, file text).  The texts
+# are the single source: the library parses the same bytes that `presets
+# write` puts on disk.  Every preset is a two-year run of the same strain,
+# seeded on its activation day; _preset fills in what differs.
 
-def _strain_section(index: int, activation_day: int, beta: str = "2.41e-09") -> str:
-    return f"""[strain.{index}]
+_STRAIN = """[strain.{index}]
 beta = {beta}
 sigma = 0.14285714285714285
 gamma = 0.047619047619047616
 delta = 0.011111111111111112
 mu = 1.152e-05
-activation_day = {activation_day}
+activation_day = {day}
 seed_exposed = 252
 seed_infected = 2
 seed_removed = 1
 """
 
-
-_EXPERIMENT1 = f"""# Single-strain two-year run without mitigation.
-# Some summaries of this scenario list a control value of 1.0; the scenario
-# itself is the uncontrolled baseline, so control mode none (u = 0) is used.
-
-[scenario]
-name = experiment1
-
-[grid]
-start = 0
-horizon = 730
-dt = 0.05
-
-[initial]
-# Total population: susceptible pool of 217e6 plus the day-0 seed of 255.
-population = 217000255
-
-{_strain_section(1, 0)}
-[control]
-mode = none
-"""
-
-
-def _two_strain_text(name: str, comment: str, beta2: str) -> str:
-    return f"""{comment}
-[scenario]
-name = {name}
-
-[grid]
-start = 0
-horizon = 730
-dt = 0.05
-
-[initial]
-population = 217000255
-
-{_strain_section(1, 0)}
-{_strain_section(2, 180, beta2)}
-[control]
-mode = none
-"""
-
-
-def _case_text(letter: str, scale: float) -> str:
-    return f"""# Optimal mitigation, case {letter.upper()}: exponential control cost with
-# c2 = {scale} * ln(P0).  Lower scales make mitigation cheaper, so the solved
-# schedule sits higher.  c2_population defaults to the initial population;
-# set it to 217000000 to reference the susceptible pool instead.
-
-[scenario]
-name = case_{letter}
-
-[grid]
-start = 0
-horizon = 730
-dt = 0.1
-
-[initial]
-population = 217000255
-
-{_strain_section(1, 0)}
-[control]
-mode = optimize
-
+_COST = """
 [cost]
 c1 = 1
 c2_log_scale = {scale}
@@ -567,51 +505,79 @@ u_init = 0
 """
 
 
-PRESET_TEXTS: dict[str, str] = {
-    "experiment1": _EXPERIMENT1,
-    "experiment2": _two_strain_text(
+def _preset(name: str, comment: str, strains=((0, "2.41e-09"),), dt: str = "0.05",
+            note: str = "", scale: float | None = None) -> str:
+    """The file text of preset ``name``: ``comment`` heads it, ``strains``
+    gives each strain's (activation day, beta), ``note`` comments the
+    population, and a cost ``scale`` makes it optimize with c2 = scale * ln(P0)."""
+    sections = "\n".join(
+        _STRAIN.format(index=j, day=day, beta=beta)
+        for j, (day, beta) in enumerate(strains, start=1)
+    )
+    mode, cost = ("none", "") if scale is None else ("optimize", _COST.format(scale=scale))
+    return f"""{comment}
+[scenario]
+name = {name}
+
+[grid]
+start = 0
+horizon = 730
+dt = {dt}
+
+[initial]
+{note}population = 217000255
+
+{sections}
+[control]
+mode = {mode}
+{cost}"""
+
+
+_CASE_COMMENT = """# Optimal mitigation, case {letter}: exponential control cost with
+# c2 = {scale} * ln(P0).  Lower scales make mitigation cheaper, so the solved
+# schedule sits higher.  c2_population defaults to the initial population;
+# set it to 217000000 to reference the susceptible pool instead.
+"""
+
+PRESETS: dict[str, tuple[str, str]] = {
+    "experiment1": ("single strain, no mitigation, 730 d", _preset(
+        "experiment1",
+        "# Single-strain two-year run without mitigation.\n"
+        "# Some summaries of this scenario list a control value of 1.0; the scenario\n"
+        "# itself is the uncontrolled baseline, so control mode none (u = 0) is used.\n",
+        note="# Total population: susceptible pool of 217e6 plus the day-0 seed of 255.\n",
+    )),
+    "experiment2": ("two identical strains, second seeded at day 180", _preset(
         "experiment2",
         "# Two identical strains; the second is seeded 180 days after the first\n"
         "# and starts from a mirrored seed drawn out of the susceptible pool.\n",
-        "2.41e-09",
-    ),
-    "experiment3": _two_strain_text(
+        strains=((0, "2.41e-09"), (180, "2.41e-09")),
+    )),
+    "experiment3": ("second strain 70% more transmissible, seeded at day 180", _preset(
         "experiment3",
         "# Like experiment2, but the late strain transmits 1.7x faster.\n",
-        "4.097e-09",
-    ),
-    "case_a": _case_text("a", 1.0),
-    "case_b": _case_text("b", 0.9),
-    "case_c": _case_text("c", 0.8),
-    "case_d": _case_text("d", 0.7),
-    "case_e": _case_text("e", 0.6),
-    "case_f": _case_text("f", 0.5),
-}
-
-PRESET_SUMMARIES: dict[str, str] = {
-    "experiment1": "single strain, no mitigation, 730 d",
-    "experiment2": "two identical strains, second seeded at day 180",
-    "experiment3": "second strain 70% more transmissible, seeded at day 180",
-    "case_a": "optimal mitigation, c2 = 1.0 ln(P0)",
-    "case_b": "optimal mitigation, c2 = 0.9 ln(P0)",
-    "case_c": "optimal mitigation, c2 = 0.8 ln(P0)",
-    "case_d": "optimal mitigation, c2 = 0.7 ln(P0)",
-    "case_e": "optimal mitigation, c2 = 0.6 ln(P0)",
-    "case_f": "optimal mitigation, c2 = 0.5 ln(P0)",
+        strains=((0, "2.41e-09"), (180, "4.097e-09")),
+    )),
+    **{
+        f"case_{letter}": (f"optimal mitigation, c2 = {scale} ln(P0)", _preset(
+            f"case_{letter}",
+            _CASE_COMMENT.format(letter=letter.upper(), scale=scale),
+            dt="0.1", scale=scale,
+        ))
+        for letter, scale in zip("abcdef", (1.0, 0.9, 0.8, 0.7, 0.6, 0.5))
+    },
 }
 
 
 def preset_names() -> list[str]:
-    return list(PRESET_TEXTS)
+    return list(PRESETS)
 
 
 def preset_text(name: str) -> str:
     key = name.strip().lower()
-    if key not in PRESET_TEXTS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_TEXTS)}"
-        )
-    return PRESET_TEXTS[key]
+    if key not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return PRESETS[key][1]
 
 
 def preset_config(name: str) -> ScenarioConfig:
@@ -636,7 +602,7 @@ def resolve_config(name_or_path: str, values=None) -> ScenarioConfig:
     validation: a value replaces the file's, so it may mend it.
     """
     key = name_or_path.strip().lower()
-    if key in PRESET_TEXTS and not os.path.exists(name_or_path):
+    if key in PRESETS and not os.path.exists(name_or_path):
         config = _parse(preset_text(key), f"<preset {key}>", ".")
     else:
         path = name_or_path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ def _read_csv(path: str, kind: str) -> list[list[str]]:
     if not os.path.exists(path):
         raise ConfigError(f"{kind} file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: not a readable CSV file ({exc})") from exc
@@ -206,6 +207,16 @@ def write_summary_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+@contextmanager
+def _output(path: str, action: str = "write the artifact"):
+    """Re-raise an OSError while making the output file or directory
+    ``path`` as a ConfigError that names it."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot {action} ({exc})") from exc
+
+
 def _write_charts(out_dir: str, config: ScenarioConfig, traj: Trajectory) -> list[str]:
     files = []
     p0 = traj.P[0]
@@ -222,21 +233,21 @@ def _write_charts(out_dir: str, config: ScenarioConfig, traj: Trajectory) -> lis
             (f"R{tag}", traj.R[:, j] / p0),
         ]
     series.append(("P", traj.P / p0))
-    comp_path = os.path.join(out_dir, "compartments.svg")
-    line_chart(
-        comp_path,
-        title=f"{config.name}: compartment shares of the initial population",
-        x=times, series=series, y_label="share of P(0)", y_min=0.0,
-    )
+    with _output(os.path.join(out_dir, "compartments.svg")) as comp_path:
+        line_chart(
+            comp_path,
+            title=f"{config.name}: compartment shares of the initial population",
+            x=times, series=series, y_label="share of P(0)", y_min=0.0,
+        )
     files.append(comp_path)
     if config.control_mode != "none":
-        ctrl_path = os.path.join(out_dir, "control.svg")
-        line_chart(
-            ctrl_path,
-            title=f"{config.name}: mitigation schedule",
-            x=times, series=[("u", traj.u)],
-            y_label="mitigation u", y_min=0.0, y_max=1.0,
-        )
+        with _output(os.path.join(out_dir, "control.svg")) as ctrl_path:
+            line_chart(
+                ctrl_path,
+                title=f"{config.name}: mitigation schedule",
+                x=times, series=[("u", traj.u)],
+                y_label="mitigation u", y_min=0.0, y_max=1.0,
+            )
         files.append(ctrl_path)
     return files
 
@@ -259,14 +270,6 @@ def format_report(report: FbsmReport) -> str:
     )
 
 
-def _make_dir(path: str) -> None:
-    """Create the output directory ``path``, or raise ConfigError naming it."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot create the output directory ({exc})") from exc
-
-
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
@@ -276,12 +279,14 @@ def run_scenario(
 
     Artifacts are ``trajectory.csv``, ``summary.csv`` and, when ``config.svg``
     is set, SVG charts, all placed in the scenario's output directory, which
-    is made before the run.  For optimize mode the sweep report is attached
+    is made before the run; a file that cannot be written raises
+    ConfigError naming it.  For optimize mode the sweep report is attached
     to the result; non-convergence is reported, not raised.
     """
     config.validate()
     out = out_dir or config.output_dir or os.path.join("out", config.name)
-    _make_dir(out)
+    with _output(out, "create the output directory"):
+        os.makedirs(out, exist_ok=True)
     grid = config.grid()
     params = config.strain_params()
     events = config.seed_events()
@@ -309,13 +314,11 @@ def run_scenario(
 
     summary = summarize(traj, window=min(DEFAULT_WINDOW, grid.T - grid.t0))
 
-    files = []
-    traj_path = os.path.join(out, "trajectory.csv")
-    write_trajectory_csv(traj_path, traj)
-    files.append(traj_path)
-    summary_path = os.path.join(out, "summary.csv")
-    write_summary_csv(summary_path, _summary_rows(config.name, summary, report))
-    files.append(summary_path)
+    with _output(os.path.join(out, "trajectory.csv")) as traj_path:
+        write_trajectory_csv(traj_path, traj)
+    with _output(os.path.join(out, "summary.csv")) as summary_path:
+        write_summary_csv(summary_path, _summary_rows(config.name, summary, report))
+    files = [traj_path, summary_path]
     if config.svg:
         files += _write_charts(out, config, traj)
 
@@ -365,7 +368,8 @@ def sweep(
             )
         tags[tag] = value
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
-    _make_dir(root)
+    with _output(root, "create the output directory"):
+        os.makedirs(root, exist_ok=True)
     results = []
     combined = []
     for value, cfg in zip(values, configs):
@@ -375,8 +379,8 @@ def sweep(
         results.append(result)
         for row in _summary_rows(tag, result.summary, result.report):
             combined.append({"param": param_path, "value": _g17(value), **row})
-    path = os.path.join(root, "sweep_summary.csv")
-    write_summary_csv(path, combined)
+    with _output(os.path.join(root, "sweep_summary.csv")) as path:
+        write_summary_csv(path, combined)
     if not quiet:
         print(f"sweep over {param_path}: combined summary at {path}")
     return results

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
         assert list(digests.items()) == list(self.PRESET_DIGESTS.items())
         assert main(["presets", "list"]) == 0
         assert capsys.readouterr().out == self.PRESET_LIST
+
+    def test_files_with_a_byte_order_mark_load(self, tmp_path):
+        # Editors that save "CSV UTF-8" put U+FEFF before the first byte.
+        bom = "\ufeff".encode()
+        path = tmp_path / "experiment1.ini"
+        path.write_bytes(bom + preset_text("experiment1").encode())
+        assert replace(load_config(str(path)), base_dir=".") == preset_config("experiment1")
+        schedule = "t,u\n" + "\n".join(",".join(r) for r in SCHEDULE_ROWS) + "\n"
+        assert list(read_schedule_text(bom + schedule.encode()).u) == [0.1, 0.2, 0.3]
+        cfg = parse_config_text(SHORT_SIM)
+        cfg.svg = False
+        traj = run_scenario(cfg, out_dir=str(tmp_path), quiet=True).trajectory
+        csv_path = tmp_path / "trajectory.csv"
+        csv_path.write_bytes(bom + csv_path.read_bytes())
+        back = read_trajectory_csv(str(csv_path))
+        assert np.array_equal(back.P, traj.P) and np.array_equal(back.E, traj.E)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -729,6 +746,25 @@ class TestCli:
         path = tmp_path / "cfg.ini"
         path.write_text("[grid]\nhorizon = ten\ndt = 0.1\n")
         assert main(["simulate", str(path)]) == 2
+
+    @pytest.mark.parametrize("verb, artifact", [
+        ("simulate", "trajectory.csv"),
+        ("simulate", "summary.csv"),
+        ("simulate", "compartments.svg"),
+        ("simulate", "control.svg"),
+        ("sweep", "sweep_summary.csv"),
+    ])
+    def test_an_artifact_that_cannot_be_written_exits_two_naming_it(
+        self, verb, artifact, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SHORT_SIM.replace("mode = none", "mode = constant\nvalue = 0.2"))
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        extra = ["--param", "grid.dt", "--values", "0.1"] if verb == "sweep" else []
+        assert main([verb, str(path), "--out", str(out), "--quiet", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and artifact in err
 
     def test_missing_file_exits_two(self):
         assert main(["simulate", "/nonexistent/nowhere.ini"]) == 2
