@@ -26,7 +26,10 @@
  * ms_adjoint: phi is (n_steps + 1) x (4n + 1), one costate row [phi_P,
  * phi_S_1..n, phi_E_1..n, phi_I_1..n, phi_R_1..n] per node; the kernel sets
  * row n_steps to zero and steps back to row 0.  S and I are (n_steps + 1)
- * x n, the susceptibles and infected of the forward run, and u holds one
+ * x n, the susceptibles and infected of the forward run, read in place:
+ * element (k, j) of S is S[k * s_row + j * s_col], and of I likewise, with
+ * the strides counted in doubles and free to be negative, so the caller
+ * passes the trajectory's own arrays without copying them.  u holds one
  * control value per node.  work holds 24n doubles: the S, E, I and R slopes
  * of the four stages, each 4n, 4n zeros for the slope before stage 1, the
  * 2n transmission coefficients of one stage and the 2n midpoint values of
@@ -129,16 +132,17 @@ int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
 
 /* The transmission coefficients (1-u) beta S and (1-u) beta I of every
  * strain at one stage, in the order the costate sweep's numpy form builds
- * them: w = 1 - u, then (w * beta) * S. */
+ * them: w = 1 - u, then (w * beta) * S.  Strain j's S and I are S[j * sc]
+ * and I[j * ic]. */
 static void coefficients(int64_t n, const double *rates, double u,
-                         const double *S, const double *I, double *wbS,
-                         double *wbI)
+                         const double *S, int64_t sc, const double *I,
+                         int64_t ic, double *wbS, double *wbI)
 {
     double w = 1.0 - u;
     for (int64_t j = 0; j < n; j++) {
         double wb = w * rates[6 * j];
-        wbS[j] = wb * S[j];
-        wbI[j] = wb * I[j];
+        wbS[j] = wb * S[j * sc];
+        wbI[j] = wb * I[j * ic];
     }
 }
 
@@ -171,7 +175,8 @@ static double costate(int64_t n, const double *rates, double c1,
 }
 
 void ms_adjoint(int64_t n, int64_t n_steps, double dt, double c1,
-                const double *rates, const double *S, const double *I,
+                const double *rates, const double *S, int64_t s_row,
+                int64_t s_col, const double *I, int64_t i_row, int64_t i_col,
                 const double *u, double *phi, double *work)
 {
     const int64_t width = 4 * n + 1, m = 4 * n;
@@ -186,20 +191,20 @@ void ms_adjoint(int64_t n, int64_t n_steps, double dt, double c1,
 
     for (int64_t k = n_steps; k > 0; k--) {
         double *row = phi + k * width, *x = row + 1;
-        const double *S0 = S + (k - 1) * n, *S1 = S + k * n;
-        const double *I0 = I + (k - 1) * n, *I1 = I + k * n;
+        const double *S1 = S + k * s_row, *S0 = S1 - s_row;
+        const double *I1 = I + k * i_row, *I0 = I1 - i_row;
         double P = row[0];
 
-        coefficients(n, rates, u[k], S1, I1, wbS, wbI);
+        coefficients(n, rates, u[k], S1, s_col, I1, i_col, wbS, wbI);
         double aP = costate(n, rates, c1, wbS, wbI, P, x, 0.0, zero, a);
         for (int64_t j = 0; j < n; j++) {
-            Sm[j] = 0.5 * (S0[j] + S1[j]);
-            Im[j] = 0.5 * (I0[j] + I1[j]);
+            Sm[j] = 0.5 * (S0[j * s_col] + S1[j * s_col]);
+            Im[j] = 0.5 * (I0[j * i_col] + I1[j * i_col]);
         }
-        coefficients(n, rates, 0.5 * (u[k - 1] + u[k]), Sm, Im, wbS, wbI);
+        coefficients(n, rates, 0.5 * (u[k - 1] + u[k]), Sm, 1, Im, 1, wbS, wbI);
         double bP = costate(n, rates, c1, wbS, wbI, P, x, half, a, b);
         double cP = costate(n, rates, c1, wbS, wbI, P, x, half, b, c);
-        coefficients(n, rates, u[k - 1], S0, I0, wbS, wbI);
+        coefficients(n, rates, u[k - 1], S0, s_col, I0, i_col, wbS, wbI);
         double dP = costate(n, rates, c1, wbS, wbI, P, x, dt, c, d);
 
         double *prev = row - width, *y = prev + 1;

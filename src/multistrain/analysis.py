@@ -6,6 +6,7 @@ Jacobian and eigenvalues to lives in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ def summarize(traj: Trajectory, window: float = 90.0) -> TrajectorySummary:
     ``window`` is the length in days of the trailing interval over which the
     plateau shares are averaged; it must be positive and at most the horizon.
     Shares are fractions of the trajectory's initial total population, so the
-    summary is invariant under rescaling of population units.
+    summary is invariant under rescaling of population units; that
+    population, P(0), must be finite and > 0.
     """
     grid = traj.grid
     horizon = grid.T - grid.t0
@@ -87,8 +89,10 @@ def summarize(traj: Trajectory, window: float = 90.0) -> TrajectorySummary:
         raise DomainError(
             f"window {window!r} exceeds the horizon {horizon!r}"
         )
-    k0 = max(0, grid.n_steps - round(window / grid.dt))
     p0 = float(traj.P[0])
+    if not (p0 > 0 and math.isfinite(p0)):
+        raise DomainError(f"P(0) must be finite and > 0, got {p0!r}")
+    k0 = max(0, grid.n_steps - round(window / grid.dt))
     times = grid.times()
     S_mat = traj.susceptible_matrix()
     comps = {"S": S_mat, "E": traj.E, "I": traj.I, "R": traj.R}

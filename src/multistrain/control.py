@@ -39,16 +39,17 @@ COARSE_TOL_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class CostParams:
-    """Weights of the running reward ``c1 * P - exp(c2 * u)``."""
+    """Weights of the running reward ``c1 * P - exp(c2 * u)``, each finite
+    and > 0."""
 
     c1: float
     c2: float
 
     def __post_init__(self):
-        if not self.c1 > 0:
-            raise DomainError(f"c1 must be > 0, got {self.c1!r}")
-        if not self.c2 > 0:
-            raise DomainError(f"c2 must be > 0, got {self.c2!r}")
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -194,28 +195,40 @@ def backward_sweep(
     The whole sweep is one call: ``ms_adjoint`` in ``_rk4.c`` once the
     background build of :mod:`.integrate` is ready, and ``_adjoint_loop``,
     the same loop on plain lists, until then or without ``cc``; the two
-    give the same costates bit for bit.  The result holds read-only views
-    of one (nodes, 4n+1) costate matrix.
+    give the same costates bit for bit.  Both read the trajectory's stored
+    S and its ``I`` view in place, whatever their strides, so the sweep
+    makes no copies of them; only an array that is not aligned native
+    float64 is first copied into one that is.  The result holds read-only
+    views of one (nodes, 4n+1) costate matrix.
     """
     if traj.n_strains != len(params):
         raise DomainError("trajectory and parameter list disagree on strain count")
     n, N = traj.n_strains, traj.grid.n_steps
     rates = rate_table(params)
-    S = traj.susceptible_matrix()
+    S, I = _doubles(traj.susceptible_matrix()), _doubles(traj.I)
+    u = _doubles(np.ascontiguousarray(traj.u))
     phi = np.empty((N + 1, 4 * n + 1))
     adjoint = integrate._kernel("ms_adjoint", n * N)
     if adjoint is None:
-        _adjoint_loop(phi, rates, costs.c1, traj.grid.dt, S, traj.I, traj.u)
+        _adjoint_loop(phi, rates, costs.c1, traj.grid.dt, S, I, u)
     else:
-        S = np.ascontiguousarray(S, dtype=float)
-        I = np.ascontiguousarray(traj.I, dtype=float)
-        u = np.ascontiguousarray(traj.u, dtype=float)
         work = np.empty(24 * n)
         adjoint(
-            n, N, traj.grid.dt, costs.c1, rates.ctypes.data, S.ctypes.data,
-            I.ctypes.data, u.ctypes.data, phi.ctypes.data, work.ctypes.data,
+            n, N, traj.grid.dt, costs.c1, rates.ctypes.data,
+            S.ctypes.data, S.strides[0] // 8, S.strides[1] // 8,
+            I.ctypes.data, I.strides[0] // 8, I.strides[1] // 8,
+            u.ctypes.data, phi.ctypes.data, work.ctypes.data,
         )
     return CostateTrajectory(traj.grid, *split(phi, n))
+
+
+def _doubles(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is aligned native float64, whose strides are
+    whole doubles, else a contiguous float64 copy.  ``np.ascontiguousarray``
+    would hand back an unaligned contiguous array as it is."""
+    if a.dtype == np.float64 and a.flags.aligned:
+        return a
+    return np.array(a, dtype=np.float64, order="C")
 
 
 def _adjoint_loop(phi, rates, c1, h, S, I, u):

@@ -40,8 +40,11 @@ leaves its parent's build alone and starts its own, also when another thread
 of the parent was waiting for that build.  Without a working
 ``cc`` on ``PATH``, or where the library cannot be loaded, every call runs
 in Python.  No loop holds state between calls: ``simulate`` owns the
-history matrix, one row ``[P, E, I, R]`` per node, whose columns are the
-recorded ``P``, ``E``, ``I`` and ``R``.
+history matrix, one row ``[P, E, I, R]`` per node, and the trajectory it
+returns holds views of its columns as ``P``, ``E``, ``I`` and ``R``, not
+copies.  The trajectory forms the susceptibles ``P - E - I - R`` once, when
+it is built, into an array of its own; ``ms_adjoint`` reads that array and
+the ``I`` columns in place, through their row and column strides.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -191,8 +194,15 @@ class SeedEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: state and applied control at every grid node, held as
-    read-only views of the caller's arrays, which stay writable."""
+    """Recorded run: state and applied control at every grid node.
+
+    ``P``, ``E``, ``I``, ``R`` and ``u`` are read-only views of the caller's
+    arrays, which stay writable.  The algebraic susceptibles ``P - E - I -
+    R`` are formed once, when the trajectory is built, into a read-only
+    array of its own that every consumer reads through
+    :meth:`susceptible_matrix`; a later write into the caller's arrays does
+    not reach it.
+    """
 
     grid: TimeGrid
     P: np.ndarray
@@ -200,6 +210,7 @@ class Trajectory:
     I: np.ndarray
     R: np.ndarray
     u: np.ndarray
+    _S: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.grid.n_points
@@ -213,14 +224,22 @@ class Trajectory:
             view = getattr(self, name).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
+        # Huge or infinite values overflow or meet inf - inf here; S then
+        # holds the inf or NaN the subtraction gives, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = self.P[:, None] - self.E - self.I - self.R
+        S.setflags(write=False)
+        object.__setattr__(self, "_S", S)
 
     @property
     def n_strains(self) -> int:
         return self.E.shape[1]
 
     def susceptible_matrix(self) -> np.ndarray:
-        """Algebraic susceptibles, shape (nodes, strains)."""
-        return self.P[:, None] - self.E - self.I - self.R
+        """Algebraic susceptibles ``P - E - I - R``, shape (nodes, strains),
+        as formed when the trajectory was built: the same read-only array on
+        every call."""
+        return self._S
 
     def state_at(self, k: int) -> EpidemicState:
         return EpidemicState(
@@ -248,7 +267,11 @@ _ENTRIES = {
     "ms_rk4": (ctypes.c_int, (_int64, _int64, _double, _double, *[_ptr] * 6), 1.0),
     # Per strain-step: control._adjoint_loop takes 1.4 to 1.8 times as long
     # as the forward loop, so the wait rule sees it as twice the work.
-    "ms_adjoint": (None, (_int64, _int64, _double, _double, *[_ptr] * 6), 2.0),
+    # S and I each come with their row and column strides.
+    "ms_adjoint": (
+        None, (_int64, _int64, _double, _double, _ptr, *(_ptr, _int64, _int64) * 2,
+               *[_ptr] * 3), 2.0,
+    ),
     # Per cell: Python formats one in about a fifth of a forward
     # strain-step.  Missing where cc has no __int128; trajectory rows are
     # then formatted in Python.

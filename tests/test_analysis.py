@@ -15,6 +15,7 @@ from multistrain import (
     simulate,
     summarize,
 )
+from multistrain.runner import read_trajectory_csv
 
 from conftest import (
     BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, numeric_jacobian, random_params,
@@ -110,6 +111,20 @@ class TestSummarize:
             summarize(traj, window=0.0)
         with pytest.raises(DomainError):
             summarize(traj, window=101.0)
+
+    @pytest.mark.parametrize("p0", [0.0, -1.0, np.inf, np.nan])
+    def test_initial_population_must_be_finite_and_positive(self, p0):
+        traj = constant_trajectory(P=p0, e=0.0, i=0.0, r=0.0)
+        with pytest.raises(DomainError, match=r"P\(0\) must be finite and > 0"):
+            summarize(traj, window=50.0)
+
+    def test_trajectory_file_of_zero_population(self, tmp_path):
+        # The reader accepts P = 0, all compartments empty; the summary
+        # names P(0) rather than dividing by it.
+        path = tmp_path / "trajectory.csv"
+        path.write_text("t,P,S_1,E_1,I_1,R_1,u\n0,0,0,0,0,0,0\n1,0,0,0,0,0,0\n")
+        with pytest.raises(DomainError, match=r"P\(0\)"):
+            summarize(read_trajectory_csv(str(path)), window=1.0)
 
     def test_deaths_equal_population_drop(self):
         params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]

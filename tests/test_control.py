@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from multistrain import control, integrate
 from multistrain import (
+    ConfigError,
     ControlSchedule,
     CostateState,
     CostateTrajectory,
@@ -33,6 +34,7 @@ from multistrain import (
     simulate,
 )
 from multistrain.dynamics import split
+from multistrain.runner import read_trajectory_csv, write_trajectory_csv
 
 from conftest import (
     BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, compiled_sweep, costate_slope,
@@ -100,6 +102,19 @@ class TestRunningCost:
             ControlSchedule.constant(grid, 1.5)
         with pytest.raises(DomainError):
             CostParams(c1=0.0, c2=1.0)
+
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_weights_must_be_finite(self, name, value):
+        # An infinite c1 made the sweep report convergence with a NaN
+        # objective, an infinite c2 fail mid-solve; neither gets that far.
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            CostParams(**{"c1": 1.0, "c2": 19.0, name: value})
+
+    def test_config_weight_that_overflows_names_the_section(self):
+        # c2 = c2_log_scale * ln(population) overflows to inf.
+        with pytest.raises(ConfigError, match="cost: c2 must be finite"):
+            set_config_value(preset_config("case_a"), "cost.c2_log_scale", 1e307)
 
 
 class TestObjective:
@@ -395,9 +410,61 @@ ADJOINT_INPUTS = {
 }
 
 
+def unaligned(values):
+    """A float64 copy of ``values`` one byte off the alignment of a double."""
+    buf = np.empty(values.size * 8 + 1, dtype=np.uint8)
+    out = buf[1:].view(np.float64).reshape(values.shape)
+    out[...] = values
+    assert not out.flags.aligned
+    return out
+
+
+def csv_round_trip(tmp_path, traj):
+    """E, I, R and u of ``traj`` read back from its trajectory file, with a
+    column stride of four doubles."""
+    path = str(tmp_path / "trajectory.csv")
+    write_trajectory_csv(path, traj)
+    back = read_trajectory_csv(path)
+    assert back.I.strides[1] == 4 * back.I.itemsize
+    return back.E, back.I, back.R, back.u
+
+
+# Layouts and types of the I and u that backward_sweep reads: each maps a
+# simulated trajectory to the E, I, R and u of a trajectory to sweep.
+SWEPT_LAYOUTS = {
+    "I_simulated_column_block": lambda tmp_path, t: (t.E, t.I, t.R, t.u),
+    "I_csv_column_stride_4": csv_round_trip,
+    "I_negative_row_stride": lambda tmp_path, t: (
+        t.E, np.ascontiguousarray(t.I[::-1])[::-1], t.R, t.u,
+    ),
+    "I_int64": lambda tmp_path, t: (t.E, np.rint(t.I).astype(np.int64), t.R, t.u),
+    "I_float32": lambda tmp_path, t: (t.E, t.I.astype(np.float32), t.R, t.u),
+    "I_big_endian": lambda tmp_path, t: (t.E, t.I.astype(">f8"), t.R, t.u),
+    "I_unaligned": lambda tmp_path, t: (t.E, unaligned(t.I), t.R, t.u),
+    "u_every_other": lambda tmp_path, t: (t.E, t.I, t.R, np.repeat(t.u, 2)[::2]),
+    "u_unaligned": lambda tmp_path, t: (t.E, t.I, t.R, unaligned(t.u)),
+    "u_float32": lambda tmp_path, t: (t.E, t.I, t.R, t.u.astype(np.float32)),
+}
+
+
 class TestCompiledAdjoint:
     """``backward_sweep`` runs in compiled C or in Python; the two agree bit
     for bit."""
+
+    @pytest.mark.parametrize("layout", list(SWEPT_LAYOUTS))
+    def test_any_layout_sweeps_like_contiguous_doubles(self, tmp_path, layout):
+        traj, params = seeded_run(3, 40)
+        E, I, R, u = SWEPT_LAYOUTS[layout](tmp_path, traj)
+        given = Trajectory(traj.grid, traj.P, E, I, R, u)
+        copy = Trajectory(
+            traj.grid, traj.P, E, np.array(I, dtype=np.float64), R,
+            np.array(u, dtype=np.float64),
+        )
+        costs = CostParams(c1=1.0, c2=8.0)
+        expected = stacked_costates(reference_sweep(copy, params, costs)).tobytes()
+        for sweep in (reference_sweep, compiled_sweep):
+            assert stacked_costates(sweep(given, params, costs)).tobytes() == expected
+            assert stacked_costates(sweep(copy, params, costs)).tobytes() == expected
 
     @pytest.mark.parametrize("name", list(ADJOINT_INPUTS))
     def test_costates_are_the_reference_bit_for_bit(self, name):

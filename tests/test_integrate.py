@@ -240,7 +240,8 @@ class TestSimulate:
 
     def test_callers_arrays_stay_writable(self):
         # The trajectory keeps read-only views of the arrays it is given, not
-        # copies, and leaves those arrays writable.
+        # copies, and leaves those arrays writable.  S is formed when the
+        # trajectory is built, so a later write does not reach it.
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=2)
         P, E, u = np.ones(3), np.zeros((3, 1)), np.zeros(3)
         traj = Trajectory(grid, P, E, E, E, u)
@@ -248,6 +249,15 @@ class TestSimulate:
         P[0] = 2.0
         E[1, 0] = 3.0
         assert traj.P[0] == 2.0 and traj.R[1, 0] == 3.0
+        assert traj.susceptible_matrix().tolist() == [[1.0], [1.0], [1.0]]
+
+    def test_susceptible_matrix_is_formed_once(self):
+        traj, _, _ = baseline_run(dt=0.1, horizon=5.0)
+        S = traj.susceptible_matrix()
+        assert traj.susceptible_matrix() is S
+        assert S.flags.writeable is False
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
 
     def test_deterministic_repetition(self):
         t1, _, _ = baseline_run(dt=0.1, horizon=50.0)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from unittest.mock import patch
@@ -28,7 +29,7 @@ from multistrain import (
     run_scenario,
     simulate,
 )
-from multistrain.runner import write_trajectory_csv
+from multistrain.runner import read_trajectory_csv, write_trajectory_csv
 from multistrain.svgchart import MAX_POINTS, line_chart
 
 from conftest import (
@@ -116,6 +117,39 @@ class TestTrajectoryCsv:
         text = (tmp_path / "new.csv").read_text()
         for cell in ("4.9406564584124654e-324", "2.2250738585072009e-308", "1e+308"):
             assert cell in text
+
+
+def formed_susceptibles(traj: Trajectory) -> np.ndarray:
+    """``P - E - I - R`` formed afresh from the trajectory's arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return traj.P[:, None] - traj.E - traj.I - traj.R
+
+
+class TestSusceptibleMatrix:
+    """The S every writer prints is the one the trajectory formed when it
+    was built, byte for byte ``P - E - I - R``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_simulated_runs(self, n):
+        traj = run_strains(n, 50.0)
+        assert traj.susceptible_matrix().tobytes() == formed_susceptibles(traj).tobytes()
+
+    def test_csv_round_trip(self, tmp_path):
+        write_trajectory_csv(str(tmp_path / "run.csv"), run_strains(2, 50.0))
+        back = read_trajectory_csv(str(tmp_path / "run.csv"))
+        assert back.I.strides[1] == 4 * back.I.itemsize
+        assert back.susceptible_matrix().tobytes() == formed_susceptibles(back).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_awkward_doubles_build_without_a_warning(self, n):
+        # Some rows overflow to inf or meet inf - inf; S holds inf and NaN
+        # there, as the subtraction gives them, and no warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = awkward_trajectory(2500, n)
+        S = traj.susceptible_matrix()
+        assert not np.all(np.isfinite(S))
+        assert S.tobytes() == formed_susceptibles(traj).tobytes()
 
 
 class TestLineChart:
