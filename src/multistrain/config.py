@@ -18,11 +18,10 @@ builds that object and only adds the config key to its error.
     [grid]                required
     start                 first day, >= 0 (default 0)
     horizon               last day, must exceed start
-    dt                    step in days; must divide horizon-start and every
-                          strain activation day offset, keep RK4 stable,
-                          dt * (beta * population + sigma + gamma + mu)
-                          <= 2.78, and R non-negative, dt * delta <= 1, for
-                          every strain; and give run
+    dt                    step in days; must divide horizon-start, keep RK4
+                          stable, dt * (beta * population + sigma + gamma +
+                          mu) <= 2.78, and R non-negative, dt * delta <= 1,
+                          for every strain; and give run
                           arrays that fit in physical memory and under a
                           finite RLIMIT_AS: the (nodes, 4n + 3) float64
                           history, plus in optimize mode the (nodes, 4n + 1)
@@ -33,9 +32,9 @@ builds that object and only adds the config key to its error.
 
     [strain.1] .. [strain.n]   one section per strain, numbered from 1
     beta, sigma, gamma, delta, mu     per-strain rates
-    activation_day        the day the strain's seed is applied, in
-                          [start, horizon] (default: start); a strain enters
-                          the model only through its seed
+    activation_day        the day the strain's seed is applied, a grid node
+                          (TimeGrid.index_of) in [start, horizon] (default:
+                          start); a strain enters the model only through its seed
     seed_exposed, seed_infected, seed_removed
                           mass moved from susceptibles into the strain's
                           compartments on its activation day (default 0)
@@ -178,21 +177,8 @@ class ScenarioConfig:
             )
         params = []
         for idx, s in enumerate(self.strains, start=1):
-            if s.activation_day < self.start:
-                raise ConfigError(
-                    f"strain.{idx}.activation_day lies before grid.start"
-                )
-            if s.activation_day > self.horizon:
-                raise ConfigError(
-                    f"strain.{idx}.activation_day={s.activation_day!r} lies after "
-                    f"grid.horizon={self.horizon!r}; seed the strain on or before "
-                    "the last day"
-                )
-            if not grid.aligned(s.activation_day):
-                raise ConfigError(
-                    f"grid.dt={self.dt!r} does not divide "
-                    f"strain.{idx}.activation_day offset"
-                )
+            with _prefixed(f"strain.{idx}.activation_day"):
+                grid.index_of(s.activation_day)
             with _prefixed(f"strain.{idx}"):
                 params.append(s.params())
                 s.seed_event(idx - 1)

@@ -328,16 +328,15 @@ def _coarse_grid(
     events: Sequence[SeedEvent],
     population: float,
 ) -> TimeGrid | None:
-    """The grid of step ``m * grid.dt`` for the largest ``m`` in
-    ``COARSE_FACTORS`` that divides the step count, holds every seed time as
-    a node, and keeps RK4 stable; ``None`` when no ``m`` qualifies."""
+    """The grid of step ``m * grid.dt`` for the largest ``m`` in ``COARSE_FACTORS``
+    that divides the step count and every seed's node (``grid.index_of``, which
+    raises for a seed off ``grid``) and keeps RK4 stable; ``None`` if none does."""
     safe = max_stable_dt(params, population)
+    nodes = [grid.index_of(ev.time) for ev in events]
     for m in COARSE_FACTORS:
-        if grid.n_steps % m or m * grid.dt > safe:
+        if grid.n_steps % m or m * grid.dt > safe or any(k % m for k in nodes):
             continue
-        coarse = TimeGrid(t0=grid.t0, dt=m * grid.dt, n_steps=grid.n_steps // m)
-        if all(coarse.aligned(ev.time) for ev in events):
-            return coarse
+        return TimeGrid(t0=grid.t0, dt=m * grid.dt, n_steps=grid.n_steps // m)
     return None
 
 
@@ -396,8 +395,8 @@ def check_solver_settings(relaxation: float, tol: float, max_iter: int) -> None:
     """Raise DomainError for sweep settings :func:`fbsm_solve` cannot run with."""
     if not 0.0 < relaxation <= 1.0:
         raise DomainError(f"relaxation must lie in (0, 1], got {relaxation!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
@@ -442,6 +441,8 @@ def fbsm_solve(
     if u_init is None:
         u = np.zeros(grid.n_points)
     else:
+        if not isinstance(u_init, ControlSchedule):
+            raise DomainError("fbsm_solve expects a ControlSchedule as u_init")
         if u_init.grid != grid:
             raise ConfigError("u_init schedule is defined on a different grid")
         u = np.array(u_init.u, dtype=float)

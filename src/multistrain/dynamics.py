@@ -100,7 +100,9 @@ def _strain_vector(values, name: str, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """Population snapshot: time, total population and per-strain E, I, R."""
+    """Population snapshot: time, total population and per-strain E, I, R, checked
+    when built: all of them and the susceptible pools are finite and >= 0, up to
+    ``NEGATIVE_TOLERANCE * max(P, 1)``; else ``StateConsistencyError``."""
 
     t: float
     P: float
@@ -113,6 +115,27 @@ class EpidemicState:
             object.__setattr__(self, name, _strain_vector(getattr(self, name), name))
         if not (len(self.E) == len(self.I) == len(self.R)):
             raise DomainError("E, I and R must have one entry per strain")
+        P = self.P
+        tol = NEGATIVE_TOLERANCE * max(P, 1.0)
+        if not -tol <= P < math.inf:
+            raise StateConsistencyError(f"total population invalid: P={P!r}")
+        # One pass over plain floats (NaN fails every test, inf the sum's);
+        # only a state it rejects is checked array by array, for the message.
+        for e, i, r in zip(self.E.tolist(), self.I.tolist(), self.R.tolist()):
+            if not (e >= -tol and i >= -tol and r >= -tol and P - e - i - r >= -tol
+                    and e + i + r < math.inf):
+                break
+        else:
+            return
+        for name in ("E", "I", "R"):
+            arr = getattr(self, name)
+            if not np.all(np.isfinite(arr)):
+                raise StateConsistencyError(f"non-finite values in {name}")
+            if np.any(arr < -tol):
+                raise StateConsistencyError(f"negative compartment in {name}: min={arr.min()!r}")
+        s = self.susceptible_all()
+        if np.any(s < -tol):
+            raise StateConsistencyError(f"susceptible pool negative: min={s.min()!r}")
 
     @property
     def n_strains(self) -> int:
@@ -121,29 +144,6 @@ class EpidemicState:
     def susceptible_all(self) -> np.ndarray:
         """Algebraic susceptible pool of every strain."""
         return self.P - self.E - self.I - self.R
-
-    def validate(self) -> None:
-        """Check non-negativity of P, compartments and susceptible pools.
-
-        Values within ``NEGATIVE_TOLERANCE`` times ``max(P, 1)`` of zero are
-        accepted as round-off.
-        """
-        tol = NEGATIVE_TOLERANCE * max(self.P, 1.0)
-        if not self.P >= -tol or not math.isfinite(self.P):
-            raise StateConsistencyError(f"total population invalid: P={self.P!r}")
-        for name in ("E", "I", "R"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
-                raise StateConsistencyError(f"non-finite values in {name}")
-            if np.any(arr < -tol):
-                raise StateConsistencyError(
-                    f"negative compartment in {name}: min={arr.min()!r}"
-                )
-        s = self.susceptible_all()
-        if np.any(s < -tol):
-            raise StateConsistencyError(
-                f"susceptible pool negative: min={s.min()!r}"
-            )
 
 
 def rhs_lists(P, E, I, R, h, kE, kI, kR, rows, u, dE, dI, dR):

@@ -54,6 +54,7 @@ import math
 import numbers
 import os
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -66,7 +67,6 @@ from .dynamics import (
     NEGATIVE_TOLERANCE,
     EpidemicState,
     StrainParams,
-    check_control,
     rate_table,
     rhs_lists,
 )
@@ -81,7 +81,8 @@ def same_time(t: float, ref: float) -> bool:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid: ``n_steps`` steps of ``dt`` days starting at ``t0``."""
+    """Uniform grid: ``n_steps`` steps of ``dt`` days from ``t0`` to a finite last
+    node ``T``.  :meth:`index_of` alone decides which times are nodes."""
 
     t0: float
     dt: float
@@ -94,6 +95,9 @@ class TimeGrid:
             raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 0:
             raise DomainError(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
+        # n_steps * dt raises for an n_steps past the float range, so that goes first.
+        if self.n_steps > sys.float_info.max or not math.isfinite(self.T):
+            raise DomainError(f"the last node t0 + n_steps*dt must be finite, got {self!r}")
 
     @classmethod
     def from_horizon(cls, t0: float, horizon: float, dt: float) -> "TimeGrid":
@@ -128,18 +132,21 @@ class TimeGrid:
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt
 
-    def aligned(self, time: float) -> bool:
-        """Whether ``time`` is ``t0 + k*dt`` for an integer ``k``, in the span or
-        not; a NaN or infinite ``time`` never is."""
-        k = round((time - self.t0) / self.dt) if math.isfinite(time) else 0
-        return same_time(time, self.time_at(k))
-
     def index_of(self, time: float) -> int:
-        """Grid index of ``time``; raises ``ConfigError`` when off-grid."""
-        k = round((time - self.t0) / self.dt) if self.aligned(time) else -1
-        if not 0 <= k <= self.n_steps:
-            raise ConfigError(f"time {time!r} does not lie on the grid")
-        return k
+        """The node ``k`` with ``same_time(time, time_at(k))``, else ``ConfigError`` with
+        the reason.  The range is checked before the rounding: no finite time overflows."""
+        if not math.isfinite(time):
+            reason = "it is not finite"
+        elif time < self.t0 and not same_time(time, self.t0):
+            reason = f"it lies before the start {self.t0!r}"
+        elif time > self.T and not same_time(time, self.T):
+            reason = f"it lies after the horizon {self.T!r}"
+        else:
+            k = round(min(max((time - self.t0) / self.dt, 0.0), self.n_steps))
+            if same_time(time, self.time_at(k)):
+                return k
+            reason = f"dt={self.dt!r} does not divide its offset from the start {self.t0!r}"
+        raise ConfigError(f"time {time!r} does not lie on the grid: {reason}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,6 @@ class ControlSchedule:
 
     @classmethod
     def constant(cls, grid: TimeGrid, value: float) -> "ControlSchedule":
-        check_control(value)
         return cls(grid=grid, u=np.full(grid.n_points, float(value)))
 
 
@@ -521,7 +527,6 @@ def simulate(
         raise ConfigError(
             f"initial state is at t={initial.t!r} but the grid starts at {grid.t0!r}"
         )
-    initial.validate()
 
     n = initial.n_strains
     events = sorted(events, key=lambda e: (e.time, e.strain))

@@ -14,7 +14,7 @@ from .analysis import TrajectorySummary, summarize
 from .config import ScenarioConfig, set_config_value
 from .control import FbsmReport, fbsm_solve
 from .dynamics import NEGATIVE_TOLERANCE
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .integrate import ControlSchedule, TimeGrid, Trajectory, same_time, simulate
 from .svgchart import line_chart
 
@@ -101,8 +101,9 @@ def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
     The header must be the writer's, and the values finite, ``u`` in [0, 1],
-    compartments >= 0 and S equal to ``P - E - I - R``, the last two within
-    ``NEGATIVE_TOLERANCE * max(P, 1)``.  The grid is taken from the times of
+    compartments and ``P - E - I - R`` >= 0 and S equal to ``P - E - I - R``,
+    the last three within ``NEGATIVE_TOLERANCE * max(P, 1)``, as
+    :meth:`Trajectory.state_at` needs.  The grid is taken from the times of
     rows 1 and 2, and every row's time must lie on it.  Every flaw raises
     :class:`ConfigError` naming the file and, for a bad data row, its number
     (data rows count from 1 after the header).
@@ -132,12 +133,17 @@ def read_trajectory_csv(path: str) -> Trajectory:
     tol = NEGATIVE_TOLERANCE * np.maximum(P, 1.0)[:, None]
     _check_cells(path, header[-1:], u, (u < 0.0) | (u > 1.0), "lies outside [0, 1]")
     _check_cells(path, header[1:-1], compartments, compartments < -tol, "lies below zero")
-    off = np.abs(S - (P[:, None] - E - I - R)) > tol
-    _check_cells(path, header[2:-1:4], S, off, "is not P - E - I - R")
-    t0, dt = data[0, 0], data[1, 0] - data[0, 0]
-    if not dt > 0:
+    pool = P[:, None] - E - I - R
+    _check_cells(path, header[2:-1:4], pool, pool < -tol, "lies below zero as P - E - I - R")
+    _check_cells(path, header[2:-1:4], S, np.abs(S - pool) > tol, "is not P - E - I - R")
+    # Python floats: a step past the float range becomes inf without a warning.
+    t0, t1 = data[:2, 0].tolist()
+    if not t1 > t0:
         raise ConfigError(f"{path}: the times of rows 1 and 2 do not increase")
-    grid = TimeGrid(t0=float(t0), dt=float(dt), n_steps=len(rows) - 1)
+    try:
+        grid = TimeGrid(t0=t0, dt=t1 - t0, n_steps=len(rows) - 1)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     _check_times(path, data[:, 0], grid)
     return Trajectory(grid=grid, P=P, E=E, I=I, R=R, u=u[:, 0])
 

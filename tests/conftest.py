@@ -316,7 +316,6 @@ def susceptible_derivative(
     A scalar oracle for the algebraic form the package uses: it must equal
     d/dt (P - E_j - I_j - R_j) assembled from :func:`state_slopes`.
     """
-    state.validate()
     p = params[j]
     s_j = state.P - state.E[j] - state.I[j] - state.R[j]
     transmission = (1.0 - u) * p.beta * s_j * state.I[j]

@@ -630,6 +630,30 @@ class TestFbsmSolve:
         with pytest.raises(DomainError, match="max_iter"):
             fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), max_iter=2.5)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # An infinite tol would stop the sweep after one fine iteration and
+        # report it as converged.
+        initial, params, events, grid = self.setup_problem()
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), tol=tol)
+
+    def test_u_init_must_be_a_schedule(self):
+        initial, params, events, grid = self.setup_problem()
+        with pytest.raises(DomainError, match="expects a ControlSchedule as u_init"):
+            fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0), u_init=0.3)
+
+    @pytest.mark.parametrize("time", [0.3, 1e308])
+    def test_off_grid_seed_fails_as_simulate_fails(self, time):
+        initial, params, events, grid = self.setup_problem()
+        events = [*events, SeedEvent(time, 0, exposed=1.0)]
+        with pytest.raises(ConfigError) as from_simulate:
+            simulate(initial, params, ControlSchedule.constant(grid, 0.0), events, grid)
+        with pytest.raises(ConfigError) as from_solve:
+            fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0))
+        assert str(from_solve.value) == str(from_simulate.value)
+        assert "does not lie on the grid" in str(from_solve.value)
+
 
 class TestCoarseStart:
     def problem(self, dt=0.1, horizon=240.0, seed_day=None):

@@ -81,9 +81,8 @@ class TestDerivatives:
                 full_system_rhs(s.P, s.susceptible_all(), s.E, s.I, s.R, baseline_params, u)
 
     def test_negative_compartment_rejected(self):
-        state = EpidemicState(t=0.0, P=1e6, E=[-5.0], I=[0.0], R=[0.0])
-        with pytest.raises(StateConsistencyError):
-            state.validate()
+        with pytest.raises(StateConsistencyError, match=r"negative compartment in E: min=.*-5\.0"):
+            EpidemicState(t=0.0, P=1e6, E=[-5.0], I=[0.0], R=[0.0])
 
     def test_unseeded_strain_has_no_flows(self):
         # Every flow of a strain is a product with its E, I or R, so a strain
@@ -115,10 +114,40 @@ class TestSusceptible:
         assert baseline_initial.susceptible_all().tolist() == [217e6]
 
     def test_blown_up_state_reports_inconsistency(self):
-        state = EpidemicState(t=0.0, P=100.0, E=[80.0], I=[80.0], R=[0.0])
-        assert state.susceptible_all()[0] == -60.0
-        with pytest.raises(StateConsistencyError, match="susceptible pool negative"):
-            state.validate()
+        with pytest.raises(StateConsistencyError, match=r"susceptible pool negative: min=.*-60\.0"):
+            EpidemicState(t=0.0, P=100.0, E=[80.0], I=[80.0], R=[0.0])
+
+
+INF = float("inf")
+
+
+class TestAdmissibleState:
+    """A state is checked once, when it is built, and the error names the flaw."""
+
+    @pytest.mark.parametrize("P, E, I, R, message", [
+        (NAN, [0.0], [0.0], [0.0], r"total population invalid: P=nan"),
+        (INF, [0.0], [0.0], [0.0], r"total population invalid: P=inf"),
+        (-1.0, [0.0], [0.0], [0.0], r"total population invalid: P=-1\.0"),
+        (100.0, [0.0, NAN], [0.0, 0.0], [0.0, 0.0], "non-finite values in E"),
+        (100.0, [0.0], [INF], [0.0], "non-finite values in I"),
+        (100.0, [0.0], [0.0], [-INF], "non-finite values in R"),
+        (1e6, [0.0, 0.0], [0.0, -2.0], [0.0, 0.0], r"negative compartment in I: min=.*-2\.0"),
+        (1e6, [0.0], [0.0], [-1e-2], r"negative compartment in R: min=.*-0\.01"),
+        (100.0, [0.0, 80.0], [0.0, 80.0], [0.0, 0.0], r"susceptible pool negative: min=.*-60\.0"),
+        # Finite compartments whose sum overflows.
+        (1e308, [1e308], [1e308], [0.0], r"susceptible pool negative: min=.*-1e\+308"),
+    ], ids=["P nan", "P inf", "P negative", "E nan", "I inf", "R -inf",
+            "I negative", "R negative", "pool negative", "sum overflows"])
+    def test_inadmissible_state_is_rejected_when_built(self, P, E, I, R, message):
+        with pytest.raises(StateConsistencyError, match=message):
+            EpidemicState(t=0.0, P=P, E=E, I=I, R=R)
+
+    def test_round_off_below_zero_is_admissible(self):
+        # Within NEGATIVE_TOLERANCE * max(P, 1), 1e-3 here, of zero.
+        assert EpidemicState(t=0.0, P=1e6, E=[-1e-3], I=[0.0], R=[0.0]).E[0] == -1e-3
+        state = EpidemicState(t=0.0, P=1e6, E=[0.0], I=[0.0], R=[1e6 + 5e-4])
+        assert -1e-3 <= state.susceptible_all()[0] < 0.0
+        assert EpidemicState(t=0.0, P=-1e-9, E=[0.0], I=[0.0], R=[0.0]).P == -1e-9
 
 
 class TestSusceptibleDerivative:

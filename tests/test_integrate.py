@@ -103,11 +103,37 @@ class TestTimeGrid:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             TimeGrid(**kwargs)
 
+    @pytest.mark.parametrize("t0, dt, n_steps", [
+        (1e308, 1e308, 1), (0.0, 1e308, 2), (-1e308, 1e308, 2), (0.0, 1.0, 10**400),
+    ], ids=["t0 + dt", "2 dt", "2 dt after a negative t0", "n_steps past the float range"])
+    def test_last_node_must_be_finite(self, t0, dt, n_steps):
+        with pytest.raises(DomainError, match=r"last node t0 \+ n_steps\*dt must be finite"):
+            TimeGrid(t0, dt, n_steps)
+        assert TimeGrid(-1e308, 1e308, 1).T == 0.0
+        assert TimeGrid(0.0, 1e308, 1).T == 1e308
+
+    @pytest.mark.parametrize("time, reason", [
+        (-0.5, r"before the start 0\.0"),
+        (10.5, r"after the horizon 10\.0"),
+        (1e308, "after the horizon"),
+        (-1e308, "before the start"),
+        (0.55, r"dt=0\.1 does not divide its offset"),
+    ])
+    def test_index_of_names_why_a_time_is_off_the_grid(self, time, reason):
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
+        with pytest.raises(ConfigError, match=f"does not lie on the grid: .*{reason}"):
+            grid.index_of(time)
+
+    def test_index_of_allows_round_off_at_either_end(self):
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
+        assert grid.index_of(-1e-12) == 0
+        assert grid.index_of(10.0 + 1e-9) == 100
+        assert [grid.index_of(t) for t in grid.times().tolist()] == list(range(101))
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_off_the_grid(self, time):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
-        assert not grid.aligned(time)
-        with pytest.raises(ConfigError, match="does not lie on the grid"):
+        with pytest.raises(ConfigError, match="does not lie on the grid: it is not finite"):
             grid.index_of(time)
 
 
@@ -190,6 +216,17 @@ class TestSimulate:
         initial = EpidemicState(t=0.0, P=P0, E=[0.0], I=[0.0], R=[0.0])
         events = [SeedEvent(time=0.55, strain=0, exposed=1.0)]
         with pytest.raises(ConfigError):
+            simulate(initial, params, ControlSchedule.constant(grid, 0.0), events, grid)
+
+    @pytest.mark.parametrize("time", [1e308, -1e308, 1.7976931348623157e308])
+    def test_seed_time_past_the_float_range_of_the_grid_is_a_config_error(self, time):
+        # (time - t0) / dt overflows to inf here, so the range must be checked
+        # before anything is rounded.
+        params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0], I=[0.0], R=[0.0])
+        events = [SeedEvent(time=time, strain=0, exposed=1.0)]
+        with pytest.raises(ConfigError, match="does not lie on the grid"):
             simulate(initial, params, ControlSchedule.constant(grid, 0.0), events, grid)
 
     def test_oversized_seed_rejected(self):

@@ -1,14 +1,17 @@
 """Property-based checks of the model invariants."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multistrain import (
     ConfigError,
     ControlSchedule,
     CostParams,
+    DomainError,
     EpidemicState,
     IntegrationError,
     SeedEvent,
@@ -22,6 +25,7 @@ from multistrain import (
     simulate,
 )
 from multistrain.config import _parse
+from multistrain.integrate import same_time
 
 from conftest import (
     E0,
@@ -143,6 +147,48 @@ def test_short_simulations_preserve_invariants(params, p0):
     assert np.all(np.diff(traj.P) <= 0.0)
     assert np.all(traj.susceptible_matrix() >= 0.0)
     assert np.all(traj.E >= 0.0) and np.all(traj.I >= 0.0) and np.all(traj.R >= 0.0)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grids_and_times(draw):
+    """Any grid whose last node is finite, from days on a 0.1 step to the
+    ends of the float range and subnormal steps, with any finite time, a
+    node's time or a time near one."""
+    t0 = draw(st.sampled_from([0.0, -1e308, 1e300]) | finite_floats)
+    dt = draw(st.sampled_from([0.1, 5e-324, 1e308]) | st.floats(min_value=5e-324, max_value=1e308))
+    n_steps = draw(st.integers(min_value=0, max_value=10**6))
+    try:
+        grid = TimeGrid(t0, dt, n_steps)
+    except DomainError:
+        assume(False)
+    node = grid.time_at(draw(st.integers(min_value=-1, max_value=n_steps + 1)))
+    near = node + draw(st.floats(min_value=-1.0, max_value=1.0)) * dt
+    times = [t for t in (node, near) if math.isfinite(t)]
+    return grid, draw(st.sampled_from(times) | finite_floats if times else finite_floats)
+
+
+@given(grids_and_times())
+@example((TimeGrid(0.0, 0.1, 100), 1e308))
+@example((TimeGrid(0.0, 0.1, 100), -1e308))
+@example((TimeGrid(0.0, 0.1, 100), 1.7976931348623157e308))
+@example((TimeGrid(0.0, 0.1, 100), 5e-324))
+@example((TimeGrid(-1e308, 1e308, 1), 1e308))
+@example((TimeGrid(1e300, 5e-324, 10**6), 1e300))
+@settings(max_examples=200, deadline=None)
+def test_index_of_finds_a_node_or_says_why_not(grid_and_time):
+    """For any finite time, ``index_of`` gives a node at that time, or a
+    ConfigError, never an OverflowError."""
+    grid, time = grid_and_time
+    try:
+        k = grid.index_of(time)
+    except ConfigError as exc:
+        assert "does not lie on the grid" in str(exc)
+        return
+    assert 0 <= k <= grid.n_steps
+    assert same_time(time, grid.time_at(k))
 
 
 @given(strain_params(n=2), controls.filter(lambda u: u < 0.999),

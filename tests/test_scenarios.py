@@ -232,7 +232,7 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
             parse_config_text(text)
         # Past the horizon, where no node holds the seed.
         text = preset_text("experiment2").replace("horizon = 730", "horizon = 10")
-        with pytest.raises(ConfigError, match=r"strain\.2\.activation_day.*grid\.horizon"):
+        with pytest.raises(ConfigError, match=r"strain\.2\.activation_day.*horizon"):
             parse_config_text(text)
 
     def test_missing_required_key(self):
@@ -395,6 +395,23 @@ class TestSchema:
         with pytest.raises(ConfigError, match=message):
             set_config_value(parse_config_text(_base_for(path)), path, value)
 
+    @pytest.mark.parametrize("day, reason", [
+        (-0.2, r"before the start 0\.0"),
+        (150.2, r"after the horizon 150\.0"),
+        (10.1, r"dt=0\.2 does not divide its offset"),
+    ])
+    def test_activation_day_gets_the_grid_verdict(self, day, reason):
+        # The config states no rule of its own: the key names TimeGrid.index_of's
+        # verdict, the same a SeedEvent at that time gets from simulate.
+        with pytest.raises(ConfigError) as direct:
+            parse_config_text(SCHEMA_BASE).grid().index_of(day)
+        message = rf"^strain\.1\.activation_day: .*{reason}"
+        with pytest.raises(ConfigError, match=message) as err:
+            set_config_value(parse_config_text(SCHEMA_BASE), "strain.1.activation_day", day)
+        assert str(err.value) == f"strain.1.activation_day: {direct.value}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(_set_key(SCHEMA_BASE, "strain.1", "activation_day", repr(day)))
+
     def test_fractional_max_iterations_from_library_code_is_rejected(self):
         cfg = preset_config("case_a")
         cfg.max_iterations = 2.5
@@ -459,6 +476,22 @@ class TestRunScenario:
         assert np.array_equal(back.I, result.trajectory.I)
         assert np.array_equal(back.R, result.trajectory.R)
         assert np.array_equal(back.u, result.trajectory.u)
+        for k in range(back.grid.n_points):
+            assert back.state_at(k).P == back.P[k]
+
+    def test_every_node_of_a_file_at_the_bounds_builds_a_state(self, tmp_path):
+        # E_1 just below zero in row 2 and P - E - I - R just below zero in
+        # row 3, both within NEGATIVE_TOLERANCE * max(P, 1) = 1e-9.
+        tiny = 2.0 ** -30
+        path = tmp_path / "trajectory.csv"
+        path.write_text(
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n"
+            f"0.5,1,{1 + tiny!r},{-tiny!r},0,0,0\n1,1,{-tiny!r},0.5,{0.5 + tiny!r},0,0\n"
+        )
+        back = read_trajectory_csv(str(path))
+        states = [back.state_at(k) for k in range(back.grid.n_points)]
+        assert states[1].E[0] == -tiny
+        assert states[2].susceptible_all()[0] == -tiny
 
     @pytest.mark.parametrize("text, fragment", [
         ("", "not a trajectory file"),
@@ -491,6 +524,22 @@ class TestRunScenario:
         (
             "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,0.5,0,0,0,0\n",
             r"row 2 S_1 = 0\.5 is not P - E - I - R",
+        ),
+        # S_1 is within 1e-9 of P - E - I - R and of zero, but P - E - I - R
+        # lies 1.5e-9 below zero, where no state of the trajectory is built.
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,-6e-10,1.0000000015,0,0,0\n",
+            r"row 2 S_1 = -1\.\d+e-09 lies below zero as P - E - I - R",
+        ),
+        # The step, and then the third node, t0 + 2 dt, are past the float range.
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n-1.7e308,1,1,0,0,0,0\n1.7e308,1,1,0,0,0,0\n",
+            r"dt must be finite and > 0, got inf",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n1e308,1,1,0,0,0,0\n1.7e308,1,1,0,0,0,0\n"
+            "1.79e308,1,1,0,0,0,0\n",
+            r"last node t0 \+ n_steps\*dt must be finite",
         ),
     ])
     def test_malformed_trajectory_names_the_file_and_the_row(
@@ -823,6 +872,7 @@ class TestCli:
         (["simulate", "experiment1", "--horizon", "inf"], "grid.horizon"),
         (["simulate", "experiment2", "--seed-day", "nan"], "strain.2.activation_day"),
         (["simulate", "experiment2", "--horizon", "10"], "strain.2.activation_day"),
+        (["simulate", "experiment2", "--seed-day", "180.03"], "strain.2.activation_day"),
         (["sweep", "experiment1", "--param", "strain.1.activation_day", "--values", "nan"],
          "strain.1.activation_day"),
         (["sweep", "experiment1", "--param", "strain.1.seed_exposed", "--values", "nan"],
