@@ -119,23 +119,17 @@ class EpidemicState:
         tol = NEGATIVE_TOLERANCE * max(P, 1.0)
         if not -tol <= P < math.inf:
             raise StateConsistencyError(f"total population invalid: P={P!r}")
-        # One pass over plain floats (NaN fails every test, inf the sum's);
-        # only a state it rejects is checked array by array, for the message.
-        for e, i, r in zip(self.E.tolist(), self.I.tolist(), self.R.tolist()):
-            if not (e >= -tol and i >= -tol and r >= -tol and P - e - i - r >= -tol
-                    and e + i + r < math.inf):
-                break
-        else:
-            return
-        for name in ("E", "I", "R"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
+        columns = self.E.tolist(), self.I.tolist(), self.R.tolist()
+        for name, vals in zip("EIR", columns):
+            if not all(map(math.isfinite, vals)):
                 raise StateConsistencyError(f"non-finite values in {name}")
-            if np.any(arr < -tol):
-                raise StateConsistencyError(f"negative compartment in {name}: min={arr.min()!r}")
-        s = self.susceptible_all()
-        if np.any(s < -tol):
-            raise StateConsistencyError(f"susceptible pool negative: min={s.min()!r}")
+            if vals and min(vals) < -tol:
+                low = np.float64(min(vals))
+                raise StateConsistencyError(f"negative compartment in {name}: min={low!r}")
+        pools = [P - e - i - r for e, i, r in zip(*columns)]
+        if pools and min(pools) < -tol:
+            low = np.float64(min(pools))
+            raise StateConsistencyError(f"susceptible pool negative: min={low!r}")
 
     @property
     def n_strains(self) -> int:

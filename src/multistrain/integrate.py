@@ -163,9 +163,11 @@ class ControlSchedule:
                 f"schedule needs {self.grid.n_points} values, got shape {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
-            raise DomainError("schedule contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise DomainError("schedule values must lie in [0, 1]")
+            bad = float(arr[~np.isfinite(arr)][0])
+            raise DomainError(f"schedule contains non-finite values, got {bad!r}")
+        lo, hi = float(arr.min()), float(arr.max())
+        if lo < 0.0 or hi > 1.0:
+            raise DomainError(f"schedule values must lie in [0, 1], got min={lo!r}, max={hi!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
 

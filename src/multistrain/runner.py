@@ -15,7 +15,7 @@ from .config import ScenarioConfig, set_config_value
 from .control import FbsmReport, fbsm_solve
 from .dynamics import NEGATIVE_TOLERANCE
 from .errors import ConfigError, DomainError
-from .integrate import ControlSchedule, TimeGrid, Trajectory, same_time, simulate
+from .integrate import ControlSchedule, TimeGrid, Trajectory, simulate
 from .svgchart import line_chart
 
 DEFAULT_WINDOW = 90.0
@@ -81,12 +81,15 @@ def _read_csv(path: str, kind: str) -> list[list[str]]:
 
 
 def _check_times(path: str, times, grid: TimeGrid) -> None:
-    """Raise ConfigError naming the first data row whose time is off ``grid``."""
-    nodes = grid.times()
-    for k, t in enumerate(times):
-        t = float(t)
-        if not same_time(t, nodes[k]):
-            raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid")
+    """Raise ConfigError naming the first data row ``k`` whose time is not node ``k - 1``."""
+    for k, t in enumerate(map(float, times)):
+        try:
+            if grid.index_of(t) == k:
+                continue
+            reason = f"the row needs node {k} at {grid.time_at(k)!r}"
+        except ConfigError as exc:
+            reason = str(exc)
+        raise ConfigError(f"{path}: row {k + 1} time {t!r} is off the grid: {reason}")
 
 
 def _check_cells(path: str, names: list[str], values: np.ndarray, bad, flaw: str) -> None:
@@ -134,7 +137,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
     _check_cells(path, header[-1:], u, (u < 0.0) | (u > 1.0), "lies outside [0, 1]")
     _check_cells(path, header[1:-1], compartments, compartments < -tol, "lies below zero")
     pool = P[:, None] - E - I - R
-    _check_cells(path, header[2:-1:4], pool, pool < -tol, "lies below zero as P - E - I - R")
+    _check_cells(path, [f"P - E_{j} - I_{j} - R_{j}" for j in range(1, n + 1)], pool,
+                 pool < -tol, "lies below zero")
     _check_cells(path, header[2:-1:4], S, np.abs(S - pool) > tol, "is not P - E - I - R")
     # Python floats: a step past the float range becomes inf without a warning.
     t0, t1 = data[:2, 0].tolist()

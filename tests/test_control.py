@@ -98,8 +98,10 @@ class TestRunningCost:
         # The reward's inputs are checked where they are made: u by the
         # schedule a trajectory is simulated under, c1 and c2 by CostParams.
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\[0, 1\], got min=1\.5, max=1\.5"):
             ControlSchedule.constant(grid, 1.5)
+        with pytest.raises(DomainError, match=r"non-finite values, got nan"):
+            ControlSchedule.constant(grid, math.nan)
         with pytest.raises(DomainError):
             CostParams(c1=0.0, c2=1.0)
 

@@ -501,7 +501,17 @@ class TestRunScenario:
         (
             "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n"
             "0.5,1,1,0,0,0,0\n",
-            "row 3 time 0.5 is off the grid",
+            "row 3 time 0.5 is off the grid: .*after the horizon",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n"
+            "0.15,1,1,0,0,0,0\n",
+            "row 3 time 0.15 is off the grid: .*does not divide",
+        ),
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n"
+            "0.1,1,1,0,0,0,0\n",
+            r"row 3 time 0.1 is off the grid: the row needs node 2 at 0\.2",
         ),
         ("t,P,X,Y,Z,W,u\n0,1,1,0,0,0,0\n0.1,1,1,0,0,0,0\n", "not a trajectory file"),
         ("t,P,S_1,E_1,u\n0,1,1,0,0\n0.1,1,1,0,0\n", "not a trajectory file"),
@@ -529,7 +539,7 @@ class TestRunScenario:
         # lies 1.5e-9 below zero, where no state of the trajectory is built.
         (
             "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,-6e-10,1.0000000015,0,0,0\n",
-            r"row 2 S_1 = -1\.\d+e-09 lies below zero as P - E - I - R",
+            r"row 2 P - E_1 - I_1 - R_1 = -1\.\d+e-09 lies below zero",
         ),
         # The step, and then the third node, t0 + 2 dt, are past the float range.
         (
