@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import PRESETS, resolve_config, write_preset
 from .errors import ConfigError, IntegrationError, ModelError, SolverError
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_values(config, args):
-    """The ``path: value`` pairs the run flags set in the parsed config."""
+def _flag_values(parsed, args):
+    """The ``path: value`` pairs the run flags set in the parsed config arguments."""
     values = {"grid.dt": args.dt, "grid.horizon": args.horizon}
     if args.seed_day is not None:
-        if len(config.strains) < 2:
+        if len(parsed["strains"]) < 2:
             raise ConfigError("--seed-day needs a scenario with at least two strains")
-        for j in range(2, len(config.strains) + 1):
+        for j in range(2, len(parsed["strains"]) + 1):
             values[f"strain.{j}.activation_day"] = args.seed_day
     return {k: v for k, v in values.items() if v is not None}
 
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         config = resolve_config(args.config, lambda parsed: _flag_values(parsed, args))
-        config.svg = config.svg and not args.no_svg
+        if args.no_svg:
+            config = replace(config, svg=False)
 
         if args.verb == "simulate":
             if config.control_mode == "optimize":

@@ -9,8 +9,13 @@ values) and the CLI's ``--dt``, ``--horizon`` and ``--seed-day`` all read it
 and convert through one function, so a value from a sweep or a flag gets the
 same checks as one from a file.  Defaults are those of the dataclasses.
 
-Every value rule lives in the model object that uses the value: validation
-builds that object and only adds the config key to its error.
+A :class:`ScenarioConfig` and its :class:`StrainSpec` entries are frozen.
+The config checks itself once, when it is built: the parser, the flags and
+a sweep value all build it from keyword arguments, and a library caller
+changes one with ``dataclasses.replace`` or :func:`set_config_value`, each
+of which checks the result.  Every value rule lives in the model object that
+uses the value: the check builds that object and only adds the config key
+to its error.
 
     [scenario]            optional
     name                  run label, used for default output paths
@@ -37,7 +42,8 @@ builds that object and only adds the config key to its error.
                           start); a strain enters the model only through its seed
     seed_exposed, seed_infected, seed_removed
                           mass moved from susceptibles into the strain's
-                          compartments on its activation day (default 0)
+                          compartments on its activation day (default 0);
+                          their sum may not exceed the population
 
     [control]             required
     mode                  none | constant | schedule | optimize
@@ -67,7 +73,7 @@ import configparser
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .control import ANDERSON_DEPTH, CostParams, check_solver_settings
 from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
@@ -77,7 +83,7 @@ from .integrate import SeedEvent, TimeGrid
 CONTROL_MODES = ("none", "constant", "schedule", "optimize")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrainSpec:
     """Strain parameters plus the seed applied on its activation day."""
 
@@ -107,12 +113,14 @@ class StrainSpec:
         )
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Fully parsed scenario; see the module docstring for field meanings.
 
     The defaults here are the defaults of the config file, and a field
-    without one is a required key.
+    without one is a required key.  A config is checked when it is built,
+    by the constructor or by ``dataclasses.replace``, and raises ConfigError
+    for the first flaw; it cannot change afterwards.
     """
 
     name: str = "scenario"
@@ -120,7 +128,7 @@ class ScenarioConfig:
     horizon: float
     dt: float
     population: float
-    strains: list[StrainSpec] = field(default_factory=list)
+    strains: tuple[StrainSpec, ...] = ()
     control_mode: str
     control_value: float | None = None
     schedule_file: str | None = None
@@ -136,8 +144,8 @@ class ScenarioConfig:
     svg: bool = True
     base_dir: str = "."
 
-    def validate(self) -> None:
-        """Raise ConfigError for the first flaw; see the module docstring."""
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strains", tuple(self.strains))
         numbers = [
             (f"{section}.{key}", getattr(self, name))
             for (section, key), (name, kind) in _SCHEMA.items() if kind in (float, int)
@@ -182,6 +190,12 @@ class ScenarioConfig:
             with _prefixed(f"strain.{idx}"):
                 params.append(s.params())
                 s.seed_event(idx - 1)
+            seed = s.seed_exposed + s.seed_infected + s.seed_removed
+            if seed > self.population:
+                raise ConfigError(
+                    f"strain.{idx}: seed_exposed + seed_infected + seed_removed = "
+                    f"{seed!r} exceeds initial.population = {self.population!r}"
+                )
         # RK4 stability and positivity at the strains' largest rates
         # (dynamics.max_stable_dt).
         safe = max_stable_dt(params, self.population)
@@ -355,7 +369,7 @@ _BOOLEANS = {
 def _coerce(path: str, kind, raw):
     """``raw`` converted by ``kind``.  ``raw`` is file text, or a number from a
     sweep or a CLI flag; an integer field takes only an integral number.
-    Finiteness is left to :meth:`ScenarioConfig.validate`."""
+    Finiteness is left to the check a :class:`ScenarioConfig` runs when built."""
     if kind is bool:
         word = raw.strip().lower()
         if word not in _BOOLEANS:
@@ -388,14 +402,13 @@ def _strain_index(section: str) -> int | None:
 
 
 def parse_config_text(text: str, source: str = "<string>", base_dir: str = ".") -> ScenarioConfig:
-    """Parse and validate configuration text; raises ConfigError on any flaw."""
-    config = _parse(text, source, base_dir)
-    config.validate()
-    return config
+    """Parse and check configuration text; raises ConfigError on any flaw."""
+    return ScenarioConfig(**_parse(text, source, base_dir))
 
 
-def _parse(text: str, source: str, base_dir: str) -> ScenarioConfig:
-    """The config the text spells out, checked against the schema only."""
+def _parse(text: str, source: str, base_dir: str) -> dict:
+    """The :class:`ScenarioConfig` keyword arguments the text spells out,
+    checked against the schema only."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"), delimiters=("=",)
     )
@@ -432,10 +445,10 @@ def _parse(text: str, source: str, base_dir: str) -> ScenarioConfig:
     if [idx for idx, _ in strain_sections] != list(range(1, len(strain_sections) + 1)):
         raise ConfigError("strain sections must be numbered 1..n without gaps")
 
-    config = ScenarioConfig(**values, base_dir=base_dir)
+    strains = []
     required = _required(StrainSpec)
     for _, section in strain_sections:
-        given = {"activation_day": config.start}
+        given = {"activation_day": values.get("start", _DEFAULTS["start"])}
         for key, raw in parser.items(section):
             if key not in _STRAIN_KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -443,12 +456,12 @@ def _parse(text: str, source: str, base_dir: str) -> ScenarioConfig:
         for key in required:
             if key not in given:
                 raise ConfigError(f"{section}.{key} is required")
-        config.strains.append(StrainSpec(**given))
-    return config
+        strains.append(StrainSpec(**given))
+    return {**values, "strains": tuple(strains), "base_dir": base_dir}
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a scenario file."""
+    """Read and check a scenario file."""
     return parse_config_text(_file_text(path), source=path, base_dir=os.path.dirname(path) or ".")
 
 
@@ -583,17 +596,19 @@ def write_preset(name: str, path: str) -> None:
 def resolve_config(name_or_path: str, values=None) -> ScenarioConfig:
     """Interpret the argument as a preset name first, then as a file path.
 
-    ``values``, if given, maps the parsed config to numeric ``path: value``
-    pairs, set as :func:`set_config_value` sets one before the one
-    validation: a value replaces the file's, so it may mend it.
+    ``values``, if given, maps the :class:`ScenarioConfig` keyword arguments
+    the text spells out to numeric ``path: value`` pairs, set as
+    :func:`set_config_value` sets one before the config is built and checked
+    once: a value replaces the file's, so it may mend it.
     """
     key = name_or_path.strip().lower()
     if key in PRESETS and not os.path.exists(name_or_path):
-        config = _parse(preset_text(key), f"<preset {key}>", ".")
+        kwargs = _parse(preset_text(key), f"<preset {key}>", ".")
     else:
         path = name_or_path
-        config = _parse(_file_text(path), path, os.path.dirname(path) or ".")
-    return _with_values(config, values(config) if values else {})
+        kwargs = _parse(_file_text(path), path, os.path.dirname(path) or ".")
+    changes = _changes(kwargs["strains"], values(kwargs) if values else {})
+    return ScenarioConfig(**{**kwargs, **changes})
 
 
 def set_config_value(config: ScenarioConfig, param_path: str, value: float) -> ScenarioConfig:
@@ -603,26 +618,29 @@ def set_config_value(config: ScenarioConfig, param_path: str, value: float) -> S
     ``cost.c2_log_scale`` or ``strain.2.beta``.  The value gets the checks a
     file value gets.
     """
-    return _with_values(config, {param_path: value})
+    return replace(config, **_changes(config.strains, {param_path: value}))
 
 
-def _with_values(config: ScenarioConfig, values: dict) -> ScenarioConfig:
-    """A copy of the config with each numeric ``path: value`` set, validated
-    once after all of them: a value may fit only together with another, as a
-    new ``grid.dt`` with a new ``grid.horizon``."""
-    out = replace(config, strains=[replace(s) for s in config.strains])
+def _changes(strains: tuple[StrainSpec, ...], values: dict) -> dict:
+    """The :class:`ScenarioConfig` keyword arguments that set each numeric
+    ``path: value`` on a config with these ``strains``.  The config they
+    build is checked once, after all of them: a value may fit only together
+    with another, as a new ``grid.dt`` with a new ``grid.horizon``."""
+    changes = {}
     for param_path, value in values.items():
         parts = param_path.strip().lower().split(".")
+        path = ".".join(parts)
         if len(parts) == 3 and parts[0] == "strain":
-            if not parts[1].isdigit() or not 1 <= int(parts[1]) <= len(out.strains):
+            if not parts[1].isdigit() or not 1 <= int(parts[1]) <= len(strains):
                 raise ConfigError(f"no such strain in parameter path {param_path!r}")
             if parts[2] not in _STRAIN_KEYS:
                 raise ConfigError(f"unknown strain field in parameter path {param_path!r}")
-            target, name, kind = out.strains[int(parts[1]) - 1], parts[2], float
+            j = int(parts[1]) - 1
+            strain = replace(strains[j], **{parts[2]: _coerce(path, float, value)})
+            strains = changes["strains"] = (*strains[:j], strain, *strains[j + 1:])
         elif tuple(parts) in _SCHEMA and _SCHEMA[tuple(parts)][1] in (float, int):
-            target, (name, kind) = out, _SCHEMA[tuple(parts)]
+            name, kind = _SCHEMA[tuple(parts)]
+            changes[name] = _coerce(path, kind, value)
         else:
             raise ConfigError(f"unknown or non-numeric parameter path {param_path!r}")
-        setattr(target, name, _coerce(".".join(parts), kind, value))
-    out.validate()
-    return out
+    return changes

@@ -101,9 +101,9 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, t0: float, horizon: float, dt: float) -> "TimeGrid":
-        """Build a grid over [t0, horizon], snapping the end time to the grid."""
-        if not dt > 0:
-            raise DomainError(f"dt must be > 0, got {dt!r}")
+        """Build a grid over [t0, horizon], snapping the end time to the grid.
+        ``t0`` and ``dt`` get the checks of the grid's own constructor."""
+        cls(t0=t0, dt=dt, n_steps=0)
         if not horizon > t0:
             raise DomainError("horizon must lie after t0")
         span = (horizon - t0) / dt

@@ -136,7 +136,10 @@ def read_trajectory_csv(path: str) -> Trajectory:
     tol = NEGATIVE_TOLERANCE * np.maximum(P, 1.0)[:, None]
     _check_cells(path, header[-1:], u, (u < 0.0) | (u > 1.0), "lies outside [0, 1]")
     _check_cells(path, header[1:-1], compartments, compartments < -tol, "lies below zero")
-    pool = P[:, None] - E - I - R
+    # Finite cells whose difference passes the float range give -inf here,
+    # without a warning, as in Trajectory.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pool = P[:, None] - E - I - R
     _check_cells(path, [f"P - E_{j} - I_{j} - R_{j}" for j in range(1, n + 1)], pool,
                  pool < -tol, "lies below zero")
     _check_cells(path, header[2:-1:4], S, np.abs(S - pool) > tol, "is not P - E - I - R")
@@ -293,7 +296,6 @@ def run_scenario(
     ConfigError naming it.  For optimize mode the sweep report is attached
     to the result; non-convergence is reported, not raised.
     """
-    config.validate()
     out = out_dir or config.output_dir or os.path.join("out", config.name)
     with _output(out, "create the output directory"):
         os.makedirs(out, exist_ok=True)

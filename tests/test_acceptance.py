@@ -8,6 +8,7 @@ costs a few minutes.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,9 +45,9 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def run_preset_simulation(name, dt=None, horizon=None, u=0.0):
     cfg = preset_config(name)
     if dt is not None:
-        cfg.dt = dt
+        cfg = replace(cfg, dt=dt)
     if horizon is not None:
-        cfg.horizon = horizon
+        cfg = replace(cfg, horizon=horizon)
     grid = cfg.grid()
     traj = simulate(
         cfg.initial_state(), cfg.strain_params(),
@@ -464,8 +465,7 @@ def test_criterion_10_second_strain_structure():
 
 
 def test_criterion_11_determinism_and_order(tmp_path):
-    cfg = preset_config("experiment1")
-    cfg.svg = False
+    cfg = replace(preset_config("experiment1"), svg=False)
     r1 = run_scenario(cfg, out_dir=str(tmp_path / "one"), quiet=True)
     r2 = run_scenario(cfg, out_dir=str(tmp_path / "two"), quiet=True)
     identical = all(

@@ -80,6 +80,15 @@ class TestTimeGrid:
         with pytest.raises(DomainError, match="finite step count"):
             TimeGrid.from_horizon(0.0, horizon, dt)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_from_horizon_checks_the_step_as_the_constructor_does(self, dt):
+        with pytest.raises(DomainError) as direct:
+            TimeGrid(t0=0.0, dt=dt, n_steps=0)
+        with pytest.raises(DomainError, match=r"^dt must be finite and > 0, got ") as err:
+            TimeGrid.from_horizon(0.0, 10.0, dt)
+        assert type(err.value) is type(direct.value)
+        assert str(err.value) == str(direct.value)
+
     def test_index_of_off_grid_time(self):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)
         assert grid.index_of(0.5) == 5

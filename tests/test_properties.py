@@ -273,8 +273,14 @@ def twin_inputs(draw):
     (on node 0, on node N, on a scenario seed's node or on any node, some
     larger than the susceptible pool); and a random ``c1``."""
     text, _ = draw(stepped_scenarios())
-    cfg = _parse(text, "<drawn>", ".")
-    grid, params, events = cfg.grid(), cfg.strain_params(), cfg.seed_events()
+    # The config's keyword arguments, unchecked: a ScenarioConfig would
+    # reject the unstable steps.
+    kw = _parse(text, "<drawn>", ".")
+    grid = TimeGrid.from_horizon(kw["start"], kw["horizon"], kw["dt"])
+    params = [s.params() for s in kw["strains"]]
+    events = [s.seed_event(j) for j, s in enumerate(kw["strains"])]
+    n, P = len(params), kw["population"]
+    initial = EpidemicState(t=kw["start"], P=P, E=[0.0] * n, I=[0.0] * n, R=[0.0] * n)
     N = grid.n_steps
     nodes = st.sampled_from([0, N, grid.index_of(events[0].time)]) | st.integers(0, N)
     share = st.floats(min_value=0.0, max_value=0.5)
@@ -282,14 +288,13 @@ def twin_inputs(draw):
         events.append(SeedEvent(
             time=grid.time_at(draw(nodes)),
             strain=draw(st.integers(min_value=0, max_value=len(params) - 1)),
-            exposed=cfg.population * draw(share), infected=cfg.population * draw(share),
-            removed=cfg.population * draw(share),
+            exposed=P * draw(share), infected=P * draw(share), removed=P * draw(share),
         ))
     # Values drawn beyond [0, 1] clip to exact zeros and ones.
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     u = np.clip(rng.uniform(-0.2, 1.2, size=N + 1), 0.0, 1.0)
     c1 = draw(st.floats(min_value=1e-3, max_value=1e3))
-    return (cfg.initial_state(), params, ControlSchedule(grid, u), events, grid), c1
+    return (initial, params, ControlSchedule(grid, u), events, grid), c1
 
 
 def twin_outcome(run, sweep, inputs, c1):

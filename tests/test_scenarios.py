@@ -5,7 +5,7 @@ import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,10 @@ from hypothesis import strategies as st
 from multistrain import (
     ConfigError,
     ControlSchedule,
+    IntegrationError,
+    ScenarioConfig,
+    SolverError,
+    StrainSpec,
     full_system_rhs,
     load_config,
     parse_config_text,
@@ -31,7 +35,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
-from multistrain import config
+from multistrain import cli, config
 from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
@@ -202,8 +206,7 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
         assert replace(load_config(str(path)), base_dir=".") == preset_config("experiment1")
         schedule = "t,u\n" + "\n".join(",".join(r) for r in SCHEDULE_ROWS) + "\n"
         assert list(read_schedule_text(bom + schedule.encode()).u) == [0.1, 0.2, 0.3]
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         traj = run_scenario(cfg, out_dir=str(tmp_path), quiet=True).trajectory
         csv_path = tmp_path / "trajectory.csv"
         csv_path.write_bytes(bom + csv_path.read_bytes())
@@ -254,10 +257,8 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
             parse_config_text(SHORT_SIM + f"\n[cost]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=message):
             set_config_value(parse_config_text(SHORT_SIM), f"cost.{key}", value)
-        cfg = parse_config_text(SHORT_SIM)
-        setattr(cfg, _SCHEMA["cost", key][0], value)
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
+            replace(parse_config_text(SHORT_SIM), **{_SCHEMA["cost", key][0]: value})
 
     def test_optimize_needs_exactly_one_c2_form(self):
         with pytest.raises(ConfigError, match="c2"):
@@ -271,20 +272,13 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
             parse_config_text(_set_key(direct, "cost", "c2_population", "1000"))
         with pytest.raises(ConfigError, match=message):
             set_config_value(parse_config_text(direct), "cost.c2_population", 1000.0)
-        cfg = parse_config_text(direct)
-        cfg.c2_population = 1000.0
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
+            replace(parse_config_text(direct), c2_population=1000.0)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_svg_must_be_a_bool(self, value, tmp_path):
-        cfg = preset_config("experiment1")
-        cfg.svg = value
+    def test_svg_must_be_a_bool(self, value):
         with pytest.raises(ConfigError, match=r"^output\.svg must be true or false"):
-            cfg.validate()
-        with pytest.raises(ConfigError, match=r"^output\.svg"):
-            run_scenario(cfg, out_dir=str(tmp_path / "run"), quiet=True)
-        assert not (tmp_path / "run").exists()
+            replace(preset_config("experiment1"), svg=value)
 
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -413,10 +407,61 @@ class TestSchema:
             parse_config_text(_set_key(SCHEMA_BASE, "strain.1", "activation_day", repr(day)))
 
     def test_fractional_max_iterations_from_library_code_is_rejected(self):
-        cfg = preset_config("case_a")
-        cfg.max_iterations = 2.5
         with pytest.raises(ConfigError, match=r"^cost: max_iter"):
-            cfg.validate()
+            replace(preset_config("case_a"), max_iterations=2.5)
+
+
+class TestFrozenConfig:
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_a_config_field_cannot_be_assigned(self, name):
+        cfg = preset_config("experiment1")
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(StrainSpec)])
+    def test_a_strain_field_cannot_be_assigned(self, name):
+        strain = preset_config("experiment1").strains[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(strain, name, getattr(strain, name))
+
+    def test_the_config_is_checked_where_it_is_built(self):
+        assert not hasattr(ScenarioConfig, "validate")
+        cfg = preset_config("experiment1")
+        with pytest.raises(ConfigError, match=r"^grid\.dt=5\.0 .*at most 3\.897$"):
+            replace(cfg, dt=5.0)
+        # dt 5 at an eightfold beta: simulate would fail at step 6 with an
+        # IntegrationError.
+        fast = (replace(cfg.strains[0], beta=2e-8),)
+        with pytest.raises(ConfigError, match=r"^grid\.dt=5\.0 .*at most 0\.6136$"):
+            replace(cfg, dt=5.0, strains=fast)
+        kwargs = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        with pytest.raises(ConfigError, match=r"^grid\.dt=5\.0 "):
+            ScenarioConfig(**{**kwargs, "dt": 5.0})
+
+    def test_strains_are_held_as_a_tuple(self):
+        cfg = preset_config("experiment2")
+        again = replace(cfg, strains=list(cfg.strains))
+        assert again.strains == cfg.strains and isinstance(again.strains, tuple)
+        assert again == cfg and hash(again) == hash(cfg)
+
+    def test_set_config_value_leaves_the_original_unchanged(self):
+        cfg = preset_config("experiment2")
+        moved = set_config_value(cfg, "strain.2.activation_day", 200.0)
+        assert cfg == preset_config("experiment2")
+        assert moved.strains == (cfg.strains[0], replace(cfg.strains[1], activation_day=200.0))
+
+    def test_a_seed_larger_than_the_population_is_rejected_at_load(self, tmp_path, capsys):
+        path = tmp_path / "seed.ini"
+        path.write_text(_set_key(preset_text("experiment1"), "strain.1", "seed_exposed", "3e8"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: strain.1: ") and "initial.population" in err
+        assert not out.exists()
+        # The whole population may be seeded.
+        seeded = set_config_value(preset_config("experiment1"), "strain.1.seed_exposed",
+                                  217000252.0)
+        assert seeded.strains[0].seed_exposed == 217000252.0
 
 
 class TestRunScenario:
@@ -467,8 +512,7 @@ class TestRunScenario:
         } == digests
 
     def test_csv_round_trip_is_exact(self, tmp_path):
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         back = read_trajectory_csv(os.path.join(str(tmp_path), "trajectory.csv"))
         assert np.array_equal(back.P, result.trajectory.P)
@@ -541,6 +585,12 @@ class TestRunScenario:
             "t,P,S_1,E_1,I_1,R_1,u\n0,1,1,0,0,0,0\n0.1,1,-6e-10,1.0000000015,0,0,0\n",
             r"row 2 P - E_1 - I_1 - R_1 = -1\.\d+e-09 lies below zero",
         ),
+        # Finite cells whose P - E - I - R passes the float range.
+        (
+            "t,P,S_1,E_1,I_1,R_1,u\n0,1.7e308,0,1e308,1.7e308,1.7e308,0\n"
+            "0.1,1.7e308,0,1e308,1.7e308,1.7e308,0\n",
+            r"row 1 P - E_1 - I_1 - R_1 = -inf lies below zero",
+        ),
         # The step, and then the third node, t0 + 2 dt, are past the float range.
         (
             "t,P,S_1,E_1,I_1,R_1,u\n-1.7e308,1,1,0,0,0,0\n1.7e308,1,1,0,0,0,0\n",
@@ -562,8 +612,7 @@ class TestRunScenario:
         assert str(path) in str(err.value)
 
     def test_svg_outputs_are_wellformed_with_one_polyline_per_series(self, tmp_path):
-        cfg = parse_config_text(SHORT_OPT)
-        cfg.max_iterations = 40
+        cfg = replace(parse_config_text(SHORT_OPT), max_iterations=40)
         result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         comp = ET.parse(tmp_path / "compartments.svg").getroot()
         polylines = [el for el in comp.iter() if el.tag.endswith("polyline")]
@@ -587,18 +636,16 @@ class TestRunScenario:
 
     def test_constant_mode_records_control(self, tmp_path):
         text = SHORT_SIM.replace("mode = none", "mode = constant\nvalue = 0.4")
-        cfg = parse_config_text(text)
-        cfg.svg = False
+        cfg = replace(parse_config_text(text), svg=False)
         result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         assert np.all(result.trajectory.u == 0.4)
 
     def test_schedule_mode_reads_file(self, tmp_path):
         sched = tmp_path / "sched.csv"
-        cfg = parse_config_text(
-            SHORT_SIM.replace("mode = none", "mode = schedule\nfile = sched.csv"),
+        cfg = replace(
+            parse_config_text(SHORT_SIM.replace("mode = none", "mode = schedule\nfile = sched.csv")),
+            base_dir=str(tmp_path), svg=False,
         )
-        cfg.base_dir = str(tmp_path)
-        cfg.svg = False
         grid = cfg.grid()
         times = grid.times()
         lines = ["t,u"] + [f"{float(t)!r},0.25" for t in times]
@@ -607,14 +654,30 @@ class TestRunScenario:
         assert np.all(result.trajectory.u == 0.25)
 
     def test_optimize_attaches_report(self, tmp_path):
-        cfg = parse_config_text(SHORT_OPT)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_OPT), svg=False)
         result = run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
         assert result.report is not None
         assert result.report.converged
         assert np.array_equal(result.trajectory.u, result.report.schedule.u)
         line = format_report(result.report).splitlines()[0]
         assert re.search(r"\(started by \d+ coarse iteration\(s\) at dt 2\)", line)
+
+    def test_a_run_that_is_not_quiet_prints_its_summary(self, tmp_path, capsys):
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
+        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=False)
+        assert capsys.readouterr().out == (
+            f"scenario shortrun: wrote 2 file(s) to {tmp_path}\n"
+            f"{result.summary.format()}\n"
+        )
+
+    def test_a_cold_started_solve_reports_it(self, tmp_path, capsys):
+        # 73 steps of 0.1 day: no coarse step multiple divides the grid.
+        cfg = replace(preset_config("case_a"), horizon=7.3, svg=False)
+        result = run_scenario(cfg, out_dir=str(tmp_path), quiet=False)
+        assert result.report.coarse_dt is None
+        out = capsys.readouterr().out
+        assert format_report(result.report) in out
+        assert "(cold start)" in out.splitlines()[-3]
 
 
 SCHEDULE_GRID = TimeGrid(t0=0.0, dt=0.5, n_steps=2)
@@ -722,8 +785,7 @@ class TestScheduleCsv:
 
 class TestSweep:
     def test_single_value_sweep_matches_run_scenario(self, tmp_path):
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         single = run_scenario(cfg, out_dir=str(tmp_path / "direct"), quiet=True)
         results = sweep(cfg, "strain.1.beta", [5.2e-7],
                         out_dir=str(tmp_path / "swept"), quiet=True)
@@ -732,8 +794,7 @@ class TestSweep:
         assert (tmp_path / "swept" / "sweep_summary.csv").exists()
 
     def test_two_value_sweep_writes_combined_summary(self, tmp_path):
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         results = sweep(cfg, "strain.1.beta", [5.2e-7, 8.84e-7],
                         out_dir=str(tmp_path), quiet=True)
         assert len(results) == 2
@@ -747,8 +808,7 @@ class TestSweep:
         ]
 
     def test_mixed_case_path_names_runs_by_the_canonical_path(self, tmp_path):
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         sweep(cfg, " Strain.1.BETA ", [5.2e-7], out_dir=str(tmp_path), quiet=True)
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [
             "shortrun__strain_1_beta_5.2em07",
@@ -757,8 +817,7 @@ class TestSweep:
             assert {row["param"] for row in csv.DictReader(fh)} == {"strain.1.beta"}
 
     def test_values_sharing_a_run_directory_are_rejected_before_any_run(self, tmp_path):
-        cfg = parse_config_text(SHORT_SIM)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_SIM), svg=False)
         with pytest.raises(ConfigError, match=r"5\.2e-07 and 5\.200000001e-07"):
             sweep(cfg, "strain.1.beta", [5.2e-7, 5.200000001e-7],
                   out_dir=str(tmp_path / "sw"), quiet=True)
@@ -943,7 +1002,6 @@ class TestCli:
         # The trajectory alone, 4.1 MB, fits: simulate mode loads the grid.
         cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
         assert cfg.grid().n_points * (4 + 3) * 8 < limit
-        cfg.validate()
 
     def test_optimize_grid_beyond_the_cgroup_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -972,7 +1030,7 @@ class TestCli:
         memory_max.write_text("max\n")
         for path in (memory_max, tmp_path, tmp_path / "missing"):
             monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(path))
-            set_config_value(preset_config("case_a"), "grid.dt", 0.01).validate()
+            set_config_value(preset_config("case_a"), "grid.dt", 0.01)
 
     def test_optimize_grid_beyond_the_cgroup_v1_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -1054,11 +1112,43 @@ class TestCli:
         assert main(["presets", "write", "experiment1", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_a_sweep_run_that_does_not_converge_exits_three(self, tmp_path, capsys):
+        argv = ["sweep", "case_a", "--param", "cost.max_iterations", "--values", "1",
+                "--horizon", "60", "--out", str(tmp_path), "--quiet", "--no-svg"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "at least one sweep run did not converge\n"
+
+    def test_sweep_values_that_are_not_numbers_exit_two(self, tmp_path, capsys):
+        argv = ["sweep", "experiment1", "--param", "strain.1.beta", "--values", "a,b",
+                "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --values ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (SolverError, 3, "solver error: "),
+        (IntegrationError, 4, "integration error: "),
+    ])
+    def test_a_run_error_exits_with_its_code(self, error, code, prefix, monkeypatch, capsys):
+        def run(config, out_dir=None, quiet=False):
+            raise error("raised by the run")
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        assert main(["simulate", "experiment1", "--quiet"]) == code
+        assert capsys.readouterr().err == f"{prefix}raised by the run\n"
+
+    @pytest.mark.parametrize("raw, svg", [("false", False), ("true", True)])
+    def test_svg_key_reads_as_a_bool(self, raw, svg):
+        assert parse_config_text(SHORT_SIM + f"\n[output]\nsvg = {raw}\n").svg is svg
+
+    def test_svg_key_that_is_not_a_bool_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^output\.svg: not a boolean: 'maybe'$"):
+            parse_config_text(SHORT_SIM + "\n[output]\nsvg = maybe\n")
+
 
 class TestCostSweep:
     def test_cheaper_mitigation_raises_the_schedule(self, tmp_path):
-        cfg = parse_config_text(SHORT_OPT)
-        cfg.svg = False
+        cfg = replace(parse_config_text(SHORT_OPT), svg=False)
         results = sweep(cfg, "cost.c2_log_scale", [1.0, 0.8],
                         out_dir=str(tmp_path), quiet=True)
         assert all(r.report is not None and r.report.converged for r in results)
