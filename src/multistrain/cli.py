@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import PRESETS, resolve_config, write_preset
 from .errors import ConfigError, IntegrationError, ModelError, SolverError
@@ -75,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flag_values(parsed, args):
     """The ``path: value`` pairs the run flags set in the parsed config arguments."""
-    values = {"grid.dt": args.dt, "grid.horizon": args.horizon}
+    values = {"grid.dt": args.dt, "grid.horizon": args.horizon,
+              "output.svg": False if args.no_svg else None}
     if args.seed_day is not None:
         if len(parsed["strains"]) < 2:
             raise ConfigError("--seed-day needs a scenario with at least two strains")
@@ -104,8 +104,6 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         config = resolve_config(args.config, lambda parsed: _flag_values(parsed, args))
-        if args.no_svg:
-            config = replace(config, svg=False)
 
         if args.verb == "simulate":
             if config.control_mode == "optimize":

@@ -7,7 +7,8 @@ The table ``_SCHEMA`` is the schema: it maps each ``(section, key)`` to its
 :class:`StrainSpec` fields.  The file parser, :func:`set_config_value` (sweep
 values) and the CLI's ``--dt``, ``--horizon`` and ``--seed-day`` all read it
 and convert through one function, so a value from a sweep or a flag gets the
-same checks as one from a file.  Defaults are those of the dataclasses.
+same checks as one from a file; ``--no-svg`` sets ``output.svg`` the same
+way.  Defaults are those of the dataclasses.
 
 A :class:`ScenarioConfig` and its :class:`StrainSpec` entries are frozen.
 The config checks itself once, when it is built: the parser, the flags and
@@ -15,7 +16,9 @@ a sweep value all build it from keyword arguments, and a library caller
 changes one with ``dataclasses.replace`` or :func:`set_config_value`, each
 of which checks the result.  Every value rule lives in the model object that
 uses the value: the check builds that object and only adds the config key
-to its error.
+to its error.  The config keeps the objects its check built, and
+``grid()``, ``strain_params()``, ``seed_events()``, ``initial_state()`` and
+``cost_params()`` return them: nothing is built a second time.
 
     [scenario]            optional
     name                  run label, used for default output paths
@@ -166,7 +169,7 @@ class ScenarioConfig:
         if not self.population > 0:
             raise ConfigError("initial.population must be > 0")
         with _prefixed("grid"):
-            grid = self.grid()
+            grid = TimeGrid.from_horizon(self.start, self.horizon, self.dt)
         # A run holds every grid node as the trajectory's 4n + 3 float64
         # columns (t, P, S, E, I, R, u); an optimize run adds the 4n + 1
         # costate columns and the 2 * ANDERSON_DEPTH rows of Anderson
@@ -183,13 +186,13 @@ class ScenarioConfig:
                 f"grid.dt={self.dt!r} needs run arrays of {need} bytes, more than "
                 f"the {memory} bytes of {source}; use a larger grid.dt"
             )
-        params = []
+        params, events = [], []
         for idx, s in enumerate(self.strains, start=1):
             with _prefixed(f"strain.{idx}.activation_day"):
                 grid.index_of(s.activation_day)
             with _prefixed(f"strain.{idx}"):
                 params.append(s.params())
-                s.seed_event(idx - 1)
+                events.append(s.seed_event(idx - 1))
             seed = s.seed_exposed + s.seed_infected + s.seed_removed
             if seed > self.population:
                 raise ConfigError(
@@ -239,47 +242,46 @@ class ScenarioConfig:
             if self.c2_population is not None and not self.c2_population > 1:
                 raise ConfigError("cost.c2_population must be > 1")
             with _prefixed("cost"):
-                self.cost_params()
+                ref = self.population if self.c2_population is None else self.c2_population
+                c2 = self.c2 if self.c2 is not None else self.c2_log_scale * math.log(ref)
+                costs = CostParams(c1=self.c1, c2=c2)
                 check_solver_settings(self.relaxation, self.tolerance, self.max_iterations)
             with _prefixed("cost.u_init"):
                 check_control(self.u_init)
         else:
+            costs = None
             for (section, key), (name, _) in _SCHEMA.items():
                 if section == "cost" and getattr(self, name) != _DEFAULTS[name]:
                     raise ConfigError(f"cost.{key} only applies to optimize mode")
+        # Keep what the check built as plain attributes, not fields: equality,
+        # hashing, repr and replace see only the config's own values.
+        n = len(self.strains)
+        for name, value in {
+            "_grid": grid, "_params": tuple(params), "_events": tuple(filter(None, events)),
+            "_initial": EpidemicState(t=self.start, P=self.population,
+                                      E=[0.0] * n, I=[0.0] * n, R=[0.0] * n),
+            "_costs": costs,
+        }.items():
+            object.__setattr__(self, name, value)
 
-    # Derived build helpers
+    # The run inputs, as the check built them.
 
     def grid(self) -> TimeGrid:
-        return TimeGrid.from_horizon(self.start, self.horizon, self.dt)
+        return self._grid
 
     def strain_params(self) -> list[StrainParams]:
-        return [s.params() for s in self.strains]
+        return list(self._params)
 
     def seed_events(self) -> list[SeedEvent]:
-        events = []
-        for j, s in enumerate(self.strains):
-            ev = s.seed_event(j)
-            if ev is not None:
-                events.append(ev)
-        return events
+        return list(self._events)
 
     def initial_state(self) -> EpidemicState:
-        n = len(self.strains)
-        return EpidemicState(
-            t=self.start, P=self.population,
-            E=[0.0] * n, I=[0.0] * n, R=[0.0] * n,
-        )
+        return self._initial
 
     def cost_params(self) -> CostParams:
-        if self.control_mode != "optimize":
+        if self._costs is None:
             raise ConfigError("cost parameters are only defined for optimize mode")
-        if self.c2 is not None:
-            c2 = self.c2
-        else:
-            ref = self.c2_population if self.c2_population is not None else self.population
-            c2 = self.c2_log_scale * math.log(ref)
-        return CostParams(c1=self.c1, c2=c2)
+        return self._costs
 
     def resolve_path(self, name: str) -> str:
         return os.path.normpath(os.path.join(self.base_dir, name))
@@ -367,11 +369,11 @@ _BOOLEANS = {
 
 
 def _coerce(path: str, kind, raw):
-    """``raw`` converted by ``kind``.  ``raw`` is file text, or a number from a
-    sweep or a CLI flag; an integer field takes only an integral number.
+    """``raw`` converted by ``kind``.  ``raw`` is file text, or a number or bool from
+    a sweep or a CLI flag; an integer field takes only an integral number.
     Finiteness is left to the check a :class:`ScenarioConfig` runs when built."""
     if kind is bool:
-        word = raw.strip().lower()
+        word = str(raw).strip().lower()
         if word not in _BOOLEANS:
             raise ConfigError(f"{path}: not a boolean: {raw!r}")
         return _BOOLEANS[word]
@@ -597,7 +599,7 @@ def resolve_config(name_or_path: str, values=None) -> ScenarioConfig:
     """Interpret the argument as a preset name first, then as a file path.
 
     ``values``, if given, maps the :class:`ScenarioConfig` keyword arguments
-    the text spells out to numeric ``path: value`` pairs, set as
+    the text spells out to numeric or boolean ``path: value`` pairs, set as
     :func:`set_config_value` sets one before the config is built and checked
     once: a value replaces the file's, so it may mend it.
     """
@@ -612,18 +614,19 @@ def resolve_config(name_or_path: str, values=None) -> ScenarioConfig:
 
 
 def set_config_value(config: ScenarioConfig, param_path: str, value: float) -> ScenarioConfig:
-    """Return a copy of the config with one numeric field replaced.
+    """Return a copy of the config with one numeric or boolean field replaced.
 
     Paths use the section.key notation of the config file, e.g. ``grid.dt``,
-    ``cost.c2_log_scale`` or ``strain.2.beta``.  The value gets the checks a
-    file value gets.
+    ``cost.c2_log_scale``, ``strain.2.beta`` or ``output.svg``.  The value
+    gets the checks a file value gets: ``output.svg`` takes a bool or a word
+    the file accepts, so a number such as ``1.0`` is rejected.
     """
     return replace(config, **_changes(config.strains, {param_path: value}))
 
 
 def _changes(strains: tuple[StrainSpec, ...], values: dict) -> dict:
-    """The :class:`ScenarioConfig` keyword arguments that set each numeric
-    ``path: value`` on a config with these ``strains``.  The config they
+    """The :class:`ScenarioConfig` keyword arguments that set each numeric or
+    boolean ``path: value`` on a config with these ``strains``.  The config they
     build is checked once, after all of them: a value may fit only together
     with another, as a new ``grid.dt`` with a new ``grid.horizon``."""
     changes = {}
@@ -638,7 +641,7 @@ def _changes(strains: tuple[StrainSpec, ...], values: dict) -> dict:
             j = int(parts[1]) - 1
             strain = replace(strains[j], **{parts[2]: _coerce(path, float, value)})
             strains = changes["strains"] = (*strains[:j], strain, *strains[j + 1:])
-        elif tuple(parts) in _SCHEMA and _SCHEMA[tuple(parts)][1] in (float, int):
+        elif tuple(parts) in _SCHEMA and _SCHEMA[tuple(parts)][1] in (float, int, bool):
             name, kind = _SCHEMA[tuple(parts)]
             changes[name] = _coerce(path, kind, value)
         else:

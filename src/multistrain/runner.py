@@ -21,14 +21,14 @@ from .svgchart import line_chart
 DEFAULT_WINDOW = 90.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     config: ScenarioConfig
     trajectory: Trajectory
     summary: TrajectorySummary
     report: FbsmReport | None
     out_dir: str
-    files: list[str]
+    files: tuple[str, ...]
 
 
 def _g17(x: float) -> str:
@@ -291,37 +291,36 @@ def run_scenario(
     """Execute one scenario and write its artifacts.
 
     Artifacts are ``trajectory.csv``, ``summary.csv`` and, when ``config.svg``
-    is set, SVG charts, all placed in the scenario's output directory, which
-    is made before the run; a file that cannot be written raises
+    is set, SVG charts, all placed in the scenario's output directory.  The
+    directory is made once the inputs are read, schedule file included, so a
+    flawed input leaves none behind; a file that cannot be written raises
     ConfigError naming it.  For optimize mode the sweep report is attached
     to the result; non-convergence is reported, not raised.
     """
+    grid = config.grid()
+    # The schedule the run follows, or in optimize mode the one the solve starts from.
+    if config.control_mode == "schedule":
+        schedule = read_schedule_csv(config.resolve_path(config.schedule_file), grid)
+    else:
+        u = {"none": 0.0, "constant": config.control_value, "optimize": config.u_init}
+        schedule = ControlSchedule.constant(grid, u[config.control_mode])
     out = out_dir or config.output_dir or os.path.join("out", config.name)
     with _output(out, "create the output directory"):
         os.makedirs(out, exist_ok=True)
-    grid = config.grid()
-    params = config.strain_params()
-    events = config.seed_events()
-    initial = config.initial_state()
+    initial, params, events = config.initial_state(), config.strain_params(), config.seed_events()
 
     report = None
     if config.control_mode == "optimize":
         report = fbsm_solve(
             initial, params, events, grid,
             costs=config.cost_params(),
-            u_init=ControlSchedule.constant(grid, config.u_init),
+            u_init=schedule,
             relaxation=config.relaxation,
             tol=config.tolerance,
             max_iter=config.max_iterations,
         )
         traj = report.trajectory
     else:
-        if config.control_mode == "none":
-            schedule = ControlSchedule.constant(grid, 0.0)
-        elif config.control_mode == "constant":
-            schedule = ControlSchedule.constant(grid, config.control_value)
-        else:
-            schedule = read_schedule_csv(config.resolve_path(config.schedule_file), grid)
         traj = simulate(initial, params, schedule, events, grid)
 
     summary = summarize(traj, window=min(DEFAULT_WINDOW, grid.T - grid.t0))
@@ -342,7 +341,7 @@ def run_scenario(
 
     return RunResult(
         config=config, trajectory=traj, summary=summary,
-        report=report, out_dir=out, files=files,
+        report=report, out_dir=out, files=tuple(files),
     )
 
 

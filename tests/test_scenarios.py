@@ -464,6 +464,80 @@ class TestFrozenConfig:
         assert seeded.strains[0].seed_exposed == 217000252.0
 
 
+class TestKeptInputs:
+    """A config hands out the run inputs its check built, and a CLI run builds
+    one config."""
+
+    def test_accessors_return_the_objects_the_check_built(self):
+        cfg = preset_config("case_a")
+        assert cfg.grid() is cfg.grid()
+        assert cfg.initial_state() is cfg.initial_state()
+        assert cfg.cost_params() is cfg.cost_params()
+        two = preset_config("experiment2")
+        for accessor in (two.strain_params, two.seed_events):
+            a, b = accessor(), accessor()
+            assert a is not b and len(a) == 2
+            assert all(x is y for x, y in zip(a, b))
+
+    def test_a_replaced_config_holds_its_own_inputs(self):
+        cfg = preset_config("case_a")
+        moved = replace(cfg, dt=0.2)
+        assert moved.grid().dt == 0.2 and cfg.grid().dt == 0.1
+        assert moved.cost_params() == cfg.cost_params()
+        with pytest.raises(ConfigError, match="only defined for optimize mode"):
+            preset_config("experiment1").cost_params()
+
+    def test_the_kept_inputs_are_not_fields(self):
+        assert [f.name for f in fields(ScenarioConfig)] == [
+            "name", "start", "horizon", "dt", "population", "strains", "control_mode",
+            "control_value", "schedule_file", "c1", "c2", "c2_log_scale", "c2_population",
+            "relaxation", "tolerance", "max_iterations", "u_init", "output_dir", "svg",
+            "base_dir",
+        ]
+        assert repr(preset_config("case_a")) == (
+            "ScenarioConfig(name='case_a', start=0.0, horizon=730.0, dt=0.1, "
+            "population=217000255.0, strains=(StrainSpec(beta=2.41e-09, "
+            "sigma=0.14285714285714285, gamma=0.047619047619047616, "
+            "delta=0.011111111111111112, mu=1.152e-05, activation_day=0.0, "
+            "seed_exposed=252.0, seed_infected=2.0, seed_removed=1.0),), "
+            "control_mode='optimize', control_value=None, schedule_file=None, c1=1.0, "
+            "c2=None, c2_log_scale=1.0, c2_population=None, relaxation=0.5, "
+            "tolerance=1e-06, max_iterations=500, u_init=0.0, output_dir=None, "
+            "svg=True, base_dir='.')"
+        )
+
+    @pytest.mark.parametrize("argv, checks", [
+        (["simulate", "experiment1", "--no-svg"], 1),
+        (["sweep", "case_a", "--param", "cost.c2_log_scale", "--values", "1.0,0.9",
+          "--horizon", "60", "--no-svg"], 3),
+    ], ids=["simulate", "sweep"])
+    def test_a_cli_run_checks_one_config_per_run(self, argv, checks, tmp_path, monkeypatch):
+        # The loaded config and one per sweep value; --no-svg joins the build.
+        calls = []
+        memory_limit = config._memory_limit
+        monkeypatch.setattr(config, "_memory_limit", lambda: calls.append(1) or memory_limit())
+        from_horizon = TimeGrid.from_horizon.__func__
+        grids = []
+        monkeypatch.setattr(TimeGrid, "from_horizon", classmethod(
+            lambda cls, *args: grids.append(args) or from_horizon(cls, *args)
+        ))
+        out = tmp_path / "out"
+        assert main([*argv, "--quiet", "--out", str(out)]) == 0
+        assert len(calls) == checks
+        if argv[0] == "simulate":
+            assert len(grids) == 1
+        assert not list(out.rglob("*.svg")) and list(out.rglob("trajectory.csv"))
+
+    def test_output_svg_is_set_like_a_file_value(self):
+        cfg = preset_config("experiment1")
+        assert set_config_value(cfg, "output.svg", False).svg is False
+        assert set_config_value(cfg, "output.svg", "on").svg is True
+        with pytest.raises(ConfigError, match=r"^output\.svg: not a boolean: 1\.0$"):
+            set_config_value(cfg, "output.svg", 1.0)
+        with pytest.raises(ConfigError, match="unknown or non-numeric parameter path"):
+            set_config_value(cfg, "control.mode", 1.0)
+
+
 class TestRunScenario:
     def test_artifacts_and_determinism(self, tmp_path):
         cfg = parse_config_text(SHORT_SIM)
@@ -679,6 +753,15 @@ class TestRunScenario:
         assert format_report(result.report) in out
         assert "(cold start)" in out.splitlines()[-3]
 
+    def test_a_run_result_is_frozen(self, tmp_path):
+        result = run_scenario(parse_config_text(SHORT_SIM), out_dir=str(tmp_path), quiet=True)
+        assert result.files == (
+            str(tmp_path / "trajectory.csv"), str(tmp_path / "summary.csv"),
+            str(tmp_path / "compartments.svg"),
+        )
+        with pytest.raises(FrozenInstanceError):
+            result.files = ()
+
 
 SCHEDULE_GRID = TimeGrid(t0=0.0, dt=0.5, n_steps=2)
 SCHEDULE_ROWS = [["0.0", "0.1"], ["0.5", "0.2"], ["1.0", "0.3"]]
@@ -781,6 +864,26 @@ class TestScheduleCsv:
         path.write_text(SHORT_SIM.replace("mode = none", "mode = schedule\nfile = sched.csv"))
         assert main(["simulate", str(path), "--quiet", "--no-svg",
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("rows, fragment", [
+        (None, "schedule file not found: {}"),
+        ("t,u\n0,0.25\n0.05,0.25\n", "{}: schedule has 2 rows but the grid has 14601 nodes"),
+    ], ids=["missing", "row_count"])
+    def test_a_flawed_schedule_leaves_no_output_directory(
+        self, rows, fragment, tmp_path, capsys
+    ):
+        # The schedule is read before the output directory is made.
+        sched = tmp_path / "sched.csv"
+        if rows is not None:
+            sched.write_text(rows)
+        path = tmp_path / "cfg.ini"
+        path.write_text(preset_text("experiment1").replace(
+            "mode = none", "mode = schedule\nfile = sched.csv"
+        ))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--quiet", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {fragment.format(sched)}\n"
+        assert not out.exists()
 
 
 class TestSweep:
