@@ -29,11 +29,9 @@ to its error.  The config keeps the objects its check built, and
     dt                    step in days; must divide horizon-start, keep RK4
                           stable, dt * (beta * population + sigma + gamma +
                           mu) <= 2.78, and R non-negative, dt * delta <= 1,
-                          for every strain; and give run
-                          arrays that fit in physical memory and under a
-                          finite RLIMIT_AS: the (nodes, 4n + 3) float64
-                          history, plus in optimize mode the (nodes, 4n + 1)
-                          costates and 2 * ANDERSON_DEPTH Anderson rows
+                          for every strain.  Whether the run's arrays fit
+                          in memory is the run's check (runner.run_scenario),
+                          made before it writes anything
 
     [initial]             required
     population            total population P at the start
@@ -78,7 +76,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .control import ANDERSON_DEPTH, CostParams, check_solver_settings
+from .control import CostParams, check_solver_settings
 from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
 from .errors import ConfigError, DomainError
 from .integrate import SeedEvent, TimeGrid
@@ -170,22 +168,6 @@ class ScenarioConfig:
             raise ConfigError("initial.population must be > 0")
         with _prefixed("grid"):
             grid = TimeGrid.from_horizon(self.start, self.horizon, self.dt)
-        # A run holds every grid node as the trajectory's 4n + 3 float64
-        # columns (t, P, S, E, I, R, u); an optimize run adds the 4n + 1
-        # costate columns and the 2 * ANDERSON_DEPTH rows of Anderson
-        # differences.  A grid whose arrays cannot fit in memory fails here,
-        # before any output exists, not mid-run.
-        n = len(self.strains)
-        columns = 4 * n + 3
-        if self.control_mode == "optimize":
-            columns += 4 * n + 1 + 2 * ANDERSON_DEPTH
-        need = grid.n_points * columns * 8
-        memory, source = _memory_limit()
-        if need > memory:
-            raise ConfigError(
-                f"grid.dt={self.dt!r} needs run arrays of {need} bytes, more than "
-                f"the {memory} bytes of {source}; use a larger grid.dt"
-            )
         params, events = [], []
         for idx, s in enumerate(self.strains, start=1):
             with _prefixed(f"strain.{idx}.activation_day"):
@@ -285,43 +267,6 @@ class ScenarioConfig:
 
     def resolve_path(self, name: str) -> str:
         return os.path.normpath(os.path.join(self.base_dir, name))
-
-
-# The memory limit of this process's cgroup under cgroup v2 and under v1.
-_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
-_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
-
-
-def _memory_limit() -> tuple[float, str]:
-    """The bytes a run's arrays may take, and where the bound comes from:
-    physical memory, or below it a finite soft address-space limit
-    (``RLIMIT_AS``, as ``ulimit -v`` sets) or a cgroup memory limit, as a
-    container sets (v2 ``memory.max`` or v1 ``memory.limit_in_bytes``).
-    ``os.sysconf`` and ``resource`` are POSIX only; without either, that
-    bound is not applied.  Neither is a cgroup file that is missing,
-    unreadable or says ``max``, nor a value from physical memory up, which
-    is what v1 reports when there is no limit."""
-    memory, source = math.inf, "memory"
-    if hasattr(os, "sysconf"):
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        source = "physical memory"
-    try:
-        import resource
-    except ImportError:
-        pass
-    else:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY and soft < memory:
-            memory, source = soft, "the address-space limit (RLIMIT_AS)"
-    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
-        try:
-            with open(path) as fh:
-                cgroup = int(fh.read())
-        except (OSError, ValueError):
-            continue
-        if cgroup < memory:
-            memory, source = cgroup, f"the cgroup memory limit ({path})"
-    return memory, source
 
 
 @contextmanager

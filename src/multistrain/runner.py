@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from . import integrate
 from .analysis import TrajectorySummary, summarize
 from .config import ScenarioConfig, set_config_value
-from .control import FbsmReport, fbsm_solve
+from .control import ANDERSON_DEPTH, FbsmReport, fbsm_solve
 from .dynamics import NEGATIVE_TOLERANCE
 from .errors import ConfigError, DomainError
 from .integrate import ControlSchedule, TimeGrid, Trajectory, simulate
@@ -283,6 +284,67 @@ def format_report(report: FbsmReport) -> str:
     )
 
 
+# The memory limit of this process's cgroup under cgroup v2 and under v1.
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
+
+
+def _memory_limit() -> tuple[float, str]:
+    """The bytes a run's arrays may take, and where the bound comes from:
+    physical memory, or below it a finite soft address-space limit
+    (``RLIMIT_AS``, as ``ulimit -v`` sets) or a cgroup memory limit, as a
+    container sets (v2 ``memory.max`` or v1 ``memory.limit_in_bytes``).
+    ``os.sysconf`` and ``resource`` are POSIX only; without either, that
+    bound is not applied.  Neither is a cgroup file that is missing,
+    unreadable or says ``max``, nor a value from physical memory up, which
+    is what v1 reports when there is no limit."""
+    memory, source = math.inf, "memory"
+    if hasattr(os, "sysconf"):
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        source = "physical memory"
+    try:
+        import resource
+    except ImportError:
+        pass
+    else:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY and soft < memory:
+            memory, source = soft, "the address-space limit (RLIMIT_AS)"
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path) as fh:
+                cgroup = int(fh.read())
+        except (OSError, ValueError):
+            continue
+        if cgroup < memory:
+            memory, source = cgroup, f"the cgroup memory limit ({path})"
+    return memory, source
+
+
+def _run_inputs(config: ScenarioConfig) -> ControlSchedule:
+    """The schedule a run of ``config`` follows, or in optimize mode the one
+    its solve starts from.  First the run's arrays must fit in memory: per
+    grid node the trajectory's 4n + 3 float64 columns (t, P, S, E, I, R, u),
+    and in optimize mode the 4n + 1 costate columns and the 2 * ANDERSON_DEPTH
+    rows of Anderson differences.  Raises ConfigError before any output exists."""
+    grid = config.grid()
+    n = len(config.strains)
+    columns = 4 * n + 3
+    if config.control_mode == "optimize":
+        columns += 4 * n + 1 + 2 * ANDERSON_DEPTH
+    need = grid.n_points * columns * 8
+    memory, source = _memory_limit()
+    if need > memory:
+        raise ConfigError(
+            f"grid.dt={config.dt!r} needs run arrays of {need} bytes, more than "
+            f"the {memory} bytes of {source}; use a larger grid.dt"
+        )
+    if config.control_mode == "schedule":
+        return read_schedule_csv(config.resolve_path(config.schedule_file), grid)
+    u = {"none": 0.0, "constant": config.control_value, "optimize": config.u_init}
+    return ControlSchedule.constant(grid, u[config.control_mode])
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
@@ -292,18 +354,21 @@ def run_scenario(
 
     Artifacts are ``trajectory.csv``, ``summary.csv`` and, when ``config.svg``
     is set, SVG charts, all placed in the scenario's output directory.  The
-    directory is made once the inputs are read, schedule file included, so a
-    flawed input leaves none behind; a file that cannot be written raises
-    ConfigError naming it.  For optimize mode the sweep report is attached
-    to the result; non-convergence is reported, not raised.
+    directory is made once the run's inputs are checked: its arrays must fit
+    in physical memory, under a finite soft ``RLIMIT_AS`` and under a cgroup
+    memory limit, and a schedule file must match the grid.  So a flawed
+    input raises ConfigError and leaves no directory behind; a file that
+    cannot be written raises ConfigError naming it.  For optimize mode the
+    sweep report is attached to the result; non-convergence is reported,
+    not raised.
     """
+    return _run(config, _run_inputs(config), out_dir, quiet)
+
+
+def _run(config: ScenarioConfig, schedule: ControlSchedule, out_dir: str | None,
+         quiet: bool) -> RunResult:
+    """:func:`run_scenario` on the ``schedule`` that :func:`_run_inputs` gave."""
     grid = config.grid()
-    # The schedule the run follows, or in optimize mode the one the solve starts from.
-    if config.control_mode == "schedule":
-        schedule = read_schedule_csv(config.resolve_path(config.schedule_file), grid)
-    else:
-        u = {"none": 0.0, "constant": config.control_value, "optimize": config.u_init}
-        schedule = ControlSchedule.constant(grid, u[config.control_mode])
     out = out_dir or config.output_dir or os.path.join("out", config.name)
     with _output(out, "create the output directory"):
         os.makedirs(out, exist_ok=True)
@@ -359,8 +424,11 @@ def sweep(
     """Run the scenario once per parameter value and combine the summaries.
 
     Each run writes into ``<root>/<name>__<param>_<value>/``; a combined
-    ``sweep_summary.csv`` lands in the root.  Every value is checked, and
-    must give its own directory, before the first run.  Scenario runs are
+    ``sweep_summary.csv`` lands in the root.  Every value is checked before
+    the first run and before the root is made: its config, its own run
+    directory, and the memory and schedule checks of :func:`run_scenario`.
+    Each schedule file is read once, for that check, and its run follows it.
+    So a flawed value leaves no directory behind.  Scenario runs are
     independent, so callers may parallelise them externally if needed.
     """
     values = list(values)
@@ -378,15 +446,15 @@ def sweep(
                 f"directory tag {tag!r}"
             )
         tags[tag] = value
+    schedules = [_run_inputs(cfg) for cfg in configs]
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
     with _output(root, "create the output directory"):
         os.makedirs(root, exist_ok=True)
     results = []
     combined = []
-    for value, cfg in zip(values, configs):
+    for value, cfg, schedule in zip(values, configs, schedules):
         tag = f"{cfg.name}__{param_path.replace('.', '_')}_{_value_tag(value)}"
-        sub = os.path.join(root, tag)
-        result = run_scenario(cfg, out_dir=sub, quiet=quiet)
+        result = _run(cfg, schedule, os.path.join(root, tag), quiet)
         results.append(result)
         for row in _summary_rows(tag, result.summary, result.report):
             combined.append({"param": param_path, "value": _g17(value), **row})

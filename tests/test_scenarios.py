@@ -35,7 +35,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
-from multistrain import cli, config
+from multistrain import cli, config, runner
 from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
@@ -506,16 +506,21 @@ class TestKeptInputs:
             "svg=True, base_dir='.')"
         )
 
-    @pytest.mark.parametrize("argv, checks", [
-        (["simulate", "experiment1", "--no-svg"], 1),
+    @pytest.mark.parametrize("argv, builds, runs", [
+        (["simulate", "experiment1", "--no-svg"], 1, 1),
         (["sweep", "case_a", "--param", "cost.c2_log_scale", "--values", "1.0,0.9",
-          "--horizon", "60", "--no-svg"], 3),
+          "--horizon", "60", "--no-svg"], 3, 2),
     ], ids=["simulate", "sweep"])
-    def test_a_cli_run_checks_one_config_per_run(self, argv, checks, tmp_path, monkeypatch):
+    def test_a_cli_run_checks_one_config_per_run(self, argv, builds, runs, tmp_path,
+                                                 monkeypatch):
         # The loaded config and one per sweep value; --no-svg joins the build.
-        calls = []
-        memory_limit = config._memory_limit
-        monkeypatch.setattr(config, "_memory_limit", lambda: calls.append(1) or memory_limit())
+        # The memory check belongs to the run: one per run, none per build.
+        checks, calls = [], []
+        post_init = ScenarioConfig.__post_init__
+        monkeypatch.setattr(ScenarioConfig, "__post_init__",
+                            lambda cfg: checks.append(1) or post_init(cfg))
+        memory_limit = runner._memory_limit
+        monkeypatch.setattr(runner, "_memory_limit", lambda: calls.append(1) or memory_limit())
         from_horizon = TimeGrid.from_horizon.__func__
         grids = []
         monkeypatch.setattr(TimeGrid, "from_horizon", classmethod(
@@ -523,7 +528,7 @@ class TestKeptInputs:
         ))
         out = tmp_path / "out"
         assert main([*argv, "--quiet", "--out", str(out)]) == 0
-        assert len(calls) == checks
+        assert (len(checks), len(calls)) == (builds, runs)
         if argv[0] == "simulate":
             assert len(grids) == 1
         assert not list(out.rglob("*.svg")) and list(out.rglob("trajectory.csv"))
@@ -885,6 +890,43 @@ class TestScheduleCsv:
         assert capsys.readouterr().err == f"config error: {fragment.format(sched)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, param, values, fragment", [
+        (False, "strain.1.beta", "2e-9,3e-9", "schedule file not found: {}"),
+        (True, "grid.dt", "0.05,0.1", "{}: schedule has 14601 rows but the grid has 7301 nodes"),
+    ], ids=["missing", "second_value"])
+    def test_a_flawed_schedule_leaves_no_sweep_root(
+        self, rows, param, values, fragment, tmp_path, capsys
+    ):
+        # Every value's schedule is read before the root is made; the dt 0.05
+        # run used to be written before the dt 0.1 value failed.
+        sched = tmp_path / "sched.csv"
+        if rows:
+            sched.write_text("t,u\n" + "".join(f"{k * 0.05!r},0.25\n" for k in range(14601)))
+        path = tmp_path / "cfg.ini"
+        path.write_text(preset_text("experiment1").replace(
+            "mode = none", "mode = schedule\nfile = sched.csv"
+        ))
+        root = tmp_path / "root"
+        argv = ["sweep", str(path), "--param", param, "--values", values,
+                "--quiet", "--no-svg", "--out", str(root)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {fragment.format(sched)}\n"
+        assert not root.exists()
+
+    def test_a_sweep_reads_each_schedule_once_and_follows_it(self, tmp_path, monkeypatch):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("t,u\n" + "".join(f"{k * 0.1!r},0.25\n" for k in range(301)))
+        cfg = replace(parse_config_text(SHORT_SIM, base_dir=str(tmp_path)), svg=False,
+                      control_mode="schedule", schedule_file="sched.csv")
+        reads = []
+        read = runner.read_schedule_csv
+        monkeypatch.setattr(runner, "read_schedule_csv",
+                            lambda *args: reads.append(args[0]) or read(*args))
+        results = sweep(cfg, "strain.1.beta", [5.2e-7, 8.84e-7],
+                        out_dir=str(tmp_path / "sw"), quiet=True)
+        assert reads == [str(sched)] * 2
+        assert all(np.all(r.trajectory.u == 0.25) for r in results)
+
 
 class TestSweep:
     def test_single_value_sweep_matches_run_scenario(self, tmp_path):
@@ -1070,8 +1112,8 @@ class TestCli:
         monkeypatch.setattr(
             resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2
         )
-        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
-        monkeypatch.setattr(config, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
+        monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(runner, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
         cfg = preset_config("experiment1")
         nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
         need = nodes * (4 * len(cfg.strains) + 3) * 8
@@ -1102,9 +1144,10 @@ class TestCli:
         assert "grid.dt" in err and f"{need} bytes" in err and f"{limit} bytes" in err
         assert "RLIMIT_AS" in err
         assert not out.exists()
-        # The trajectory alone, 4.1 MB, fits: simulate mode loads the grid.
+        # The trajectory alone, 4.1 MB, fits: simulate mode passes the run's check.
         cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
         assert cfg.grid().n_points * (4 + 3) * 8 < limit
+        assert runner._run_inputs(cfg).u.shape == (73_001,)
 
     def test_optimize_grid_beyond_the_cgroup_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -1119,7 +1162,7 @@ class TestCli:
         limit = 8 << 20
         memory_max = tmp_path / "memory.max"
         memory_max.write_text(f"{limit}\n")
-        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(memory_max))
+        monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(memory_max))
         need = 73_001 * ((4 + 3) + (4 + 1) + 2 * ANDERSON_DEPTH) * 8
         out = tmp_path / "out"
         argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
@@ -1132,8 +1175,8 @@ class TestCli:
         # no limit.
         memory_max.write_text("max\n")
         for path in (memory_max, tmp_path, tmp_path / "missing"):
-            monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(path))
-            set_config_value(preset_config("case_a"), "grid.dt", 0.01)
+            monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(path))
+            runner._run_inputs(set_config_value(preset_config("case_a"), "grid.dt", 0.01))
 
     def test_optimize_grid_beyond_the_cgroup_v1_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -1148,8 +1191,8 @@ class TestCli:
         limit = 8 << 20
         limit_file = tmp_path / "memory.limit_in_bytes"
         limit_file.write_text(f"{limit}\n")
-        monkeypatch.setattr(config, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
-        monkeypatch.setattr(config, "_CGROUP_V1_LIMIT", str(limit_file))
+        monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(runner, "_CGROUP_V1_LIMIT", str(limit_file))
         out = tmp_path / "out"
         argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
         assert main(argv) == 2
@@ -1160,11 +1203,56 @@ class TestCli:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         for unlimited in (9223372036854771712, memory):
             limit_file.write_text(f"{unlimited}\n")
-            assert config._memory_limit() == (memory, "physical memory")
+            assert runner._memory_limit() == (memory, "physical memory")
+
+    def test_a_config_reads_no_host_memory_and_the_run_checks_it(
+        self, tmp_path, monkeypatch
+    ):
+        # A config's verdict depends only on its fields: a dt 1e-7 grid builds
+        # anywhere, and the run refuses it before making its directory.
+        resource = pytest.importorskip("resource")
+        limit = 8 << 20
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
+        monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(runner, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
+        calls = []
+        memory_limit = runner._memory_limit
+        monkeypatch.setattr(runner, "_memory_limit", lambda: calls.append(1) or memory_limit())
+        parse_config_text(preset_text("experiment1"))
+        fine = replace(preset_config("experiment1"), dt=1e-7)
+        set_config_value(preset_config("case_a"), "grid.dt", 1e-7)
+        assert calls == []
+        need = fine.grid().n_points * (4 + 3) * 8
+        out = tmp_path / "out"
+        message = (
+            f"grid.dt=1e-07 needs run arrays of {need} bytes, more than the {limit} "
+            f"bytes of the address-space limit (RLIMIT_AS); use a larger grid.dt"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_scenario(fine, out_dir=str(out), quiet=True)
+        assert calls == [1]
+        assert not out.exists()
+
+    def test_a_sweep_value_beyond_the_memory_limit_leaves_no_root(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        resource = pytest.importorskip("resource")
+        limit = 8 << 20
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
+        monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(runner, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
+        root = tmp_path / "root"
+        argv = ["sweep", "experiment1", "--param", "grid.dt", "--values", "0.05,1e-7",
+                "--quiet", "--no-svg", "--out", str(root)]
+        assert main(argv) == 2
+        assert "grid.dt=1e-07 needs run arrays of" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")
-        assert preset_config("experiment1").grid().n_steps == 14600
+        cfg = preset_config("experiment1")
+        assert cfg.grid().n_steps == 14600
+        assert runner._run_inputs(cfg).u.shape == (14601,)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "experiment1", "--dt", "0.3", "--horizon", "9"],
