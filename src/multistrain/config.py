@@ -8,7 +8,8 @@ The table ``_SCHEMA`` is the schema: it maps each ``(section, key)`` to its
 values) and the CLI's ``--dt``, ``--horizon`` and ``--seed-day`` all read it
 and convert through one function, so a value from a sweep or a flag gets the
 same checks as one from a file; ``--no-svg`` sets ``output.svg`` the same
-way.  Defaults are those of the dataclasses.
+way.  Defaults are those of the dataclasses.  The table ``_MODE_KEYS`` says
+which keys each control mode owns and which one it requires.
 
 A :class:`ScenarioConfig` and its :class:`StrainSpec` entries are frozen.
 The config checks itself once, when it is built: the parser, the flags and
@@ -80,9 +81,6 @@ from .control import CostParams, check_solver_settings
 from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
 from .errors import ConfigError, DomainError
 from .integrate import SeedEvent, TimeGrid
-
-CONTROL_MODES = ("none", "constant", "schedule", "optimize")
-
 
 @dataclass(frozen=True)
 class StrainSpec:
@@ -195,21 +193,19 @@ class ScenarioConfig:
                 f"control.mode must be one of {', '.join(CONTROL_MODES)}; "
                 f"got {self.control_mode!r}"
             )
+        for mode, keys in _MODE_KEYS.items():
+            for i, (section, key) in enumerate(keys):
+                name = _SCHEMA[section, key][0]
+                value = getattr(self, name)
+                if mode != self.control_mode and value != _DEFAULTS[name]:
+                    raise ConfigError(f"{section}.{key} only applies to {mode} mode")
+                if mode == self.control_mode and i == 0 and value in (None, ""):
+                    raise ConfigError(f"{section}.{key} is required for {mode} mode")
         if self.control_mode == "constant":
-            if self.control_value is None:
-                raise ConfigError("control.value is required for constant mode")
             with _prefixed("control.value"):
                 check_control(self.control_value)
-        elif self.control_value is not None:
-            raise ConfigError("control.value only applies to constant mode")
-        if self.control_mode == "schedule":
-            if not self.schedule_file:
-                raise ConfigError("control.file is required for schedule mode")
-        elif self.schedule_file is not None:
-            raise ConfigError("control.file only applies to schedule mode")
+        costs = None
         if self.control_mode == "optimize":
-            if self.c1 is None:
-                raise ConfigError("cost.c1 is required for optimize mode")
             if (self.c2 is None) == (self.c2_log_scale is None):
                 raise ConfigError(
                     "optimize mode needs exactly one of cost.c2 and cost.c2_log_scale"
@@ -230,11 +226,6 @@ class ScenarioConfig:
                 check_solver_settings(self.relaxation, self.tolerance, self.max_iterations)
             with _prefixed("cost.u_init"):
                 check_control(self.u_init)
-        else:
-            costs = None
-            for (section, key), (name, _) in _SCHEMA.items():
-                if section == "cost" and getattr(self, name) != _DEFAULTS[name]:
-                    raise ConfigError(f"cost.{key} only applies to optimize mode")
         # Keep what the check built as plain attributes, not fields: equality,
         # hashing, repr and replace see only the config's own values.
         n = len(self.strains)
@@ -304,6 +295,11 @@ _SCHEMA = {
     ("output", "svg"): ("svg", bool),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
+# The keys each control mode owns, the one it requires first: a key keeps its
+# default in every other mode.  The [cost] keys of _SCHEMA begin with c1.
+_MODE_KEYS = {"none": (), "constant": (("control", "value"),), "schedule": (("control", "file"),),
+              "optimize": tuple(key for key in _SCHEMA if key[0] == "cost")}
+CONTROL_MODES = tuple(_MODE_KEYS)
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 _STRAIN_KEYS = tuple(f.name for f in fields(StrainSpec))
 

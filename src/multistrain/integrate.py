@@ -250,6 +250,9 @@ class Trajectory:
         return self._S
 
     def state_at(self, k: int) -> EpidemicState:
+        """The state at node ``k``; a negative ``k`` counts from the last node,
+        as a sequence index does, and one out of range raises IndexError."""
+        k = range(self.grid.n_points)[k]
         return EpidemicState(
             t=self.grid.time_at(k), P=float(self.P[k]),
             E=self.E[k], I=self.I[k], R=self.R[k],

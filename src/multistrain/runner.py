@@ -321,23 +321,48 @@ def _memory_limit() -> tuple[float, str]:
     return memory, source
 
 
-def _run_inputs(config: ScenarioConfig) -> ControlSchedule:
-    """The schedule a run of ``config`` follows, or in optimize mode the one
-    its solve starts from.  First the run's arrays must fit in memory: per
-    grid node the trajectory's 4n + 3 float64 columns (t, P, S, E, I, R, u),
-    and in optimize mode the 4n + 1 costate columns and the 2 * ANDERSON_DEPTH
-    rows of Anderson differences.  Raises ConfigError before any output exists."""
-    grid = config.grid()
-    n = len(config.strains)
-    columns = 4 * n + 3
+def _run_bytes(config: ScenarioConfig) -> tuple[int, int]:
+    """The bytes a run of ``config`` holds at its peak, and the bytes a sweep
+    keeps of it once it is done.  Per grid node, in float64 columns for n
+    strains: the result holds the trajectory's 4n + 2 (P, E, I, R, S and u),
+    and in optimize mode the 4n + 1 costates too.  Beside them the CSV
+    writer holds its value matrix, 4n + 3 (t, P, S, E, I, R, u), and one of
+    temporaries.  An optimize run peaks in its solve, which holds two
+    iterates' results, the coarse solve's result on up to half the nodes,
+    2 * ANDERSON_DEPTH rows of Anderson differences and four schedule
+    vectors.  The writer's text buffer comes on top, and the Python objects
+    of the run and its result, at most 32 KiB and 2 KiB per strain.  A
+    sweep keeps each result, and in optimize mode the schedule the solve
+    started from.  This counts the compiled loops and writers; their
+    Python twins, which a run takes without ``cc``, can hold up to a fifth
+    more."""
+    n, nodes = len(config.strains), config.grid().n_points
+    result = kept = 4 * n + 2
     if config.control_mode == "optimize":
-        columns += 4 * n + 1 + 2 * ANDERSON_DEPTH
-    need = grid.n_points * columns * 8
+        result += 4 * n + 1
+        columns = 2 * result + (result + 1) // 2 + 2 * ANDERSON_DEPTH + 4
+        kept = result + 1
+    else:
+        columns = result + 4 * n + 4
+    objects = (32 + 2 * n) << 10
+    return nodes * columns * 8 + integrate._TEXT_BYTES + objects, nodes * kept * 8 + objects
+
+
+def _run_inputs(config: ScenarioConfig, held: int = 0) -> ControlSchedule:
+    """The schedule a run of ``config`` follows, or in optimize mode the one
+    its solve starts from.  First the run's arrays (:func:`_run_bytes`), with
+    the ``held`` bytes of earlier results a sweep keeps, must fit in memory.
+    Raises ConfigError before any output exists."""
+    grid = config.grid()
+    need = held + _run_bytes(config)[0]
     memory, source = _memory_limit()
     if need > memory:
+        part, fix = "", "use a larger grid.dt"
+        if held:
+            part, fix = f", {held} of them for the results the sweep keeps", f"{fix} or fewer values"
         raise ConfigError(
-            f"grid.dt={config.dt!r} needs run arrays of {need} bytes, more than "
-            f"the {memory} bytes of {source}; use a larger grid.dt"
+            f"grid.dt={config.dt!r} needs run arrays of {need} bytes{part}, more than "
+            f"the {memory} bytes of {source}; {fix}"
         )
     if config.control_mode == "schedule":
         return read_schedule_csv(config.resolve_path(config.schedule_file), grid)
@@ -426,9 +451,11 @@ def sweep(
     Each run writes into ``<root>/<name>__<param>_<value>/``; a combined
     ``sweep_summary.csv`` lands in the root.  Every value is checked before
     the first run and before the root is made: its config, its own run
-    directory, and the memory and schedule checks of :func:`run_scenario`.
-    Each schedule file is read once, for that check, and its run follows it.
-    So a flawed value leaves no directory behind.  Scenario runs are
+    directory, and the memory and schedule checks of :func:`run_scenario`,
+    where the memory check counts the results of the values before it, which
+    the sweep keeps and returns.  Each schedule file is read once, for that
+    check, and its run follows it.  So a flawed value, or one more value
+    than memory holds, leaves no directory behind.  Scenario runs are
     independent, so callers may parallelise them externally if needed.
     """
     values = list(values)
@@ -446,7 +473,10 @@ def sweep(
                 f"directory tag {tag!r}"
             )
         tags[tag] = value
-    schedules = [_run_inputs(cfg) for cfg in configs]
+    schedules, held = [], 0
+    for cfg in configs:
+        schedules.append(_run_inputs(cfg, held))
+        held += _run_bytes(cfg)[1]
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
     with _output(root, "create the output directory"):
         os.makedirs(root, exist_ok=True)

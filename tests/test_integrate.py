@@ -2,12 +2,14 @@ import ctypes
 import hashlib
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +255,61 @@ class TestSimulate:
         initial = EpidemicState(t=0.0, P=P0, E=[0.0], I=[0.0], R=[0.0])
         with pytest.raises(ConfigError):
             simulate(initial, params, ControlSchedule.constant(other, 0.0), [], grid)
+
+    # One input per rejection of simulate and Trajectory, each with a single
+    # flaw, and the error and exact message it raises.
+    REJECTIONS = {
+        "schedule that is an array": (
+            lambda p, g, i, s: simulate(i, p, s.u, [], g),
+            DomainError, "simulate expects a ControlSchedule",
+        ),
+        "strain count": (
+            lambda p, g, i, s: simulate(i, p * 2, s, [], g),
+            DomainError, "initial state and parameter list disagree on strain count",
+        ),
+        "initial time": (
+            lambda p, g, i, s: simulate(replace(i, t=1.0), p, s, [], g),
+            ConfigError, "initial state is at t=1.0 but the grid starts at 0.0",
+        ),
+        "seed strain": (
+            lambda p, g, i, s: simulate(i, p, s, [SeedEvent(time=0.0, strain=1, exposed=1.0)], g),
+            ConfigError, "seed event targets unknown strain 1",
+        ),
+        "P length": (
+            lambda p, g, i, s: Trajectory(g, np.ones(20), np.zeros((21, 1)),
+                                          np.zeros((21, 1)), np.zeros((21, 1)), s.u),
+            DomainError, "P and u must hold one value per grid node",
+        ),
+        "E, I, R shapes": (
+            lambda p, g, i, s: Trajectory(g, np.ones(21), np.zeros((21, 1)),
+                                          np.zeros((21, 2)), np.zeros((21, 1)), s.u),
+            DomainError, "E, I, R must share one (nodes, strains) shape",
+        ),
+        "history rows": (
+            lambda p, g, i, s: Trajectory(g, np.ones(21), np.zeros((20, 1)),
+                                          np.zeros((20, 1)), np.zeros((20, 1)), s.u),
+            DomainError, "per-strain history must hold one row per grid node",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_rejection(self, case):
+        params = [StrainParams(beta=BETA, sigma=SIGMA, gamma=GAMMA, delta=DELTA, mu=MU)]
+        grid = TimeGrid.from_horizon(0.0, 10.0, 0.5)
+        initial = EpidemicState(t=0.0, P=P0, E=[0.0], I=[0.0], R=[0.0])
+        build, error, message = self.REJECTIONS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(params, grid, initial, ControlSchedule.constant(grid, 0.0))
+
+    def test_state_at_a_negative_index_counts_from_the_last_node(self):
+        traj, _, grid = baseline_run(dt=0.5, horizon=10.0)
+        last, end = traj.state_at(-1), traj.state_at(grid.n_points - 1)
+        assert (last.t, last.P) == (end.t, end.P) == (grid.T, traj.P[-1])
+        assert (last.E, last.I, last.R) == (end.E, end.I, end.R)
+        assert traj.state_at(-grid.n_points).t == 0.0
+        for k in (grid.n_points, -grid.n_points - 1):
+            with pytest.raises(IndexError):
+                traj.state_at(k)
 
     def test_blow_up_raises_integration_error(self):
         # A transmission rate this large overflows within a few steps.

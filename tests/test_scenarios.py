@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -35,7 +36,7 @@ from multistrain import (
     write_preset,
 )
 from multistrain.cli import main
-from multistrain import cli, config, runner
+from multistrain import cli, config, integrate, runner
 from multistrain.config import _SCHEMA, _STRAIN_KEYS
 from multistrain.control import ANDERSON_DEPTH
 from multistrain.runner import format_report
@@ -125,6 +126,19 @@ NUMERIC_VALUES = {
     "strain.1.seed_removed": 0.5,
 }
 SCHEMA_BASE = _set_key(SHORT_OPT, "strain.1", "activation_day", "10")
+
+# A one-strain run's memory budget, restated from runner._run_bytes: float64
+# columns per grid node, and the CSV writer's text buffer and 34 KiB of
+# Python objects on top.  Simulate mode keeps the trajectory's 6 columns and the
+# writer holds 8 beside them.  An optimize sweep holds two iterates of 11 (the
+# trajectory and 5 costates), the coarse result on half the nodes, the
+# Anderson rows and 4 schedule vectors.
+SIMULATE_COLUMNS = 6 + 8
+OPTIMIZE_COLUMNS = 2 * 11 + 6 + 2 * ANDERSON_DEPTH + 4
+
+
+def run_bytes(nodes: int, columns: int) -> int:
+    return nodes * columns * 8 + integrate._TEXT_BYTES + (34 << 10)
 
 
 def _base_for(path: str) -> str:
@@ -331,6 +345,129 @@ case_f         optimal mitigation, c2 = 0.5 ln(P0)
             set_config_value(cfg, "strain.2.beta", 1e-8)
         with pytest.raises(ConfigError):
             set_config_value(cfg, "nope.nope", 1.0)
+
+
+def _drop(text: str, start: str, stop: str) -> str:
+    """``text`` without the stretch from the line ``start`` up to, not including, ``stop``."""
+    head = text.index(start)
+    return text[:head] + text[text.index(stop, head):]
+
+
+# One input per rejection of the config module, each with a single flaw, and
+# the exact message it raises.
+CONFIG_REJECTIONS = {
+    "no strain section": (
+        lambda: parse_config_text(_drop(SHORT_SIM, "[strain.1]", "[control]")),
+        "at least one [strain.N] section is required",
+    ),
+    "population zero": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "initial", "population", "0")),
+        "initial.population must be > 0",
+    ),
+    "unknown mode": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "control", "mode", "bogus")),
+        "control.mode must be one of none, constant, schedule, optimize; got 'bogus'",
+    ),
+    "constant without value": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "control", "mode", "constant")),
+        "control.value is required for constant mode",
+    ),
+    "value outside constant mode": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "control", "value", "0.5")),
+        "control.value only applies to constant mode",
+    ),
+    "schedule without file": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "control", "mode", "schedule")),
+        "control.file is required for schedule mode",
+    ),
+    "schedule with an empty file": (
+        lambda: parse_config_text(_set_key(
+            _set_key(SHORT_SIM, "control", "mode", "schedule"), "control", "file", "")),
+        "control.file is required for schedule mode",
+    ),
+    "file outside schedule mode": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "control", "file", "u.csv")),
+        "control.file only applies to schedule mode",
+    ),
+    "optimize without c1": (
+        lambda: parse_config_text(SHORT_OPT.replace("c1 = 1\n", "")),
+        "cost.c1 is required for optimize mode",
+    ),
+    "c2_log_scale zero": (
+        lambda: parse_config_text(_set_key(SHORT_OPT, "cost", "c2_log_scale", "0")),
+        "cost.c2_log_scale must be > 0",
+    ),
+    "c2_population one": (
+        lambda: parse_config_text(_set_key(SHORT_OPT, "cost", "c2_population", "1")),
+        "cost.c2_population must be > 1",
+    ),
+    "strain numbered 0": (
+        lambda: parse_config_text(SHORT_SIM.replace("[strain.1]", "[strain.0]")),
+        "strain sections are numbered from 1; got [strain.0]",
+    ),
+    "missing section": (
+        lambda: parse_config_text(_drop(SHORT_SIM, "[grid]", "[initial]")),
+        "missing required section [grid]",
+    ),
+    "strain gap": (
+        lambda: parse_config_text(SHORT_SIM.replace("[strain.1]", "[strain.2]")),
+        "strain sections must be numbered 1..n without gaps",
+    ),
+    "unknown strain key": (
+        lambda: parse_config_text(_set_key(SHORT_SIM, "strain.1", "kappa", "1")),
+        "unknown key 'kappa' in section [strain.1]",
+    ),
+    "missing strain key": (
+        lambda: parse_config_text(_drop(SHORT_SIM, "beta =", "sigma =")),
+        "strain.1.beta is required",
+    ),
+    "unknown preset": (
+        lambda: preset_text("nope"),
+        "unknown preset 'nope'; available: experiment1, experiment2, experiment3, "
+        "case_a, case_b, case_c, case_d, case_e, case_f",
+    ),
+    "unknown strain field": (
+        lambda: set_config_value(parse_config_text(SHORT_SIM), "strain.1.kappa", 1.0),
+        "unknown strain field in parameter path 'strain.1.kappa'",
+    ),
+}
+
+
+class TestRejections:
+    """Each rejection of the config and runner modules, pinned to its text."""
+
+    @pytest.mark.parametrize("case", CONFIG_REJECTIONS)
+    def test_config_rejection(self, case):
+        build, message = CONFIG_REJECTIONS[case]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("case", ["no sweep value", "times that do not increase"])
+    def test_runner_rejection(self, case, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("t,P,S_1,E_1,I_1,R_1,u\n0,10,10,0,0,0,0\n0,10,10,0,0,0,0\n")
+        build, message = {
+            "no sweep value": (
+                lambda: sweep(parse_config_text(SHORT_SIM), "grid.dt", [],
+                              out_dir=str(tmp_path / "sw"), quiet=True),
+                "sweep needs at least one value",
+            ),
+            "times that do not increase": (
+                lambda: read_trajectory_csv(str(path)),
+                f"{path}: the times of rows 1 and 2 do not increase",
+            ),
+        }[case]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+        assert not (tmp_path / "sw").exists()
+
+    def test_a_strain_without_seed_mass_has_no_seed_event(self):
+        text = preset_text("experiment2")
+        for key in ("seed_exposed", "seed_infected", "seed_removed"):
+            text = _set_key(text, "strain.2", key, "0")
+        cfg = parse_config_text(text)
+        assert cfg.strains[1].seed_event(1) is None
+        assert [ev.strain for ev in cfg.seed_events()] == [0]
 
 
 class TestSchema:
@@ -1116,7 +1253,7 @@ class TestCli:
         monkeypatch.setattr(runner, "_CGROUP_V1_LIMIT", str(tmp_path / "missing"))
         cfg = preset_config("experiment1")
         nodes = round((cfg.horizon - cfg.start) / float(dt)) + 1
-        need = nodes * (4 * len(cfg.strains) + 3) * 8
+        need = run_bytes(nodes, SIMULATE_COLUMNS)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need <= memory:
             pytest.skip(f"this host's {memory} bytes of memory hold a {need}-byte history")
@@ -1130,13 +1267,12 @@ class TestCli:
     def test_optimize_grid_beyond_the_address_space_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Under ulimit -v 8 MiB, a dt 0.01 case_a solve holds 73 001 nodes of
+        # Under ulimit -v 16 MiB, a dt 0.01 case_a solve holds 73 001 nodes of
         # the trajectory, the costates and the Anderson rows.
         resource = pytest.importorskip("resource")
-        limit = 8 << 20
+        limit = 16 << 20
         monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
-        nodes = 73_001
-        need = nodes * ((4 + 3) + (4 + 1) + 2 * ANDERSON_DEPTH) * 8
+        need = run_bytes(73_001, OPTIMIZE_COLUMNS)
         out = tmp_path / "out"
         argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
         assert main(argv) == 2
@@ -1144,9 +1280,9 @@ class TestCli:
         assert "grid.dt" in err and f"{need} bytes" in err and f"{limit} bytes" in err
         assert "RLIMIT_AS" in err
         assert not out.exists()
-        # The trajectory alone, 4.1 MB, fits: simulate mode passes the run's check.
+        # A simulate run, 8.4 MB, fits: simulate mode passes the run's check.
         cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
-        assert cfg.grid().n_points * (4 + 3) * 8 < limit
+        assert run_bytes(73_001, SIMULATE_COLUMNS) < limit
         assert runner._run_inputs(cfg).u.shape == (73_001,)
 
     def test_optimize_grid_beyond_the_cgroup_memory_limit_exits_two(
@@ -1163,7 +1299,7 @@ class TestCli:
         memory_max = tmp_path / "memory.max"
         memory_max.write_text(f"{limit}\n")
         monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(memory_max))
-        need = 73_001 * ((4 + 3) + (4 + 1) + 2 * ANDERSON_DEPTH) * 8
+        need = run_bytes(73_001, OPTIMIZE_COLUMNS)
         out = tmp_path / "out"
         argv = ["optimize", "case_a", "--dt", "0.01", "--out", str(out), "--quiet"]
         assert main(argv) == 2
@@ -1222,7 +1358,7 @@ class TestCli:
         fine = replace(preset_config("experiment1"), dt=1e-7)
         set_config_value(preset_config("case_a"), "grid.dt", 1e-7)
         assert calls == []
-        need = fine.grid().n_points * (4 + 3) * 8
+        need = run_bytes(fine.grid().n_points, SIMULATE_COLUMNS)
         out = tmp_path / "out"
         message = (
             f"grid.dt=1e-07 needs run arrays of {need} bytes, more than the {limit} "
@@ -1247,6 +1383,58 @@ class TestCli:
         assert main(argv) == 2
         assert "grid.dt=1e-07 needs run arrays of" in capsys.readouterr().err
         assert not root.exists()
+
+    @pytest.mark.parametrize("name, n_strains", [
+        ("experiment1", 1), ("experiment3", 2), ("experiment1", 8), ("case_a", 1), ("case_a", 2),
+    ])
+    def test_a_run_peaks_within_its_memory_budget(self, name, n_strains, tmp_path):
+        # The tracemalloc peak of a run at its preset grid, with the compiled
+        # library loaded, stays within the bytes its check budgets, and the
+        # budget counts less than half again as much.
+        text = preset_text(name)
+        block = text[text.index("[strain.1]"):text.index("[control]")]
+        extra = "".join(block.replace("[strain.1]", f"[strain.{j}]")
+                        for j in range(len(parse_config_text(text).strains) + 1, n_strains + 1))
+        cfg = parse_config_text(text.replace("[control]", extra + "[control]"))
+        assert len(cfg.strains) == n_strains
+        with compiled_path():
+            tracemalloc.start()
+            try:
+                run_scenario(cfg, out_dir=str(tmp_path), quiet=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        need = runner._run_bytes(cfg)[0]
+        assert peak <= need < 1.5 * peak
+
+    def test_a_sweep_budgets_every_result_it_keeps(self, tmp_path, capsys, monkeypatch):
+        # Three experiment1 runs: the third runs beside the two results the
+        # sweep keeps, and its check counts them.
+        values = "2.41e-9,2.5e-9,2.6e-9"
+        cfg = replace(preset_config("experiment1"), svg=False)
+        need, kept = runner._run_bytes(cfg)
+        total = need + 2 * kept
+        with compiled_path():
+            tracemalloc.start()
+            try:
+                sweep(cfg, "strain.1.beta", [float(v) for v in values.split(",")],
+                      out_dir=str(tmp_path / "fits"), quiet=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert need < peak <= total
+        monkeypatch.setattr(runner, "_memory_limit", lambda: (total - 1, "a test limit"))
+        root = tmp_path / "root"
+        argv = ["sweep", "experiment1", "--param", "strain.1.beta", "--values", values,
+                "--quiet", "--no-svg", "--out", str(root)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"config error: grid.dt=0.05 needs run arrays of {total} bytes, {2 * kept} of them "
+            f"for the results the sweep keeps, more than the {total - 1} bytes of a test "
+            f"limit; use a larger grid.dt or fewer values"
+        )
+        assert not root.exists()
+        assert main(argv[:5] + ["2.41e-9,2.5e-9"] + argv[6:]) == 0
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")
