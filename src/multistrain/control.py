@@ -448,7 +448,7 @@ def fbsm_solve(
         u = np.array(u_init.u, dtype=float)
 
     coarse = _coarse_grid(grid, params, events, initial.P)
-    start = None
+    coarse_iterations = None
     if coarse is not None:
         m = round(coarse.dt / grid.dt)
         try:
@@ -462,7 +462,11 @@ def fbsm_solve(
             pass
         else:
             u = np.interp(grid.times(), coarse.times(), start.schedule.u)
+            # Only the count outlives the coarse report, whose trajectory
+            # and costates the fine sweep need not hold beside its own.
+            coarse_iterations = start.iterations
+            del start
     report = _sweep(initial, params, events, grid, costs, u, relaxation, tol, max_iter)
-    if start is None:
+    if coarse_iterations is None:
         return report
-    return replace(report, coarse_iterations=start.iterations, coarse_dt=coarse.dt)
+    return replace(report, coarse_iterations=coarse_iterations, coarse_dt=coarse.dt)

@@ -22,7 +22,7 @@ list twin is ``control._adjoint_loop``, and the writers' formatters
 ``"%.17g"`` and ``"%.2f"``.  ``_ENTRIES`` declares each entry's C
 signature and its Python twin's cost, :func:`_kernel` routes all four by
 name, and :func:`write_text` writes a file's items through a formatter, or
-in Python where there is none.
+in Python where there is none, into a file that :func:`open_new` made.
 
 The C file is compiled when the process first calls ``simulate``,
 ``backward_sweep`` or a writer, never at import, with ``cc -O1
@@ -54,6 +54,7 @@ import math
 import numbers
 import os
 import shutil
+import stat
 import sys
 import tempfile
 import threading
@@ -401,6 +402,38 @@ def _end_build():
 # Python call formats: never the whole text of a file.
 _TEXT_BYTES = 1 << 18
 _PYTHON_ITEMS = 1024
+
+
+def open_new(path: str, mode: str = "xb", **kwargs):
+    """Open a new file at ``path`` in the exclusive mode ``mode``, ``"xb"``
+    or ``"x"``, after removing the regular file, or the link to one, that is
+    there; ``kwargs`` go to :func:`open`.  Every file the package writes is
+    opened here.
+
+    Truncating an existing file and writing it again makes ext4 start
+    writeback of it on close (its ``auto_da_alloc`` rule), which took a
+    re-run's artifact writers longer than their formatting; a new file is
+    written back on the filesystem's own schedule.  Writing a temporary file
+    and renaming it over the path was measured slower still, since ext4
+    flushes on that rename too.  So a link to a regular file is not written
+    through: a hard link keeps the old bytes, a symlink is replaced by a
+    regular file and its target is left alone, and the directory must be
+    writable.  A device, pipe or socket, or a link to one, is written
+    through as before (``"w"`` for ``"x"``), since it has no contents to
+    flush and removing it would take it from whatever else uses it; a
+    directory raises an :class:`OSError`.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        return open(path, mode.replace("x", "w"), **kwargs)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, **kwargs)
 
 
 def write_text(fh, entry, args, n, python_text):

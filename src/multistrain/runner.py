@@ -1,4 +1,12 @@
-"""Scenario execution: run configs, write CSV/SVG artifacts, batch sweeps."""
+"""Scenario execution: run configs, write CSV/SVG artifacts, batch sweeps.
+
+Each artifact is a new file that replaces the regular file at its path
+(:func:`integrate.open_new`), so a re-run does not write through a link to
+one and the output directory must be writable.  Truncating a file and
+writing it again makes ext4 flush it on close, a new file is written back
+on the filesystem's own schedule, and writing a temporary file and renaming
+it was measured slower.
+"""
 
 from __future__ import annotations
 
@@ -61,7 +69,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     values[:, -1] = traj.u
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     format_rows = integrate._kernel("ms_format_rows", values.size)
-    with open(path, "wb") as fh:
+    with integrate.open_new(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         integrate.write_text(
             fh, format_rows, (values.ctypes.data, values.shape[1]), len(values),
@@ -215,7 +223,7 @@ def _summary_rows(name: str, summary: TrajectorySummary, report: FbsmReport | No
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
     """Write ``rows`` under a header of their keys, in the first row's order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with integrate.open_new(path, "x", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -328,46 +336,48 @@ def _run_bytes(config: ScenarioConfig) -> tuple[int, int]:
     and in optimize mode the 4n + 1 costates too.  Beside them the CSV
     writer holds its value matrix, 4n + 3 (t, P, S, E, I, R, u), and one of
     temporaries.  An optimize run peaks in its solve, which holds two
-    iterates' results, the coarse solve's result on up to half the nodes,
-    2 * ANDERSON_DEPTH rows of Anderson differences and four schedule
-    vectors.  The writer's text buffer comes on top, and the Python objects
-    of the run and its result, at most 32 KiB and 2 KiB per strain.  A
-    sweep keeps each result, and in optimize mode the schedule the solve
-    started from.  This counts the compiled loops and writers; their
-    Python twins, which a run takes without ``cc``, can hold up to a fifth
-    more."""
+    iterates' results, 2 * ANDERSON_DEPTH rows of Anderson differences and
+    four schedule vectors.  The writer's text buffer comes on top, and the
+    Python objects of the run and its result, at most 32 KiB and 2 KiB per
+    strain.  A sweep keeps each result.  This counts the compiled loops and
+    writers; their Python twins, which a run takes without ``cc``, can hold
+    up to a fifth more."""
     n, nodes = len(config.strains), config.grid().n_points
-    result = kept = 4 * n + 2
+    result = 4 * n + 2
     if config.control_mode == "optimize":
         result += 4 * n + 1
-        columns = 2 * result + (result + 1) // 2 + 2 * ANDERSON_DEPTH + 4
-        kept = result + 1
+        columns = 2 * result + 2 * ANDERSON_DEPTH + 4
     else:
         columns = result + 4 * n + 4
     objects = (32 + 2 * n) << 10
-    return nodes * columns * 8 + integrate._TEXT_BYTES + objects, nodes * kept * 8 + objects
+    return nodes * columns * 8 + integrate._TEXT_BYTES + objects, nodes * result * 8 + objects
+
+
+def _schedule(config: ScenarioConfig) -> ControlSchedule:
+    """The schedule a run of ``config`` follows, or in optimize mode the one
+    its solve starts from: its schedule file, or a constant."""
+    if config.control_mode == "schedule":
+        return read_schedule_csv(config.resolve_path(config.schedule_file), config.grid())
+    u = {"none": 0.0, "constant": config.control_value, "optimize": config.u_init}
+    return ControlSchedule.constant(config.grid(), u[config.control_mode])
 
 
 def _run_inputs(config: ScenarioConfig, held: int = 0) -> ControlSchedule:
-    """The schedule a run of ``config`` follows, or in optimize mode the one
-    its solve starts from.  First the run's arrays (:func:`_run_bytes`), with
-    the ``held`` bytes of earlier results a sweep keeps, must fit in memory.
-    Raises ConfigError before any output exists."""
-    grid = config.grid()
+    """:func:`_schedule` of ``config``, once the run's arrays
+    (:func:`_run_bytes`), with the ``held`` bytes a sweep keeps beside the
+    run, fit in memory.  Raises ConfigError before any output exists."""
     need = held + _run_bytes(config)[0]
     memory, source = _memory_limit()
     if need > memory:
         part, fix = "", "use a larger grid.dt"
         if held:
-            part, fix = f", {held} of them for the results the sweep keeps", f"{fix} or fewer values"
+            part = f", {held} of them for the results and schedules the sweep keeps"
+            fix = f"{fix} or fewer values"
         raise ConfigError(
             f"grid.dt={config.dt!r} needs run arrays of {need} bytes{part}, more than "
             f"the {memory} bytes of {source}; {fix}"
         )
-    if config.control_mode == "schedule":
-        return read_schedule_csv(config.resolve_path(config.schedule_file), grid)
-    u = {"none": 0.0, "constant": config.control_value, "optimize": config.u_init}
-    return ControlSchedule.constant(grid, u[config.control_mode])
+    return _schedule(config)
 
 
 def run_scenario(
@@ -453,9 +463,11 @@ def sweep(
     the first run and before the root is made: its config, its own run
     directory, and the memory and schedule checks of :func:`run_scenario`,
     where the memory check counts the results of the values before it, which
-    the sweep keeps and returns.  Each schedule file is read once, for that
-    check, and its run follows it.  So a flawed value, or one more value
-    than memory holds, leaves no directory behind.  Scenario runs are
+    the sweep keeps and returns, and the schedule files read for the values
+    after it.  Each schedule file is read once, for that check, its run
+    follows it, and the sweep lets it go once the run is done; a constant
+    schedule is built at its run.  So a flawed value, or one more value than
+    memory holds, leaves no directory behind.  Scenario runs are
     independent, so callers may parallelise them externally if needed.
     """
     values = list(values)
@@ -473,18 +485,27 @@ def sweep(
                 f"directory tag {tag!r}"
             )
         tags[tag] = value
+    # Beside run i the sweep holds the results before it and the schedule
+    # files read for the values after it, each on run i's grid, as a file
+    # fits one grid.  A constant schedule is built at its run instead.
+    read = config.control_mode == "schedule"
     schedules, held = [], 0
-    for cfg in configs:
-        schedules.append(_run_inputs(cfg, held))
+    for i, cfg in enumerate(configs):
+        if read:
+            pending = (len(configs) - 1 - i) * cfg.grid().n_points * 8
+            schedules.append(_run_inputs(cfg, held + pending))
+        else:
+            _run_inputs(cfg, held)
+            schedules.append(None)
         held += _run_bytes(cfg)[1]
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
     with _output(root, "create the output directory"):
         os.makedirs(root, exist_ok=True)
     results = []
     combined = []
-    for value, cfg, schedule in zip(values, configs, schedules):
+    for value, cfg in zip(values, configs):
         tag = f"{cfg.name}__{param_path.replace('.', '_')}_{_value_tag(value)}"
-        result = _run(cfg, schedule, os.path.join(root, tag), quiet)
+        result = _run(cfg, schedules.pop(0) or _schedule(cfg), os.path.join(root, tag), quiet)
         results.append(result)
         for row in _summary_rows(tag, result.summary, result.report):
             combined.append({"param": param_path, "value": _g17(value), **row})

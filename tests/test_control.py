@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest.mock import patch
@@ -702,6 +703,29 @@ class TestCoarseStart:
             assert report.coarse_iterations == 0
         else:
             assert report.coarse_iterations >= 1
+
+    def test_the_fine_sweep_holds_no_coarse_result(self):
+        # Case A at coarse factors 2 and 10, and started cold: only the
+        # coarse iteration count outlives the coarse solve, so a warm start
+        # peaks within half a column per node of the cold one.  Holding the
+        # coarse report cost 5.7 and 1.3 columns.
+        require_kernel()
+        per_node = {}
+        for horizon in (730.2, 730.0, 730.3):
+            cfg = replace(preset_config("case_a"), horizon=horizon)
+            args = (cfg.initial_state(), cfg.strain_params(), cfg.seed_events(),
+                    cfg.grid(), cfg.cost_params())
+            tracemalloc.start()
+            try:
+                report = fbsm_solve(*args, relaxation=cfg.relaxation, tol=cfg.tolerance,
+                                    max_iter=cfg.max_iterations)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_node[report.coarse_dt] = peak / (cfg.grid().n_points * 8)
+        cold = per_node.pop(None)
+        assert sorted(per_node) == [0.2, 1.0]
+        assert all(warm <= cold + 0.5 for warm in per_node.values())
 
     def test_no_strains_solve_without_control(self):
         grid = TimeGrid.from_horizon(0.0, 10.0, 0.1)

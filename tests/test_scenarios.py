@@ -131,10 +131,9 @@ SCHEMA_BASE = _set_key(SHORT_OPT, "strain.1", "activation_day", "10")
 # columns per grid node, and the CSV writer's text buffer and 34 KiB of
 # Python objects on top.  Simulate mode keeps the trajectory's 6 columns and the
 # writer holds 8 beside them.  An optimize sweep holds two iterates of 11 (the
-# trajectory and 5 costates), the coarse result on half the nodes, the
-# Anderson rows and 4 schedule vectors.
+# trajectory and 5 costates), the Anderson rows and 4 schedule vectors.
 SIMULATE_COLUMNS = 6 + 8
-OPTIMIZE_COLUMNS = 2 * 11 + 6 + 2 * ANDERSON_DEPTH + 4
+OPTIMIZE_COLUMNS = 2 * 11 + 2 * ANDERSON_DEPTH + 4
 
 
 def run_bytes(nodes: int, columns: int) -> int:
@@ -1430,11 +1429,53 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == (
             f"config error: grid.dt=0.05 needs run arrays of {total} bytes, {2 * kept} of them "
-            f"for the results the sweep keeps, more than the {total - 1} bytes of a test "
-            f"limit; use a larger grid.dt or fewer values"
+            f"for the results and schedules the sweep keeps, more than the {total - 1} bytes "
+            f"of a test limit; use a larger grid.dt or fewer values"
         )
         assert not root.exists()
         assert main(argv[:5] + ["2.41e-9,2.5e-9"] + argv[6:]) == 0
+
+    def test_an_optimize_sweep_lets_each_schedule_go(self, tmp_path, monkeypatch):
+        # Three case_a solves on 6 001 nodes: each run starts beside the
+        # results before it and its own schedule, no earlier one, and the
+        # check counts those results, no schedule column with them.
+        cfg = replace(preset_config("case_a"), horizon=60.0, dt=0.01, svg=False)
+        need, kept = runner._run_bytes(cfg)
+        column, objects = cfg.grid().n_points * 8, 34 << 10
+        helds, starts = [], []
+        run_inputs, run = runner._run_inputs, runner._run
+        monkeypatch.setattr(runner, "_run_inputs",
+                            lambda c, held=0: helds.append(held) or run_inputs(c, held))
+        monkeypatch.setattr(runner, "_run", lambda *args: starts.append(
+            tracemalloc.get_traced_memory()[0]) or run(*args))
+        with compiled_path():
+            tracemalloc.start()
+            try:
+                sweep(cfg, "cost.c2_log_scale", [1.0, 0.9, 0.8],
+                      out_dir=str(tmp_path), quiet=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A result keeps the trajectory's 6 columns and the 5 costates.
+        assert kept == 11 * column + objects and helds == [0, kept, 2 * kept]
+        for i, start in enumerate(starts):
+            assert start <= i * kept + column + objects
+        assert peak <= need + 2 * kept
+
+    def test_a_schedule_mode_sweep_counts_the_files_it_has_read(self, tmp_path, monkeypatch):
+        # Beside run i the sweep holds the files read for the values after it.
+        sched = tmp_path / "sched.csv"
+        sched.write_text("t,u\n" + "".join(f"{k * 0.1!r},0.25\n" for k in range(301)))
+        cfg = replace(parse_config_text(SHORT_SIM, base_dir=str(tmp_path)), svg=False,
+                      control_mode="schedule", schedule_file="sched.csv")
+        kept, column = runner._run_bytes(cfg)[1], 301 * 8
+        helds = []
+        run_inputs = runner._run_inputs
+        monkeypatch.setattr(runner, "_run_inputs",
+                            lambda c, held=0: helds.append(held) or run_inputs(c, held))
+        sweep(cfg, "strain.1.beta", [5.2e-7, 6e-7, 8.84e-7],
+              out_dir=str(tmp_path / "sw"), quiet=True)
+        assert helds == [2 * column, kept + column, 2 * kept]
 
     def test_a_host_without_sysconf_still_loads_configs(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")

@@ -1,5 +1,6 @@
-"""The artifact writers against their per-cell and per-point oracles, and
-the compiled formatters against Python's ``%`` formats."""
+"""The artifact writers against their per-cell and per-point oracles, the
+compiled formatters against Python's ``%`` formats, and what a re-run does
+to the file at an artifact's path."""
 
 import hashlib
 import io
@@ -7,11 +8,13 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -25,10 +28,15 @@ from multistrain import (
     TimeGrid,
     Trajectory,
     integrate,
+    parse_config_text,
     preset_config,
+    preset_text,
     run_scenario,
+    set_config_value,
     simulate,
+    sweep,
 )
+from multistrain.cli import main
 from multistrain.runner import read_trajectory_csv, write_trajectory_csv
 from multistrain.svgchart import MAX_POINTS, line_chart
 
@@ -554,3 +562,100 @@ class TestCompiledWriters:
             written.append(((tmp_path / "t.csv").read_bytes(),
                             (tmp_path / "c.svg").read_bytes()))
         assert written[0] == written[1]
+
+
+def constant_run(value: float):
+    """A 30-day experiment1 run under the constant control ``value``, which
+    writes all four artifacts."""
+    text = preset_text("experiment1").replace("mode = none", f"mode = constant\nvalue = {value!r}")
+    return set_config_value(parse_config_text(text), "grid.horizon", 30.0)
+
+
+ARTIFACTS = ("trajectory.csv", "summary.csv", "compartments.svg", "control.svg")
+
+
+class TestReplacingArtifacts:
+    """A re-run into an existing directory writes each artifact as a new
+    file, byte for byte the file a run into a fresh directory writes, and
+    never writes through what was at its path."""
+
+    @pytest.mark.parametrize("path", [compiled_path, python_path])
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path, path):
+        out, links, fresh = tmp_path / "out", tmp_path / "links", tmp_path / "fresh"
+        links.mkdir()
+        with path():
+            run_scenario(constant_run(0.2), out_dir=str(out), quiet=True)
+            old = {}
+            for name in ARTIFACTS:
+                os.link(out / name, links / name)
+                old[name] = (links / name).read_bytes()
+            run_scenario(constant_run(0.3), out_dir=str(out), quiet=True)
+            run_scenario(constant_run(0.3), out_dir=str(fresh), quiet=True)
+        for name in ARTIFACTS:
+            assert (links / name).read_bytes() == old[name]
+            assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
+
+    @pytest.mark.parametrize("path", [compiled_path, python_path])
+    def test_a_symlink_becomes_a_regular_file_and_its_target_is_kept(self, tmp_path, path):
+        out, fresh, target = tmp_path / "out", tmp_path / "fresh", tmp_path / "target"
+        out.mkdir()
+        target.write_bytes(b"not an artifact\n")
+        for name in ARTIFACTS:
+            (out / name).symlink_to(target)
+        with path():
+            run_scenario(constant_run(0.2), out_dir=str(out), quiet=True)
+            run_scenario(constant_run(0.2), out_dir=str(fresh), quiet=True)
+        assert target.read_bytes() == b"not an artifact\n"
+        for name in ARTIFACTS:
+            assert not (out / name).is_symlink()
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_a_sweep_summary_is_replaced(self, tmp_path):
+        root, link = tmp_path / "root", tmp_path / "link.csv"
+        cfg = replace(constant_run(0.2), svg=False)
+        sweep(cfg, "control.value", [0.2], out_dir=str(root), quiet=True)
+        os.link(root / "sweep_summary.csv", link)
+        old = link.read_bytes()
+        sweep(cfg, "control.value", [0.3], out_dir=str(root), quiet=True)
+        sweep(cfg, "control.value", [0.3], out_dir=str(tmp_path / "fresh"), quiet=True)
+        assert link.read_bytes() == old
+        new = (root / "sweep_summary.csv").read_bytes()
+        assert new == (tmp_path / "fresh" / "sweep_summary.csv").read_bytes() != old
+
+    def test_presets_write_replaces_the_file(self, tmp_path):
+        path, link = tmp_path / "e.ini", tmp_path / "link.ini"
+        path.write_bytes(b"old\n")
+        os.link(path, link)
+        for _ in range(2):
+            assert main(["presets", "write", "experiment1", str(path)]) == 0
+            assert path.read_bytes() == preset_text("experiment1").encode()
+        assert link.read_bytes() == b"old\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize("target, link", [
+        ("preset", False), ("preset", True), ("summary.csv", False),
+    ], ids=["preset_pipe", "preset_link_to_pipe", "summary_pipe"])
+    def test_a_pipe_is_written_through(self, tmp_path, target, link):
+        # A pipe has no contents to flush, and removing it would take it from
+        # its reader, so it is written as before.
+        out = tmp_path / "out"
+        out.mkdir()
+        pipe = out / "summary.csv" if target == "summary.csv" else tmp_path / "pipe"
+        os.mkfifo(pipe)
+        path = tmp_path / "e.ini" if link else pipe
+        if link:
+            path.symlink_to(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if target == "preset":
+                assert main(["presets", "write", "experiment1", str(path)]) == 0
+            else:
+                run_scenario(replace(constant_run(0.2), svg=False), out_dir=str(out), quiet=True)
+            text = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(pipe).st_mode) and path.is_symlink() == link
+        if target == "preset":
+            assert text == preset_text("experiment1").encode()
+        else:
+            assert text.startswith(b"scenario,strain,") and text.count(b"\n") == 2
