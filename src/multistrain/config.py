@@ -80,7 +80,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from .control import CostParams, check_solver_settings
 from .dynamics import EpidemicState, StrainParams, check_control, max_stable_dt
 from .errors import ConfigError, DomainError
-from .integrate import SeedEvent, TimeGrid, open_new
+from .integrate import SeedEvent, TimeGrid
 
 @dataclass(frozen=True)
 class StrainSpec:
@@ -529,8 +529,12 @@ def preset_config(name: str) -> ScenarioConfig:
 
 def write_preset(name: str, path: str) -> None:
     text = preset_text(name)
+    # Written through whatever is at ``path``, a link or ``/dev/stdout`` too,
+    # as a user's own file, not replaced as an artifact is
+    # (``integrate.open_new``): no run writes presets, so there is no flush
+    # to save.
     try:
-        with open_new(path, "x", encoding="utf-8", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write preset {name!r} ({exc})") from exc

@@ -407,8 +407,8 @@ _PYTHON_ITEMS = 1024
 def open_new(path: str, mode: str = "xb", **kwargs):
     """Open a new file at ``path`` in the exclusive mode ``mode``, ``"xb"``
     or ``"x"``, after removing the regular file, or the link to one, that is
-    there; ``kwargs`` go to :func:`open`.  Every file the package writes is
-    opened here.
+    there; ``kwargs`` go to :func:`open`.  Every artifact the package writes
+    is opened here.
 
     Truncating an existing file and writing it again makes ext4 start
     writeback of it on close (its ``auto_da_alloc`` rule), which took a
@@ -421,12 +421,23 @@ def open_new(path: str, mode: str = "xb", **kwargs):
     writable.  A device, pipe or socket, or a link to one, is written
     through as before (``"w"`` for ``"x"``), since it has no contents to
     flush and removing it would take it from whatever else uses it; a
-    directory raises an :class:`OSError`.
+    directory raises an :class:`OSError`.  A link in ``/dev`` or ``/proc``,
+    such as ``/dev/stdout`` or ``/dev/fd/1``, is written through too: it
+    names a stream of this process, and removing it would take it from the
+    whole system.
     """
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        kind = os.lstat(path).st_mode
     except FileNotFoundError:
-        regular = True
+        return open(path, mode, **kwargs)
+    regular = stat.S_ISREG(kind)
+    if stat.S_ISLNK(kind):
+        where = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        regular = regular and not (where + os.sep).startswith(("/dev/", "/proc/"))
     if not regular:
         return open(path, mode.replace("x", "w"), **kwargs)
     try:

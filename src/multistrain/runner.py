@@ -362,10 +362,10 @@ def _schedule(config: ScenarioConfig) -> ControlSchedule:
     return ControlSchedule.constant(config.grid(), u[config.control_mode])
 
 
-def _run_inputs(config: ScenarioConfig, held: int = 0) -> ControlSchedule:
-    """:func:`_schedule` of ``config``, once the run's arrays
-    (:func:`_run_bytes`), with the ``held`` bytes a sweep keeps beside the
-    run, fit in memory.  Raises ConfigError before any output exists."""
+def _check_memory(config: ScenarioConfig, held: int = 0) -> None:
+    """Check that a run's arrays (:func:`_run_bytes`), with the ``held``
+    bytes a sweep keeps beside the run, fit in memory.  Raises ConfigError
+    before any output exists."""
     need = held + _run_bytes(config)[0]
     memory, source = _memory_limit()
     if need > memory:
@@ -377,7 +377,6 @@ def _run_inputs(config: ScenarioConfig, held: int = 0) -> ControlSchedule:
             f"grid.dt={config.dt!r} needs run arrays of {need} bytes{part}, more than "
             f"the {memory} bytes of {source}; {fix}"
         )
-    return _schedule(config)
 
 
 def run_scenario(
@@ -397,12 +396,13 @@ def run_scenario(
     sweep report is attached to the result; non-convergence is reported,
     not raised.
     """
-    return _run(config, _run_inputs(config), out_dir, quiet)
+    _check_memory(config)
+    return _run(config, _schedule(config), out_dir, quiet)
 
 
 def _run(config: ScenarioConfig, schedule: ControlSchedule, out_dir: str | None,
          quiet: bool) -> RunResult:
-    """:func:`run_scenario` on the ``schedule`` that :func:`_run_inputs` gave."""
+    """:func:`run_scenario` on the ``schedule`` that :func:`_schedule` gave."""
     grid = config.grid()
     out = out_dir or config.output_dir or os.path.join("out", config.name)
     with _output(out, "create the output directory"):
@@ -491,21 +491,20 @@ def sweep(
     read = config.control_mode == "schedule"
     schedules, held = [], 0
     for i, cfg in enumerate(configs):
-        if read:
-            pending = (len(configs) - 1 - i) * cfg.grid().n_points * 8
-            schedules.append(_run_inputs(cfg, held + pending))
-        else:
-            _run_inputs(cfg, held)
-            schedules.append(None)
+        pending = (len(configs) - 1 - i) * cfg.grid().n_points * 8 if read else 0
+        _check_memory(cfg, held + pending)
+        schedules.append(_schedule(cfg) if read else None)
         held += _run_bytes(cfg)[1]
     root = out_dir or config.output_dir or os.path.join("out", f"{config.name}_sweep")
     with _output(root, "create the output directory"):
         os.makedirs(root, exist_ok=True)
     results = []
     combined = []
-    for value, cfg in zip(values, configs):
+    for i, (value, cfg) in enumerate(zip(values, configs)):
         tag = f"{cfg.name}__{param_path.replace('.', '_')}_{_value_tag(value)}"
-        result = _run(cfg, schedules.pop(0) or _schedule(cfg), os.path.join(root, tag), quiet)
+        run_dir = os.path.join(root, tag)
+        result = _run(cfg, schedules[i] if read else _schedule(cfg), run_dir, quiet)
+        schedules[i] = None
         results.append(result)
         for row in _summary_rows(tag, result.summary, result.report):
             combined.append({"param": param_path, "value": _g17(value), **row})

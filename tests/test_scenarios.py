@@ -1282,7 +1282,7 @@ class TestCli:
         # A simulate run, 8.4 MB, fits: simulate mode passes the run's check.
         cfg = set_config_value(preset_config("experiment1"), "grid.dt", 0.01)
         assert run_bytes(73_001, SIMULATE_COLUMNS) < limit
-        assert runner._run_inputs(cfg).u.shape == (73_001,)
+        runner._check_memory(cfg)
 
     def test_optimize_grid_beyond_the_cgroup_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -1311,7 +1311,7 @@ class TestCli:
         memory_max.write_text("max\n")
         for path in (memory_max, tmp_path, tmp_path / "missing"):
             monkeypatch.setattr(runner, "_CGROUP_MEMORY_MAX", str(path))
-            runner._run_inputs(set_config_value(preset_config("case_a"), "grid.dt", 0.01))
+            runner._check_memory(set_config_value(preset_config("case_a"), "grid.dt", 0.01))
 
     def test_optimize_grid_beyond_the_cgroup_v1_memory_limit_exits_two(
         self, tmp_path, capsys, monkeypatch
@@ -1443,9 +1443,9 @@ class TestCli:
         need, kept = runner._run_bytes(cfg)
         column, objects = cfg.grid().n_points * 8, 34 << 10
         helds, starts = [], []
-        run_inputs, run = runner._run_inputs, runner._run
-        monkeypatch.setattr(runner, "_run_inputs",
-                            lambda c, held=0: helds.append(held) or run_inputs(c, held))
+        check_memory, run = runner._check_memory, runner._run
+        monkeypatch.setattr(runner, "_check_memory",
+                            lambda c, held=0: helds.append(held) or check_memory(c, held))
         monkeypatch.setattr(runner, "_run", lambda *args: starts.append(
             tracemalloc.get_traced_memory()[0]) or run(*args))
         with compiled_path():
@@ -1470,9 +1470,9 @@ class TestCli:
                       control_mode="schedule", schedule_file="sched.csv")
         kept, column = runner._run_bytes(cfg)[1], 301 * 8
         helds = []
-        run_inputs = runner._run_inputs
-        monkeypatch.setattr(runner, "_run_inputs",
-                            lambda c, held=0: helds.append(held) or run_inputs(c, held))
+        check_memory = runner._check_memory
+        monkeypatch.setattr(runner, "_check_memory",
+                            lambda c, held=0: helds.append(held) or check_memory(c, held))
         sweep(cfg, "strain.1.beta", [5.2e-7, 6e-7, 8.84e-7],
               out_dir=str(tmp_path / "sw"), quiet=True)
         assert helds == [2 * column, kept + column, 2 * kept]
@@ -1481,7 +1481,8 @@ class TestCli:
         monkeypatch.delattr(os, "sysconf")
         cfg = preset_config("experiment1")
         assert cfg.grid().n_steps == 14600
-        assert runner._run_inputs(cfg).u.shape == (14601,)
+        runner._check_memory(cfg)
+        assert runner._schedule(cfg).u.shape == (14601,)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "experiment1", "--dt", "0.3", "--horizon", "9"],

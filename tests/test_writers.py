@@ -622,14 +622,55 @@ class TestReplacingArtifacts:
         new = (root / "sweep_summary.csv").read_bytes()
         assert new == (tmp_path / "fresh" / "sweep_summary.csv").read_bytes() != old
 
-    def test_presets_write_replaces_the_file(self, tmp_path):
+    def test_presets_write_replaces_the_text_of_the_file(self, tmp_path):
+        # A preset is the user's own file, written through as before: a hard
+        # link to it reads the new text.
         path, link = tmp_path / "e.ini", tmp_path / "link.ini"
-        path.write_bytes(b"old\n")
+        path.write_bytes(b"old\n" * 1000)
         os.link(path, link)
         for _ in range(2):
             assert main(["presets", "write", "experiment1", str(path)]) == 0
             assert path.read_bytes() == preset_text("experiment1").encode()
-        assert link.read_bytes() == b"old\n"
+        assert link.read_bytes() == preset_text("experiment1").encode()
+
+    @pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="no /dev/stdout link here")
+    @pytest.mark.parametrize("target", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+    @pytest.mark.parametrize("writer", ["preset", "trajectory", "chart"])
+    def test_a_stream_link_is_written_through(self, tmp_path, writer, target):
+        # With stdout redirected to a file, /dev/stdout is a link to a
+        # regular file; removing it would take it from the whole system.  The
+        # file is opened to append, as by ``>>``, so the CLI's confirmation
+        # line follows the preset.
+        script = {
+            "preset": "from multistrain.cli import main\n"
+                      "main(['presets', 'write', 'experiment1', sys.argv[2]])",
+            "trajectory": "from multistrain import preset_config, run_scenario\n"
+                          "from multistrain.runner import write_trajectory_csv\n"
+                          "run = run_scenario(preset_config('experiment1'), out_dir=sys.argv[3],\n"
+                          "                   quiet=True)\n"
+                          "write_trajectory_csv(sys.argv[2], run.trajectory)",
+            "chart": "from multistrain.svgchart import line_chart\n"
+                     "line_chart(sys.argv[2], title='t', x=[0.0, 1.0], series=[('a', [1.0, 2.0])])",
+        }[writer]
+        src = os.path.dirname(os.path.dirname(integrate.__file__))
+        out = tmp_path / "stdout.txt"
+        with open(out, "ab") as fh:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + script,
+                 src, target, str(tmp_path / "run")],
+                stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert done.returncode == 0, done.stderr
+        assert os.path.islink("/dev/stdout")
+        text = out.read_bytes()
+        if writer == "preset":
+            confirmation = f"wrote preset experiment1 to {target}\n"
+            assert text == (preset_text("experiment1") + confirmation).encode()
+        elif writer == "trajectory":
+            assert text == (tmp_path / "run" / "trajectory.csv").read_bytes()
+        else:
+            line_chart(tmp_path / "c.svg", title="t", x=[0.0, 1.0], series=[("a", [1.0, 2.0])])
+            assert text == (tmp_path / "c.svg").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     @pytest.mark.parametrize("target, link", [
