@@ -100,7 +100,7 @@ def main(argv=None) -> int:
                     print(f"{name:14s} {summary}")
             else:
                 write_preset(args.name, args.path)
-                print(f"wrote preset {args.name} to {args.path}")
+                print(f"wrote preset {args.name} to {args.path}", file=sys.stderr)
             return EXIT_OK
 
         config = resolve_config(args.config, lambda parsed: _flag_values(parsed, args))

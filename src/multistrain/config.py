@@ -529,10 +529,10 @@ def preset_config(name: str) -> ScenarioConfig:
 
 def write_preset(name: str, path: str) -> None:
     text = preset_text(name)
-    # Written through whatever is at ``path``, a link or ``/dev/stdout`` too,
-    # as a user's own file, not replaced as an artifact is
-    # (``integrate.open_new``): no run writes presets, so there is no flush
-    # to save.
+    # Written through whatever is at ``path``, as a user's own file.  An
+    # artifact (``integrate.open_new``) is written through too, unless it is
+    # a regular file, which is replaced to save ext4's flush; no run writes
+    # presets, so there is no flush to save here.
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

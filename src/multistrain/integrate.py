@@ -21,8 +21,9 @@ list twin is ``control._adjoint_loop``, and the writers' formatters
 ``ms_format_rows`` and ``ms_format_points``, whose twins are Python's
 ``"%.17g"`` and ``"%.2f"``.  ``_ENTRIES`` declares each entry's C
 signature and its Python twin's cost, :func:`_kernel` routes all four by
-name, and :func:`write_text` writes a file's items through a formatter, or
-in Python where there is none, into a file that :func:`open_new` made.
+name, :func:`write_text` writes a file's items through a formatter or in
+Python, and :func:`open_new` replaces a regular file at an artifact's path
+and writes through anything else.
 
 The C file is compiled when the process first calls ``simulate``,
 ``backward_sweep`` or a writer, never at import, with ``cc -O1
@@ -398,47 +399,36 @@ def _end_build():
     shutil.rmtree(tmp)
 
 
-# Bytes of text one compiled formatting call writes at most, and items one
-# Python call formats: never the whole text of a file.
+# Bytes of text one compiled formatting call writes at most, and the bound
+# on the chunk of cells one Python call formats, at 128 bytes per cell for
+# its float, its text and their list slots: never the whole text of a file.
 _TEXT_BYTES = 1 << 18
-_PYTHON_ITEMS = 1024
 
 
 def open_new(path: str, mode: str = "xb", **kwargs):
     """Open a new file at ``path`` in the exclusive mode ``mode``, ``"xb"``
-    or ``"x"``, after removing the regular file, or the link to one, that is
-    there; ``kwargs`` go to :func:`open`.  Every artifact the package writes
-    is opened here.
+    or ``"x"``; ``kwargs`` go to :func:`open`.  Every artifact the package
+    writes is opened here.  One rule: a regular file at ``path`` is
+    replaced, and everything else is written through.
 
     Truncating an existing file and writing it again makes ext4 start
     writeback of it on close (its ``auto_da_alloc`` rule), which took a
     re-run's artifact writers longer than their formatting; a new file is
     written back on the filesystem's own schedule.  Writing a temporary file
     and renaming it over the path was measured slower still, since ext4
-    flushes on that rename too.  So a link to a regular file is not written
-    through: a hard link keeps the old bytes, a symlink is replaced by a
-    regular file and its target is left alone, and the directory must be
-    writable.  A device, pipe or socket, or a link to one, is written
-    through as before (``"w"`` for ``"x"``), since it has no contents to
-    flush and removing it would take it from whatever else uses it; a
-    directory raises an :class:`OSError`.  A link in ``/dev`` or ``/proc``,
-    such as ``/dev/stdout`` or ``/dev/fd/1``, is written through too: it
-    names a stream of this process, and removing it would take it from the
-    whole system.
+    flushes on that rename too.  So a regular file is unlinked first: a
+    hard link to it keeps the old bytes, and the directory must be
+    writable.  Anything else at ``path``, read without following a link, is
+    opened with ``"w"`` for ``"x"`` and written through as before: a
+    symlink, dangling or not, as ``/dev/stdout`` is, a device, a pipe or a
+    socket.  So nothing but a regular file is ever removed, and a directory
+    raises an :class:`OSError`.
     """
     try:
         kind = os.lstat(path).st_mode
     except FileNotFoundError:
         return open(path, mode, **kwargs)
-    regular = stat.S_ISREG(kind)
-    if stat.S_ISLNK(kind):
-        where = os.path.realpath(os.path.dirname(os.path.abspath(path)))
-        try:
-            regular = stat.S_ISREG(os.stat(path).st_mode)
-        except FileNotFoundError:
-            regular = True
-        regular = regular and not (where + os.sep).startswith(("/dev/", "/proc/"))
-    if not regular:
+    if not stat.S_ISREG(kind):
         return open(path, mode.replace("x", "w"), **kwargs)
     try:
         os.unlink(path)
@@ -447,21 +437,25 @@ def open_new(path: str, mode: str = "xb", **kwargs):
     return open(path, mode, **kwargs)
 
 
-def write_text(fh, entry, args, n, python_text):
-    """Write items ``0..n-1`` to the binary file ``fh``; ``python_text(lo,
-    hi)`` is Python's text of items ``lo..hi-1``.
+def write_text(fh, entry, args, shape, python_text):
+    """Write items ``0..n-1``, each ``cells`` cells wide as ``shape = (n,
+    cells)`` says, to the binary file ``fh``; ``python_text(lo, hi)`` is
+    Python's text of items ``lo..hi-1``.
 
     ``entry(*args, start, n, buf, cap, used)``, ``ms_format_rows`` or
     ``ms_format_points``, writes items from ``start`` on into one buffer of
     ``_TEXT_BYTES`` until one is outside its exact range or would not fit,
     and returns that item's index; an item at which it stops at once takes
     ``python_text`` instead.  Without an entry, ``python_text`` writes every
-    item, in chunks of ``_PYTHON_ITEMS``.  So Python's own format defines
-    the bytes of every item.
+    item, ``_TEXT_BYTES // 128`` cells at a time.  So Python's own format
+    defines the bytes of every item, and ``_TEXT_BYTES`` bounds the text on
+    either path.
     """
+    n, cells = shape
     if entry is None:
-        for lo in range(0, n, _PYTHON_ITEMS):
-            fh.write(python_text(lo, min(lo + _PYTHON_ITEMS, n)).encode())
+        step = max(1, _TEXT_BYTES // 128 // cells)
+        for lo in range(0, n, step):
+            fh.write(python_text(lo, min(lo + step, n)).encode())
         return
     buf = ctypes.create_string_buffer(_TEXT_BYTES)
     view = memoryview(buf)

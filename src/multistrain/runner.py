@@ -1,11 +1,12 @@
 """Scenario execution: run configs, write CSV/SVG artifacts, batch sweeps.
 
-Each artifact is a new file that replaces the regular file at its path
-(:func:`integrate.open_new`), so a re-run does not write through a link to
-one and the output directory must be writable.  Truncating a file and
-writing it again makes ext4 flush it on close, a new file is written back
-on the filesystem's own schedule, and writing a temporary file and renaming
-it was measured slower.
+Each artifact is opened by :func:`integrate.open_new`, which replaces a
+regular file at its path by a new one and writes through anything else, a
+symlink too.  So a hard link to an old artifact keeps its bytes, and the
+output directory must be writable.  Truncating a file and writing it again
+makes ext4 flush it on close, a new file is written back on the
+filesystem's own schedule, and writing a temporary file and renaming it
+was measured slower.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     with integrate.open_new(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         integrate.write_text(
-            fh, format_rows, (values.ctypes.data, values.shape[1]), len(values),
+            fh, format_rows, (values.ctypes.data, values.shape[1]), values.shape,
             lambda lo, hi: "".join([row_format % tuple(row)
                                     for row in values[lo:hi].tolist()]),
         )
@@ -331,22 +332,22 @@ def _memory_limit() -> tuple[float, str]:
 
 def _run_bytes(config: ScenarioConfig) -> tuple[int, int]:
     """The bytes a run of ``config`` holds at its peak, and the bytes a sweep
-    keeps of it once it is done.  Per grid node, in float64 columns for n
-    strains: the result holds the trajectory's 4n + 2 (P, E, I, R, S and u),
-    and in optimize mode the 4n + 1 costates too.  Beside them the CSV
-    writer holds its value matrix, 4n + 3 (t, P, S, E, I, R, u), and one of
-    temporaries.  An optimize run peaks in its solve, which holds two
-    iterates' results, 2 * ANDERSON_DEPTH rows of Anderson differences and
-    four schedule vectors.  The writer's text buffer comes on top, and the
+    keeps of it once it is done, with or without ``cc``.  Per grid node, in
+    float64 columns for n strains: the result holds the trajectory's 4n + 2
+    (P, E, I, R, S and u), and in optimize mode the 4n + 1 costates too.
+    Beside them the CSV writer holds its value matrix, 4n + 3 (t, P, S, E,
+    I, R, u), and one of temporaries.  An optimize run peaks in its solve,
+    which holds two iterates' results, 2 * ANDERSON_DEPTH rows of Anderson
+    differences, four schedule vectors and the 4n transmission coefficients
+    of ``control._adjoint_loop``, the backward sweep's Python twin.  The
+    writer's text, ``_TEXT_BYTES`` on either path, comes on top, and the
     Python objects of the run and its result, at most 32 KiB and 2 KiB per
-    strain.  A sweep keeps each result.  This counts the compiled loops and
-    writers; their Python twins, which a run takes without ``cc``, can hold
-    up to a fifth more."""
+    strain.  A sweep keeps each result."""
     n, nodes = len(config.strains), config.grid().n_points
     result = 4 * n + 2
     if config.control_mode == "optimize":
         result += 4 * n + 1
-        columns = 2 * result + 2 * ANDERSON_DEPTH + 4
+        columns = 2 * result + 2 * ANDERSON_DEPTH + 4 + 4 * n
     else:
         columns = result + 4 * n + 4
     objects = (32 + 2 * n) << 10

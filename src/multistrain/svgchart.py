@@ -14,11 +14,11 @@ so the bytes are Python's either way and equal those of the earlier
 per-point writer, which the tests keep as the oracle.  Title, axis and
 series labels are XML-escaped.
 
-A chart is a new file that replaces the regular file at its path
-(:func:`integrate.open_new`): a link to one is not written through.
-Truncating a file and writing it again makes ext4 flush it on close, a new
-file is written back on the filesystem's own schedule, and writing a
-temporary file and renaming it was measured slower.
+A regular file at a chart's path is replaced by a new file, and anything
+else is written through (:func:`integrate.open_new`).  Truncating a file
+and writing it again makes ext4 flush it on close, a new file is written
+back on the filesystem's own schedule, and writing a temporary file and
+renaming it was measured slower.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def line_chart(
                 f'points="'.encode()
             )
             integrate.write_text(
-                fh, format_points, (xs_px.ctypes.data, ys_py.ctypes.data), n_points,
+                fh, format_points, (xs_px.ctypes.data, ys_py.ctypes.data), (n_points, 2),
                 lambda lo, hi: (" " if lo else "") + " ".join([
                     "%.2f,%.2f" % p
                     for p in zip(xs_px[lo:hi].tolist(), ys_py[lo:hi].tolist())

@@ -131,9 +131,10 @@ SCHEMA_BASE = _set_key(SHORT_OPT, "strain.1", "activation_day", "10")
 # columns per grid node, and the CSV writer's text buffer and 34 KiB of
 # Python objects on top.  Simulate mode keeps the trajectory's 6 columns and the
 # writer holds 8 beside them.  An optimize sweep holds two iterates of 11 (the
-# trajectory and 5 costates), the Anderson rows and 4 schedule vectors.
+# trajectory and 5 costates), the Anderson rows, 4 schedule vectors and the 4
+# columns of the Python backward sweep's transmission coefficients.
 SIMULATE_COLUMNS = 6 + 8
-OPTIMIZE_COLUMNS = 2 * 11 + 2 * ANDERSON_DEPTH + 4
+OPTIMIZE_COLUMNS = 2 * 11 + 2 * ANDERSON_DEPTH + 4 + 4
 
 
 def run_bytes(nodes: int, columns: int) -> int:
@@ -1383,20 +1384,33 @@ class TestCli:
         assert "grid.dt=1e-07 needs run arrays of" in capsys.readouterr().err
         assert not root.exists()
 
-    @pytest.mark.parametrize("name, n_strains", [
-        ("experiment1", 1), ("experiment3", 2), ("experiment1", 8), ("case_a", 1), ("case_a", 2),
+    @pytest.mark.parametrize("name, n_strains, path", [
+        pytest.param(name, n, path, id=f"{name}-{n}{suffix}")
+        for path, suffix, runs in [
+            (compiled_path, "", [("experiment1", 1), ("experiment3", 2), ("experiment1", 8),
+                                 ("case_a", 1), ("case_a", 2)]),
+            (python_path, "-python_path", [("experiment1", 1), ("experiment3", 2),
+                                           ("experiment1", 8), ("case_a", 3)]),
+        ]
+        for name, n in runs
     ])
-    def test_a_run_peaks_within_its_memory_budget(self, name, n_strains, tmp_path):
+    def test_a_run_peaks_within_its_memory_budget(self, name, n_strains, path, tmp_path):
         # The tracemalloc peak of a run at its preset grid, with the compiled
-        # library loaded, stays within the bytes its check budgets, and the
-        # budget counts less than half again as much.
+        # library loaded or, as without cc, with every loop and writer in
+        # Python, stays within the bytes its check budgets, and the budget
+        # counts less than half again as much.
         text = preset_text(name)
         block = text[text.index("[strain.1]"):text.index("[control]")]
         extra = "".join(block.replace("[strain.1]", f"[strain.{j}]")
                         for j in range(len(parse_config_text(text).strains) + 1, n_strains + 1))
         cfg = parse_config_text(text.replace("[control]", extra + "[control]"))
         assert len(cfg.strains) == n_strains
-        with compiled_path():
+        if path is python_path and cfg.control_mode == "optimize":
+            # Two iterations reach the solve's Anderson step, and its peak
+            # with the Python backward sweep's coefficients beside it; at two
+            # strains a Python solve to the tolerance takes three times as long.
+            cfg = set_config_value(cfg, "cost.max_iterations", 2)
+        with path():
             tracemalloc.start()
             try:
                 run_scenario(cfg, out_dir=str(tmp_path), quiet=True)

@@ -317,12 +317,12 @@ def compiled_text(entry: str, arrays, python_text):
     require_kernel()
     arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
     if entry == "ms_format_rows":
-        args = (arrays[0].ctypes.data, arrays[0].shape[1])
+        args, shape = (arrays[0].ctypes.data, arrays[0].shape[1]), arrays[0].shape
     else:
-        args = tuple(a.ctypes.data for a in arrays)
+        args, shape = tuple(a.ctypes.data for a in arrays), (len(arrays[0]), 2)
     fh, handed = io.BytesIO(), []
     integrate.write_text(
-        fh, integrate._kernel(entry, math.inf), args, len(arrays[0]),
+        fh, integrate._kernel(entry, math.inf), args, shape,
         lambda lo, hi: handed.extend(range(lo, hi)) or python_text(lo, hi),
     )
     return fh.getvalue().decode(), handed
@@ -346,18 +346,21 @@ def points_both_ways(xs, ys):
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3077])
 def test_without_an_entry_python_writes_the_text_of_one_join(tmp_path, n):
-    # write_text formats every item in chunks of 1 024; the writers on that
+    # write_text formats every item in chunks of _TEXT_BYTES // 128 = 2 048
+    # cells: 512 rows of 4 values, 1 024 points of 2; the writers on that
     # path give their per-value oracles' bytes.
     traj = awkward_trajectory(n, 2)
     values = np.column_stack([traj.P, traj.E, traj.u])
     x = traj.grid.times()
-    for python_text in (rows_text(values), points_text(x, traj.P)):
+    for python_text, cells, step in ((rows_text(values), 4, 512),
+                                     (points_text(x, traj.P), 2, 1024)):
         fh, calls = io.BytesIO(), []
         integrate.write_text(
-            fh, None, (), n, lambda lo, hi: calls.append((lo, hi)) or python_text(lo, hi)
+            fh, None, (), (n, cells),
+            lambda lo, hi: calls.append((lo, hi)) or python_text(lo, hi),
         )
         assert fh.getvalue().decode() == python_text(0, n)
-        assert calls == [(lo, min(lo + 1024, n)) for lo in range(0, n, 1024)]
+        assert calls == [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     with python_path(), np.errstate(over="ignore", invalid="ignore"):
         assert_csv_matches_oracle(tmp_path, traj)
         assert_chart_matches_oracle(tmp_path, x, [("E", traj.E[:, 0]), ("P", traj.P)])
@@ -527,10 +530,10 @@ class TestCompiledWriters:
         require_kernel()
         write_text, handed = integrate.write_text, {}
 
-        def recording(fh, entry, args, n, python_text):
+        def recording(fh, entry, args, shape, python_text):
             items = handed.setdefault(os.path.basename(fh.name), [])
             assert entry is not None
-            write_text(fh, entry, args, n,
+            write_text(fh, entry, args, shape,
                        lambda lo, hi: items.extend(range(lo, hi)) or python_text(lo, hi))
 
         with patch.object(integrate, "write_text", recording):
@@ -575,9 +578,9 @@ ARTIFACTS = ("trajectory.csv", "summary.csv", "compartments.svg", "control.svg")
 
 
 class TestReplacingArtifacts:
-    """A re-run into an existing directory writes each artifact as a new
-    file, byte for byte the file a run into a fresh directory writes, and
-    never writes through what was at its path."""
+    """A re-run into an existing directory writes each artifact byte for
+    byte as a run into a fresh directory does: as a new file where a
+    regular file was at its path, and through anything else there."""
 
     @pytest.mark.parametrize("path", [compiled_path, python_path])
     def test_a_hard_link_keeps_the_old_bytes(self, tmp_path, path):
@@ -595,20 +598,25 @@ class TestReplacingArtifacts:
             assert (links / name).read_bytes() == old[name]
             assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
 
+    @pytest.mark.parametrize("dangling", [False, True], ids=["to_a_file", "dangling"])
     @pytest.mark.parametrize("path", [compiled_path, python_path])
-    def test_a_symlink_becomes_a_regular_file_and_its_target_is_kept(self, tmp_path, path):
-        out, fresh, target = tmp_path / "out", tmp_path / "fresh", tmp_path / "target"
+    def test_a_symlink_is_written_through(self, tmp_path, path, dangling):
+        # Each artifact links to a target of its own, longer than the
+        # artifact or not there yet; the link stays and its target ends up
+        # holding exactly the bytes of a run into a fresh directory.
+        out, fresh, targets = tmp_path / "out", tmp_path / "fresh", tmp_path / "targets"
         out.mkdir()
-        target.write_bytes(b"not an artifact\n")
+        targets.mkdir()
         for name in ARTIFACTS:
-            (out / name).symlink_to(target)
+            if not dangling:
+                (targets / name).write_bytes(b"not an artifact\n" * 100_000)
+            (out / name).symlink_to(targets / name)
         with path():
             run_scenario(constant_run(0.2), out_dir=str(out), quiet=True)
             run_scenario(constant_run(0.2), out_dir=str(fresh), quiet=True)
-        assert target.read_bytes() == b"not an artifact\n"
         for name in ARTIFACTS:
-            assert not (out / name).is_symlink()
-            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            assert (out / name).is_symlink()
+            assert (targets / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_a_sweep_summary_is_replaced(self, tmp_path):
         root, link = tmp_path / "root", tmp_path / "link.csv"
@@ -637,10 +645,10 @@ class TestReplacingArtifacts:
     @pytest.mark.parametrize("target", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
     @pytest.mark.parametrize("writer", ["preset", "trajectory", "chart"])
     def test_a_stream_link_is_written_through(self, tmp_path, writer, target):
-        # With stdout redirected to a file, /dev/stdout is a link to a
-        # regular file; removing it would take it from the whole system.  The
-        # file is opened to append, as by ``>>``, so the CLI's confirmation
-        # line follows the preset.
+        # With stdout redirected to a file, as by ``>``, /dev/stdout is a
+        # link to a regular file; it is written through, not removed, and
+        # the CLI's confirmation goes to stderr, so the file holds only the
+        # writer's bytes.
         script = {
             "preset": "from multistrain.cli import main\n"
                       "main(['presets', 'write', 'experiment1', sys.argv[2]])",
@@ -654,7 +662,7 @@ class TestReplacingArtifacts:
         }[writer]
         src = os.path.dirname(os.path.dirname(integrate.__file__))
         out = tmp_path / "stdout.txt"
-        with open(out, "ab") as fh:
+        with open(out, "wb") as fh:
             done = subprocess.run(
                 [sys.executable, "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + script,
                  src, target, str(tmp_path / "run")],
@@ -664,8 +672,8 @@ class TestReplacingArtifacts:
         assert os.path.islink("/dev/stdout")
         text = out.read_bytes()
         if writer == "preset":
-            confirmation = f"wrote preset experiment1 to {target}\n"
-            assert text == (preset_text("experiment1") + confirmation).encode()
+            assert text == preset_text("experiment1").encode()
+            assert done.stderr == f"wrote preset experiment1 to {target}\n"
         elif writer == "trajectory":
             assert text == (tmp_path / "run" / "trajectory.csv").read_bytes()
         else:
