@@ -131,8 +131,8 @@ int ms_rk4(int64_t n, int64_t n_steps, double dt, double tol,
 }
 
 /* The transmission coefficients (1-u) beta S and (1-u) beta I of every
- * strain at one stage, in the order the costate sweep's numpy form builds
- * them: w = 1 - u, then (w * beta) * S.  Strain j's S and I are S[j * sc]
+ * strain at one stage, in the order control._adjoint_loop builds them:
+ * w = 1 - u, then (w * beta) * S.  Strain j's S and I are S[j * sc]
  * and I[j * ic]. */
 static void coefficients(int64_t n, const double *rates, double u,
                          const double *S, int64_t sc, const double *I,

@@ -234,22 +234,16 @@ def _doubles(a: np.ndarray) -> np.ndarray:
 def _adjoint_loop(phi, rates, c1, h, S, I, u):
     """``ms_adjoint`` on plain lists: fills ``phi`` from its last row back.
 
-    ``rates`` is :func:`~multistrain.dynamics.rate_table`.  The
-    transmission coefficients ``((1-u) beta) S`` and ``((1-u) beta) I`` are
-    built up front with numpy, in the kernel's operation order, into two
-    arrays whose row 2k holds node k and row 2k+1 the midpoint after it;
-    the node loop takes each step's two new rows as lists.
+    ``rates`` is :func:`~multistrain.dynamics.rate_table`.  Each step takes
+    the rows of S and I at its two nodes as lists and builds the
+    transmission coefficients ``((1-u) beta) S`` and ``((1-u) beta) I`` of
+    its new node and of the midpoint before it in the kernel's operation
+    order, as ``coefficients`` in ``_rk4.c`` does, so the loop holds no
+    array of them.
     """
     N, n = S.shape[0] - 1, S.shape[1]
-    wbS = np.empty((2 * N + 1, n))
-    wbI = np.empty_like(wbS)
-    wb = (1.0 - u)[:, None] * rates[:, 0]
-    wbS[::2] = wb * S
-    wbI[::2] = wb * I
-    wb = (1.0 - 0.5 * (u[:-1] + u[1:]))[:, None] * rates[:, 0]
-    wbS[1::2] = wb * (0.5 * (S[:-1] + S[1:]))
-    wbI[1::2] = wb * (0.5 * (I[:-1] + I[1:]))
     rows = list(enumerate(rates.tolist()))
+    beta = rates[:, 0].tolist()
     half = 0.5 * h
     sixth = h / 6.0
     strains = range(n)
@@ -261,10 +255,18 @@ def _adjoint_loop(phi, rates, c1, h, S, I, u):
         [0.0] * n for _ in range(17)
     )
     phi[N] = 0.0
-    nS, nI = wbS[2 * N].tolist(), wbI[2 * N].tolist()
+    S1, I1, u1 = S[N].tolist(), I[N].tolist(), u.item(N)
+    w = 1.0 - u1
+    nS = [w * b * s for b, s in zip(beta, S1)]
+    nI = [w * b * i for b, i in zip(beta, I1)]
     for k in range(N, 0, -1):
-        pS, mS = wbS[2 * k - 2 : 2 * k].tolist()
-        pI, mI = wbI[2 * k - 2 : 2 * k].tolist()
+        S0, I0, u0 = S[k - 1].tolist(), I[k - 1].tolist(), u.item(k - 1)
+        w = 1.0 - 0.5 * (u0 + u1)
+        mS = [w * b * (0.5 * (s0 + s1)) for b, s0, s1 in zip(beta, S0, S1)]
+        mI = [w * b * (0.5 * (i0 + i1)) for b, i0, i1 in zip(beta, I0, I1)]
+        w = 1.0 - u0
+        pS = [w * b * s for b, s in zip(beta, S0)]
+        pI = [w * b * i for b, i in zip(beta, I0)]
         aP = costate_lists(P, xS, xE, xI, xR, 0.0, zero, zero, zero, zero, rows,
                            nS, nI, c1, aS, aE, aI, aR)
         bP = costate_lists(P, xS, xE, xI, xR, half, aS, aE, aI, aR, rows,
@@ -273,7 +275,7 @@ def _adjoint_loop(phi, rates, c1, h, S, I, u):
                            mS, mI, c1, cS, cE, cI, cR)
         dP = costate_lists(P, xS, xE, xI, xR, h, cS, cE, cI, cR, rows,
                            pS, pI, c1, dS, dE, dI, dR)
-        nS, nI = pS, pI
+        nS, nI, S1, I1, u1 = pS, pI, S0, I0, u0
         P = P + sixth * (aP + 2.0 * (bP + cP) + dP)
         for j in strains:
             xS[j] = xS[j] + sixth * (aS[j] + 2.0 * (bS[j] + cS[j]) + dS[j])
@@ -289,13 +291,24 @@ def _pointwise_formula(
     beta_row: np.ndarray,
     costs: CostParams,
 ) -> np.ndarray:
-    """Closed-form control at every grid node, clamped to [0, 1]."""
-    contrib = beta_row * traj.susceptible_matrix() * traj.I
-    total = (contrib * (costates.phi_S - costates.phi_E)).sum(axis=1)
-    positive = total > 0.0
-    safe = np.where(positive, total / costs.c2, 1.0)
-    values = np.log(safe) / costs.c2
-    return np.clip(np.where(positive, values, 0.0), 0.0, 1.0)
+    """Closed-form control at every grid node, clamped to [0, 1].
+
+    The switching terms ``((beta S) I)(phi_S - phi_E)`` are formed in one
+    (nodes, strains) buffer and summed; the rest runs in place on the sum.
+    ``ln(x) / c2`` is positive exactly where ``x = sum / c2`` exceeds 1, so
+    raising ``x`` to at least 1 (a NaN to 1, as ``fmax`` does) gives the 0
+    of every node whose sum is not positive or whose log is not, and the
+    same bits as the log of ``x`` everywhere else.
+    """
+    terms = np.multiply(beta_row, traj.susceptible_matrix())
+    terms *= traj.I
+    terms *= costates.phi_S - costates.phi_E
+    x = terms.sum(axis=1)
+    x /= costs.c2
+    np.fmax(x, 1.0, out=x)
+    np.log(x, out=x)
+    x /= costs.c2
+    return np.minimum(x, 1.0, out=x)
 
 
 def _anderson_step(
@@ -310,16 +323,18 @@ def _anderson_step(
     plain relaxed step ``u + a g``.
     """
     step = u + a * g
-    if len(dG):
+    k = len(dG)
+    if k:
         gram = np.dot(dG, dG.T)
-        gram[np.diag_indices_from(gram)] += 1e-12 * np.trace(gram)
+        # The ridge goes onto the diagonal, every (k + 1)-th entry.
+        gram.flat[:: k + 1] += 1e-12 * np.trace(gram)
         try:
             gamma = np.linalg.solve(gram, np.dot(dG, g))
         except np.linalg.LinAlgError:
-            return np.clip(step, 0.0, 1.0)
+            return np.clip(step, 0.0, 1.0, out=step)
         if np.all(np.isfinite(gamma)):
             step -= np.dot(gamma, dU) + a * np.dot(gamma, dG)
-    return np.clip(step, 0.0, 1.0)
+    return np.clip(step, 0.0, 1.0, out=step)
 
 
 def _coarse_grid(
@@ -352,7 +367,9 @@ def _sweep(
     max_iter: int,
 ) -> FbsmReport:
     """Anderson-mixed fixed-point iteration of ``u = F(u)`` on one grid,
-    starting from the schedule values ``u``."""
+    starting from the schedule values ``u``.  Each pass frees the last
+    pass's trajectory and costates before it simulates, so the sweep holds
+    one iterate of them, not two."""
     beta = rate_table(params)[:, 0]
 
     # The last ANDERSON_DEPTH differences, kept in ring buffers allocated once
@@ -362,13 +379,16 @@ def _sweep(
     history: list[float] = []
     converged = False
     for iterations in range(1, max_iter + 1):
+        traj = costates = None
         schedule = ControlSchedule(grid, u)
         traj = simulate(initial, params, schedule, events, grid)
         costates = backward_sweep(traj, params, costs)
-        g = _pointwise_formula(traj, costates, beta, costs) - u
-        if not np.all(np.isfinite(g)):
-            raise SolverError("control update produced non-finite values")
+        g = _pointwise_formula(traj, costates, beta, costs)
+        g -= u
+        # A NaN or an infinity in g makes its max one too.
         residual = float(np.max(np.abs(g)))
+        if not math.isfinite(residual):
+            raise SolverError("control update produced non-finite values")
         history.append(residual)
         if residual < tol:
             converged = True

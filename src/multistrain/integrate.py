@@ -164,11 +164,13 @@ class ControlSchedule:
             raise DomainError(
                 f"schedule needs {self.grid.n_points} values, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            bad = float(arr[~np.isfinite(arr)][0])
-            raise DomainError(f"schedule contains non-finite values, got {bad!r}")
+        # A NaN or an infinity fails the range test too, so only a failing
+        # schedule is searched for one, which is reported first.
         lo, hi = float(arr.min()), float(arr.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (0.0 <= lo and hi <= 1.0):
+            if not np.all(np.isfinite(arr)):
+                bad = float(arr[~np.isfinite(arr)][0])
+                raise DomainError(f"schedule contains non-finite values, got {bad!r}")
             raise DomainError(f"schedule values must lie in [0, 1], got min={lo!r}, max={hi!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
@@ -237,7 +239,9 @@ class Trajectory:
         # Huge or infinite values overflow or meet inf - inf here; S then
         # holds the inf or NaN the subtraction gives, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            S = self.P[:, None] - self.E - self.I - self.R
+            S = self.P[:, None] - self.E
+            S -= self.I
+            S -= self.R
         S.setflags(write=False)
         object.__setattr__(self, "_S", S)
 
@@ -590,14 +594,17 @@ def simulate(
     if rk4 is None:
         rows = list(enumerate(rates.tolist()))
     else:
-        work = np.empty(13 * n)
-        fail = np.zeros(1, dtype=np.int64)
-        value = np.zeros(1)
+        # The kernel's 13n doubles of slopes, then its failure step, an
+        # int64, and the failing value.
+        work = np.zeros(13 * n + 2)
+        fail, value = work[-2:-1].view(np.int64), work[-1:]
         # Buffer addresses, taken once: the stretch from node k starts k
         # strides into u and hist.
-        rates_ptr, u_ptr, hist_ptr, work_ptr, fail_ptr, value_ptr = (
-            a.ctypes.data for a in (rates, u, hist, work, fail, value)
+        rates_ptr, u_ptr, hist_ptr, work_ptr = (
+            a.ctypes.data for a in (rates, u, hist, work)
         )
+        fail_ptr = work_ptr + 13 * n * work.itemsize
+        value_ptr = fail_ptr + work.itemsize
     k = 0
     for stop, ev in [*zip(nodes, events), (N, None)]:
         if stop > k:

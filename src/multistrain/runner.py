@@ -333,21 +333,22 @@ def _memory_limit() -> tuple[float, str]:
 def _run_bytes(config: ScenarioConfig) -> tuple[int, int]:
     """The bytes a run of ``config`` holds at its peak, and the bytes a sweep
     keeps of it once it is done, with or without ``cc``.  Per grid node, in
-    float64 columns for n strains: the result holds the trajectory's 4n + 2
-    (P, E, I, R, S and u), and in optimize mode the 4n + 1 costates too.
-    Beside them the CSV writer holds its value matrix, 4n + 3 (t, P, S, E,
-    I, R, u), and one of temporaries.  An optimize run peaks in its solve,
-    which holds two iterates' results, 2 * ANDERSON_DEPTH rows of Anderson
-    differences, four schedule vectors and the 4n transmission coefficients
-    of ``control._adjoint_loop``, the backward sweep's Python twin.  The
-    writer's text, ``_TEXT_BYTES`` on either path, comes on top, and the
-    Python objects of the run and its result, at most 32 KiB and 2 KiB per
-    strain.  A sweep keeps each result."""
+    float64 columns for n >= 1 strains: the result holds the trajectory's
+    4n + 2 (P, E, I, R, S and u), and in optimize mode the 4n + 1 costates
+    too.  Beside them the CSV writer holds its value matrix, 4n + 3 (t, P,
+    S, E, I, R, u), and one of temporaries, and in optimize mode the run's
+    starting schedule.  An optimize run can peak in its solve instead,
+    which holds one iterate, the size of the result, 2 * ANDERSON_DEPTH
+    rows of Anderson differences and six schedule vectors, and on top the
+    control law's 2n + 1 columns, no fewer than the objective's three
+    temporaries.  The writer's text, ``_TEXT_BYTES`` on either path, comes
+    on top, and the Python objects of the run and its result, at most 32
+    KiB and 2 KiB per strain.  A sweep keeps each result."""
     n, nodes = len(config.strains), config.grid().n_points
     result = 4 * n + 2
     if config.control_mode == "optimize":
         result += 4 * n + 1
-        columns = 2 * result + 2 * ANDERSON_DEPTH + 4 + 4 * n
+        columns = result + max(4 * n + 5, 2 * ANDERSON_DEPTH + 6 + 2 * n + 1)
     else:
         columns = result + 4 * n + 4
     objects = (32 + 2 * n) << 10

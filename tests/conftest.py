@@ -394,3 +394,47 @@ def reference_polyline_points(x, series, y_min=None, y_max=None) -> list[str]:
         xs_d, ys_d = decimate(x, [float(v) for v in ys])
         out.append(" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs_d, ys_d)))
     return out
+
+
+def reference_pointwise_formula(traj, costates, beta_row, costs) -> np.ndarray:
+    """The closed-form control in whole-array numpy, one temporary per
+    operation, with the log argument masked by the sign of the switching
+    sum: the oracle that ``control._pointwise_formula`` must match bit for
+    bit."""
+    contrib = beta_row * traj.susceptible_matrix() * traj.I
+    total = (contrib * (costates.phi_S - costates.phi_E)).sum(axis=1)
+    positive = total > 0.0
+    safe = np.where(positive, total / costs.c2, 1.0)
+    values = np.log(safe) / costs.c2
+    return np.clip(np.where(positive, values, 0.0), 0.0, 1.0)
+
+
+def reference_anderson_step(u, g, dU, dG, a) -> np.ndarray:
+    """The Anderson step with its ridge added through ``np.diag_indices_from``
+    and out-of-place clipping: the oracle that ``control._anderson_step``
+    must match bit for bit."""
+    step = u + a * g
+    if len(dG):
+        gram = np.dot(dG, dG.T)
+        gram[np.diag_indices_from(gram)] += 1e-12 * np.trace(gram)
+        try:
+            gamma = np.linalg.solve(gram, np.dot(dG, g))
+        except np.linalg.LinAlgError:
+            return np.clip(step, 0.0, 1.0)
+        if np.all(np.isfinite(gamma)):
+            step -= np.dot(gamma, dU) + a * np.dot(gamma, dG)
+    return np.clip(step, 0.0, 1.0)
+
+
+def reference_schedule_error(u) -> str | None:
+    """The message ``ControlSchedule`` rejects the values ``u`` with, checked
+    in the order the messages rank, non-finite values first, then the range;
+    ``None`` for values it accepts."""
+    arr = np.array(u, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        bad = float(arr[~np.isfinite(arr)][0])
+        return f"schedule contains non-finite values, got {bad!r}"
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo < 0.0 or hi > 1.0:
+        return f"schedule values must lie in [0, 1], got min={lo!r}, max={hi!r}"
+    return None

@@ -20,6 +20,7 @@ from multistrain import (
     EpidemicState,
     IntegrationError,
     SeedEvent,
+    SolverError,
     StrainParams,
     TimeGrid,
     Trajectory,
@@ -34,13 +35,15 @@ from multistrain import (
     set_config_value,
     simulate,
 )
+from multistrain.cli import main
 from multistrain.dynamics import split
 from multistrain.runner import read_trajectory_csv, write_trajectory_csv
 
 from conftest import (
     BETA, DELTA, E0, GAMMA, I0, MU, P0, R0_, SIGMA, compiled_sweep, costate_slope,
-    many_strain_inputs, preset_inputs, random_params, random_state, reference_sweep,
-    reference_simulate, require_kernel, seeded_inputs, wave,
+    many_strain_inputs, preset_inputs, random_params, random_state, reference_anderson_step,
+    reference_pointwise_formula, reference_schedule_error, reference_simulate,
+    reference_sweep, require_kernel, seeded_inputs, wave,
 )
 
 
@@ -623,6 +626,32 @@ class TestFbsmSolve:
         assert np.all(np.isfinite(step))
         assert step.min() >= 0.0 and step.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_control_update_stops_the_solve(self, bad, monkeypatch, tmp_path,
+                                                       capsys):
+        # The control law gives finite values for any input, so one is spoiled
+        # at a single node: the solve raises, and the CLI exits 3 with the
+        # message before it writes an artifact.
+        formula = control._pointwise_formula
+
+        def spoiled(*args):
+            values = formula(*args)
+            values[len(values) // 2] = bad
+            return values
+
+        monkeypatch.setattr(control, "_pointwise_formula", spoiled)
+        initial, params, events, grid = self.setup_problem()
+        costs = CostParams(c1=1.0, c2=math.log(P0))
+        with pytest.raises(SolverError, match="^control update produced non-finite values$"):
+            fbsm_solve(initial, params, events, grid, costs)
+        out = tmp_path / "out"
+        argv = ["optimize", "case_a", "--horizon", "60", "--quiet", "--no-svg", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "solver error: control update produced non-finite values\n"
+        )
+        assert not (out / "trajectory.csv").exists()
+
     def test_relaxation_domain(self):
         initial, params, events, grid = self.setup_problem()
         with pytest.raises(DomainError):
@@ -656,6 +685,75 @@ class TestFbsmSolve:
             fbsm_solve(initial, params, events, grid, CostParams(1.0, 5.0))
         assert str(from_solve.value) == str(from_simulate.value)
         assert "does not lie on the grid" in str(from_solve.value)
+
+
+class TestOracleForms:
+    """The sweep's control law and Anderson step against their whole-array
+    forms in ``conftest``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 8])
+    def test_control_law_matches_its_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = 500
+        grid = TimeGrid(t0=0.0, dt=0.5, n_steps=m - 1)
+        P = rng.uniform(1e6, 1e8, size=m)
+        E, I, R = (rng.uniform(0.0, 0.05, size=(m, n)) * P[:, None] for _ in range(3))
+        traj = Trajectory(grid, P, E, I, R, rng.uniform(0.0, 1.0, size=m))
+        # One costate matrix, as the sweep's, with gaps phi_S - phi_E of
+        # either sign over sixteen decades: switching sums below zero, between
+        # zero and c2, and above c2 exp(c2).  Every seventh node has no gap,
+        # so its sum is zero, and two nodes hold an infinite or a NaN costate.
+        phi = rng.uniform(-10.0, 10.0, size=(m, 4 * n + 1))
+        _, phi_S, phi_E, _, _ = split(phi, n)
+        gap = rng.choice([-1.0, 1.0], size=(m, n)) * 10.0 ** rng.uniform(-8, 8, (m, n))
+        phi_S[:] = phi_E + gap
+        phi_S[::7] = phi_E[::7]
+        phi_S[3] = math.inf
+        phi_S[5] = math.nan
+        costates = CostateTrajectory(grid, *split(phi, n))
+        beta = rng.uniform(1e-9, 1e-6, size=n)
+        costs = CostParams(c1=1.0, c2=float(rng.uniform(5.0, 20.0)))
+        with np.errstate(all="ignore"):
+            expected = reference_pointwise_formula(traj, costates, beta, costs)
+            got = control._pointwise_formula(traj, costates, beta, costs)
+        assert np.array_equal(got, expected)
+        if n:
+            inside = (expected > 0.0) & (expected < 1.0)
+            assert (expected == 0.0).any() and (expected == 1.0).any() and inside.any()
+        else:
+            assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("history", [
+        "empty", "zero", "rank_one", "underflow", "overflow", "one", "full",
+    ])
+    def test_anderson_step_matches_its_oracle(self, history, seed):
+        # An empty or zero history and one whose Gram matrix underflows to
+        # zero take the plain step through a singular solve; a rank-one
+        # history is solved through the ridge, and an overflowing one gives
+        # non-finite weights.
+        rng = np.random.default_rng(seed)
+        m = 60
+        u = rng.uniform(0.0, 1.0, size=m)
+        g = rng.uniform(-0.3, 0.3, size=m)
+        rows = {"empty": 0, "one": 1}.get(history, control.ANDERSON_DEPTH)
+        dU = rng.uniform(-0.1, 0.1, size=(rows, m))
+        dG = rng.uniform(-0.1, 0.1, size=(rows, m))
+        if history == "zero":
+            dG[:] = 0.0
+        elif history == "rank_one":
+            dG[:] = dG[0]
+        elif history == "underflow":
+            dG *= 1e-170
+        elif history == "overflow":
+            dG *= 1e200
+        with np.errstate(all="ignore"):
+            expected = reference_anderson_step(u, g, dU, dG, 0.5)
+            got = control._anderson_step(u, g, dU, dG, 0.5)
+        assert np.array_equal(got, expected)
+        if history in ("empty", "zero", "underflow", "overflow"):
+            assert np.array_equal(got, np.clip(u + 0.5 * g, 0.0, 1.0))
 
 
 class TestCoarseStart:
@@ -833,6 +931,22 @@ class TestAdjointGradient:
 
 
 class TestControlSchedule:
+    @pytest.mark.parametrize("values", [
+        [0.0, math.nan, 0.5], [0.0, math.inf], [-math.inf, 0.5], [math.nan, -math.inf],
+        [-0.5, math.nan], [2.0, -math.inf], [-0.5, 0.2], [0.2, 1.5], [-0.5, 1.5],
+        [0.0, 1.0], [0.5, 0.5],
+    ])
+    def test_each_rejection_keeps_its_message(self, values):
+        # A non-finite value is named before the range, as the oracle checks.
+        grid = TimeGrid(t0=0.0, dt=1.0, n_steps=len(values) - 1)
+        expected = reference_schedule_error(values)
+        if expected is None:
+            assert np.array_equal(ControlSchedule(grid, values).u, values)
+        else:
+            with pytest.raises(DomainError) as err:
+                ControlSchedule(grid, values)
+            assert str(err.value) == expected
+
     def test_values_outside_unit_interval_rejected(self):
         grid = TimeGrid.from_horizon(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):

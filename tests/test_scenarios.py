@@ -130,11 +130,11 @@ SCHEMA_BASE = _set_key(SHORT_OPT, "strain.1", "activation_day", "10")
 # A one-strain run's memory budget, restated from runner._run_bytes: float64
 # columns per grid node, and the CSV writer's text buffer and 34 KiB of
 # Python objects on top.  Simulate mode keeps the trajectory's 6 columns and the
-# writer holds 8 beside them.  An optimize sweep holds two iterates of 11 (the
-# trajectory and 5 costates), the Anderson rows, 4 schedule vectors and the 4
-# columns of the Python backward sweep's transmission coefficients.
+# writer holds 8 beside them.  An optimize sweep peaks in its solve, which holds
+# one iterate of 11 (the trajectory and 5 costates), the Anderson rows, 6
+# schedule vectors and the 3 columns of the control law.
 SIMULATE_COLUMNS = 6 + 8
-OPTIMIZE_COLUMNS = 2 * 11 + 2 * ANDERSON_DEPTH + 4 + 4
+OPTIMIZE_COLUMNS = 11 + 2 * ANDERSON_DEPTH + 6 + 3
 
 
 def run_bytes(nodes: int, columns: int) -> int:
@@ -1406,9 +1406,9 @@ class TestCli:
         cfg = parse_config_text(text.replace("[control]", extra + "[control]"))
         assert len(cfg.strains) == n_strains
         if path is python_path and cfg.control_mode == "optimize":
-            # Two iterations reach the solve's Anderson step, and its peak
-            # with the Python backward sweep's coefficients beside it; at two
-            # strains a Python solve to the tolerance takes three times as long.
+            # Two iterations reach the solve's Anderson step and its peak; at
+            # two strains a Python solve to the tolerance takes three times as
+            # long.
             cfg = set_config_value(cfg, "cost.max_iterations", 2)
         with path():
             tracemalloc.start()
